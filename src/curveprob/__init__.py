@@ -17,7 +17,6 @@ from .conddist import (  # noqa: F401
     calibrate_uniform_band,
     gauss_prob,
     quantile_over_family,
-    sample_noise,
 )
 from .events import EventSet, MonotoneFamily  # noqa: F401
 from .flm import FittedFLM, RegressionSample, TruncationRule, build_far_design, fit, predict  # noqa: F401

@@ -4,6 +4,10 @@ Both baselines regress event indicators on the covariate directly, so a
 new event set means a full refit, and nothing forces their estimates to be
 monotone across nested events; the benchmark harness records such
 violations instead of forbidding them.
+
+Covariates arrive as weighted coordinates (see
+:meth:`curveprob.curves.Covariate.coords`): an (n, p) matrix for training,
+one length-p row per query.
 """
 
 from __future__ import annotations
@@ -12,9 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
-from .curves import Covariate
 from .errors import DegenerateInputError, UsageError
 from .spectral import CovarianceOperator, eigendecompose
 
@@ -41,10 +43,6 @@ class NWEstimator:
             raise UsageError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
-def _coords(xs) -> np.ndarray:
-    return np.asarray([x.coords() for x in xs])
-
-
 def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
     sq = np.sum(coords**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * coords @ coords.T
@@ -62,48 +60,46 @@ def default_bandwidth_grid(coords: np.ndarray) -> np.ndarray:
     )
 
 
-def nw_select_bandwidth(xs, labels, grid: np.ndarray = None) -> float:
+def nw_select_bandwidth(coords, labels, grid: np.ndarray = None) -> float:
     """Bandwidth minimizing leave-one-out squared error of the indicator
-    regression; ties go to the smaller bandwidth."""
+    regression; ties go to the smaller bandwidth. A point whose kernel
+    weights all underflow is predicted by the mean of the other labels."""
+    coords = np.asarray(coords, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    if len(xs) < 3:
+    n = len(coords)
+    if n < 3:
         raise UsageError("bandwidth selection needs at least 3 training points")
-    coords = _coords(xs)
     if grid is None:
         grid = default_bandwidth_grid(coords)
     dist = _pairwise_distances(coords)
+    leave_one_out_means = (labels.sum() - labels) / (n - 1)
 
     best_h, best_err = None, np.inf
     for h in np.sort(np.asarray(grid, dtype=float)):
         k = np.exp(-0.5 * (dist / h) ** 2)
         np.fill_diagonal(k, 0.0)
         denom = k.sum(axis=1)
-        n = len(xs)
-        preds = np.empty(n)
-        for i in range(n):
-            if denom[i] > 0:
-                preds[i] = k[i] @ labels / denom[i]
-            else:
-                others = np.delete(labels, i)
-                preds[i] = others.mean()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            preds = np.where(denom > 0, (k @ labels) / denom, leave_one_out_means)
         err = float(np.mean((labels - preds) ** 2))
         if err < best_err:
             best_h, best_err = float(h), err
     return best_h
 
 
-def nw_fit(xs, labels, bandwidth: float = None, grid: np.ndarray = None) -> NWEstimator:
+def nw_fit(coords, labels, bandwidth: float = None, grid: np.ndarray = None) -> NWEstimator:
+    coords = np.asarray(coords, dtype=float)
     labels = np.asarray(labels, dtype=float)
-    if len(xs) == 0:
+    if len(coords) == 0:
         raise UsageError("kernel regression needs at least one training point")
     if bandwidth is None:
-        bandwidth = nw_select_bandwidth(xs, labels, grid)
-    return NWEstimator(bandwidth=bandwidth, train_coords=_coords(xs), labels=labels)
+        bandwidth = nw_select_bandwidth(coords, labels, grid)
+    return NWEstimator(bandwidth=bandwidth, train_coords=coords, labels=labels)
 
 
-def nw_prob(est: NWEstimator, x: Covariate) -> float:
+def nw_prob(est: NWEstimator, x_coords) -> float:
     """Kernel-weighted mean of training indicators at the query point."""
-    diffs = est.train_coords - x.coords()
+    diffs = est.train_coords - x_coords
     dist = np.sqrt(np.sum(diffs**2, axis=1))
     with np.errstate(over="ignore"):  # ratio overflow just underflows the weight
         weights = np.exp(-0.5 * (dist / est.bandwidth) ** 2)
@@ -137,6 +133,7 @@ def _link_mean(link: str, eta: np.ndarray) -> np.ndarray:
     if link == "logit":
         return 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
     if link == "probit":
+        from scipy.stats import norm  # deferred: slow to import, and only probit needs it
         return norm.cdf(eta)
     raise UsageError(f"link must be 'logit' or 'probit', got {link!r}")
 
@@ -146,7 +143,7 @@ def _log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
     return float(np.sum(y * np.log(mu) + (1 - y) * np.log(1 - mu)))
 
 
-def fglm_fit(xs, labels, n_components: int, link: str = "logit") -> FGLMModel:
+def fglm_fit(coords, labels, n_components: int, link: str = "logit") -> FGLMModel:
     """Maximum likelihood by iteratively reweighted least squares.
 
     Scores are projections of the centered covariates on the leading
@@ -160,10 +157,10 @@ def fglm_fit(xs, labels, n_components: int, link: str = "logit") -> FGLMModel:
     if n_components < 1:
         raise UsageError(f"n_components must be >= 1, got {n_components}")
 
-    coords = _coords(xs)
+    coords = np.asarray(coords, dtype=float)
     x_mean = coords.mean(axis=0)
     centered = coords - x_mean
-    spectrum = eigendecompose(CovarianceOperator(centered.T @ centered / len(xs)))
+    spectrum = eigendecompose(CovarianceOperator(centered.T @ centered / len(coords)))
     k = min(n_components, spectrum.rank)
     if k == 0:
         raise DegenerateInputError("covariate sample has a zero covariance spectrum")
@@ -184,6 +181,7 @@ def fglm_fit(xs, labels, n_components: int, link: str = "logit") -> FGLMModel:
             weight = mu * (1 - mu)
             working = eta + (y - mu) / weight
         else:
+            from scipy.stats import norm
             dens = np.maximum(norm.pdf(eta), 1e-10)
             weight = dens**2 / (mu * (1 - mu))
             working = eta + (y - mu) / dens
@@ -231,8 +229,8 @@ def fglm_fit(xs, labels, n_components: int, link: str = "logit") -> FGLMModel:
     )
 
 
-def fglm_prob(model: FGLMModel, x: Covariate) -> float:
+def fglm_prob(model: FGLMModel, x_coords) -> float:
     """Fitted probability at a new covariate, kept inside the open unit interval."""
-    score = (x.coords() - model.x_mean_coords) @ model.basis
+    score = (x_coords - model.x_mean_coords) @ model.basis
     eta = model.intercept + float(score @ model.coefficients)
     return float(np.clip(_link_mean(model.link, np.asarray(eta)), 1e-12, 1 - 1e-12))

@@ -77,11 +77,6 @@ class GaussSampler:
         return weighted / self.grid.quad_weights_sqrt()
 
 
-def sample_noise(sampler: GaussSampler, count: int) -> list:
-    """i.i.d. noise curves from the sampler's own seed."""
-    return [Curve(sampler.grid, row) for row in sampler.draw_matrix(count)]
-
-
 def noise_sampler(model: FittedFLM, seed: int) -> GaussSampler:
     return GaussSampler.from_spectrum(model.grid, model.noise_spectrum, seed)
 

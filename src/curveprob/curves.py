@@ -2,8 +2,9 @@
 
 A :class:`Curve` holds samples of a real function on a shared uniform grid.
 All L2 quantities use trapezoid quadrature, which is exact for the piecewise
-linear interpolant of the samples. Path statistics (sup norm, time above a
-level, longest excursion) are evaluated on the grid only; their error
+linear interpolant of the samples. Path statistics (maximum, time above a
+level, longest excursion) live in the event kernels of
+:mod:`curveprob.events` and are evaluated on the grid only; their error
 vanishes as the grid is refined.
 
 Covariates are ordered tuples of curves plus scalars. Their flattened
@@ -169,32 +170,3 @@ def covariate_inner_product(a: Covariate, b: Covariate) -> float:
 
 def covariate_norm(a: Covariate) -> float:
     return float(np.sqrt(max(covariate_inner_product(a, a), 0.0)))
-
-
-def sup_norm(a: Curve) -> float:
-    """Maximum of |a(t_i)| over the grid."""
-    return float(np.max(np.abs(a.values)))
-
-
-def exceedance_measure(a: Curve, alpha: float) -> float:
-    """Fraction of grid points with a(t_i) > alpha, a grid proxy for
-    the Lebesgue measure of the exceedance set."""
-    return float(np.count_nonzero(a.values > alpha)) / a.grid.size
-
-
-def longest_excursion(a: Curve, d: float) -> float:
-    """Length in t-units of the longest unbroken run of samples with a(t_i) > d.
-
-    A run of r >= 2 consecutive points spans (r - 1)/D; isolated points and
-    empty exceedance both give 0.
-    """
-    run = _longest_run_lengths(a.values[np.newaxis, :] > d)[0]
-    return max(run - 1, 0) / a.grid.resolution
-
-
-def _longest_run_lengths(mask: np.ndarray) -> np.ndarray:
-    """Row-wise longest run of True in a boolean matrix (vectorized reset-cumsum)."""
-    mask = np.asarray(mask, dtype=bool)
-    csum = np.cumsum(mask, axis=1)
-    anchors = np.maximum.accumulate(np.where(mask, 0, csum), axis=1)
-    return np.max(csum - anchors, axis=1, initial=0)

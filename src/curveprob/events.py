@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curves import Curve, _longest_run_lengths
+from .curves import Curve
 from .errors import UsageError
 
 KINDS = (
@@ -93,6 +93,13 @@ def complement(inner: EventSet) -> EventSet:
 
 def custom_event(predicate: Callable[[Curve], bool]) -> EventSet:
     return EventSet("custom", predicate=predicate)
+
+
+def _longest_run_lengths(mask: np.ndarray) -> np.ndarray:
+    """Row-wise longest run of True in a boolean matrix (vectorized reset-cumsum)."""
+    csum = np.cumsum(mask, axis=1)
+    anchors = np.maximum.accumulate(np.where(mask, 0, csum), axis=1)
+    return np.max(csum - anchors, axis=1, initial=0)
 
 
 def contains(event: EventSet, y: Curve) -> bool:

@@ -24,7 +24,7 @@ from .spectral import (
 )
 
 MODEL_FORMAT = "curveprob-flm"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # version 1 also stored the trailing covariate eigenpairs
 
 
 def default_m_n(n: int) -> float:
@@ -89,51 +89,73 @@ class TruncationRule:
         'threshold:mn=12,absolute', 'fixed:3'."""
         kind, _, rest = text.partition(":")
         kind = kind.strip().lower()
-        if kind == "pve":
-            return TruncationRule.pve(float(rest))
-        if kind == "fixed":
-            return TruncationRule.fixed(int(rest))
-        if kind == "threshold":
-            m_n, relative = None, True
-            for piece in filter(None, (p.strip() for p in rest.split(","))):
-                if piece == "auto":
-                    m_n = None
-                elif piece == "absolute":
-                    relative = False
-                elif piece == "relative":
-                    relative = True
-                elif piece.startswith("mn="):
-                    m_n = float(piece[3:])
-                else:
-                    raise UsageError(f"unknown threshold option {piece!r}")
-            return TruncationRule.threshold(m_n, relative=relative)
+        try:
+            if kind == "pve":
+                return TruncationRule.pve(float(rest))
+            if kind == "fixed":
+                return TruncationRule.fixed(int(rest))
+            if kind == "threshold":
+                m_n, relative = None, True
+                for piece in filter(None, (p.strip() for p in rest.split(","))):
+                    if piece == "auto":
+                        m_n = None
+                    elif piece == "absolute":
+                        relative = False
+                    elif piece == "relative":
+                        relative = True
+                    elif piece.startswith("mn="):
+                        m_n = float(piece[3:])
+                    else:
+                        raise UsageError(f"unknown threshold option {piece!r}")
+                return TruncationRule.threshold(m_n, relative=relative)
+        except ValueError as exc:
+            raise UsageError(f"bad truncation rule {text!r}: {exc}") from None
         raise UsageError(f"unknown truncation rule {text!r}")
+
+
+def _check_lengths(n_y: int, n_x: int) -> None:
+    if n_y != n_x:
+        raise UsageError(f"sample length mismatch: {n_y} vs {n_x}")
+    if n_y < 2:
+        raise UsageError("regression needs at least 2 observations")
 
 
 @dataclass(frozen=True)
 class RegressionSample:
-    """Aligned response curves and covariates."""
+    """Aligned responses and covariates as coordinate matrices.
 
-    ys: tuple
-    xs: tuple
+    ``y`` holds the response curves row-wise as raw samples on ``grid``;
+    ``x`` holds the covariates' weighted coordinates row-wise, laid out as
+    :meth:`Covariate.coords` lays out one covariate. ``structure`` is the
+    covariates' common :meth:`Covariate.structure`.
+    """
+
+    y: np.ndarray = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    grid: Grid
+    structure: tuple
 
     def __post_init__(self):
-        ys, xs = tuple(self.ys), tuple(self.xs)
-        if len(ys) != len(xs):
-            raise UsageError(f"sample length mismatch: {len(ys)} vs {len(xs)}")
-        if len(ys) < 2:
-            raise UsageError("regression needs at least 2 observations")
-        d = {y.grid.resolution for y in ys}
-        if len(d) != 1:
+        _check_lengths(self.y.shape[0], self.x.shape[0])
+
+    @staticmethod
+    def from_pairs(ys, xs) -> "RegressionSample":
+        """Flatten response curves and their covariate objects into one sample."""
+        _check_lengths(len(ys), len(xs))
+        if len({y.grid.resolution for y in ys}) != 1:
             raise StructureError("all responses must share one grid")
         structures = {x.structure() for x in xs}
         if len(structures) != 1:
             raise StructureError("all covariates must share one structure")
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "xs", xs)
+        return RegressionSample(
+            y=np.asarray([y.values for y in ys]),
+            x=np.asarray([x.coords() for x in xs]),
+            grid=ys[0].grid,
+            structure=structures.pop(),
+        )
 
     def __len__(self) -> int:
-        return len(self.ys)
+        return self.y.shape[0]
 
 
 @dataclass(frozen=True)
@@ -142,7 +164,6 @@ class LagDesign:
 
     order: int
     n_exog_curves: int
-    n_exog_scalars: int
     response_indices: tuple  # position in the raw series of each response
 
     @property
@@ -177,9 +198,6 @@ class FittedFLM:
     @property
     def n_observations(self) -> int:
         return self.residual_matrix.shape[0]
-
-    def residual_curves(self) -> list:
-        return [Curve(self.grid, row) for row in self.residual_matrix]
 
     def noise_std(self) -> np.ndarray:
         """Pointwise standard deviation of the centered residuals, with the
@@ -220,15 +238,15 @@ def fit(
     Centering removes the sample means of covariates and responses before
     estimation and stores them, so predictions are affine. The residuals are
     computed through the same kernel as ``predict`` and therefore satisfy
-    residual_k = y_k - predict(x_k) bit for bit.
+    residual_k = y_k - predict(x_k) bit for bit. Only the leading
+    ``n_components`` covariate eigenpairs are kept.
     """
     truncation = truncation or TruncationRule.threshold()
     n = len(sample)
-    grid = sample.ys[0].grid
-    n_parts, _, n_scalars = sample.xs[0].structure()
+    grid = sample.grid
+    n_parts, _, n_scalars = sample.structure
 
-    x = np.asarray([cv.coords() for cv in sample.xs])
-    y = np.asarray([cu.values for cu in sample.ys])
+    x, y = sample.x, sample.y
     x_mean = x.mean(axis=0) if center else np.zeros(x.shape[1])
     y_mean = y.mean(axis=0) if center else np.zeros(y.shape[1])
     xc = x - x_mean
@@ -267,7 +285,7 @@ def fit(
         n_scalars=n_scalars,
         coef_w=coef_w,
         n_components=k,
-        covariate_spectrum=spectrum,
+        covariate_spectrum=SpectralPair(lam.copy(), vecs.copy(), spectrum.clamped_mass),
         residual_matrix=residuals,
         noise_spectrum=eigendecompose(gamma),
         x_mean_coords=x_mean,
@@ -282,7 +300,9 @@ def _apply(coef_w, x_mean, y_mean, sw, x_coords) -> np.ndarray:
     return y_mean + (coef_w @ (x_coords - x_mean)) / sw
 
 
-def _predict_values(model: FittedFLM, x_coords: np.ndarray) -> np.ndarray:
+def predict_coords(model: FittedFLM, x_coords: np.ndarray) -> np.ndarray:
+    """Conditional-mean values for one row of weighted covariate coordinates,
+    through the kernel ``fit`` computes its residuals with."""
     return _apply(model.coef_w, model.x_mean_coords, model.y_mean,
                   model.grid.quad_weights_sqrt(), x_coords)
 
@@ -290,7 +310,7 @@ def _predict_values(model: FittedFLM, x_coords: np.ndarray) -> np.ndarray:
 def predict(model: FittedFLM, x: Covariate) -> Curve:
     """Conditional-mean curve for a new covariate."""
     model.check_structure(x)
-    return Curve(model.grid, _predict_values(model, x.coords()))
+    return Curve(model.grid, predict_coords(model, x.coords()))
 
 
 def build_far_design(
@@ -301,36 +321,37 @@ def build_far_design(
     """Turn a curve series into lagged (response, covariate) pairs.
 
     The covariate for the response at position k stacks the curves at
-    k-1, ..., k-order followed by same-position exogenous parts; the
-    response never appears inside its own covariate.
+    k-1, ..., k-order followed by the position-k curve of each exogenous
+    series in ``exog``; the response never appears inside its own
+    covariate. The curves are stacked once and every block of the design
+    is a slice of that stack.
     """
     if order < 1:
         raise UsageError(f"autoregressive order must be >= 1, got {order}")
-    if len(series) <= order:
-        raise UsageError(
-            f"series of length {len(series)} is too short for order {order}"
-        )
-    if exog is not None and len(exog) != len(series):
-        raise UsageError("exogenous covariates must align one-to-one with the series")
+    n = len(series)
+    if n <= order:
+        raise UsageError(f"series of length {n} is too short for order {order}")
+    exog = list(exog or ())
+    if any(len(ex) != n for ex in exog):
+        raise UsageError("exogenous series must align one-to-one with the series")
+    grid = series[0].grid
+    curves = [c for part in (series, *exog) for c in part]
+    if any(c.grid != grid for c in curves):
+        raise StructureError("all curves of a design must share one grid")
 
-    ys, xs, idx = [], [], []
-    for k in range(order, len(series)):
-        lags = [series[k - i] for i in range(1, order + 1)]
-        ex_curves, ex_scalars = (), ()
-        if exog is not None:
-            ex_curves = exog[k].curve_parts
-            ex_scalars = exog[k].scalar_parts
-        ys.append(series[k])
-        xs.append(Covariate(tuple(lags) + tuple(ex_curves), ex_scalars))
-        idx.append(k)
-
-    design = LagDesign(
-        order=order,
-        n_exog_curves=len(ex_curves),
-        n_exog_scalars=len(ex_scalars),
-        response_indices=tuple(idx),
+    stacked = np.asarray([c.values for c in curves]).reshape(1 + len(exog), n, grid.size)
+    weighted = stacked * grid.quad_weights_sqrt()
+    blocks = [weighted[0, order - i:n - i] for i in range(1, order + 1)]
+    blocks.extend(weighted[1:, order:])
+    sample = RegressionSample(
+        y=stacked[0, order:],
+        x=np.hstack(blocks),
+        grid=grid,
+        structure=(order + len(exog), grid.resolution, 0),
     )
-    return RegressionSample(tuple(ys), tuple(xs)), design
+    design = LagDesign(order=order, n_exog_curves=len(exog),
+                       response_indices=tuple(range(order, n)))
+    return sample, design
 
 
 def to_json(model: FittedFLM) -> str:
@@ -358,29 +379,52 @@ def to_json(model: FittedFLM) -> str:
 
 
 def from_json(text: str) -> FittedFLM:
+    """Read a model document and check every matrix shape against the grid,
+    the part counts, ``n_components`` and the residual count. Version 1
+    documents hold the whole covariate spectrum; its leading pairs are kept."""
     doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise UsageError(f"not a {MODEL_FORMAT} document")
-    if doc.get("version") != MODEL_VERSION:
-        raise UsageError(f"unsupported model version {doc.get('version')}")
+    version = doc.get("version")
+    if version not in (1, MODEL_VERSION):
+        raise UsageError(f"unsupported model version {version}")
+    try:
+        grid = Grid(int(doc["grid_d"]))
+        n_parts, n_scalars, k = (int(doc[key]) for key in
+                                 ("n_curve_parts", "n_scalars", "n_components"))
+        size, p = grid.size, n_parts * grid.size + n_scalars
+        kept = k if version == MODEL_VERSION else p
+        want = {
+            "coef_w": (size, p), "x_mean_coords": (p,), "y_mean": (size,),
+            "residual_matrix": (len(doc["residual_matrix"]), size),
+            "covariate_eigenvalues": (kept,), "covariate_eigenvectors": (p, kept),
+            "noise_eigenvalues": (size,), "noise_eigenvectors": (size, size),
+        }
+        m = {key: np.asarray(doc[key], dtype=float) for key in want}
+        truncation = TruncationRule.from_dict(doc["truncation"]) if doc["truncation"] else None
+        centered, dof_correction = bool(doc["centered"]), bool(doc["dof_correction"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StructureError(f"malformed model document: {exc!r}") from None
+    bad = [key for key, shape in want.items() if m[key].shape != shape]
+    if bad or not 1 <= k <= p:
+        raise StructureError(f"model fields {bad} do not match grid_d={grid.resolution}, "
+                             f"p={p}, n_components={k}")
+
     return FittedFLM(
-        grid=Grid(doc["grid_d"]),
-        n_curve_parts=doc["n_curve_parts"],
-        n_scalars=doc["n_scalars"],
-        coef_w=np.asarray(doc["coef_w"], dtype=float),
-        n_components=doc["n_components"],
+        grid=grid,
+        n_curve_parts=n_parts,
+        n_scalars=n_scalars,
+        coef_w=m["coef_w"],
+        n_components=k,
         covariate_spectrum=SpectralPair(
-            np.asarray(doc["covariate_eigenvalues"], dtype=float),
-            np.asarray(doc["covariate_eigenvectors"], dtype=float),
+            m["covariate_eigenvalues"][:k],
+            np.ascontiguousarray(m["covariate_eigenvectors"][:, :k]),
         ),
-        residual_matrix=np.asarray(doc["residual_matrix"], dtype=float),
-        noise_spectrum=SpectralPair(
-            np.asarray(doc["noise_eigenvalues"], dtype=float),
-            np.asarray(doc["noise_eigenvectors"], dtype=float),
-        ),
-        x_mean_coords=np.asarray(doc["x_mean_coords"], dtype=float),
-        y_mean=np.asarray(doc["y_mean"], dtype=float),
-        centered=bool(doc["centered"]),
-        dof_correction=bool(doc["dof_correction"]),
-        truncation=TruncationRule.from_dict(doc["truncation"]) if doc["truncation"] else None,
+        residual_matrix=m["residual_matrix"],
+        noise_spectrum=SpectralPair(m["noise_eigenvalues"], m["noise_eigenvectors"]),
+        x_mean_coords=m["x_mean_coords"],
+        y_mean=m["y_mean"],
+        centered=centered,
+        dof_correction=dof_correction,
+        truncation=truncation,
     )

@@ -3,7 +3,8 @@
 Subcommands cover the full workflow: simulate series, fit a model, query
 conditional probabilities / quantiles / bands, run the experiment drivers,
 deseasonalize daily curves, and evaluate the baseline estimators. Exit
-codes: 0 success, 2 usage error, 3 numerical degeneracy.
+codes: 0 success; 2 usage error, mismatched structure or unreadable file;
+3 numerical degeneracy or a quantile range the estimate never reaches.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from ..baselines import fglm_fit, fglm_prob, nw_fit, nw_prob
 from ..conddist import (
     boot_prob,
@@ -23,7 +22,7 @@ from ..conddist import (
     quantile_over_family,
 )
 from ..curves import Covariate, Grid
-from ..errors import DegenerateInputError, UsageError
+from ..errors import DegenerateInputError, RangeExhaustedError, StructureError, UsageError
 from ..events import contains_batch, family_level_in_alpha, family_level_in_z, family_max_below, parse_event
 from ..flm import TruncationRule, build_far_design, fit, from_json, to_json
 from . import io
@@ -39,7 +38,10 @@ from .seasonal import deseasonalize
 
 def _load_covariate(args) -> Covariate:
     parts = tuple(io.load_curves(args.x))
-    scalars = tuple(float(s) for s in args.x_scalars.split(",")) if args.x_scalars else ()
+    try:
+        scalars = tuple(float(s) for s in args.x_scalars.split(",")) if args.x_scalars else ()
+    except ValueError as exc:
+        raise UsageError(f"--x-scalars: {exc}") from None
     if not parts and not scalars:
         raise UsageError(f"covariate file {args.x} holds no curves and no scalars given")
     return Covariate(parts, scalars)
@@ -54,15 +56,21 @@ def _parse_family(text: str):
         key, eq, value = piece.partition("=")
         if not eq:
             raise UsageError(f"bad family parameter {piece!r}")
-        params[key.strip()] = float(value)
+        try:
+            params[key.strip()] = float(value)
+        except ValueError as exc:
+            raise UsageError(f"family parameter {key.strip()!r}: {exc}") from None
     kind = kind.strip().lower()
-    if kind == "level-alpha":
-        return family_level_in_alpha(params["z"], params["lo"], params["hi"])
-    if kind == "level-z":
-        return family_level_in_z(params["alpha"],
-                                 params.get("lo", 0.0), params.get("hi", 1.0))
-    if kind == "max-below":
-        return family_max_below(params["lo"], params["hi"])
+    try:
+        if kind == "level-alpha":
+            return family_level_in_alpha(params["z"], params["lo"], params["hi"])
+        if kind == "level-z":
+            return family_level_in_z(params["alpha"],
+                                     params.get("lo", 0.0), params.get("hi", 1.0))
+        if kind == "max-below":
+            return family_max_below(params["lo"], params["hi"])
+    except KeyError as exc:
+        raise UsageError(f"family {kind!r} needs parameter {exc}") from None
     raise UsageError(f"unknown family kind {kind!r}")
 
 
@@ -91,13 +99,7 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_fit(args) -> None:
     series = io.load_curves(args.series)
-    exog = None
-    if args.exog:
-        columns = [io.load_curves(p) for p in args.exog]
-        lengths = {len(c) for c in columns} | {len(series)}
-        if len(lengths) != 1:
-            raise UsageError("exogenous series must have the same length as the series")
-        exog = [Covariate(tuple(col[k] for col in columns)) for k in range(len(series))]
+    exog = [io.load_curves(p) for p in args.exog or ()]
     sample, _ = build_far_design(series, args.ar_order, exog)
     model = fit(sample, TruncationRule.parse(args.truncation),
                 center=not args.no_center, dof_correction=args.dof_correction)
@@ -201,18 +203,18 @@ def _cmd_baseline(args) -> None:
     series = io.load_curves(args.train_series)
     sample, _ = build_far_design(series, args.ar_order)
     event = parse_event(args.event, load_curve=io.load_single_curve)
-    grid = series[0].grid
-    labels = contains_batch(
-        event, np.asarray([y.values for y in sample.ys]), grid
-    ).astype(float)
+    labels = contains_batch(event, sample.y, sample.grid).astype(float)
     x = _load_covariate(args)
+    if x.structure() != sample.structure:
+        raise StructureError(f"covariate structure {x.structure()} does not match "
+                             f"the training design {sample.structure}")
     if args.estimator == "nw":
-        est = nw_fit(sample.xs, labels, bandwidth=args.bandwidth)
-        value = nw_prob(est, x)
+        est = nw_fit(sample.x, labels, bandwidth=args.bandwidth)
+        value = nw_prob(est, x.coords())
         payload = {"value": value, "estimator": "nw", "bandwidth": est.bandwidth}
     else:
-        model = fglm_fit(sample.xs, labels, args.components, link=args.link)
-        value = fglm_prob(model, x)
+        model = fglm_fit(sample.x, labels, args.components, link=args.link)
+        value = fglm_prob(model, x.coords())
         payload = {"value": value, "estimator": "glm", "link": args.link,
                    "converged": model.converged, "separation": model.separation}
     _write_json(payload, args.out)
@@ -354,9 +356,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
-    except UsageError as exc:
+    except (UsageError, StructureError, json.JSONDecodeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except RangeExhaustedError as exc:
+        sys.stderr.write(f"range exhausted: {exc}; "
+                         f"boundary_estimate={exc.boundary_estimate}\n")
+        return 3
     except DegenerateInputError as exc:
         sys.stderr.write(f"degenerate input: {exc}\n")
         return 3

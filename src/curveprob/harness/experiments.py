@@ -12,7 +12,7 @@ own and touch the data-generating process directly, never the estimators.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ..events import (
     format_event,
     level_set,
 )
-from ..flm import RegressionSample, TruncationRule, build_far_design, fit, predict
+from ..flm import TruncationRule, build_far_design, fit, predict_coords
 from ..rng import substream
 from .dgp import (
     DGPSpec,
@@ -226,14 +226,15 @@ def run_rmse_experiment(
         oracle_event_probability(spec, y0, event, oracle_size, _int_seed(seed, _ORACLE, j))
         for j, y0 in enumerate(predictors)
     ])
+    # weighted coordinates of the one-curve covariates (y0,)
+    queries = np.asarray([y0.values for y0 in predictors]) * grid.quad_weights_sqrt()
 
     estimates = {m: np.empty((reps, n_predictors)) for m in methods}
     for rep in range(reps):
         series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
         sample, _ = build_far_design(series, order=1)
         model = fit(sample, truncation, center=True)
-        queries = [Covariate((y0,)) for y0 in predictors]
-        centers = np.asarray([predict(model, q).values for q in queries])
+        centers = np.asarray([predict_coords(model, q) for q in queries])
 
         if "boot" in methods:
             for j in range(n_predictors):
@@ -246,14 +247,12 @@ def run_rmse_experiment(
                 inside = contains_batch(event, centers[j] + noise, grid)
                 estimates["gauss"][rep, j] = np.count_nonzero(inside) / mc_size
         if "glm" in methods or "nw" in methods:
-            labels = contains_batch(
-                event, np.asarray([y.values for y in sample.ys]), grid
-            ).astype(float)
+            labels = contains_batch(event, sample.y, grid).astype(float)
             if "glm" in methods:
-                glm = fglm_fit(sample.xs, labels, model.n_components, link="logit")
+                glm = fglm_fit(sample.x, labels, model.n_components, link="logit")
                 estimates["glm"][rep] = [fglm_prob(glm, q) for q in queries]
             if "nw" in methods:
-                est = nw_fit(sample.xs, labels)
+                est = nw_fit(sample.x, labels)
                 estimates["nw"][rep] = [nw_prob(est, q) for q in queries]
 
     columns = ("method", "predictor", "truth", "rmse")
@@ -332,13 +331,13 @@ def run_var_experiment(
     ])
 
     family = family_level_in_alpha(z, search_lo, search_hi)
+    queries = [Covariate((y0,)) for y0 in predictors]
     estimates = {m: np.empty((reps, n_predictors)) for m in methods}
     for rep in range(reps):
         series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
         sample, _ = build_far_design(series, order=1)
         model = fit(sample, truncation, center=True)
-        for j, y0 in enumerate(predictors):
-            x = Covariate((y0,))
+        for j, x in enumerate(queries):
             for m in methods:
                 try:
                     xi = quantile_over_family(
@@ -414,34 +413,24 @@ def run_entropy_eval(
         for series, remove_weekly in exog
     ]
 
-    exog_covariates = None
-    if adj_exog:
-        exog_covariates = [
-            Covariate(tuple(dec.adjusted[k] for dec in adj_exog))
-            for k in range(n_days)
-        ]
-    sample, design = build_far_design(adj_response.adjusted, ar_order, exog_covariates)
+    sample, design = build_far_design(adj_response.adjusted, ar_order,
+                                      [dec.adjusted for dec in adj_exog])
 
     n_pairs = len(sample)
     n_test = int(round(n_pairs * test_fraction))
     if not 0 < n_test < n_pairs:
         raise UsageError("test fraction leaves an empty train or test set")
-    test_idx = np.sort(substream(seed, _SPLIT).choice(n_pairs, size=n_test, replace=False))
-    test_mask = np.zeros(n_pairs, dtype=bool)
-    test_mask[test_idx] = True
-
-    train_sample_ys = tuple(sample.ys[i] for i in range(n_pairs) if not test_mask[i])
-    train_sample_xs = tuple(sample.xs[i] for i in range(n_pairs) if not test_mask[i])
-    model = fit(RegressionSample(train_sample_ys, train_sample_xs),
+    test_ids = np.sort(substream(seed, _SPLIT).choice(n_pairs, size=n_test, replace=False))
+    train_ids = np.setdiff1d(np.arange(n_pairs), test_ids)
+    train_x = sample.x[train_ids]
+    model = fit(replace(sample, y=sample.y[train_ids], x=train_x),
                 TruncationRule.pve(pve), center=True)
+    centers = [predict_coords(model, sample.x[i]) for i in test_ids]
 
     # real-scale curves and per-day seasonal components, keyed by pair index
     day_of_pair = design.response_indices
     real_values = np.asarray([response[k].values for k in day_of_pair])
     seasonal = np.asarray([adj_response.seasonal_values(k) for k in day_of_pair])
-
-    train_ids = np.nonzero(~test_mask)[0]
-    test_ids = np.nonzero(test_mask)[0]
 
     gauss_noise = None
     if "gauss" in methods:
@@ -468,26 +457,25 @@ def run_entropy_eval(
                 train_labels = contains_batch(
                     event, real_values[train_ids], grid
                 ).astype(float)
-                train_xs = [sample.xs[i] for i in train_ids]
                 glm_model = nw_model = None
                 if "glm" in methods:
                     if train_labels.min() == train_labels.max():
                         glm_model = None  # single-class event on this split
                     else:
-                        glm_model = fglm_fit(train_xs, train_labels,
+                        glm_model = fglm_fit(train_x, train_labels,
                                              model.n_components, link="logit")
                 if "nw" in methods:
-                    nw_model = nw_fit(train_xs, train_labels)
+                    nw_model = nw_fit(train_x, train_labels)
 
             for pos, i in enumerate(test_ids):
-                x = sample.xs[i]
+                x = sample.x[i]
                 shift = seasonal[i]
                 if "boot" in methods:
-                    ensemble = predict(model, x).values + model.residual_matrix + shift
+                    ensemble = centers[pos] + model.residual_matrix + shift
                     inside = contains_batch(event, ensemble, grid)
                     probs["boot"][pos] = np.count_nonzero(inside) / len(inside)
                 if "gauss" in methods:
-                    ensemble = predict(model, x).values + gauss_noise + shift
+                    ensemble = centers[pos] + gauss_noise + shift
                     inside = contains_batch(event, ensemble, grid)
                     probs["gauss"][pos] = np.count_nonzero(inside) / mc_size
                 if "glm" in methods:

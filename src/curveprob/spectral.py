@@ -91,19 +91,6 @@ def empirical_covariance(
     return CovarianceOperator(x.T @ x / len(sample))
 
 
-def empirical_cross_covariance(
-    ys: Sequence[Curve], xs: Sequence[Covariate]
-) -> np.ndarray:
-    """(1/n) sum of y_k outer x_k as a (D+1) x p matrix in weighted coordinates."""
-    if len(ys) != len(xs):
-        raise UsageError(f"length mismatch: {len(ys)} responses vs {len(xs)} covariates")
-    if len(ys) == 0:
-        raise UsageError("empirical_cross_covariance needs a nonempty sample")
-    y = _coords_matrix(ys)
-    x = _coords_matrix(xs)
-    return y.T @ x / len(ys)
-
-
 def eigendecompose(op: CovarianceOperator) -> SpectralPair:
     """Full symmetric eigendecomposition, sorted, sign-fixed, negatives clamped.
 

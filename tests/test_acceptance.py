@@ -130,7 +130,7 @@ def test_criterion_5_estimator_axioms():
             a = rng.normal()
             xs.append(Covariate((Curve(grid, a * source + 0.2 * rng.normal(size=grid.size)),)))
             ys.append(Curve(grid, a * t + 0.7 * rng.normal(size=grid.size)))
-        model = fit(RegressionSample(tuple(ys), tuple(xs)), TruncationRule.fixed(1))
+        model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(1))
         for query_idx in range(10):
             triple += 1
             qrng = substream(60_000, model_idx, query_idx)
@@ -204,7 +204,7 @@ def test_criterion_7_exact_recovery():
         coefs = rng.normal(size=3)
         xs.append(Covariate((Curve(grid, sum(c * r for c, r in zip(coefs, right))),)))
         ys.append(Curve(grid, sum(c * e for c, e in zip(coefs, left))))
-    model = fit(RegressionSample(tuple(ys), tuple(xs)), TruncationRule.fixed(3))
+    model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(3))
     worst = float(np.max(np.abs(model.residual_matrix)))
     ok = report(7, "noiseless exact recovery", worst <= 1e-8,
                 f"worst in-sample residual sup norm {worst:.2e} (bound 1e-8)")
@@ -236,25 +236,25 @@ def test_criterion_8_cli_reproducibility(tmp_path):
 def test_criterion_9_baseline_sanity(rmse_by_n):
     checks = []
     # kernel-estimator basics
-    xs = [Covariate((), (float(k),)) for k in range(5)]
+    xs = [[float(k)] for k in range(5)]
     est = nw_fit(xs, np.ones(5), bandwidth=0.5)
-    checks.append(nw_prob(est, Covariate((), (2.2,))) == 1.0)
-    single = nw_fit([Covariate((), (1.0,))], [0.0], bandwidth=1.0)
-    checks.append(nw_prob(single, Covariate((), (4.0,))) == 0.0)
-    pair = nw_fit([Covariate((), (-1.0,)), Covariate((), (1.0,))], [0.0, 1.0],
+    checks.append(nw_prob(est, [2.2]) == 1.0)
+    single = nw_fit([[1.0]], [0.0], bandwidth=1.0)
+    checks.append(nw_prob(single, [4.0]) == 0.0)
+    pair = nw_fit([[-1.0], [1.0]], [0.0, 1.0],
                   bandwidth=0.7)
-    checks.append(abs(nw_prob(pair, Covariate((), (0.0,))) - 0.5) < 1e-12)
+    checks.append(abs(nw_prob(pair, [0.0]) - 0.5) < 1e-12)
     # binomial-regression basics
     flat = FGLMModel(link="logit", intercept=0.3, coefficients=np.zeros(1),
                      basis=np.ones((1, 1)), x_mean_coords=np.zeros(1))
-    checks.append(abs(fglm_prob(flat, Covariate((), (9.0,)))
+    checks.append(abs(fglm_prob(flat, [9.0])
                       - 1 / (1 + np.exp(-0.3))) < 1e-12)
     zero = FGLMModel(link="logit", intercept=0.0, coefficients=np.zeros(1),
                      basis=np.ones((1, 1)), x_mean_coords=np.zeros(1))
-    checks.append(fglm_prob(zero, Covariate((), (0.0,))) == 0.5)
+    checks.append(fglm_prob(zero, [0.0]) == 0.5)
     probit = FGLMModel(link="probit", intercept=0.0, coefficients=np.ones(1),
                        basis=np.ones((1, 1)), x_mean_coords=np.zeros(1))
-    checks.append(abs(fglm_prob(probit, Covariate((), (1.6449,))) - 0.95) < 1e-3)
+    checks.append(abs(fglm_prob(probit, [1.6449]) - 0.95) < 1e-3)
     trivial_ok = all(checks)
 
     boot_med = rmse_by_n[250].summary["median_rmse_boot"]

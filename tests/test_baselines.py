@@ -11,55 +11,62 @@ from curveprob.baselines import (
     nw_prob,
     nw_select_bandwidth,
 )
-from curveprob.curves import Covariate, Curve, Grid
+from curveprob.curves import Grid
 from curveprob.errors import DegenerateInputError
 
 GRID = Grid(12)
 
 
 def scalar_cov(*values):
-    return Covariate((), tuple(values))
+    """Coordinates of a covariate made of scalars only."""
+    return np.asarray(values, dtype=float)
+
+
+def scalar_sample(values):
+    """One single-scalar covariate per row."""
+    return np.asarray(values, dtype=float)[:, None]
 
 
 def curve_cov(grid, values):
-    return Covariate((Curve(grid, np.asarray(values, dtype=float)),))
+    """Weighted coordinates of a one-curve covariate."""
+    return np.asarray(values, dtype=float) * grid.quad_weights_sqrt()
 
 
 class TestNWProb:
     def test_all_positive_labels(self):
-        xs = [scalar_cov(float(k)) for k in range(5)]
+        xs = scalar_sample(range(5))
         est = nw_fit(xs, np.ones(5), bandwidth=0.7)
         for q in (-3.0, 0.0, 10.0):
             assert nw_prob(est, scalar_cov(q)) == pytest.approx(1.0)
 
     def test_single_training_point(self):
-        est = nw_fit([scalar_cov(1.0)], [0.0], bandwidth=1.0)
+        est = nw_fit(scalar_sample([1.0]), [0.0], bandwidth=1.0)
         assert nw_prob(est, scalar_cov(5.0)) == pytest.approx(0.0)
 
     def test_equidistant_opposite_labels(self):
-        est = nw_fit([scalar_cov(-1.0), scalar_cov(1.0)], [0.0, 1.0], bandwidth=0.5)
+        est = nw_fit(scalar_sample([-1.0, 1.0]), [0.0, 1.0], bandwidth=0.5)
         assert nw_prob(est, scalar_cov(0.0)) == pytest.approx(0.5)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
-        xs = [scalar_cov(v) for v in rng.normal(size=12)]
+        xs = scalar_sample(rng.normal(size=12))
         labels = rng.integers(0, 2, size=12).astype(float)
         est = nw_fit(xs, labels, bandwidth=0.8)
         perm = rng.permutation(12)
-        est_p = nw_fit([xs[i] for i in perm], labels[perm], bandwidth=0.8)
+        est_p = nw_fit(xs[perm], labels[perm], bandwidth=0.8)
         q = scalar_cov(0.3)
         assert nw_prob(est, q) == pytest.approx(nw_prob(est_p, q))
 
     def test_huge_bandwidth_tends_to_label_mean(self):
         rng = np.random.default_rng(1)
-        xs = [scalar_cov(v) for v in rng.normal(size=15)]
+        xs = scalar_sample(rng.normal(size=15))
         labels = rng.integers(0, 2, size=15).astype(float)
-        dists = [abs(a.scalar_parts[0] - 0.2) for a in xs]
+        dists = np.abs(xs[:, 0] - 0.2)
         est = nw_fit(xs, labels, bandwidth=1e6 * max(dists))
         assert nw_prob(est, scalar_cov(0.2)) == pytest.approx(labels.mean(), abs=1e-6)
 
     def test_underflow_falls_back_to_mean(self):
-        xs = [scalar_cov(0.0), scalar_cov(1.0)]
+        xs = scalar_sample([0.0, 1.0])
         est = nw_fit(xs, [1.0, 1.0], bandwidth=1e-300)
         with pytest.warns(UserWarning):
             assert nw_prob(est, scalar_cov(1e6)) == pytest.approx(1.0)
@@ -67,19 +74,19 @@ class TestNWProb:
 
 class TestBandwidthSelection:
     def test_constant_labels_pick_smallest(self):
-        xs = [scalar_cov(float(k)) for k in range(6)]
+        xs = scalar_sample(range(6))
         grid = np.array([0.3, 1.0, 3.0])
         assert nw_select_bandwidth(xs, np.ones(6), grid) == pytest.approx(0.3)
 
     def test_separated_clusters_pick_small_bandwidth(self):
         # 10-point synthetic set: two clusters 10 apart with opposite labels;
         # oracle grid search must agree and land below the gap
-        xs = [scalar_cov(v) for v in (0.0, 0.2, 0.4, 0.6, 0.8, 10.0, 10.2, 10.4, 10.6, 10.8)]
+        xs = scalar_sample([0.0, 0.2, 0.4, 0.6, 0.8, 10.0, 10.2, 10.4, 10.6, 10.8])
         labels = np.array([0.0] * 5 + [1.0] * 5)
         grid = np.array([0.25, 0.5, 1.0, 2.0, 5.0, 20.0])
 
         def loo_error(h):
-            pts = np.asarray([x.scalar_parts[0] for x in xs])
+            pts = xs[:, 0]
             err = 0.0
             for i in range(len(pts)):
                 d = np.abs(pts - pts[i])
@@ -95,12 +102,12 @@ class TestBandwidthSelection:
 
     def test_returned_bandwidth_is_argmin(self):
         rng = np.random.default_rng(4)
-        xs = [scalar_cov(v) for v in rng.normal(size=14)]
+        xs = scalar_sample(rng.normal(size=14))
         labels = (rng.normal(size=14) > 0).astype(float)
         grid = np.geomspace(0.1, 5.0, 8)
 
         def loo_error(h):
-            pts = np.asarray([x.scalar_parts[0] for x in xs])
+            pts = xs[:, 0]
             err = 0.0
             for i in range(len(pts)):
                 d = np.abs(pts - pts[i])
@@ -113,10 +120,53 @@ class TestBandwidthSelection:
         got = nw_select_bandwidth(xs, labels, grid)
         assert loo_error(got) <= min(loo_error(h) for h in grid) + 1e-12
 
+    def test_matches_per_row_reference_loop(self):
+        # the per-row leave-one-out loop the search is vectorized from; the
+        # chosen bandwidth must agree on random problems, including ones
+        # where every kernel weight of some points underflows. Both label
+        # classes are present: with one class every error is round-off and
+        # the argmin carries no information.
+        def reference(coords, labels, grid):
+            sq = np.sum(coords**2, axis=1)
+            dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * coords @ coords.T, 0.0))
+            best_h, best_err = None, np.inf
+            for h in np.sort(grid):
+                k = np.exp(-0.5 * (dist / h) ** 2)
+                np.fill_diagonal(k, 0.0)
+                denom = k.sum(axis=1)
+                preds = np.empty(len(labels))
+                for i in range(len(labels)):
+                    if denom[i] > 0:
+                        preds[i] = k[i] @ labels / denom[i]
+                    else:
+                        preds[i] = np.delete(labels, i).mean()
+                err = float(np.mean((labels - preds) ** 2))
+                if err < best_err:
+                    best_h, best_err = float(h), err
+            return best_h
+
+        rng = np.random.default_rng(21)
+        for case in range(120):
+            n, p = int(rng.integers(3, 40)), int(rng.integers(1, 6))
+            coords = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0)
+            labels = np.zeros(n)
+            while labels.min() == labels.max():
+                labels = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(float)
+            grid = default_bandwidth_grid(coords) * (1e-3 if case % 4 == 0 else 1.0)
+            assert nw_select_bandwidth(coords, labels, grid) == reference(coords, labels, grid)
+
+    def test_underflowed_point_is_predicted_by_the_other_labels(self):
+        # at h=0.05 every kernel weight of the point at 3 underflows, so its
+        # leave-one-out prediction is the mean 1/3 of the other labels; that
+        # error makes h=0.5 the better bandwidth, while predicting the mean of
+        # all four labels (1/2) would favour h=0.05
+        xs = scalar_sample([0.0, 0.1, 0.2, 3.0])
+        labels = np.array([0.0, 0.0, 1.0, 1.0])
+        assert nw_select_bandwidth(xs, labels, np.array([0.05, 0.5, 5.0])) == 0.5
+
     def test_degenerate_distances(self):
-        xs = [scalar_cov(1.0)] * 5
         with pytest.raises(DegenerateInputError):
-            default_bandwidth_grid(np.asarray([x.coords() for x in xs]))
+            default_bandwidth_grid(scalar_sample([1.0] * 5))
 
     def test_default_grid_scales_with_distances(self):
         rng = np.random.default_rng(5)
@@ -132,7 +182,7 @@ class TestFGLM:
         g = Grid(12)
         source = np.sqrt(2) * np.sin(2 * np.pi * g.points)
         scores = rng.normal(size=n)
-        xs = [curve_cov(g, s * source) for s in scores]
+        xs = curve_cov(g, [s * source for s in scores])
         eta = slope * scores
         mu = 1 / (1 + np.exp(-eta)) if link == "logit" else norm.cdf(eta)
         labels = (rng.uniform(size=n) < mu).astype(float)
@@ -153,7 +203,7 @@ class TestFGLM:
         assert model.intercept == pytest.approx(null_intercept, abs=4 * se)
 
     def test_separation_is_flagged(self):
-        xs = [scalar_cov(float(k)) for k in range(10)]
+        xs = scalar_sample(range(10))
         labels = np.array([0.0] * 5 + [1.0] * 5)
         with pytest.warns(UserWarning):
             model = fglm_fit(xs, labels, n_components=1)
@@ -164,15 +214,14 @@ class TestFGLM:
     def test_score_scaling_halves_coefficients(self):
         xs, labels, _ = self.make_scored_data(n=300, slope=1.5, seed=5)
         model = fglm_fit(xs, labels, n_components=1)
-        doubled = [Covariate((Curve(x.curve_parts[0].grid,
-                                    2.0 * x.curve_parts[0].values),)) for x in xs]
+        doubled = 2.0 * xs
         model2 = fglm_fit(doubled, labels, n_components=1)
         assert model2.coefficients[0] == pytest.approx(model.coefficients[0] / 2, rel=1e-6)
         for x, x2 in zip(xs[:10], doubled[:10]):
             assert fglm_prob(model2, x2) == pytest.approx(fglm_prob(model, x), abs=1e-8)
 
     def test_single_class_is_degenerate(self):
-        xs = [scalar_cov(float(k)) for k in range(6)]
+        xs = scalar_sample(range(6))
         with pytest.raises(DegenerateInputError):
             fglm_fit(xs, np.ones(6), n_components=1)
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curveprob
 from curveprob.curves import Curve, Grid
 from curveprob.harness.cli import main
 from curveprob.harness.io import load_curves, save_curves
@@ -39,7 +44,7 @@ class TestWorkflow:
     def test_fit_writes_versioned_model(self, model_json):
         doc = json.loads(model_json.read_text())
         assert doc["format"] == "curveprob-flm"
-        assert doc["version"] == 1
+        assert doc["version"] == 2
 
     def test_estimate_boot_and_gauss(self, tmp_path, model_json, x_csv):
         out = tmp_path / "est.json"
@@ -172,3 +177,61 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run()
         assert exc.value.code == 2
+
+
+@pytest.fixture
+def broken_inputs(tmp_path, model_json, x_csv):
+    wrong_grid = tmp_path / "wrong_grid.csv"
+    save_curves([Curve.constant(Grid(10), 0.0)], wrong_grid)
+    header, row = x_csv.read_text().splitlines()
+    nan_cell = tmp_path / "nan_cell.csv"
+    nan_cell.write_text(f"{header}\nnan,{row.split(',', 1)[1]}\n")
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(model_json.read_text()[:1000])
+    return {"model": model_json, "x": x_csv, "wrong_grid": wrong_grid,
+            "nan_cell": nan_cell, "truncated": truncated,
+            "series": tmp_path / "series.csv", "missing": tmp_path / "missing.csv"}
+
+
+# (case, argv with {file} placeholders, exit code, text stderr must hold)
+EXIT_CASES = [
+    ("covariate on the wrong grid",
+     ["estimate", "--model", "{model}", "--x", "{wrong_grid}", "--event", "extremal:d=0"],
+     2, "does not match model"),
+    ("nan cell",
+     ["estimate", "--model", "{model}", "--x", "{nan_cell}", "--event", "extremal:d=0"],
+     2, "finite"),
+    ("quantile range never reached",
+     ["quantile", "--model", "{model}", "--x", "{x}", "--family", "max-below:lo=-50,hi=-49",
+      "--p", "0.5"],
+     3, "boundary_estimate=0.0"),
+    ("family missing a parameter",
+     ["quantile", "--model", "{model}", "--x", "{x}", "--family", "level-alpha:lo=0,hi=25",
+      "--p", "0.5"],
+     2, "needs parameter 'z'"),
+    ("truncation rule that is not a number",
+     ["fit", "--series", "{series}", "--truncation", "pve:abc", "--out", "{missing}"],
+     2, "pve:abc"),
+    ("truncated model file",
+     ["estimate", "--model", "{truncated}", "--x", "{x}", "--event", "extremal:d=0"],
+     2, "error:"),
+    ("missing file",
+     ["fit", "--series", "{missing}"],
+     2, "missing.csv"),
+]
+
+
+@pytest.mark.parametrize("case, argv, code, message", EXIT_CASES, ids=[c[0] for c in EXIT_CASES])
+def test_exit_code_contract(broken_inputs, capsys, case, argv, code, message):
+    assert run(*[a.format(**broken_inputs) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = str(Path(curveprob.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, curveprob.harness.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0

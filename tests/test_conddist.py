@@ -7,7 +7,6 @@ from curveprob.conddist import (
     calibrate_uniform_band,
     gauss_prob,
     quantile_over_family,
-    sample_noise,
 )
 from curveprob.curves import Covariate, Curve, Grid
 from curveprob.errors import RangeExhaustedError, UsageError
@@ -74,7 +73,7 @@ def fitted_model(n=40, seed=0, grid=None, noise=0.6):
         a = rng.normal()
         xs.append(Covariate((Curve(grid, a * source),)))
         ys.append(Curve(grid, 0.8 * a * grid.points + noise * rng.normal(size=grid.size)))
-    return fit(RegressionSample(tuple(ys), tuple(xs)), TruncationRule.fixed(1)), xs
+    return fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(1)), xs
 
 
 class TestBootProb:
@@ -138,8 +137,8 @@ class TestGaussProb:
 class TestSampleNoise:
     def test_rank_zero_gives_zero_curves(self):
         sampler = GaussSampler.from_spectrum(GRID, SpectralPair(np.zeros(2), np.eye(GRID.size, 2)), 0)
-        for c in sample_noise(sampler, 5):
-            assert np.all(c.values == 0.0)
+        draws = sampler.draw_matrix(5)
+        assert draws.shape == (5, GRID.size) and np.all(draws == 0.0)
 
     def test_empirical_covariance_matches_spectrum(self):
         grid = Grid(20)

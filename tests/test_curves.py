@@ -6,16 +6,33 @@ from curveprob.curves import (
     Curve,
     Grid,
     covariate_inner_product,
-    exceedance_measure,
     inner_product,
-    longest_excursion,
-    sup_norm,
 )
 from curveprob.errors import StructureError, UsageError
+from curveprob.events import (
+    boundary_set,
+    contains_batch,
+    excursion_set,
+    extremal_set,
+    level_set,
+)
 
 
 def line(grid):
     return Curve(grid, grid.points.copy())
+
+
+def inside(event, *curves) -> np.ndarray:
+    """Membership of each curve, through the vectorized event kernel."""
+    return contains_batch(event, np.asarray([c.values for c in curves]), curves[0].grid)
+
+
+def below(x: float) -> float:
+    return float(np.nextafter(x, -np.inf))
+
+
+def above(x: float) -> float:
+    return float(np.nextafter(x, np.inf))
 
 
 class TestGrid:
@@ -122,21 +139,31 @@ class TestCovariateInnerProduct:
 
 
 class TestSupNorm:
+    """max |c| <= r exactly when c lies in the boundary event [-r, r]; the
+    maximum itself is the threshold where the strict extremal event flips."""
+
     def test_constant(self):
-        assert sup_norm(Curve.constant(Grid(10), -3.0)) == 3.0
+        c = Curve.constant(Grid(10), -3.0)
+        assert inside(boundary_set(-3.0, 3.0), c)[0]
+        assert not inside(boundary_set(above(-3.0), below(3.0)), c)[0]
 
     def test_line_attains_at_endpoint(self):
-        assert sup_norm(line(Grid(10))) == 1.0
+        c = line(Grid(10))
+        assert inside(boundary_set(-1.0, 1.0), c)[0]
+        assert not inside(boundary_set(-1.0, below(1.0)), c)[0]
+        assert not inside(extremal_set(1.0), c)[0]
+        assert inside(extremal_set(below(1.0)), c)[0]
 
     def test_zero(self):
-        assert sup_norm(Curve.constant(Grid(10), 0.0)) == 0.0
+        assert inside(boundary_set(0.0, 0.0), Curve.constant(Grid(10), 0.0))[0]
 
     def test_dominates_l2_norm(self):
         g = Grid(40)
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            c = Curve(g, rng.normal(size=g.size))
-            assert sup_norm(c) >= np.sqrt(inner_product(c, c)) - 1e-12
+        curves = [Curve(g, rng.normal(size=g.size)) for _ in range(20)]
+        for c in curves:
+            r = below(np.sqrt(inner_product(c, c)) - 1e-12)
+            assert not inside(boundary_set(-r, r), c)[0]
 
     def test_triangle_inequality(self):
         g = Grid(40)
@@ -144,34 +171,44 @@ class TestSupNorm:
         for _ in range(20):
             a = Curve(g, rng.normal(size=g.size))
             b = Curve(g, rng.normal(size=g.size))
-            assert sup_norm(a + b) <= sup_norm(a) + sup_norm(b) + 1e-12
+            r = np.max(np.abs(a.values)) + np.max(np.abs(b.values)) + 1e-12
+            assert inside(boundary_set(-r, r), a + b)[0]
 
 
 class TestExceedance:
+    """The share of grid points above alpha is at most z exactly when the
+    level event (alpha, z) holds."""
+
     def test_line_at_half(self):
-        g = Grid(100)
-        assert abs(exceedance_measure(line(g), 0.5) - 0.5) <= 1 / 100
+        c = line(Grid(100))
+        # share above 0.5 lies within 1/100 of one half
+        assert inside(level_set(0.5, 0.5 + 1 / 100), c)[0]
+        assert not inside(level_set(0.5, below(0.5 - 1 / 100)), c)[0]
 
     def test_never_exceeds(self):
-        assert exceedance_measure(Curve.constant(Grid(10), 0.0), 1.0) == 0.0
+        assert inside(level_set(1.0, 0.0), Curve.constant(Grid(10), 0.0))[0]
 
     def test_sine_symmetry(self):
         g = Grid(1000)
         s = Curve(g, np.sin(2 * np.pi * g.points))
-        assert abs(exceedance_measure(s, 0.0) - 0.5) <= 2 / 1000
+        assert inside(level_set(0.0, 0.5 + 2 / 1000), s)[0]
+        assert not inside(level_set(0.0, below(0.5 - 2 / 1000)), s)[0]
 
     def test_monotone_in_threshold(self):
         g = Grid(50)
         rng = np.random.default_rng(9)
         c = Curve(g, rng.normal(size=g.size))
         levels = np.linspace(-3, 3, 25)
-        values = [exceedance_measure(c, a) for a in levels]
-        assert all(x >= y for x, y in zip(values, values[1:]))
+        for z in np.linspace(0.0, 1.0, 11):
+            held = [inside(level_set(a, z), c)[0] for a in levels]
+            assert all(x <= y for x, y in zip(held, held[1:]))
 
     def test_below_minimum_gives_one(self):
         g = Grid(50)
         c = Curve(g, np.random.default_rng(10).normal(size=g.size))
-        assert exceedance_measure(c, float(np.min(c.values)) - 1.0) == 1.0
+        alpha = float(np.min(c.values)) - 1.0
+        assert inside(level_set(alpha, 1.0), c)[0]
+        assert not inside(level_set(alpha, below(1.0)), c)[0]
 
 
 def brute_force_longest_run(values, d, resolution):
@@ -183,18 +220,22 @@ def brute_force_longest_run(values, d, resolution):
 
 
 class TestLongestExcursion:
+    """The longest span above d is at least c exactly when the excursion
+    event (d, c) holds, so the span is the largest c that still holds."""
+
     def test_entire_interval(self):
-        assert longest_excursion(Curve.constant(Grid(10), 1.0), 0.0) == 1.0
+        assert inside(excursion_set(0.0, 1.0), Curve.constant(Grid(10), 1.0))[0]
 
     def test_never_above(self):
-        assert longest_excursion(Curve.constant(Grid(10), -1.0), 0.0) == 0.0
+        assert not inside(excursion_set(0.0, above(0.0)), Curve.constant(Grid(10), -1.0))[0]
 
     def test_line_above_075(self):
         g = Grid(100)
-        got = longest_excursion(line(g), 0.75)
         # grid points 0.76 .. 1.00 form the run; 24 subintervals
-        assert got == brute_force_longest_run(g.points, 0.75, 100) == 0.24
-        assert abs(got - 0.25) <= 2 / 100
+        span = brute_force_longest_run(g.points, 0.75, 100)
+        assert span == 0.24
+        assert inside(excursion_set(0.75, span), line(g))[0]
+        assert not inside(excursion_set(0.75, above(span)), line(g))[0]
 
     def test_matches_brute_force_on_random_curves(self):
         g = Grid(37)
@@ -202,10 +243,12 @@ class TestLongestExcursion:
         for _ in range(100):
             c = Curve(g, rng.normal(size=g.size))
             d = rng.normal()
-            assert longest_excursion(c, d) == brute_force_longest_run(c.values, d, 37)
+            span = brute_force_longest_run(c.values, d, 37)
+            assert inside(excursion_set(d, span), c)[0]
+            assert not inside(excursion_set(d, above(span)), c)[0]
 
     def test_isolated_point_counts_zero(self):
         g = Grid(10)
         vals = np.zeros(g.size)
         vals[4] = 2.0
-        assert longest_excursion(Curve(g, vals), 1.0) == 0.0
+        assert not inside(excursion_set(1.0, above(0.0)), Curve(g, vals))[0]

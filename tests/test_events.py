@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curveprob.curves import Curve, Grid, exceedance_measure
+from curveprob.curves import Curve, Grid
 from curveprob.errors import UsageError
 from curveprob.events import (
     boundary_set,
@@ -158,7 +158,9 @@ class TestGridRefinement:
         for d in (50, 100, 200, 400):
             g = Grid(d)
             y = Curve(g, np.sin(2 * np.pi * g.points))
-            assert abs(exceedance_measure(y, 0.0) - 0.5) <= 2.0 / d
+            # the share of points above 0 lies within 2/d of one half
+            assert contains(level_set(0.0, 0.5 + 2.0 / d), y)
+            assert not contains(level_set(0.0, np.nextafter(0.5 - 2.0 / d, -np.inf)), y)
 
 
 class TestParsing:

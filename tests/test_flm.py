@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from curveprob.flm import (
     predict,
     to_json,
 )
+from curveprob.spectral import CovarianceOperator, eigendecompose
 
 GRID = Grid(40)
 
@@ -20,7 +23,7 @@ def curve_from(fn):
     return Curve(GRID, np.asarray([fn(t) for t in GRID.points]))
 
 
-def rank_two_dataset(n=20, noise=0.0, seed=0):
+def rank_two_pairs(n=20, noise=0.0, seed=0):
     """Responses are a fixed rank-2 linear image of the covariates."""
     rng = np.random.default_rng(seed)
     f1 = curve_from(lambda t: np.cos(2 * np.pi * t))
@@ -36,7 +39,11 @@ def rank_two_dataset(n=20, noise=0.0, seed=0):
             y = y + noise * rng.normal(size=GRID.size)
         xs.append(Covariate((x,)))
         ys.append(Curve(GRID, y))
-    return RegressionSample(tuple(ys), tuple(xs))
+    return ys, xs
+
+
+def rank_two_dataset(n=20, noise=0.0, seed=0):
+    return RegressionSample.from_pairs(*rank_two_pairs(n, noise, seed))
 
 
 class TestFitExactRecovery:
@@ -46,15 +53,15 @@ class TestFitExactRecovery:
         assert np.max(np.abs(model.residual_matrix)) <= 1e-8
 
     def test_in_sample_prediction_matches_response(self):
-        sample = rank_two_dataset()
-        model = fit(sample, TruncationRule.fixed(2))
-        for y, x in zip(sample.ys, sample.xs):
+        ys, xs = rank_two_pairs()
+        model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(2))
+        for y, x in zip(ys, xs):
             np.testing.assert_allclose(predict(model, x).values, y.values, atol=1e-8)
 
     def test_residuals_equal_y_minus_predict_bitwise(self):
-        sample = rank_two_dataset(noise=0.3, seed=2)
-        model = fit(sample, TruncationRule.fixed(2))
-        for k, (y, x) in enumerate(zip(sample.ys, sample.xs)):
+        ys, xs = rank_two_pairs(noise=0.3, seed=2)
+        model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(2))
+        for k, (y, x) in enumerate(zip(ys, xs)):
             np.testing.assert_array_equal(
                 model.residual_matrix[k], y.values - predict(model, x).values
             )
@@ -74,7 +81,7 @@ class TestRankOneRecovery:
             sign = 1.0 if k % 2 == 0 else -1.0
             xs.append(Covariate((Curve(GRID, sign * f.values),)))
             ys.append(Curve(GRID, sign * e.values))
-        model = fit(RegressionSample(tuple(ys), tuple(xs)), TruncationRule.fixed(1),
+        model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(1),
                     center=False)
         got = predict(model, Covariate((f,)))
         np.testing.assert_allclose(got.values, e.values, atol=1e-6)
@@ -82,18 +89,18 @@ class TestRankOneRecovery:
     def test_single_component_fit_is_score_regression(self):
         # oracle: with one retained direction the operator is the least
         # squares regression of the responses on the first principal score
-        sample = rank_two_dataset(n=60, noise=0.5, seed=5)
-        model = fit(sample, TruncationRule.fixed(1), center=True)
+        ys, xs = rank_two_pairs(n=60, noise=0.5, seed=5)
+        model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(1), center=True)
 
-        x = np.asarray([cv.coords() for cv in sample.xs])
-        y = np.asarray([cu.values for cu in sample.ys])
+        x = np.asarray([cv.coords() for cv in xs])
+        y = np.asarray([cu.values for cu in ys])
         xc = x - x.mean(axis=0)
         yc = y - y.mean(axis=0)
         v1 = model.covariate_spectrum.eigenvectors[:, 0]
         scores = xc @ v1
         slope = (scores @ yc) / (scores @ scores)  # lstsq oracle, per grid point
 
-        probe = sample.xs[0]
+        probe = xs[0]
         got = predict(model, probe).values
         score_probe = (probe.coords() - x.mean(axis=0)) @ v1
         want = y.mean(axis=0) + slope * score_probe
@@ -109,7 +116,7 @@ class TestRankOneRecovery:
         for _ in range(n):
             xs.append(Covariate((Curve(GRID, rng.normal(size=GRID.size)),)))
             ys.append(Curve(GRID, rng.normal(size=GRID.size)))
-        model = fit(RegressionSample(tuple(ys), tuple(xs)), TruncationRule.fixed(1))
+        model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(1))
         # slope se per point ~ sd(y) / (sqrt(n) * sd(score)); allow 6 sigma
         lam1 = model.covariate_spectrum.eigenvalues[0]
         bound = 6.0 / np.sqrt(n * lam1)
@@ -120,11 +127,11 @@ class TestRankOneRecovery:
 
 class TestPredict:
     def test_mean_covariate_maps_to_mean_response(self):
-        sample = rank_two_dataset(noise=0.4, seed=3)
-        model = fit(sample, TruncationRule.fixed(2), center=True)
+        ys, xs = rank_two_pairs(noise=0.4, seed=3)
+        model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(2), center=True)
         mean_cov = Covariate((Curve(GRID, np.asarray(
-            [c.curve_parts[0].values for c in sample.xs]).mean(axis=0)),))
-        y_mean = np.asarray([c.values for c in sample.ys]).mean(axis=0)
+            [c.curve_parts[0].values for c in xs]).mean(axis=0)),))
+        y_mean = np.asarray([c.values for c in ys]).mean(axis=0)
         np.testing.assert_allclose(predict(model, mean_cov).values, y_mean, atol=1e-10)
 
     def test_linearity(self):
@@ -151,7 +158,7 @@ class TestFitValidation:
         ys = tuple(Curve.constant(GRID, float(k)) for k in range(4))
         xs = tuple(Covariate((Curve.constant(GRID, 1.0),)) for _ in range(4))
         with pytest.raises(DegenerateInputError):
-            fit(RegressionSample(ys, xs), TruncationRule.fixed(1), center=True)
+            fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(1), center=True)
 
     def test_centered_residuals_average_to_zero(self):
         sample = rank_two_dataset(n=30, noise=0.5, seed=9)
@@ -201,7 +208,7 @@ class TestConsistencySurrogates:
                     xs.append(Covariate((Curve(grid, x_vals),)))
                     ys.append(Curve(grid, true_response(x_vals)
                                     + 0.5 * rng.normal(size=grid.size)))
-                model = fit(RegressionSample(tuple(ys), tuple(xs)),
+                model = fit(RegressionSample.from_pairs(ys, xs),
                             TruncationRule.fixed(2))
                 k = int(rng.integers(n))
                 xk = xs[k]
@@ -224,11 +231,10 @@ class TestFarDesign:
         g = Grid(4)
         c1, c2, c3 = (Curve.constant(g, float(k)) for k in (1, 2, 3))
         sample, design = build_far_design([c1, c2, c3], order=1)
+        sw = g.quad_weights_sqrt()
         assert len(sample) == 2
-        assert sample.ys[0].values[0] == 2.0
-        assert sample.xs[0].curve_parts[0].values[0] == 1.0
-        assert sample.ys[1].values[0] == 3.0
-        assert sample.xs[1].curve_parts[0].values[0] == 2.0
+        np.testing.assert_array_equal(sample.y, [c2.values, c3.values])
+        np.testing.assert_array_equal(sample.x, [c1.values * sw, c2.values * sw])
         assert design.response_indices == (1, 2)
 
     def test_order_two_single_pair(self):
@@ -244,21 +250,49 @@ class TestFarDesign:
         g = Grid(4)
         curves = [Curve.constant(g, float(k)) for k in (1, 2, 3, 4)]
         sample, _ = build_far_design(curves, order=2)
+        sw = g.quad_weights_sqrt()
         # covariate of response 3 is (lag1=2, lag2=1)
-        assert sample.ys[0].values[0] == 3.0
-        assert sample.xs[0].curve_parts[0].values[0] == 2.0
-        assert sample.xs[0].curve_parts[1].values[0] == 1.0
+        np.testing.assert_array_equal(sample.y[0], curves[2].values)
+        np.testing.assert_array_equal(sample.x[0, :g.size], curves[1].values * sw)
+        np.testing.assert_array_equal(sample.x[0, g.size:], curves[0].values * sw)
 
     def test_exogenous_parts_are_same_position(self):
         g = Grid(4)
         series = [Curve.constant(g, float(k)) for k in range(5)]
-        exog = [Covariate((Curve.constant(g, 10.0 + k),)) for k in range(5)]
-        sample, design = build_far_design(series, order=1, exog=exog)
+        exog = [Curve.constant(g, 10.0 + k) for k in range(5)]
+        sample, design = build_far_design(series, order=1, exog=[exog])
+        sw = g.quad_weights_sqrt()
         assert design.n_exog_curves == 1
+        assert sample.structure == (2, g.resolution, 0)
         for pair_idx, k in enumerate(design.response_indices):
-            parts = sample.xs[pair_idx].curve_parts
-            assert parts[0].values[0] == float(k - 1)      # lag
-            assert parts[1].values[0] == 10.0 + k          # same-position exogenous
+            lag, same = sample.x[pair_idx].reshape(2, g.size)
+            np.testing.assert_array_equal(lag, series[k - 1].values * sw)
+            np.testing.assert_array_equal(same, exog[k].values * sw)
+
+    def test_slices_match_per_row_covariates_bitwise(self):
+        # the sliced design equals flattening one Covariate per response
+        rng = np.random.default_rng(13)
+        g = Grid(24)
+        series, ex_a, ex_b = ([Curve(g, rng.normal(size=g.size)) for _ in range(40)]
+                              for _ in range(3))
+        for order, exog in ((1, []), (7, []), (7, [ex_a]), (3, [ex_a, ex_b])):
+            sample, _ = build_far_design(series, order, exog)
+            rows = range(order, len(series))
+            reference = RegressionSample.from_pairs(
+                [series[k] for k in rows],
+                [Covariate(tuple(series[k - i] for i in range(1, order + 1))
+                           + tuple(ex[k] for ex in exog)) for k in rows])
+            np.testing.assert_array_equal(sample.x, reference.x)
+            np.testing.assert_array_equal(sample.y, reference.y)
+            assert sample.x.flags.c_contiguous
+            assert sample.structure == reference.structure and sample.grid == reference.grid
+
+    def test_mismatched_grids_and_lengths(self):
+        series = [Curve.constant(Grid(4), float(k)) for k in range(5)]
+        with pytest.raises(StructureError):
+            build_far_design(series, order=1, exog=[[Curve.constant(Grid(8), 0.0)] * 5])
+        with pytest.raises(UsageError):
+            build_far_design(series, order=1, exog=[series[:4]])
 
     def test_too_short_series(self):
         g = Grid(4)
@@ -268,16 +302,62 @@ class TestFarDesign:
 
 class TestSerialization:
     def test_round_trip_preserves_predictions(self):
-        sample = rank_two_dataset(n=15, noise=0.3, seed=8)
-        model = fit(sample, TruncationRule.pve(0.9), center=True)
+        ys, xs = rank_two_pairs(n=15, noise=0.3, seed=8)
+        model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.pve(0.9), center=True)
         clone = from_json(to_json(model))
-        x = sample.xs[3]
+        x = xs[3]
         np.testing.assert_array_equal(predict(model, x).values, predict(clone, x).values)
         np.testing.assert_array_equal(model.residual_matrix, clone.residual_matrix)
         np.testing.assert_array_equal(
             model.noise_spectrum.eigenvalues, clone.noise_spectrum.eigenvalues
         )
         assert clone.truncation.kind == "pve"
+
+    def test_keeps_only_leading_covariate_pairs(self):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        assert doc["version"] == 2
+        assert np.shape(doc["covariate_eigenvalues"]) == (2,)
+        assert np.shape(doc["covariate_eigenvectors"]) == (GRID.size, 2)
+
+    def test_reads_version_one_bitwise(self):
+        # a version 1 document stores the whole covariate spectrum
+        ys, xs = rank_two_pairs(n=15, noise=0.3, seed=8)
+        sample = RegressionSample.from_pairs(ys, xs)
+        model = fit(sample, TruncationRule.fixed(2))
+        xc = sample.x - sample.x.mean(axis=0)
+        full = eigendecompose(CovarianceOperator(xc.T @ xc / len(sample)))
+        doc = json.loads(to_json(model))
+        doc.update(version=1, covariate_eigenvalues=full.eigenvalues.tolist(),
+                   covariate_eigenvectors=full.eigenvectors.tolist())
+        old = from_json(json.dumps(doc))
+        for x in xs:
+            np.testing.assert_array_equal(predict(old, x).values, predict(model, x).values)
+        np.testing.assert_array_equal(old.covariate_spectrum.eigenvalues,
+                                      model.covariate_spectrum.eigenvalues)
+        np.testing.assert_array_equal(old.covariate_spectrum.eigenvectors,
+                                      model.covariate_spectrum.eigenvectors)
+
+    @pytest.mark.parametrize("key", ["coef_w", "x_mean_coords", "y_mean", "residual_matrix",
+                                     "covariate_eigenvalues", "covariate_eigenvectors",
+                                     "noise_eigenvalues", "noise_eigenvectors"])
+    def test_rejects_corrupted_shape(self, key):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        value = np.asarray(doc[key])
+        doc[key] = (value[:-1] if value.ndim == 1 else value[:, :-1]).tolist()
+        with pytest.raises(StructureError):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("change", [{"grid_d": GRID.resolution + 1}, {"n_scalars": 1},
+                                        {"n_components": 0}, {"n_components": 3},
+                                        {"coef_w": "oops"}])
+    def test_rejects_inconsistent_header(self, change):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        doc.update(change)
+        with pytest.raises(StructureError):
+            from_json(json.dumps(doc))
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(UsageError):
@@ -297,3 +377,6 @@ class TestTruncationRuleParse:
             TruncationRule.parse("frobnicate:1")
         with pytest.raises(UsageError):
             TruncationRule.parse("threshold:bogus=1")
+        for text in ("pve:abc", "fixed:1.5", "threshold:mn=x"):
+            with pytest.raises(UsageError):
+                TruncationRule.parse(text)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from curveprob.curves import Covariate, Curve, Grid
-from curveprob.errors import DegenerateInputError, StructureError
+from curveprob.errors import DegenerateInputError, StructureError, UsageError
+from curveprob.flm import RegressionSample, TruncationRule, fit
 from curveprob.spectral import (
     CovarianceOperator,
     SpectralPair,
     eigendecompose,
     empirical_covariance,
-    empirical_cross_covariance,
     reconstruct,
     truncation_pve,
     truncation_threshold,
@@ -52,19 +52,28 @@ class TestEmpiricalCovariance:
 
 
 class TestCrossCovariance:
+    """The response-covariate cross-covariance is formed inside ``fit``.
+    Without centering, and keeping every direction of a covariate sample
+    whose covariance is the identity on its span, ``coef_w`` is that
+    cross-covariance projected on the span."""
+
     def test_zero_responses(self):
         g = Grid(10)
-        ys = [Curve.constant(g, 0.0)] * 3
-        xs = [scalar_cov(1.0), scalar_cov(2.0), scalar_cov(3.0)]
-        np.testing.assert_allclose(empirical_cross_covariance(ys, xs), 0.0)
+        sample = RegressionSample.from_pairs(
+            [Curve.constant(g, 0.0)] * 3, [scalar_cov(1.0), scalar_cov(2.0), scalar_cov(3.0)])
+        np.testing.assert_allclose(fit(sample, TruncationRule.fixed(1)).coef_w, 0.0)
 
     def test_single_pair_outer_product(self):
+        # the pair (x, y) and its mirror (-x, -y): covariance x x^T and
+        # cross-covariance y x^T, so the operator is y x^T / |x|^2
         g = Grid(10)
         y = Curve(g, g.points.copy())
-        x = scalar_cov(2.0, -1.0)
-        got = empirical_cross_covariance([y], [x])
-        want = np.outer(y.values * g.quad_weights_sqrt(), [2.0, -1.0])
-        np.testing.assert_allclose(got, want)
+        x = np.array([2.0, -1.0])
+        sample = RegressionSample.from_pairs(
+            [y, Curve(g, -y.values)], [scalar_cov(*x), scalar_cov(*-x)])
+        got = fit(sample, TruncationRule.fixed(1), center=False).coef_w
+        want = np.outer(y.values * g.quad_weights_sqrt(), x) / (x @ x)
+        np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_recovers_operator_under_identity_design(self):
         # oracle: with (1/n) sum x x^T = I, the cross-covariance of y = R x
@@ -81,13 +90,13 @@ class TestCrossCovariance:
             coords[k] = scale
             xs.append(scalar_cov(*coords))
             ys.append(Curve(g, (target @ coords) / sw))
-        got = empirical_cross_covariance(ys, xs)
-        np.testing.assert_allclose(got, target, atol=1e-12)
+        model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(p), center=False)
+        np.testing.assert_allclose(model.coef_w, target, atol=1e-12)
 
     def test_length_mismatch(self):
         g = Grid(10)
-        with pytest.raises(Exception):
-            empirical_cross_covariance([Curve.constant(g, 0.0)], [])
+        with pytest.raises(UsageError):
+            RegressionSample.from_pairs([Curve.constant(g, 0.0)] * 2, [scalar_cov(1.0)])
 
 
 class TestEigendecompose:

@@ -63,7 +63,9 @@ def default_bandwidth_grid(coords: np.ndarray) -> np.ndarray:
 def nw_select_bandwidth(coords, labels, grid: np.ndarray = None) -> float:
     """Bandwidth minimizing leave-one-out squared error of the indicator
     regression; ties go to the smaller bandwidth. A point whose kernel
-    weights all underflow is predicted by the mean of the other labels."""
+    weights all underflow is predicted by the mean of the other labels.
+    Labels of one class fit exactly at every bandwidth, so they get the
+    smallest one (comparing their errors would compare round-off)."""
     coords = np.asarray(coords, dtype=float)
     labels = np.asarray(labels, dtype=float)
     n = len(coords)
@@ -71,6 +73,8 @@ def nw_select_bandwidth(coords, labels, grid: np.ndarray = None) -> float:
         raise UsageError("bandwidth selection needs at least 3 training points")
     if grid is None:
         grid = default_bandwidth_grid(coords)
+    if labels.min() == labels.max():
+        return float(np.min(grid))
     dist = _pairwise_distances(coords)
     leave_one_out_means = (labels.sum() - labels) / (n - 1)
 
@@ -98,7 +102,8 @@ def nw_fit(coords, labels, bandwidth: float = None, grid: np.ndarray = None) -> 
 
 
 def nw_prob(est: NWEstimator, x_coords) -> float:
-    """Kernel-weighted mean of training indicators at the query point."""
+    """Kernel-weighted mean of training indicators at the query point,
+    clipped to [0, 1] against round-off."""
     diffs = est.train_coords - x_coords
     dist = np.sqrt(np.sum(diffs**2, axis=1))
     with np.errstate(over="ignore"):  # ratio overflow just underflows the weight
@@ -110,7 +115,7 @@ def nw_prob(est: NWEstimator, x_coords) -> float:
             stacklevel=2,
         )
         return float(est.labels.mean())
-    return float(weights @ est.labels / total)
+    return min(max(float(weights @ est.labels / total), 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

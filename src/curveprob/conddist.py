@@ -142,6 +142,19 @@ def _ensemble_for(model, x, method, mc_size, seed) -> np.ndarray:
     raise UsageError(f"method must be 'boot' or 'gauss', got {method!r}")
 
 
+def order_statistic_quantile(critical: np.ndarray, p: float) -> float:
+    """Smallest t with ``count(critical <= t) / m >= p``.
+
+    This is the ``need``-th smallest critical value, where ``need`` is the
+    smallest count k with ``k / m >= p`` (the same float test an ensemble
+    fraction passes), so "the fraction entered at t reaches p" holds
+    exactly when t is at least the returned value.
+    """
+    m = critical.shape[0]
+    need = int(np.argmax(np.arange(m + 1) / m >= p))
+    return float(np.partition(critical, need - 1)[need - 1])
+
+
 def quantile_over_family(
     model: FittedFLM,
     x: Covariate,
@@ -154,11 +167,17 @@ def quantile_over_family(
 ) -> float:
     """Smallest family parameter whose estimated probability reaches p.
 
-    The search discretizes the family range at resolution ``tol`` (default
-    1e-4 of the range) and binary-searches the left-most grid point with
-    estimate >= p, reusing one fixed ensemble so the profile is exactly
+    The family range is discretized at resolution ``tol`` (default 1e-4 of
+    the range), and the left-most grid point with estimate >= p is found
+    by index bisection over one fixed ensemble, so the profile is exactly
     monotone. Decreasing families are searched from the other end and the
     largest parameter still reaching p is returned.
+
+    For a family with critical values (the built-in ones) the estimate
+    reaches p exactly at and above one order statistic of the ensemble's
+    critical values, so each bisection step is a comparison with it and the
+    ensemble is scanned once. Other families test the ensemble against the
+    family's event at every step.
     """
     if not 0.0 < p < 1.0:
         raise UsageError(f"p must lie in (0, 1), got {p}")
@@ -176,42 +195,43 @@ def quantile_over_family(
     def point(i: int) -> float:
         return hi if i == n_steps else lo + i * (hi - lo) / n_steps
 
-    def estimate(xi: float) -> float:
-        inside = contains_batch(family.at(xi), ensemble, model.grid)
-        return np.count_nonzero(inside) / m
+    if family.critical is not None:
+        crit = family.critical(ensemble, model.grid)
+        threshold = order_statistic_quantile(crit, p)
 
+        def estimate(xi: float) -> float:
+            return np.count_nonzero(crit <= xi) / m
+
+        def reaches(xi: float) -> bool:
+            return xi >= threshold
+    else:
+        def estimate(xi: float) -> float:
+            inside = contains_batch(family.at(xi), ensemble, model.grid)
+            return np.count_nonzero(inside) / m
+
+        def reaches(xi: float) -> bool:
+            return estimate(xi) >= p
+
+    # the far end must reach p; the search keeps reaches(point(yes)) and
+    # not reaches(point(no))
     if family.direction == "increasing":
-        if estimate(hi) < p:
-            raise RangeExhaustedError(
-                f"estimate never reaches p={p} on [{lo}, {hi}]",
-                boundary_estimate=estimate(hi),
-            )
-        if estimate(lo) >= p:
-            return float(lo)
-        lo_i, hi_i = 0, n_steps  # invariant: estimate at hi_i >= p, at lo_i < p
-        while hi_i - lo_i > 1:
-            mid = (lo_i + hi_i) // 2
-            if estimate(point(mid)) >= p:
-                hi_i = mid
-            else:
-                lo_i = mid
-        return float(point(hi_i))
-
-    if estimate(lo) < p:
+        far, near, yes, no = hi, lo, n_steps, 0
+    else:
+        far, near, yes, no = lo, hi, 0, n_steps
+    if not reaches(far):
         raise RangeExhaustedError(
             f"estimate never reaches p={p} on [{lo}, {hi}]",
-            boundary_estimate=estimate(lo),
+            boundary_estimate=estimate(far),
         )
-    if estimate(hi) >= p:
-        return float(hi)
-    lo_i, hi_i = 0, n_steps  # invariant: estimate at lo_i >= p, at hi_i < p
-    while hi_i - lo_i > 1:
-        mid = (lo_i + hi_i) // 2
-        if estimate(point(mid)) >= p:
-            lo_i = mid
+    if reaches(near):
+        return float(near)
+    while abs(yes - no) > 1:
+        mid = (yes + no) // 2
+        if reaches(point(mid)):
+            yes = mid
         else:
-            hi_i = mid
-    return float(point(lo_i))
+            no = mid
+    return float(point(yes))
 
 
 @dataclass(frozen=True)

@@ -153,36 +153,72 @@ class MonotoneFamily:
     ``generator(xi)`` must return events that grow with xi when direction
     is 'increasing' and shrink when 'decreasing'. The built-in factories
     guarantee this; custom families assert it themselves.
+
+    The built-in (increasing) families also carry ``critical(values, grid)``:
+    per row of a (m, D+1) sample matrix, the parameter at which that curve
+    enters the event, so that ``contains_batch(at(xi), values, grid)`` equals
+    ``critical(values, grid) <= xi`` for every xi.
     """
 
     generator: Callable[[float], EventSet] = field(compare=False)
     lo: float
     hi: float
     direction: str = "increasing"
+    critical: Optional[Callable[[np.ndarray, object], np.ndarray]] = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.direction not in ("increasing", "decreasing"):
             raise UsageError(f"direction must be increasing or decreasing, got {self.direction!r}")
         if not self.lo < self.hi:
             raise UsageError(f"family range must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+        if self.critical is not None and self.direction != "increasing":
+            raise UsageError("critical values describe increasing families only")
 
     def at(self, xi: float) -> EventSet:
         return self.generator(xi)
 
 
+def level_alpha_critical(values: np.ndarray, grid, z: float) -> np.ndarray:
+    """Per row of a (m, D+1) matrix, the smallest alpha with
+    ``level_set(alpha, z)`` holding: the (allow+1)-th largest sample, where
+    allow is the largest point count k with ``k / grid.size <= z`` (the
+    ``level`` kernel's test). +inf when no k qualifies, -inf when k = size
+    does."""
+    size = grid.size
+    allow = int(np.count_nonzero(np.arange(size + 1) / size <= z)) - 1
+    if allow < 0:
+        return np.full(values.shape[0], np.inf)
+    if allow == size:
+        return np.full(values.shape[0], -np.inf)
+    kth = size - 1 - allow  # ascending position of the (allow+1)-th largest
+    return np.partition(values, kth, axis=1)[:, kth]
+
+
 def family_level_in_z(alpha: float, lo: float = 0.0, hi: float = 1.0) -> MonotoneFamily:
     """Level sets swept in the time budget z at a fixed threshold; increasing."""
-    return MonotoneFamily(lambda z: level_set(alpha, z), lo, hi, "increasing")
+    alpha = float(alpha)
+    return MonotoneFamily(
+        lambda z: level_set(alpha, z), lo, hi, "increasing",
+        critical=lambda values, grid: np.count_nonzero(values > alpha, axis=1) / grid.size,
+    )
 
 
 def family_level_in_alpha(z: float, lo: float, hi: float) -> MonotoneFamily:
     """Level sets swept in the threshold alpha at a fixed budget; increasing."""
-    return MonotoneFamily(lambda alpha: level_set(alpha, z), lo, hi, "increasing")
+    z = float(z)
+    return MonotoneFamily(
+        lambda alpha: level_set(alpha, z), lo, hi, "increasing",
+        critical=lambda values, grid: level_alpha_critical(values, grid, z),
+    )
 
 
 def family_max_below(lo: float, hi: float) -> MonotoneFamily:
     """{curves whose maximum stays at or below xi}; increasing in xi."""
-    return MonotoneFamily(lambda d: complement(extremal_set(d)), lo, hi, "increasing")
+    return MonotoneFamily(
+        lambda d: complement(extremal_set(d)), lo, hi, "increasing",
+        critical=lambda values, grid: np.max(values, axis=1),
+    )
 
 
 def family_custom(generator, lo: float, hi: float, direction: str) -> MonotoneFamily:

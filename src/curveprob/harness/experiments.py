@@ -17,7 +17,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..baselines import fglm_fit, fglm_prob, nw_fit, nw_prob
-from ..conddist import calibrate_uniform_band, noise_sampler, quantile_over_family
+from ..conddist import (
+    calibrate_uniform_band,
+    noise_sampler,
+    order_statistic_quantile,
+    quantile_over_family,
+)
 from ..curves import Covariate, Curve, Grid
 from ..errors import RangeExhaustedError, UsageError
 from ..events import (
@@ -26,6 +31,7 @@ from ..events import (
     contains_batch,
     family_level_in_alpha,
     format_event,
+    level_alpha_critical,
     level_set,
 )
 from ..flm import TruncationRule, build_far_design, fit, predict_coords
@@ -282,22 +288,15 @@ def run_rmse_experiment(
 def oracle_level_quantile(
     spec: DGPSpec, previous: Curve, p: float, z: float, n_mc: int, seed: int
 ) -> float:
-    """Ground-truth p-quantile of the level-family parameter, computed by
-    order statistics on oracle draws (no search, independent of the
-    estimator's bisection path).
-
-    For each simulated next curve the smallest threshold whose level event
-    holds is an order statistic of its values; the quantile over draws is
-    then the matching order statistic of those critical values.
+    """Ground-truth p-quantile of the level-family parameter, computed on
+    oracle draws with the estimator's own kernels: each draw's critical
+    threshold (:func:`~curveprob.events.level_alpha_critical`), then the
+    order statistic at which their fraction reaches p, with no search grid.
     """
     if not 0.0 < z < 1.0:
         raise UsageError(f"time budget z must lie in (0, 1), got {z}")
     draws = conditional_draws(spec, previous, n_mc, seed)
-    allow = int(np.floor(z * spec.grid.size))  # largest point count satisfying the event
-    sorted_desc = np.sort(draws, axis=1)[:, ::-1]
-    critical = sorted_desc[:, allow]
-    order = int(np.ceil(p * n_mc)) - 1
-    return float(np.sort(critical)[order])
+    return order_statistic_quantile(level_alpha_critical(draws, spec.grid, z), p)
 
 
 def run_var_experiment(

@@ -16,6 +16,9 @@ from ..curves import Curve, Grid
 from ..errors import ParseError, UsageError
 
 
+HEADER_ATOL = 1e-9  # header points may be hand-written decimals such as 0.3
+
+
 def _format_row(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
@@ -31,7 +34,10 @@ def save_curves(curves: list, path) -> None:
 
 
 def load_curves(path) -> list:
-    """Read a curve-per-row CSV; an empty file gives an empty list."""
+    """Read a curve-per-row CSV; an empty file gives an empty list.
+
+    The header must list the uniform grid points i/D, each within
+    HEADER_ATOL."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -40,6 +46,14 @@ def load_curves(path) -> list:
     if len(header) < 3:
         raise ParseError(f"{path}: header must list at least 3 grid points", row=1)
     grid = Grid(len(header) - 1)
+    expected = grid.points
+    off_grid = np.flatnonzero(~(np.abs(_parse_row(path, header, 1) - expected) <= HEADER_ATOL))
+    if off_grid.size:
+        c = int(off_grid[0])
+        raise ParseError(
+            f"{path}: header cell {header[c]!r} is not the uniform grid point "
+            f"{float(expected[c])!r}", row=1, column=c + 1,
+        )
 
     curves = []
     for r, line in enumerate(lines[1:], start=2):
@@ -48,14 +62,18 @@ def load_curves(path) -> list:
             raise ParseError(
                 f"{path}: expected {grid.size} columns, found {len(cells)}", row=r
             )
-        values = np.empty(grid.size)
-        for c, cell in enumerate(cells, start=1):
-            try:
-                values[c - 1] = float(cell)
-            except ValueError:
-                raise ParseError(f"{path}: non-numeric cell {cell!r}", row=r, column=c) from None
-        curves.append(Curve(grid, values))
+        curves.append(Curve(grid, _parse_row(path, cells, r)))
     return curves
+
+
+def _parse_row(path, cells: list, row: int) -> np.ndarray:
+    values = np.empty(len(cells))
+    for c, cell in enumerate(cells, start=1):
+        try:
+            values[c - 1] = float(cell)
+        except ValueError:
+            raise ParseError(f"{path}: non-numeric cell {cell!r}", row=row, column=c) from None
+    return values
 
 
 def load_single_curve(path) -> Curve:

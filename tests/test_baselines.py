@@ -39,6 +39,17 @@ class TestNWProb:
         for q in (-3.0, 0.0, 10.0):
             assert nw_prob(est, scalar_cov(q)) == pytest.approx(1.0)
 
+    def test_all_positive_labels_stay_bounded(self):
+        # the weighted mean of ones can round to either side of one; the
+        # estimate is a probability and never leaves [0, 1]
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            coords = rng.normal(size=(8, 3))
+            est = nw_fit(coords, np.ones(8), bandwidth=rng.uniform(0.2, 3.0))
+            got = nw_prob(est, rng.normal(size=3))
+            assert 0.0 <= got <= 1.0
+            assert got == pytest.approx(1.0)
+
     def test_single_training_point(self):
         est = nw_fit(scalar_sample([1.0]), [0.0], bandwidth=1.0)
         assert nw_prob(est, scalar_cov(5.0)) == pytest.approx(0.0)
@@ -77,6 +88,16 @@ class TestBandwidthSelection:
         xs = scalar_sample(range(6))
         grid = np.array([0.3, 1.0, 3.0])
         assert nw_select_bandwidth(xs, np.ones(6), grid) == pytest.approx(0.3)
+
+    def test_single_class_labels_pick_smallest_default_bandwidth(self):
+        # every leave-one-out error of one-class labels is round-off, so the
+        # tie rule must decide, not the round-off
+        rng = np.random.default_rng(13)
+        for case in range(100):
+            coords = rng.normal(size=(8, 2)) * rng.uniform(0.1, 10.0)
+            labels = np.full(8, float(case % 2))
+            grid = default_bandwidth_grid(coords)
+            assert nw_select_bandwidth(coords, labels) == grid[0]
 
     def test_separated_clusters_pick_small_bandwidth(self):
         # 10-point synthetic set: two clusters 10 apart with opposite labels;

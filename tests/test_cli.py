@@ -188,9 +188,17 @@ def broken_inputs(tmp_path, model_json, x_csv):
     nan_cell.write_text(f"{header}\nnan,{row.split(',', 1)[1]}\n")
     truncated = tmp_path / "truncated.json"
     truncated.write_text(model_json.read_text()[:1000])
+    series = tmp_path / "series.csv"
+    points, body = series.read_text().split("\n", 1)
+    size = len(points.split(","))
+    letters = tmp_path / "letters.csv"
+    letters.write_text(",".join("abcdefghijklmnopqrstuvwxyz"[:size]) + "\n" + body)
+    squared = tmp_path / "squared.csv"
+    squared.write_text(",".join(repr(float(t) ** 2) for t in Grid(size - 1).points)
+                       + "\n" + body)
     return {"model": model_json, "x": x_csv, "wrong_grid": wrong_grid,
-            "nan_cell": nan_cell, "truncated": truncated,
-            "series": tmp_path / "series.csv", "missing": tmp_path / "missing.csv"}
+            "nan_cell": nan_cell, "truncated": truncated, "series": series,
+            "letters": letters, "squared": squared, "missing": tmp_path / "missing.csv"}
 
 
 # (case, argv with {file} placeholders, exit code, text stderr must hold)
@@ -218,6 +226,12 @@ EXIT_CASES = [
     ("missing file",
      ["fit", "--series", "{missing}"],
      2, "missing.csv"),
+    ("header that is not numeric",
+     ["fit", "--series", "{letters}", "--out", "{missing}"],
+     2, "non-numeric cell 'a' (row 1, column 1)"),
+    ("header off the uniform grid",
+     ["fit", "--series", "{squared}", "--out", "{missing}"],
+     2, "(row 1, column 2)"),
 ]
 
 

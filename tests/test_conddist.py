@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from curveprob.conddist import (
     boot_prob,
     calibrate_uniform_band,
     gauss_prob,
+    order_statistic_quantile,
     quantile_over_family,
 )
 from curveprob.curves import Covariate, Curve, Grid
@@ -17,6 +20,7 @@ from curveprob.events import (
     contains,
     extremal_set,
     family_level_in_alpha,
+    family_level_in_z,
     family_max_below,
     level_set,
 )
@@ -229,6 +233,75 @@ class TestQuantileOverFamily:
         got = quantile_over_family(self.model, zero_covariate(GRID), family, 0.5)
         # two of three curves have max >= 0, one has max >= 1
         assert abs(got - 0.0) <= self.tol
+
+
+class TestCriticalValueQuantile:
+    def test_matches_bisection_over_events(self):
+        # the built-in families answer from one order statistic of their
+        # critical values; without them the same search tests the ensemble
+        # against the family's events at every step, and both must give the
+        # same float, or the same boundary estimate when p is out of reach
+        rng = np.random.default_rng(17)
+        models = [fitted_model(n=30, seed=s) for s in range(4)]
+        exhausted = 0
+        for case in range(240):
+            model, xs = models[case % 4]
+            x = xs[int(rng.integers(len(xs)))]
+            kind = case % 3
+            if kind == 0:
+                lo = float(rng.uniform(-3.0, 1.0))
+                family = family_level_in_alpha(float(rng.choice([0.0, 0.25, 0.5, 0.57, 0.9])),
+                                               lo, lo + float(rng.uniform(0.2, 4.0)))
+            elif kind == 1:
+                lo = float(rng.uniform(0.0, 0.6))
+                family = family_level_in_z(float(rng.uniform(-1.0, 1.0)),
+                                           lo, lo + float(rng.uniform(0.1, 0.4)))
+            else:
+                lo = float(rng.uniform(-2.0, 2.0))
+                family = family_max_below(lo, lo + float(rng.uniform(0.2, 4.0)))
+            p = float(rng.choice([0.05, 0.5, 0.9, 0.975, 1 - 1 / 41]))
+            kwargs = {"method": "boot"} if case % 2 else {
+                "method": "gauss", "mc_size": int(rng.integers(50, 400)),
+                "seed": int(rng.integers(1000))}
+            if case % 5 == 0:
+                kwargs["tol"] = float(rng.uniform(1e-3, 0.2))
+            results = []
+            for fam in (family, dataclasses.replace(family, critical=None)):
+                try:
+                    results.append(repr(quantile_over_family(model, x, fam, p, **kwargs)))
+                except RangeExhaustedError as err:
+                    results.append(("exhausted", repr(err.boundary_estimate)))
+            assert results[0] == results[1], (case, results)
+            exhausted += isinstance(results[0], tuple)
+        assert 20 <= exhausted <= 200
+
+    def test_matches_bisection_when_critical_values_sit_on_the_grid(self):
+        # integer-valued ensembles on a grid of step 1/2 or 1/4: the search
+        # meets critical values exactly, where "reaches p" must hold
+        rng = np.random.default_rng(29)
+        for case in range(30):
+            model = toy_model(GRID, rng.integers(-3, 4, size=(12, GRID.size)))
+            x = zero_covariate(GRID)
+            tol = float(rng.choice([0.25, 0.5]))
+            p = float(rng.choice([0.25, 0.5, 0.75, 11 / 12]))
+            for family in (family_max_below(-4.0, 4.0),
+                           family_level_in_alpha(float(rng.choice([0.0, 0.3, 0.5])), -4.0, 4.0)):
+                results = [quantile_over_family(model, x, fam, p, tol=tol) for fam in
+                           (family, dataclasses.replace(family, critical=None))]
+                assert results[0] == results[1], (case, results)
+
+    def test_order_statistic_is_where_the_fraction_reaches_p(self):
+        crit = np.array([3.0, -np.inf, 1.0, 1.0, 2.0, np.inf])
+        for p, expected in [(0.1, -np.inf), (1 / 6, -np.inf), (0.2, 1.0), (0.5, 1.0),
+                            (0.6, 2.0), (0.8, 3.0), (0.9, np.inf)]:
+            t = order_statistic_quantile(crit, p)
+            assert t == expected
+            assert np.count_nonzero(crit <= t) / crit.size >= p
+            if t > -np.inf:
+                below = np.nextafter(t, -np.inf)
+                assert np.count_nonzero(crit <= below) / crit.size < p
+        # 0.07 * 100 rounds above 7, but 7 / 100 >= 0.07 already holds
+        assert order_statistic_quantile(np.arange(100.0)[::-1], 0.07) == 6.0
 
 
 class TestEstimatorAxioms:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,12 +118,32 @@ class TestMonotoneFamilies:
         (family_level_in_z(alpha=0.0), np.linspace(0.0, 1.0, 21)),
         (family_level_in_alpha(z=0.3, lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
         (family_max_below(lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
+        (family_level_in_alpha(z=0.57, lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
+        (family_level_in_alpha(z=0.0, lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
+        (family_level_in_alpha(z=1.0, lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
+        (family_level_in_alpha(z=-0.1, lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
     ])
     def test_membership_nested_in_parameter(self, family, param_grid):
-        for y in random_curves(GRID, 25, seed=3):
+        curves = random_curves(GRID, 25, seed=3)
+        for y in curves:
             flags = [contains(family.at(x), y) for x in param_grid]
             # once a curve enters the family it stays in (increasing sets)
             assert all(a <= b for a, b in zip(flags, flags[1:]))
+        # the critical value is where a curve enters: at every parameter,
+        # including each critical value and the double just below it, and
+        # on tied samples, "crit <= xi" is the family's membership test
+        values = np.array([y.values for y in curves] + [np.round(y.values) for y in curves])
+        crit = family.critical(values, GRID)
+        finite = crit[np.isfinite(crit)]
+        params = np.concatenate([param_grid, finite, np.nextafter(finite, -np.inf)])
+        for xi in params:
+            np.testing.assert_array_equal(
+                crit <= xi, contains_batch(family.at(xi), values, GRID))
+
+    def test_critical_values_need_an_increasing_family(self):
+        base = family_max_below(lo=-2.0, hi=2.0)
+        with pytest.raises(UsageError):
+            dataclasses.replace(base, direction="decreasing")
 
     def test_z_sweep_inclusion_example(self):
         small = level_set(50.0, 0.2)

@@ -18,6 +18,8 @@ from curveprob.harness.dgp import (
     synthetic_dgp,
     synthetic_noise_basis,
 )
+from curveprob.events import contains_batch, level_set
+from curveprob.harness.experiments import oracle_level_quantile
 from curveprob.harness.io import load_curves, load_index, save_curves
 from curveprob.harness.metrics import binomial_se, check_loss, cross_entropy, rmse
 from curveprob.harness.seasonal import deseasonalize
@@ -124,6 +126,24 @@ class TestConditionalOracle:
         np.testing.assert_allclose(
             draws.mean(axis=0), conditional_mean(spec, prev).values, atol=0.1
         )
+
+
+    @pytest.mark.parametrize("grid_d, z, p", [(99, 0.57, 0.9), (99, 0.57, 0.5), (100, 0.5, 0.99)])
+    def test_oracle_level_quantile_is_where_the_fraction_reaches_p(self, grid_d, z, p):
+        # brute force on the same draws: the fraction of draws in the level
+        # event reaches p at the oracle quantile and not one double below it
+        # (at 100 points and z=0.57 the event admits 57 exceedances, while
+        # floor(0.57 * 100) is 56)
+        spec = synthetic_dgp(Grid(grid_d), seed=2)
+        prev = simulate_far(spec, 1, seed=5)[0]
+        draws = conditional_draws(spec, prev, 1000, seed=9)
+        xi = oracle_level_quantile(spec, prev, p, z, 1000, seed=9)
+
+        def fraction(alpha):
+            return np.mean(contains_batch(level_set(alpha, z), draws, spec.grid))
+
+        assert fraction(xi) >= p
+        assert fraction(np.nextafter(xi, -np.inf)) < p
 
 
 class TestSimulateGaussianProcess:
@@ -270,6 +290,25 @@ class TestCurveIO:
         path = tmp_path / "bad.csv"
         path.write_text("0.0,0.5,1.0\n1.0,oops,3.0\n", encoding="utf-8")
         with pytest.raises(ParseError, match="row 2"):
+            load_curves(path)
+
+    def test_hand_written_header_loads(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1\n" + ",".join(["2.5"] * 11)
+                        + "\n", encoding="utf-8")
+        (curve,) = load_curves(path)
+        assert curve.grid == Grid(10)
+
+    @pytest.mark.parametrize("header, column", [
+        ("0.0,t,1.0", 2),
+        ("0.0,0.25,1.0", 2),
+        ("0.0,0.5,1.000001", 3),
+        ("0.0,nan,1.0", 2),
+    ])
+    def test_header_off_the_uniform_grid_names_location(self, tmp_path, header, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n1.0,2.0,3.0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=rf"row 1, column {column}\)"):
             load_curves(path)
 
     def test_empty_file_is_empty_list(self, tmp_path):

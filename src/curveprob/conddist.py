@@ -64,15 +64,14 @@ class GaussSampler:
         rank = int(np.count_nonzero(lam > RELATIVE_RANK_FLOOR * top)) if top > 0 else 0
         return GaussSampler(grid=grid, spectrum=spectrum, rank=rank, rng_seed=int(rng_seed))
 
-    def draw_matrix(self, count: int, rng=None) -> np.ndarray:
+    def draw_matrix(self, count: int) -> np.ndarray:
         """(count, D+1) matrix of noise curves as raw samples."""
         if count < 1:
             raise UsageError(f"count must be >= 1, got {count}")
         if self.rank == 0:
             return np.zeros((count, self.grid.size))
-        rng = rng if rng is not None else substream(self.rng_seed)
         lam, vecs = self.spectrum.leading(self.rank)
-        z = rng.standard_normal((count, self.rank))
+        z = substream(self.rng_seed).standard_normal((count, self.rank))
         weighted = (z * np.sqrt(lam)) @ vecs.T
         return weighted / self.grid.quad_weights_sqrt()
 
@@ -81,31 +80,42 @@ def noise_sampler(model: FittedFLM, seed: int) -> GaussSampler:
     return GaussSampler.from_spectrum(model.grid, model.noise_spectrum, seed)
 
 
-def _boot_ensemble(model: FittedFLM, x: Covariate) -> np.ndarray:
-    center = predict(model, x).values
-    return center + model.residual_matrix
+def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> tuple:
+    """(noise rows, degenerate flag) that a method adds to the fitted mean.
 
-
-def _gauss_ensemble(model: FittedFLM, x: Covariate, mc_size: int, seed: int) -> tuple:
-    """(ensemble matrix, degenerate flag)."""
-    center = predict(model, x).values
+    'boot' gives the in-sample residual curves (``mc_size`` and ``seed`` are
+    unused); 'gauss' gives ``mc_size`` Karhunen-Loeve draws from ``seed``.
+    A rank-zero noise covariance draws zero rows, so every estimate is the
+    indicator of the fitted mean; that case warns and is flagged.
+    """
+    if method == "boot":
+        return model.residual_matrix, False
+    if method != "gauss":
+        raise UsageError(f"method must be 'boot' or 'gauss', got {method!r}")
+    if mc_size < 1:
+        raise UsageError(f"mc_size must be >= 1, got {mc_size}")
     sampler = noise_sampler(model, seed)
-    if sampler.rank == 0:
+    degenerate = sampler.rank == 0
+    if degenerate:
         warnings.warn(
             "noise covariance has rank zero; the Gaussian estimate degenerates "
             "to an indicator of the fitted mean",
             stacklevel=3,
         )
-        return center[np.newaxis, :], True
-    return center + sampler.draw_matrix(mc_size), False
+    return sampler.draw_matrix(mc_size), degenerate
+
+
+def _count_inside(model: FittedFLM, x: Covariate, event: EventSet, rows: np.ndarray) -> int:
+    """Number of ensemble curves ``fitted mean + noise row`` in the event."""
+    center = predict(model, x).values
+    return int(np.count_nonzero(contains_batch(event, center + rows, model.grid)))
 
 
 def boot_prob(model: FittedFLM, x: Covariate, event: EventSet) -> CondProbEstimate:
     """Fraction of residual-shifted fitted means that fall in the event."""
-    ensemble = _boot_ensemble(model, x)
-    count = int(np.count_nonzero(contains_batch(event, ensemble, model.grid)))
-    n = ensemble.shape[0]
-    return CondProbEstimate(value=count / n, method="boot", n_used=n, count=count)
+    rows, _ = ensemble_noise(model, "boot", DEFAULT_MC_SIZE, 0)
+    count = _count_inside(model, x, event, rows)
+    return CondProbEstimate(value=count / len(rows), method="boot", n_used=len(rows), count=count)
 
 
 def gauss_prob(
@@ -116,30 +126,16 @@ def gauss_prob(
     seed: int = 0,
 ) -> CondProbEstimate:
     """Monte-Carlo fraction of Gaussian-noise-shifted fitted means in the event."""
-    if mc_size < 1:
-        raise UsageError(f"mc_size must be >= 1, got {mc_size}")
-    ensemble, degenerate = _gauss_ensemble(model, x, mc_size, seed)
-    hits = int(np.count_nonzero(contains_batch(event, ensemble, model.grid)))
-    if degenerate:
-        count = hits * mc_size  # indicator replicated over the notional draws
-    else:
-        count = hits
+    rows, degenerate = ensemble_noise(model, "gauss", mc_size, seed)
+    count = _count_inside(model, x, event, rows)
     return CondProbEstimate(
-        value=count / mc_size,
+        value=count / len(rows),
         method="gauss",
-        n_used=mc_size,
+        n_used=len(rows),
         count=count,
         seed=int(seed),
         status="degenerate" if degenerate else "ok",
     )
-
-
-def _ensemble_for(model, x, method, mc_size, seed) -> np.ndarray:
-    if method == "boot":
-        return _boot_ensemble(model, x)
-    if method == "gauss":
-        return _gauss_ensemble(model, x, mc_size, seed)[0]
-    raise UsageError(f"method must be 'boot' or 'gauss', got {method!r}")
 
 
 def order_statistic_quantile(critical: np.ndarray, p: float) -> float:
@@ -188,7 +184,8 @@ def quantile_over_family(
     if tol <= 0:
         raise UsageError(f"tolerance must be positive, got {tol}")
 
-    ensemble = _ensemble_for(model, x, method, mc_size, seed)
+    rows, _ = ensemble_noise(model, method, mc_size, seed)
+    ensemble = predict(model, x).values + rows
     m = ensemble.shape[0]
     n_steps = int(np.ceil((hi - lo) / tol))
 
@@ -266,6 +263,7 @@ def calibrate_uniform_band(
     if not 0.0 < nominal < 1.0:
         raise UsageError(f"nominal coverage must lie in (0, 1), got {nominal}")
     alpha = 1.0 - nominal
+    draws, _ = ensemble_noise(model, method, mc_size, seed)
     center = predict(model, x)
 
     sigma = model.noise_std()
@@ -278,13 +276,6 @@ def calibrate_uniform_band(
                               nominal=nominal, method=method)
         return cal, uniform_band(center, zero, zero)
     sigma = np.maximum(sigma, SIGMA_FLOOR * peak)
-
-    if method == "boot":
-        draws = model.residual_matrix
-    elif method == "gauss":
-        draws = noise_sampler(model, seed).draw_matrix(mc_size)
-    else:
-        raise UsageError(f"method must be 'boot' or 'gauss', got {method!r}")
 
     ratios = draws / sigma
     if literal_abs:

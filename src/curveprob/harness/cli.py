@@ -36,12 +36,17 @@ from .experiments import (
 from .seasonal import deseasonalize
 
 
+def _parse_floats(text: str, option: str) -> tuple:
+    """Comma-separated numbers of a command-line option."""
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError as exc:
+        raise UsageError(f"{option}: {exc}") from None
+
+
 def _load_covariate(args) -> Covariate:
     parts = tuple(io.load_curves(args.x))
-    try:
-        scalars = tuple(float(s) for s in args.x_scalars.split(",")) if args.x_scalars else ()
-    except ValueError as exc:
-        raise UsageError(f"--x-scalars: {exc}") from None
+    scalars = _parse_floats(args.x_scalars, "--x-scalars") if args.x_scalars else ()
     if not parts and not scalars:
         raise UsageError(f"covariate file {args.x} holds no curves and no scalars given")
     return Covariate(parts, scalars)
@@ -182,8 +187,8 @@ def _cmd_entropy(args) -> None:
     report = run_entropy_eval(
         response, exog, day_of_year=doy, day_of_week=dow,
         ar_order=args.ar_order, pve=args.pve,
-        alphas=[float(a) for a in args.alphas.split(",")],
-        zs=[float(z) for z in args.zs.split(",")],
+        alphas=_parse_floats(args.alphas, "--alphas"),
+        zs=_parse_floats(args.zs, "--zs"),
         test_fraction=args.test_fraction, methods=args.methods,
         seed=args.seed, mc_size=args.mc)
     io.save_report(report, args.out or "entropy.csv")

@@ -19,7 +19,7 @@ import numpy as np
 from ..baselines import fglm_fit, fglm_prob, nw_fit, nw_prob
 from ..conddist import (
     calibrate_uniform_band,
-    noise_sampler,
+    ensemble_noise,
     order_statistic_quantile,
     quantile_over_family,
 )
@@ -30,6 +30,7 @@ from ..events import (
     contains,
     contains_batch,
     family_level_in_alpha,
+    family_level_in_z,
     format_event,
     level_alpha_critical,
     level_set,
@@ -50,6 +51,7 @@ from .seasonal import deseasonalize
 
 DEFAULT_GRID_D = 100
 METHODS = ("boot", "gauss", "glm", "nw")
+ENSEMBLE_METHODS = ("boot", "gauss")
 
 # substream purposes
 _SIM, _MC, _PREDICTORS, _ORACLE, _SPLIT = 0, 1, 2, 3, 4
@@ -117,6 +119,11 @@ def _parse_methods(methods) -> tuple:
     if not methods:
         raise UsageError("need at least one method")
     return methods
+
+
+def _ensemble_methods(methods) -> tuple:
+    """The requested ensemble methods, always in the order boot, gauss."""
+    return tuple(m for m in ENSEMBLE_METHODS if m in methods)
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +249,11 @@ def run_rmse_experiment(
         model = fit(sample, truncation, center=True)
         centers = np.asarray([predict_coords(model, q) for q in queries])
 
-        if "boot" in methods:
+        for m in _ensemble_methods(methods):
+            rows, _ = ensemble_noise(model, m, mc_size, _int_seed(seed, _MC, rep))
             for j in range(n_predictors):
-                ensemble = centers[j] + model.residual_matrix
-                inside = contains_batch(event, ensemble, grid)
-                estimates["boot"][rep, j] = np.count_nonzero(inside) / len(inside)
-        if "gauss" in methods:
-            noise = noise_sampler(model, _int_seed(seed, _MC, rep)).draw_matrix(mc_size)
-            for j in range(n_predictors):
-                inside = contains_batch(event, centers[j] + noise, grid)
-                estimates["gauss"][rep, j] = np.count_nonzero(inside) / mc_size
+                inside = contains_batch(event, centers[j] + rows, grid)
+                estimates[m][rep, j] = np.count_nonzero(inside) / len(rows)
         if "glm" in methods or "nw" in methods:
             labels = contains_batch(event, sample.y, grid).astype(float)
             if "glm" in methods:
@@ -431,9 +433,9 @@ def run_entropy_eval(
     real_values = np.asarray([response[k].values for k in day_of_pair])
     seasonal = np.asarray([adj_response.seasonal_values(k) for k in day_of_pair])
 
-    gauss_noise = None
-    if "gauss" in methods:
-        gauss_noise = noise_sampler(model, _int_seed(seed, _MC)).draw_matrix(mc_size)
+    ensemble_methods = _ensemble_methods(methods)
+    noise = {m: ensemble_noise(model, m, mc_size, _int_seed(seed, _MC))[0]
+             for m in ensemble_methods}
 
     columns = ("alpha", "z", "method", "cross_entropy", "n_test")
     rows = []
@@ -447,15 +449,23 @@ def run_entropy_eval(
     monotonicity_violations = {m: 0 for m in methods}
     for alpha in alphas:
         previous_probs.clear()
+        # each curve's share of time above alpha: level_set(alpha, z) holds
+        # exactly where the share is <= z (the level kernel's own test)
+        level_share = family_level_in_z(alpha).critical
+        test_share = level_share(real_values[test_ids], grid)
+        train_share = level_share(real_values[train_ids], grid)
+        shares = {m: np.asarray([level_share(centers[pos] + noise[m] + seasonal[i], grid)
+                                 for pos, i in enumerate(test_ids)])
+                  for m in ensemble_methods}
         for z in zs:
-            event = level_set(alpha, z)
-            labels = contains_batch(event, real_values[test_ids], grid).astype(float)
-            probs = {m: np.empty(len(test_ids)) for m in methods}
+            labels = (test_share <= z).astype(float)
+            probs = {m: np.count_nonzero(shares[m] <= z, axis=1) / len(noise[m])
+                     for m in ensemble_methods}
+            probs.update({m: np.empty(len(test_ids)) for m in methods
+                          if m not in ensemble_methods})
 
             if "glm" in methods or "nw" in methods:
-                train_labels = contains_batch(
-                    event, real_values[train_ids], grid
-                ).astype(float)
+                train_labels = (train_share <= z).astype(float)
                 glm_model = nw_model = None
                 if "glm" in methods:
                     if train_labels.min() == train_labels.max():
@@ -468,15 +478,6 @@ def run_entropy_eval(
 
             for pos, i in enumerate(test_ids):
                 x = sample.x[i]
-                shift = seasonal[i]
-                if "boot" in methods:
-                    ensemble = centers[pos] + model.residual_matrix + shift
-                    inside = contains_batch(event, ensemble, grid)
-                    probs["boot"][pos] = np.count_nonzero(inside) / len(inside)
-                if "gauss" in methods:
-                    ensemble = centers[pos] + gauss_noise + shift
-                    inside = contains_batch(event, ensemble, grid)
-                    probs["gauss"][pos] = np.count_nonzero(inside) / mc_size
                 if "glm" in methods:
                     probs["glm"][pos] = (
                         fglm_prob(glm_model, x) if glm_model is not None

@@ -196,9 +196,15 @@ def broken_inputs(tmp_path, model_json, x_csv):
     squared = tmp_path / "squared.csv"
     squared.write_text(",".join(repr(float(t) ** 2) for t in Grid(size - 1).points)
                        + "\n" + body)
+    n_days = len(body.splitlines())
+    doy = tmp_path / "doy.csv"
+    doy.write_text("\n".join(str(k) for k in range(n_days)))
+    dow = tmp_path / "dow.csv"
+    dow.write_text("\n".join(str(k % 7) for k in range(n_days)))
     return {"model": model_json, "x": x_csv, "wrong_grid": wrong_grid,
             "nan_cell": nan_cell, "truncated": truncated, "series": series,
-            "letters": letters, "squared": squared, "missing": tmp_path / "missing.csv"}
+            "letters": letters, "squared": squared, "doy": doy, "dow": dow,
+            "missing": tmp_path / "missing.csv"}
 
 
 # (case, argv with {file} placeholders, exit code, text stderr must hold)
@@ -232,6 +238,14 @@ EXIT_CASES = [
     ("header off the uniform grid",
      ["fit", "--series", "{squared}", "--out", "{missing}"],
      2, "(row 1, column 2)"),
+    ("time budget that is not a number",
+     ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+      "--zs", "a", "--out", "{missing}"],
+     2, "--zs:"),
+    ("level threshold that is not a number",
+     ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+      "--alphas", "x", "--out", "{missing}"],
+     2, "--alphas:"),
 ]
 
 

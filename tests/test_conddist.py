@@ -7,6 +7,7 @@ from curveprob.conddist import (
     GaussSampler,
     boot_prob,
     calibrate_uniform_band,
+    ensemble_noise,
     gauss_prob,
     order_statistic_quantile,
     quantile_over_family,
@@ -138,6 +139,32 @@ class TestGaussProb:
         assert a.value != c.value or a.count != c.count
 
 
+class TestEnsembleNoise:
+    def test_boot_rows_are_the_residuals(self):
+        model, _ = fitted_model()
+        rows, degenerate = ensemble_noise(model, "boot", 5, 1)
+        assert rows is model.residual_matrix and not degenerate
+
+    def test_gauss_rows_are_the_sampler_draws(self):
+        model, _ = fitted_model()
+        rows, degenerate = ensemble_noise(model, "gauss", 40, 12)
+        expected = GaussSampler.from_spectrum(model.grid, model.noise_spectrum, 12).draw_matrix(40)
+        np.testing.assert_array_equal(rows, expected)
+        assert not degenerate
+
+    def test_rank_zero_warns_and_draws_zeros(self):
+        model = toy_model(GRID, np.zeros((4, GRID.size)))
+        with pytest.warns(UserWarning, match="rank zero"):
+            rows, degenerate = ensemble_noise(model, "gauss", 7, 0)
+        assert degenerate and rows.shape == (7, GRID.size) and np.all(rows == 0.0)
+
+    @pytest.mark.parametrize("method, mc_size", [("bogus", 10), ("Boot", 10), ("gauss", 0)])
+    def test_rejects_unknown_method_and_empty_draw(self, method, mc_size):
+        model, _ = fitted_model()
+        with pytest.raises(UsageError):
+            ensemble_noise(model, method, mc_size, 0)
+
+
 class TestSampleNoise:
     def test_rank_zero_gives_zero_curves(self):
         sampler = GaussSampler.from_spectrum(GRID, SpectralPair(np.zeros(2), np.eye(GRID.size, 2)), 0)
@@ -223,6 +250,22 @@ class TestQuantileOverFamily:
             quantile_over_family(self.model, zero_covariate(GRID), family, 0.9)
         # only the constant -1 curve fits below the right end of the range
         assert err.value.boundary_estimate == pytest.approx(1 / 3)
+
+    def test_rank_zero_gauss_answers_for_the_fitted_mean(self):
+        # zero residuals: the boot ensemble is the fitted mean repeated, and a
+        # rank-zero Gaussian ensemble must give the same answer
+        model = dataclasses.replace(toy_model(GRID, np.zeros((4, GRID.size))),
+                                    y_mean=0.7 * np.sin(2 * np.pi * GRID.points))
+        x = zero_covariate(GRID)
+        peak = float(np.max(predict(model, x).values))
+        families = [self.family, family_level_in_alpha(0.3, -2.0, 2.0),
+                    dataclasses.replace(self.family, critical=None)]
+        for family in families:
+            for p in (0.1, 0.5, 0.9):
+                with pytest.warns(UserWarning, match="rank zero"):
+                    got = quantile_over_family(model, x, family, p, method="gauss", mc_size=30)
+                assert got == quantile_over_family(model, x, family, p, method="boot")
+        assert peak <= quantile_over_family(model, x, self.family, 0.5, method="boot") <= peak + self.tol
 
     def test_decreasing_family_reflected(self):
         # {max >= xi} shrinks as xi grows; the largest xi still reaching p
@@ -336,6 +379,11 @@ class TestUniformBand:
         assert contains(band, center)
         off = Curve(GRID, center.values + 1e-9)
         assert not contains(band, off)
+
+    def test_zero_residuals_still_validate_the_method(self):
+        model = toy_model(GRID, np.zeros((4, GRID.size)))
+        with pytest.raises(UsageError, match="method must be"):
+            calibrate_uniform_band(model, zero_covariate(GRID), 0.95, "bogus")
 
     def test_symmetric_residuals_give_symmetric_quantiles(self):
         rng = np.random.default_rng(3)

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from curveprob.curves import Curve, Grid
+from curveprob.conddist import boot_prob, gauss_prob, noise_sampler
+from curveprob.curves import Covariate, Curve, Grid
 from curveprob.errors import ParseError, UsageError
 from curveprob.harness.dgp import (
     DGPSpec,
@@ -16,10 +19,22 @@ from curveprob.harness.dgp import (
     simulate_far,
     simulate_gaussian_process,
     synthetic_dgp,
+    stationary_predictors,
     synthetic_noise_basis,
 )
 from curveprob.events import contains_batch, level_set
-from curveprob.harness.experiments import oracle_level_quantile
+from curveprob.flm import TruncationRule, build_far_design, fit, predict_coords
+from curveprob.harness import experiments
+from curveprob.harness.experiments import (
+    _MC,
+    _PREDICTORS,
+    _SIM,
+    _SPLIT,
+    _int_seed,
+    oracle_level_quantile,
+    run_entropy_eval,
+    run_rmse_experiment,
+)
 from curveprob.harness.io import load_curves, load_index, save_curves
 from curveprob.harness.metrics import binomial_se, check_loss, cross_entropy, rmse
 from curveprob.harness.seasonal import deseasonalize
@@ -144,6 +159,77 @@ class TestConditionalOracle:
 
         assert fraction(xi) >= p
         assert fraction(np.nextafter(xi, -np.inf)) < p
+
+
+class TestDriversShareTheEstimator:
+    """The drivers' ensemble probabilities are the public estimators'."""
+
+    def test_rmse_estimates_equal_boot_and_gauss_prob(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(experiments, "rmse", lambda est, truth: seen.append(np.array(est)) or 0.0)
+        seed, n, n_pred, reps, mc = 6, 40, 3, 2, 150
+        event = level_set(5.5, 0.5)
+        run_rmse_experiment(n=n, n_predictors=n_pred, event=event, methods="gauss,boot",
+                            reps=reps, seed=seed, grid_d=16, oracle_size=50, mc_size=mc)
+
+        spec = synthetic_dgp(Grid(16))
+        predictors = stationary_predictors(spec, n_pred, _int_seed(seed, _PREDICTORS))
+        want = np.empty((2, n_pred, reps))  # methods in the order given: gauss, boot
+        for rep in range(reps):
+            series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
+            model = fit(build_far_design(series, order=1)[0], TruncationRule.threshold(), center=True)
+            for j, y0 in enumerate(predictors):
+                x = Covariate((y0,))
+                want[0, j, rep] = gauss_prob(model, x, event, mc_size=mc,
+                                             seed=_int_seed(seed, _MC, rep)).value
+                want[1, j, rep] = boot_prob(model, x, event).value
+        assert np.mean((0.0 < want) & (want < 1.0)) >= 0.5  # not all indicators
+        np.testing.assert_array_equal(np.reshape(seen, want.shape), want)
+
+    def test_entropy_probabilities_equal_per_z_event_tests(self, monkeypatch):
+        grid = Grid(8)
+        rng = np.random.default_rng(4)
+        n = 90
+        base = 50.0 + 8.0 * np.sin(2 * np.pi * np.arange(n) / 30)
+        response = [Curve(grid, b + 4.0 * rng.normal(size=grid.size)) for b in base]
+        wind = [Curve(grid, rng.normal(size=grid.size)) for _ in range(n)]
+        doy, dow = np.arange(n), np.arange(n) % 7
+        seen = []
+        real_cross_entropy = experiments.cross_entropy
+        monkeypatch.setattr(experiments, "cross_entropy", lambda labels, probs: (
+            seen.append((np.array(labels), np.array(probs))) or real_cross_entropy(labels, probs)))
+        seed, mc, order = 9, 200, 2
+        alphas, zs = (45.0, 55.0), (0.0, 0.25, 1.0 / 3, 0.5, 1.0)
+        run_entropy_eval(response, [(wind, False)], day_of_year=doy, day_of_week=dow,
+                         ar_order=order, alphas=alphas, zs=zs, methods="gauss,boot",
+                         seed=seed, mc_size=mc)
+
+        # reference: each day's ensemble tested against level_set(alpha, z) per z
+        adjusted = deseasonalize(response, doy, dow, weekly=True)
+        sample, design = build_far_design(
+            adjusted.adjusted, order, [deseasonalize(wind, doy, dow, weekly=False).adjusted])
+        n_test = int(round(len(sample) * (1.0 / 3)))
+        test_ids = np.sort(substream(seed, _SPLIT).choice(len(sample), size=n_test, replace=False))
+        train_ids = np.setdiff1d(np.arange(len(sample)), test_ids)
+        model = fit(replace(sample, y=sample.y[train_ids], x=sample.x[train_ids]),
+                    TruncationRule.pve(0.98), center=True)
+        noise = {"gauss": noise_sampler(model, _int_seed(seed, _MC)).draw_matrix(mc),
+                 "boot": model.residual_matrix}
+        days = [design.response_indices[i] for i in test_ids]
+        cells = iter(seen)
+        for alpha in alphas:
+            for z in zs:
+                event = level_set(alpha, z)
+                labels = contains_batch(event, [response[k].values for k in days], grid)
+                for m in ("gauss", "boot"):
+                    probs = [np.count_nonzero(contains_batch(
+                        event, predict_coords(model, sample.x[i]) + noise[m]
+                        + adjusted.seasonal_values(k), grid)) / len(noise[m])
+                        for i, k in zip(test_ids, days)]
+                    got_labels, got_probs = next(cells)
+                    np.testing.assert_array_equal(got_labels, labels)
+                    np.testing.assert_array_equal(got_probs, probs)
+        assert next(cells, None) is None
 
 
 class TestSimulateGaussianProcess:

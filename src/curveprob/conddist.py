@@ -166,8 +166,7 @@ def quantile_over_family(
     The family range is discretized at resolution ``tol`` (default 1e-4 of
     the range), and the left-most grid point with estimate >= p is found
     by index bisection over one fixed ensemble, so the profile is exactly
-    monotone. Decreasing families are searched from the other end and the
-    largest parameter still reaching p is returned.
+    monotone.
 
     For a family with critical values (the built-in ones) the estimate
     reaches p exactly at and above one order statistic of the ensemble's
@@ -209,20 +208,17 @@ def quantile_over_family(
         def reaches(xi: float) -> bool:
             return estimate(xi) >= p
 
-    # the far end must reach p; the search keeps reaches(point(yes)) and
+    # the upper end must reach p; the search keeps reaches(point(yes)) and
     # not reaches(point(no))
-    if family.direction == "increasing":
-        far, near, yes, no = hi, lo, n_steps, 0
-    else:
-        far, near, yes, no = lo, hi, 0, n_steps
-    if not reaches(far):
+    if not reaches(hi):
         raise RangeExhaustedError(
             f"estimate never reaches p={p} on [{lo}, {hi}]",
-            boundary_estimate=estimate(far),
+            boundary_estimate=estimate(hi),
         )
-    if reaches(near):
-        return float(near)
-    while abs(yes - no) > 1:
+    if reaches(lo):
+        return float(lo)
+    yes, no = n_steps, 0
+    while yes - no > 1:
         mid = (yes + no) // 2
         if reaches(point(mid)):
             yes = mid

@@ -81,10 +81,6 @@ class Curve:
     def constant(grid: Grid, value: float) -> "Curve":
         return Curve(grid, np.full(grid.size, float(value)))
 
-    @staticmethod
-    def from_function(grid: Grid, fn) -> "Curve":
-        return Curve(grid, np.asarray([fn(t) for t in grid.points], dtype=float))
-
     def __add__(self, other: "Curve") -> "Curve":
         _check_same_grid(self, other)
         return Curve(self.grid, self.values + other.values)
@@ -153,10 +149,6 @@ def inner_product(a: Curve, b: Curve) -> float:
     return float(np.sum(a.grid.quad_weights() * a.values * b.values))
 
 
-def l2_norm(a: Curve) -> float:
-    return float(np.sqrt(max(inner_product(a, a), 0.0)))
-
-
 def covariate_inner_product(a: Covariate, b: Covariate) -> float:
     """Direct-sum inner product: curve-part L2 inner products plus scalar dot."""
     if a.structure() != b.structure():
@@ -166,7 +158,3 @@ def covariate_inner_product(a: Covariate, b: Covariate) -> float:
     total = sum(inner_product(p, q) for p, q in zip(a.curve_parts, b.curve_parts))
     total += float(np.dot(a.scalar_parts, b.scalar_parts)) if a.scalar_parts else 0.0
     return float(total)
-
-
-def covariate_norm(a: Covariate) -> float:
-    return float(np.sqrt(max(covariate_inner_product(a, a), 0.0)))

@@ -150,30 +150,24 @@ def contains_batch(event: EventSet, values: np.ndarray, grid) -> np.ndarray:
 class MonotoneFamily:
     """One-parameter family of event sets nested by inclusion.
 
-    ``generator(xi)`` must return events that grow with xi when direction
-    is 'increasing' and shrink when 'decreasing'. The built-in factories
-    guarantee this; custom families assert it themselves.
+    ``generator(xi)`` must return events that grow with xi. The built-in
+    factories guarantee this; custom families assert it themselves.
 
-    The built-in (increasing) families also carry ``critical(values, grid)``:
-    per row of a (m, D+1) sample matrix, the parameter at which that curve
-    enters the event, so that ``contains_batch(at(xi), values, grid)`` equals
+    The built-in families also carry ``critical(values, grid)``: per row of
+    a (m, D+1) sample matrix, the parameter at which that curve enters the
+    event, so that ``contains_batch(at(xi), values, grid)`` equals
     ``critical(values, grid) <= xi`` for every xi.
     """
 
     generator: Callable[[float], EventSet] = field(compare=False)
     lo: float
     hi: float
-    direction: str = "increasing"
     critical: Optional[Callable[[np.ndarray, object], np.ndarray]] = field(
         default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.direction not in ("increasing", "decreasing"):
-            raise UsageError(f"direction must be increasing or decreasing, got {self.direction!r}")
         if not self.lo < self.hi:
             raise UsageError(f"family range must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-        if self.critical is not None and self.direction != "increasing":
-            raise UsageError("critical values describe increasing families only")
 
     def at(self, xi: float) -> EventSet:
         return self.generator(xi)
@@ -199,7 +193,7 @@ def family_level_in_z(alpha: float, lo: float = 0.0, hi: float = 1.0) -> Monoton
     """Level sets swept in the time budget z at a fixed threshold; increasing."""
     alpha = float(alpha)
     return MonotoneFamily(
-        lambda z: level_set(alpha, z), lo, hi, "increasing",
+        lambda z: level_set(alpha, z), lo, hi,
         critical=lambda values, grid: np.count_nonzero(values > alpha, axis=1) / grid.size,
     )
 
@@ -208,7 +202,7 @@ def family_level_in_alpha(z: float, lo: float, hi: float) -> MonotoneFamily:
     """Level sets swept in the threshold alpha at a fixed budget; increasing."""
     z = float(z)
     return MonotoneFamily(
-        lambda alpha: level_set(alpha, z), lo, hi, "increasing",
+        lambda alpha: level_set(alpha, z), lo, hi,
         critical=lambda values, grid: level_alpha_critical(values, grid, z),
     )
 
@@ -216,14 +210,9 @@ def family_level_in_alpha(z: float, lo: float, hi: float) -> MonotoneFamily:
 def family_max_below(lo: float, hi: float) -> MonotoneFamily:
     """{curves whose maximum stays at or below xi}; increasing in xi."""
     return MonotoneFamily(
-        lambda d: complement(extremal_set(d)), lo, hi, "increasing",
+        lambda d: complement(extremal_set(d)), lo, hi,
         critical=lambda values, grid: np.max(values, axis=1),
     )
-
-
-def family_custom(generator, lo: float, hi: float, direction: str) -> MonotoneFamily:
-    """Wrap a user generator; the caller asserts the monotonicity direction."""
-    return MonotoneFamily(generator, lo, hi, direction)
 
 
 def parse_event(text: str, load_curve=None) -> EventSet:

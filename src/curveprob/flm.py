@@ -19,6 +19,7 @@ from .spectral import (
     CovarianceOperator,
     SpectralPair,
     eigendecompose,
+    empirical_covariance,
     truncation_pve,
     truncation_threshold,
 )
@@ -113,6 +114,18 @@ class TruncationRule:
         raise UsageError(f"unknown truncation rule {text!r}")
 
 
+def _noise_scale(n: int, k: int, dof_correction: bool) -> float:
+    """Factor on the residuals' sum of squares: 1/(n - k) with the
+    degrees-of-freedom correction for k retained components, else 1/n."""
+    if not dof_correction:
+        return 1.0 / n
+    if n - k <= 0:
+        raise DegenerateInputError(
+            f"degrees-of-freedom correction impossible: n={n}, components={k}"
+        )
+    return 1.0 / (n - k)
+
+
 def _check_lengths(n_y: int, n_x: int) -> None:
     if n_y != n_x:
         raise UsageError(f"sample length mismatch: {n_y} vs {n_x}")
@@ -159,19 +172,6 @@ class RegressionSample:
 
 
 @dataclass(frozen=True)
-class LagDesign:
-    """Bookkeeping for an autoregressive design built from a series."""
-
-    order: int
-    n_exog_curves: int
-    response_indices: tuple  # position in the raw series of each response
-
-    @property
-    def n_effective(self) -> int:
-        return len(self.response_indices)
-
-
-@dataclass(frozen=True)
 class FittedFLM:
     """Everything the conditional-distribution estimators need.
 
@@ -203,20 +203,8 @@ class FittedFLM:
         """Pointwise standard deviation of the centered residuals, with the
         same 1/n (or 1/(n - k)) scaling as the noise covariance."""
         centered = self.residual_matrix - self.residual_matrix.mean(axis=0)
-        scale = self._noise_scale()
+        scale = _noise_scale(self.n_observations, self.n_components, self.dof_correction)
         return np.sqrt(np.sum(centered**2, axis=0) * scale)
-
-    def _noise_scale(self) -> float:
-        n = self.n_observations
-        if self.dof_correction:
-            denom = n - self.n_components
-            if denom <= 0:
-                raise DegenerateInputError(
-                    f"degrees-of-freedom correction impossible: n={n}, "
-                    f"components={self.n_components}"
-                )
-            return 1.0 / denom
-        return 1.0 / n
 
     def check_structure(self, x: Covariate) -> None:
         got = x.structure()
@@ -252,8 +240,7 @@ def fit(
     xc = x - x_mean
     yc = y - y_mean
 
-    cov_x = CovarianceOperator(xc.T @ xc / n)
-    spectrum = eigendecompose(cov_x)
+    spectrum = eigendecompose(empirical_covariance(xc, center=False))
     # "zero spectrum" up to round-off: compare against the raw coordinate scale,
     # so a centered constant sample (eigenvalue dust ~ eps^2) is caught
     raw_scale = float(np.mean(x**2))
@@ -271,11 +258,7 @@ def fit(
     for i in range(n):
         residuals[i] = y[i] - _apply(coef_w, x_mean, y_mean, sw, x[i])
 
-    if dof_correction and n - k <= 0:
-        raise DegenerateInputError(
-            f"degrees-of-freedom correction impossible: n={n}, components={k}"
-        )
-    scale = 1.0 / (n - k) if dof_correction else 1.0 / n
+    scale = _noise_scale(n, k, dof_correction)
     centered_res = residuals - residuals.mean(axis=0)
     gamma = CovarianceOperator((centered_res * sw).T @ (centered_res * sw) * scale)
 
@@ -317,8 +300,9 @@ def build_far_design(
     series: list,
     order: int,
     exog: list | None = None,
-) -> tuple[RegressionSample, LagDesign]:
-    """Turn a curve series into lagged (response, covariate) pairs.
+) -> tuple[RegressionSample, tuple]:
+    """Turn a curve series into lagged (response, covariate) pairs, and
+    give each response's position in the series.
 
     The covariate for the response at position k stacks the curves at
     k-1, ..., k-order followed by the position-k curve of each exogenous
@@ -349,9 +333,7 @@ def build_far_design(
         grid=grid,
         structure=(order + len(exog), grid.resolution, 0),
     )
-    design = LagDesign(order=order, n_exog_curves=len(exog),
-                       response_indices=tuple(range(order, n)))
-    return sample, design
+    return sample, tuple(range(order, n))
 
 
 def to_json(model: FittedFLM) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from ..baselines import fglm_fit, fglm_prob, nw_fit, nw_prob
@@ -89,15 +90,21 @@ def _write_json(payload: dict, out: str | None) -> None:
 
 def _cmd_simulate(args) -> None:
     grid = Grid(args.grid_d)
+    if args.dgp != "far_paparoditis" and args.b != 0.0:
+        raise UsageError(f"--b (second-lag weight) applies to far_paparoditis only, not {args.dgp}")
     if args.dgp == "brownian":
+        if args.burn_in is not None:
+            raise UsageError("--burn-in does not apply to independent brownian paths")
         curves = [simulate_brownian(grid, seed=args.seed + i) for i in range(args.n)]
     else:
         if args.dgp == "far_paparoditis":
-            spec = paparoditis_dgp(grid, b=args.b, burn_in=args.burn_in, seed=args.seed)
+            spec = paparoditis_dgp(grid, b=args.b, seed=args.seed)
         elif args.dgp == "far_synthetic":
             spec = synthetic_dgp(grid, seed=args.seed)
         else:
             raise UsageError(f"unknown DGP {args.dgp!r}")
+        if args.burn_in is not None:
+            spec = replace(spec, burn_in=args.burn_in)
         curves = simulate_far(spec, args.n)
     io.save_curves(curves, args.out or "series.csv")
 
@@ -243,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["far_paparoditis", "far_synthetic", "brownian"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--burn-in", type=int, default=50, dest="burn_in")
+    p.add_argument("--burn-in", type=int, default=None, dest="burn_in",
+                   help="curves dropped before the series (default: the process's own)")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("fit", help="fit the lagged regression to a series")

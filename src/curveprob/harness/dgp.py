@@ -26,7 +26,6 @@ import numpy as np
 from ..curves import Curve, Grid
 from ..errors import UsageError
 from ..rng import substream
-from ..spectral import CovarianceOperator, eigendecompose
 
 PAPARODITIS_SCALE = 0.34
 SYNTHETIC_BURN_IN = 30
@@ -189,36 +188,6 @@ def conditional_draws(
     """Independent draws of the next curve given the previous one."""
     mean = conditional_mean(spec, previous).values
     return mean + noise_matrix(spec, count, substream(seed))
-
-
-def simulate_gaussian_process(
-    grid: Grid,
-    seed: int,
-    eigenvalues: np.ndarray = None,
-    basis: np.ndarray = None,
-    kernel: np.ndarray = None,
-) -> Curve:
-    """One mean-zero Gaussian curve from a spectrum or a covariance kernel.
-
-    Give either (eigenvalues, basis) with L2-orthonormal basis rows, or a
-    dense covariance ``kernel`` on the grid, which is eigendecomposed first.
-    """
-    if kernel is not None:
-        if eigenvalues is not None or basis is not None:
-            raise UsageError("pass either a spectrum or a kernel, not both")
-        sw = grid.quad_weights_sqrt()
-        op = CovarianceOperator(np.asarray(kernel, dtype=float) * np.outer(sw, sw))
-        pair = eigendecompose(op)
-        keep = pair.eigenvalues > 1e-12 * max(pair.eigenvalues[0], 1e-300)
-        eigenvalues = pair.eigenvalues[keep]
-        basis = (pair.eigenvectors[:, keep] / sw[:, None]).T
-    if eigenvalues is None or basis is None:
-        raise UsageError("need eigenvalues and basis, or a covariance kernel")
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    if np.any(eigenvalues < 0):
-        raise UsageError("eigenvalues must be nonnegative")
-    z = substream(seed).standard_normal(len(eigenvalues))
-    return Curve(grid, (z * np.sqrt(eigenvalues)) @ np.asarray(basis, dtype=float))
 
 
 def stationary_predictors(spec: DGPSpec, count: int, seed: int) -> list:

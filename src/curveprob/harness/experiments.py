@@ -414,8 +414,8 @@ def run_entropy_eval(
         for series, remove_weekly in exog
     ]
 
-    sample, design = build_far_design(adj_response.adjusted, ar_order,
-                                      [dec.adjusted for dec in adj_exog])
+    sample, day_of_pair = build_far_design(adj_response.adjusted, ar_order,
+                                           [dec.adjusted for dec in adj_exog])
 
     n_pairs = len(sample)
     n_test = int(round(n_pairs * test_fraction))
@@ -429,7 +429,6 @@ def run_entropy_eval(
     centers = [predict_coords(model, sample.x[i]) for i in test_ids]
 
     # real-scale curves and per-day seasonal components, keyed by pair index
-    day_of_pair = design.response_indices
     real_values = np.asarray([response[k].values for k in day_of_pair])
     seasonal = np.asarray([adj_response.seasonal_values(k) for k in day_of_pair])
 

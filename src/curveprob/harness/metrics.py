@@ -20,15 +20,6 @@ def cross_entropy(labels, probs) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def check_loss(residual, p: float):
-    """Asymmetric piecewise-linear quantile loss (p - 1{r <= 0}) * r."""
-    if not 0.0 < p < 1.0:
-        raise UsageError(f"quantile level must lie in (0, 1), got {p}")
-    r = np.asarray(residual, dtype=float)
-    out = (p - (r <= 0.0)) * r
-    return float(out) if out.ndim == 0 else out
-
-
 def rmse(estimates, truth) -> float:
     """Root mean squared error of a vector of estimates against one truth
     (or a matching vector of truths)."""

@@ -9,11 +9,9 @@ that are orthonormal in the right inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
 
 import numpy as np
 
-from .curves import Covariate, Curve
 from .errors import DegenerateInputError, StructureError, UsageError
 
 SYMMETRY_RTOL = 1e-12
@@ -36,10 +34,6 @@ class CovarianceOperator:
         if m.size and float(np.min(np.diag(m))) < -1e-12 * max(scale, 1.0):
             raise StructureError("covariance matrix has a negative diagonal entry")
         object.__setattr__(self, "matrix", 0.5 * (m + m.T))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -64,31 +58,15 @@ class SpectralPair:
         return self.eigenvalues[:k], self.eigenvectors[:, :k]
 
 
-def _coords_matrix(sample: Sequence[Union[Covariate, Curve]]) -> np.ndarray:
-    rows = []
-    for item in sample:
-        if isinstance(item, Curve):
-            rows.append(item.values * item.grid.quad_weights_sqrt())
-        elif isinstance(item, Covariate):
-            rows.append(item.coords())
-        else:
-            raise UsageError(f"sample items must be Curve or Covariate, got {type(item)}")
-    mat = np.asarray(rows, dtype=float)
-    if mat.ndim != 2:
-        raise StructureError("sample items do not share a common structure")
-    return mat
-
-
-def empirical_covariance(
-    sample: Sequence[Union[Covariate, Curve]], center: bool = True
-) -> CovarianceOperator:
-    """(1/n) sum of (x - mean) outer (x - mean), or the raw second moment."""
-    if len(sample) == 0:
+def empirical_covariance(coords: np.ndarray, center: bool = True) -> CovarianceOperator:
+    """(1/n) sum of (x - mean) outer (x - mean) over the rows x of an (n, p)
+    weighted-coordinate matrix, or the raw second moment."""
+    x = np.asarray(coords, dtype=float)
+    if len(x) == 0:
         raise UsageError("empirical_covariance needs a nonempty sample")
-    x = _coords_matrix(sample)
     if center:
         x = x - x.mean(axis=0)
-    return CovarianceOperator(x.T @ x / len(sample))
+    return CovarianceOperator(x.T @ x / len(x))
 
 
 def eigendecompose(op: CovarianceOperator) -> SpectralPair:

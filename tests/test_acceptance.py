@@ -177,7 +177,7 @@ def test_criterion_6_sampler_fidelity():
     sampler = GaussSampler.from_spectrum(grid, model.noise_spectrum, rng_seed=40)
     m = 5000
     draws = sampler.draw_matrix(m)
-    emp = empirical_covariance([Curve(grid, row) for row in draws], center=False)
+    emp = empirical_covariance(draws * grid.quad_weights_sqrt(), center=False)
     target = reconstruct(model.noise_spectrum)
     top = model.noise_spectrum.eigenvalues[0]
     cov_err = float(np.max(np.abs(emp.matrix - target)))

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import curveprob
-from curveprob.curves import Curve, Grid
+from curveprob.curves import Covariate, Curve, Grid
+from curveprob.flm import RegressionSample, TruncationRule, fit, to_json
 from curveprob.harness.cli import main
+from curveprob.harness.dgp import simulate_far, synthetic_dgp
 from curveprob.harness.io import load_curves, save_curves
 
 
@@ -86,6 +88,19 @@ class TestWorkflow:
                    "--event", "extremal:d=0.0", "--components", 2, "--out", out) == 0
         assert 0.0 < json.loads(out.read_text())["value"] < 1.0
 
+    def test_covariate_with_a_scalar_part(self, tmp_path, series_csv, x_csv):
+        series = load_curves(series_csv)
+        scalars = np.random.default_rng(4).normal(size=len(series) - 1)
+        sample = RegressionSample.from_pairs(
+            series[1:], [Covariate((c,), (s,)) for c, s in zip(series[:-1], scalars)])
+        model = tmp_path / "scalar_model.json"
+        model.write_text(to_json(fit(sample, TruncationRule.pve(0.85))))
+        given = ("--model", model, "--x", x_csv, "--x-scalars", 0.5)
+        assert run("estimate", *given, "--event", "extremal:d=0") == 0
+        assert run("quantile", *given, "--family", "max-below:lo=-5,hi=5", "--p", 0.5) == 0
+        assert run("band", *given, "--out", tmp_path / "band.csv") == 0
+        assert run("estimate", "--model", model, "--x", x_csv, "--event", "extremal:d=0") == 2
+
     def test_deseasonalize_runs(self, tmp_path):
         g = Grid(8)
         n = 42
@@ -158,6 +173,20 @@ class TestDeterminism:
             assert run("simulate", "--dgp", "far_synthetic", "--n", 12,
                        "--grid-d", 16, "--seed", 123, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_far_synthetic_burn_in(self, tmp_path):
+        grid_d, n, seed = 16, 12, 5
+        outputs = {}
+        for burn_in in (None, 0, 200):
+            out = tmp_path / f"burn_in_{burn_in}.csv"
+            option = () if burn_in is None else ("--burn-in", burn_in)
+            assert run("simulate", "--dgp", "far_synthetic", "--n", n, "--grid-d", grid_d,
+                       "--seed", seed, "--out", out, *option) == 0
+            outputs[burn_in] = out.read_bytes()
+        reference = tmp_path / "reference.csv"
+        save_curves(simulate_far(synthetic_dgp(Grid(grid_d), seed=seed), n), reference)
+        assert outputs[None] == reference.read_bytes()
+        assert outputs[0] != outputs[None] and outputs[200] != outputs[None]
 
 
 class TestExitCodes:
@@ -242,6 +271,12 @@ EXIT_CASES = [
      ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
       "--zs", "a", "--out", "{missing}"],
      2, "--zs:"),
+    ("second-lag weight for a first-order process",
+     ["simulate", "--dgp", "far_synthetic", "--n", "5", "--b", "0.4", "--out", "{missing}"],
+     2, "--b"),
+    ("burn-in for independent paths",
+     ["simulate", "--dgp", "brownian", "--n", "3", "--burn-in", "10", "--out", "{missing}"],
+     2, "--burn-in"),
     ("level threshold that is not a number",
      ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
       "--alphas", "x", "--out", "{missing}"],

@@ -15,7 +15,6 @@ from curveprob.conddist import (
 from curveprob.curves import Covariate, Curve, Grid
 from curveprob.errors import RangeExhaustedError, UsageError
 from curveprob.events import (
-    MonotoneFamily,
     boundary_set,
     complement,
     contains,
@@ -266,16 +265,6 @@ class TestQuantileOverFamily:
                     got = quantile_over_family(model, x, family, p, method="gauss", mc_size=30)
                 assert got == quantile_over_family(model, x, family, p, method="boot")
         assert peak <= quantile_over_family(model, x, self.family, 0.5, method="boot") <= peak + self.tol
-
-    def test_decreasing_family_reflected(self):
-        # {max >= xi} shrinks as xi grows; the largest xi still reaching p
-        def gen(xi):
-            return complement(complement(extremal_set(xi - 1e-12)))  # max > xi - eps
-
-        family = MonotoneFamily(gen, -2.0, 2.0, "decreasing")
-        got = quantile_over_family(self.model, zero_covariate(GRID), family, 0.5)
-        # two of three curves have max >= 0, one has max >= 1
-        assert abs(got - 0.0) <= self.tol
 
 
 class TestCriticalValueQuantile:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -139,11 +137,6 @@ class TestMonotoneFamilies:
         for xi in params:
             np.testing.assert_array_equal(
                 crit <= xi, contains_batch(family.at(xi), values, GRID))
-
-    def test_critical_values_need_an_increasing_family(self):
-        base = family_max_below(lo=-2.0, hi=2.0)
-        with pytest.raises(UsageError):
-            dataclasses.replace(base, direction="decreasing")
 
     def test_z_sweep_inclusion_example(self):
         small = level_set(50.0, 0.2)

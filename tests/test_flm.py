@@ -230,19 +230,19 @@ class TestFarDesign:
     def test_order_one_pairs(self):
         g = Grid(4)
         c1, c2, c3 = (Curve.constant(g, float(k)) for k in (1, 2, 3))
-        sample, design = build_far_design([c1, c2, c3], order=1)
+        sample, positions = build_far_design([c1, c2, c3], order=1)
         sw = g.quad_weights_sqrt()
         assert len(sample) == 2
         np.testing.assert_array_equal(sample.y, [c2.values, c3.values])
         np.testing.assert_array_equal(sample.x, [c1.values * sw, c2.values * sw])
-        assert design.response_indices == (1, 2)
+        assert positions == (1, 2)
 
     def test_order_two_single_pair(self):
         g = Grid(4)
         c1, c2, c3 = (Curve.constant(g, float(k)) for k in (1, 2, 3))
         with pytest.raises(UsageError):
-            # 2 = n_effective < 2 pairs needed by the regression; the design
-            # itself is fine but only one pair exists
+            # the design itself is fine, but it holds one pair and the
+            # regression needs two
             sample, _ = build_far_design([c1, c2, c3], order=2)
             fit(sample, TruncationRule.fixed(1))
 
@@ -260,11 +260,10 @@ class TestFarDesign:
         g = Grid(4)
         series = [Curve.constant(g, float(k)) for k in range(5)]
         exog = [Curve.constant(g, 10.0 + k) for k in range(5)]
-        sample, design = build_far_design(series, order=1, exog=[exog])
+        sample, positions = build_far_design(series, order=1, exog=[exog])
         sw = g.quad_weights_sqrt()
-        assert design.n_exog_curves == 1
         assert sample.structure == (2, g.resolution, 0)
-        for pair_idx, k in enumerate(design.response_indices):
+        for pair_idx, k in enumerate(positions):
             lag, same = sample.x[pair_idx].reshape(2, g.size)
             np.testing.assert_array_equal(lag, series[k - 1].values * sw)
             np.testing.assert_array_equal(same, exog[k].values * sw)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curveprob.conddist import boot_prob, gauss_prob, noise_sampler
+from curveprob.conddist import GaussSampler, boot_prob, gauss_prob, noise_sampler
 from curveprob.curves import Covariate, Curve, Grid
 from curveprob.errors import ParseError, UsageError
 from curveprob.harness.dgp import (
@@ -17,7 +17,6 @@ from curveprob.harness.dgp import (
     paparoditis_dgp,
     simulate_brownian,
     simulate_far,
-    simulate_gaussian_process,
     synthetic_dgp,
     stationary_predictors,
     synthetic_noise_basis,
@@ -36,9 +35,10 @@ from curveprob.harness.experiments import (
     run_rmse_experiment,
 )
 from curveprob.harness.io import load_curves, load_index, save_curves
-from curveprob.harness.metrics import binomial_se, check_loss, cross_entropy, rmse
+from curveprob.harness.metrics import binomial_se, cross_entropy, rmse
 from curveprob.harness.seasonal import deseasonalize
 from curveprob.rng import substream
+from curveprob.spectral import SpectralPair
 
 
 class TestBrownian:
@@ -206,7 +206,7 @@ class TestDriversShareTheEstimator:
 
         # reference: each day's ensemble tested against level_set(alpha, z) per z
         adjusted = deseasonalize(response, doy, dow, weekly=True)
-        sample, design = build_far_design(
+        sample, positions = build_far_design(
             adjusted.adjusted, order, [deseasonalize(wind, doy, dow, weekly=False).adjusted])
         n_test = int(round(len(sample) * (1.0 / 3)))
         test_ids = np.sort(substream(seed, _SPLIT).choice(len(sample), size=n_test, replace=False))
@@ -215,7 +215,7 @@ class TestDriversShareTheEstimator:
                     TruncationRule.pve(0.98), center=True)
         noise = {"gauss": noise_sampler(model, _int_seed(seed, _MC)).draw_matrix(mc),
                  "boot": model.residual_matrix}
-        days = [design.response_indices[i] for i in test_ids]
+        days = [positions[i] for i in test_ids]
         cells = iter(seen)
         for alpha in alphas:
             for z in zs:
@@ -232,31 +232,18 @@ class TestDriversShareTheEstimator:
         assert next(cells, None) is None
 
 
-class TestSimulateGaussianProcess:
+class TestSyntheticNoiseBasis:
     def test_from_spectrum_matches_sampler_contract(self):
+        # the basis rows are L2-orthonormal, so in weighted coordinates they
+        # are the eigenvectors a Karhunen-Loeve sampler of that kernel uses
         grid = Grid(25)
         lam, basis = synthetic_noise_basis(grid)
-        draws = np.asarray([
-            simulate_gaussian_process(grid, seed=s, eigenvalues=lam, basis=basis).values
-            for s in range(3000)
-        ])
+        spectrum = SpectralPair(lam, (basis * grid.quad_weights_sqrt()).T)
+        draws = GaussSampler.from_spectrum(grid, spectrum, 0).draw_matrix(3000)
         target = (basis.T * lam) @ basis
         emp = draws.T @ draws / len(draws)
         peak_var = float(np.max(np.diag(target)))
         assert np.max(np.abs(emp - target)) <= 5 * peak_var / np.sqrt(len(draws))
-
-    def test_from_kernel(self):
-        grid = Grid(15)
-        t = grid.points
-        kernel = np.minimum.outer(t, t)  # Brownian covariance
-        c = simulate_gaussian_process(grid, seed=3, kernel=kernel)
-        assert c.values.shape == (grid.size,)
-
-    def test_non_psd_kernel_rejected(self):
-        grid = Grid(10)
-        bad = -np.eye(grid.size)
-        with pytest.raises(Exception):
-            simulate_gaussian_process(grid, seed=0, kernel=bad)
 
 
 class TestMetrics:
@@ -268,17 +255,6 @@ class TestMetrics:
     def test_cross_entropy_length_mismatch(self):
         with pytest.raises(UsageError):
             cross_entropy([1.0, 0.0], [0.5])
-
-    def test_check_loss_examples(self):
-        assert check_loss(2.0, 0.5) == pytest.approx(1.0)
-        assert check_loss(-2.0, 0.5) == pytest.approx(1.0)
-        assert check_loss(1.0, 0.95) == pytest.approx(0.95)
-        assert check_loss(-1.0, 0.95) == pytest.approx(0.05)
-
-    def test_check_loss_nonnegative(self):
-        rng = np.random.default_rng(2)
-        values = check_loss(rng.normal(size=100), 0.3)
-        assert np.all(values >= 0.0)
 
     def test_rmse_and_se(self):
         assert rmse([1.0, 3.0], 2.0) == pytest.approx(1.0)

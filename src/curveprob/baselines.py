@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, UsageError
-from .spectral import CovarianceOperator, eigendecompose
+from .flm import FittedFLM
 
 BANDWIDTH_GRID_SIZE = 20
 BANDWIDTH_SPAN = (0.05, 5.0)      # times the median pairwise distance
@@ -43,16 +43,17 @@ class NWEstimator:
             raise UsageError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
-def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
+def pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances between the rows of a coordinate matrix."""
     sq = np.sum(coords**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * coords @ coords.T
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def default_bandwidth_grid(coords: np.ndarray) -> np.ndarray:
-    """Log-spaced grid spanning BANDWIDTH_SPAN times the median pairwise distance."""
-    dist = _pairwise_distances(coords)
-    med = float(np.median(dist[np.triu_indices(len(coords), k=1)]))
+def default_bandwidth_grid(dist: np.ndarray) -> np.ndarray:
+    """Log-spaced grid spanning BANDWIDTH_SPAN times the median off-diagonal
+    entry of a pairwise distance matrix."""
+    med = float(np.median(dist[np.triu_indices(len(dist), k=1)]))
     if med <= 0:
         raise DegenerateInputError("all pairwise covariate distances are zero")
     return med * np.logspace(
@@ -71,11 +72,11 @@ def nw_select_bandwidth(coords, labels, grid: np.ndarray = None) -> float:
     n = len(coords)
     if n < 3:
         raise UsageError("bandwidth selection needs at least 3 training points")
+    dist = pairwise_distances(coords)
     if grid is None:
-        grid = default_bandwidth_grid(coords)
+        grid = default_bandwidth_grid(dist)
     if labels.min() == labels.max():
         return float(np.min(grid))
-    dist = _pairwise_distances(coords)
     leave_one_out_means = (labels.sum() - labels) / (n - 1)
 
     best_h, best_err = None, np.inf
@@ -148,29 +149,23 @@ def _log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
     return float(np.sum(y * np.log(mu) + (1 - y) * np.log(1 - mu)))
 
 
-def fglm_fit(coords, labels, n_components: int, link: str = "logit") -> FGLMModel:
+def fglm_fit(coords, labels, regression: FittedFLM, link: str = "logit") -> FGLMModel:
     """Maximum likelihood by iteratively reweighted least squares.
 
-    Scores are projections of the centered covariates on the leading
-    principal directions of their own sample. Detected separation (the
-    coefficient norm running past COEF_NORM_CAP) is flagged and the
-    coefficients are clipped to that norm.
+    ``regression`` is the :class:`~curveprob.flm.FittedFLM` fitted on these
+    same ``coords``; the scores are the centered covariates projected on its
+    retained principal directions, ``(coords - x_mean_coords) @
+    covariate_spectrum.eigenvectors``. Detected separation (the coefficient
+    norm running past COEF_NORM_CAP) is flagged and the coefficients are
+    clipped to that norm.
     """
     y = np.asarray(labels, dtype=float)
     if y.min() == y.max():
         raise DegenerateInputError("binomial regression needs both label classes present")
-    if n_components < 1:
-        raise UsageError(f"n_components must be >= 1, got {n_components}")
 
-    coords = np.asarray(coords, dtype=float)
-    x_mean = coords.mean(axis=0)
-    centered = coords - x_mean
-    spectrum = eigendecompose(CovarianceOperator(centered.T @ centered / len(coords)))
-    k = min(n_components, spectrum.rank)
-    if k == 0:
-        raise DegenerateInputError("covariate sample has a zero covariance spectrum")
-    basis = spectrum.eigenvectors[:, :k]
-    scores = centered @ basis
+    x_mean = regression.x_mean_coords
+    basis = regression.covariate_spectrum.eigenvectors
+    scores = (np.asarray(coords, dtype=float) - x_mean) @ basis
 
     design = np.column_stack([np.ones(len(y)), scores])
     beta = np.zeros(design.shape[1])

@@ -15,7 +15,6 @@ Built-in kinds:
 * ``point_band``  value at the grid point nearest ``s`` inside a band around ``center``
 * ``uniform_band``all values inside the band around ``center``
 * ``complement``  negation of an inner event
-* ``custom``      arbitrary user predicate
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from .errors import UsageError
 
 KINDS = (
     "level", "contrast", "extremal", "excursion", "boundary",
-    "point_band", "uniform_band", "complement", "custom",
+    "point_band", "uniform_band", "complement",
 )
 
 
@@ -50,7 +49,6 @@ class EventSet:
     upper: Curve = None      # band ceiling offset
     s: float = None          # point_band location
     inner: "EventSet" = None
-    predicate: Optional[Callable[[Curve], bool]] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -89,10 +87,6 @@ def complement(inner: EventSet) -> EventSet:
     if inner.kind == "complement":
         return inner.inner
     return EventSet("complement", inner=inner)
-
-
-def custom_event(predicate: Callable[[Curve], bool]) -> EventSet:
-    return EventSet("custom", predicate=predicate)
 
 
 def _longest_run_lengths(mask: np.ndarray) -> np.ndarray:
@@ -141,8 +135,6 @@ def contains_batch(event: EventSet, values: np.ndarray, grid) -> np.ndarray:
         return np.all((values >= floor) & (values <= ceil), axis=1)
     if k == "complement":
         return ~contains_batch(event.inner, values, grid)
-    if k == "custom":
-        return np.asarray([bool(event.predicate(Curve(grid, row))) for row in values])
     raise UsageError(f"unknown event kind {k!r}")
 
 

@@ -189,8 +189,9 @@ def _cmd_entropy(args) -> None:
     exog = []
     for spec_text in args.exog or []:
         path, _, flag = spec_text.partition(":")
-        weekly = flag != "no-weekly"
-        exog.append((io.load_curves(path), weekly))
+        if flag not in ("", "no-weekly"):
+            raise UsageError(f"--exog {spec_text!r}: the only flag is 'no-weekly'")
+        exog.append((io.load_curves(path), flag != "no-weekly"))
     report = run_entropy_eval(
         response, exog, day_of_year=doy, day_of_week=dow,
         ar_order=args.ar_order, pve=args.pve,
@@ -225,7 +226,8 @@ def _cmd_baseline(args) -> None:
         value = nw_prob(est, x.coords())
         payload = {"value": value, "estimator": "nw", "bandwidth": est.bandwidth}
     else:
-        model = fglm_fit(sample.x, labels, args.components, link=args.link)
+        regression = fit(sample, TruncationRule.fixed(args.components))
+        model = fglm_fit(sample.x, labels, regression, link=args.link)
         value = fglm_prob(model, x.coords())
         payload = {"value": value, "estimator": "glm", "link": args.link,
                    "converged": model.converged, "separation": model.separation}

@@ -121,6 +121,12 @@ def _parse_methods(methods) -> tuple:
     return methods
 
 
+def _check_counts(**counts) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise UsageError(f"{name} must be >= 1, got {value}")
+
+
 def _ensemble_methods(methods) -> tuple:
     """The requested ensemble methods, always in the order boot, gauss."""
     return tuple(m for m in ENSEMBLE_METHODS if m in methods)
@@ -148,8 +154,7 @@ def run_coverage_experiment(
     held-out true next curve lies inside. Both estimation methods see the
     same simulated series within a replicate.
     """
-    if reps < 1:
-        raise UsageError(f"reps must be >= 1, got {reps}")
+    _check_counts(reps=reps)
     methods = ("boot", "gauss") if method == "both" else _parse_methods(method)
     started = time.perf_counter()
     grid = Grid(grid_d)
@@ -228,6 +233,7 @@ def run_rmse_experiment(
     requested method. The event is fixed across methods.
     """
     methods = _parse_methods(methods)
+    _check_counts(n=n, reps=reps, n_predictors=n_predictors, oracle_size=oracle_size)
     event = event if event is not None else level_set(np.sqrt(50.0), 0.5)
     truncation = truncation or TruncationRule.threshold()
     started = time.perf_counter()
@@ -257,7 +263,7 @@ def run_rmse_experiment(
         if "glm" in methods or "nw" in methods:
             labels = contains_batch(event, sample.y, grid).astype(float)
             if "glm" in methods:
-                glm = fglm_fit(sample.x, labels, model.n_components, link="logit")
+                glm = fglm_fit(sample.x, labels, model, link="logit")
                 estimates["glm"][rep] = [fglm_prob(glm, q) for q in queries]
             if "nw" in methods:
                 est = nw_fit(sample.x, labels)
@@ -319,6 +325,7 @@ def run_var_experiment(
     """RMSE of extreme-quantile estimates (level-family parameter at
     p = 1 - 1/n unless given) for the bootstrap and Gaussian methods."""
     truncation = truncation or TruncationRule.threshold()
+    _check_counts(n=n, reps=reps, n_predictors=n_predictors, oracle_size=oracle_size)
     p = p if p is not None else 1.0 - 1.0 / n
     started = time.perf_counter()
     grid = Grid(grid_d)
@@ -470,8 +477,7 @@ def run_entropy_eval(
                     if train_labels.min() == train_labels.max():
                         glm_model = None  # single-class event on this split
                     else:
-                        glm_model = fglm_fit(train_x, train_labels,
-                                             model.n_components, link="logit")
+                        glm_model = fglm_fit(train_x, train_labels, model, link="logit")
                 if "nw" in methods:
                     nw_model = nw_fit(train_x, train_labels)
 

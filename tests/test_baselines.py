@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from curveprob import baselines
 from curveprob.baselines import (
     FGLMModel,
     default_bandwidth_grid,
@@ -10,9 +13,12 @@ from curveprob.baselines import (
     nw_fit,
     nw_prob,
     nw_select_bandwidth,
+    pairwise_distances,
 )
 from curveprob.curves import Grid
 from curveprob.errors import DegenerateInputError
+from curveprob.flm import RegressionSample, TruncationRule, fit
+from curveprob.spectral import SpectralPair
 
 GRID = Grid(12)
 
@@ -30,6 +36,16 @@ def scalar_sample(values):
 def curve_cov(grid, values):
     """Weighted coordinates of a one-curve covariate."""
     return np.asarray(values, dtype=float) * grid.quad_weights_sqrt()
+
+
+def regression_on(coords, k=1):
+    """The regression fitted on these covariate coordinates, keeping k
+    principal directions. The binomial baseline reads only its covariate
+    mean and directions, so the responses are zero curves."""
+    coords = np.asarray(coords, dtype=float)
+    sample = RegressionSample(y=np.zeros((len(coords), GRID.size)), x=coords, grid=GRID,
+                              structure=(0, None, coords.shape[1]))
+    return fit(sample, TruncationRule.fixed(k))
 
 
 class TestNWProb:
@@ -96,7 +112,7 @@ class TestBandwidthSelection:
         for case in range(100):
             coords = rng.normal(size=(8, 2)) * rng.uniform(0.1, 10.0)
             labels = np.full(8, float(case % 2))
-            grid = default_bandwidth_grid(coords)
+            grid = default_bandwidth_grid(pairwise_distances(coords))
             assert nw_select_bandwidth(coords, labels) == grid[0]
 
     def test_separated_clusters_pick_small_bandwidth(self):
@@ -173,7 +189,8 @@ class TestBandwidthSelection:
             labels = np.zeros(n)
             while labels.min() == labels.max():
                 labels = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(float)
-            grid = default_bandwidth_grid(coords) * (1e-3 if case % 4 == 0 else 1.0)
+            grid = default_bandwidth_grid(pairwise_distances(coords)) * (
+                1e-3 if case % 4 == 0 else 1.0)
             assert nw_select_bandwidth(coords, labels, grid) == reference(coords, labels, grid)
 
     def test_underflowed_point_is_predicted_by_the_other_labels(self):
@@ -187,14 +204,22 @@ class TestBandwidthSelection:
 
     def test_degenerate_distances(self):
         with pytest.raises(DegenerateInputError):
-            default_bandwidth_grid(scalar_sample([1.0] * 5))
+            default_bandwidth_grid(pairwise_distances(scalar_sample([1.0] * 5)))
 
     def test_default_grid_scales_with_distances(self):
         rng = np.random.default_rng(5)
         coords = rng.normal(size=(10, 3))
-        grid = default_bandwidth_grid(coords)
+        grid = default_bandwidth_grid(pairwise_distances(coords))
         assert len(grid) == 20
         assert grid[0] < grid[-1]
+
+    def test_default_grid_builds_one_distance_matrix(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(baselines, "pairwise_distances",
+                            lambda coords: calls.append(1) or pairwise_distances(coords))
+        rng = np.random.default_rng(6)
+        nw_select_bandwidth(rng.normal(size=(12, 3)), np.arange(12) % 2)
+        assert len(calls) == 1
 
 
 class TestFGLM:
@@ -215,7 +240,7 @@ class TestFGLM:
         rng = np.random.default_rng(3)
         xs, labels, _ = self.make_scored_data(n=400, slope=2.0, seed=3)
         permuted = labels[rng.permutation(len(labels))]
-        model = fglm_fit(xs, permuted, n_components=1, link="logit")
+        model = fglm_fit(xs, permuted, regression_on(xs), link="logit")
         p_bar = permuted.mean()
         null_intercept = np.log(p_bar / (1 - p_bar))
         # slope se ~ 1/sqrt(n * p(1-p) * var(score)); allow 4 sigma
@@ -227,16 +252,16 @@ class TestFGLM:
         xs = scalar_sample(range(10))
         labels = np.array([0.0] * 5 + [1.0] * 5)
         with pytest.warns(UserWarning):
-            model = fglm_fit(xs, labels, n_components=1)
+            model = fglm_fit(xs, labels, regression_on(xs))
         assert model.separation
         assert np.all(np.isfinite(model.coefficients))
         assert np.linalg.norm(model.coefficients) <= 1e3 + 1e-9
 
     def test_score_scaling_halves_coefficients(self):
         xs, labels, _ = self.make_scored_data(n=300, slope=1.5, seed=5)
-        model = fglm_fit(xs, labels, n_components=1)
+        model = fglm_fit(xs, labels, regression_on(xs))
         doubled = 2.0 * xs
-        model2 = fglm_fit(doubled, labels, n_components=1)
+        model2 = fglm_fit(doubled, labels, regression_on(doubled))
         assert model2.coefficients[0] == pytest.approx(model.coefficients[0] / 2, rel=1e-6)
         for x, x2 in zip(xs[:10], doubled[:10]):
             assert fglm_prob(model2, x2) == pytest.approx(fglm_prob(model, x), abs=1e-8)
@@ -244,16 +269,33 @@ class TestFGLM:
     def test_single_class_is_degenerate(self):
         xs = scalar_sample(range(6))
         with pytest.raises(DegenerateInputError):
-            fglm_fit(xs, np.ones(6), n_components=1)
+            fglm_fit(xs, np.ones(6), regression_on(xs))
 
     def test_probabilities_monotone_in_linear_predictor(self):
         xs, labels, _ = self.make_scored_data(n=250, slope=2.0, seed=6)
-        model = fglm_fit(xs, labels, n_components=1)
+        model = fglm_fit(xs, labels, regression_on(xs))
         g = Grid(12)
         source = np.sqrt(2) * np.sin(2 * np.pi * g.points)
         probs = [fglm_prob(model, curve_cov(g, s * source)) for s in np.linspace(-2, 2, 9)]
         diffs = np.diff(probs)
         assert np.all(diffs >= 0) or np.all(diffs <= 0)
+
+    def test_scores_are_the_regression_projection(self):
+        rng = np.random.default_rng(9)
+        xs = rng.normal(size=(60, 5)) * [3.0, 2.0, 1.0, 0.5, 0.2]
+        labels = (xs[:, 0] + rng.normal(size=60) > 0).astype(float)
+        regression = regression_on(xs, k=3)
+        model = fglm_fit(xs, labels, regression)
+        assert model.basis is regression.covariate_spectrum.eigenvectors
+        assert model.x_mean_coords is regression.x_mean_coords
+        # the same fit on the projection itself, read through an identity
+        # basis at mean zero, proves the scores are bitwise that projection
+        scores = (xs - regression.x_mean_coords) @ regression.covariate_spectrum.eigenvectors
+        identity = replace(regression, x_mean_coords=np.zeros(3),
+                           covariate_spectrum=SpectralPair(np.ones(3), np.eye(3)))
+        on_scores = fglm_fit(scores, labels, identity)
+        assert on_scores.intercept == model.intercept
+        np.testing.assert_array_equal(on_scores.coefficients, model.coefficients)
 
 
 class TestFGLMProb:

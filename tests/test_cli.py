@@ -236,6 +236,10 @@ def broken_inputs(tmp_path, model_json, x_csv):
             "missing": tmp_path / "missing.csv"}
 
 
+# a small rmse-exp run, so that a missing check fails fast
+RMSE_SMALL = ["--n", "30", "--grid-d", "16", "--predictors", "2", "--reps", "2",
+              "--oracle-size", "100", "--mc", "100", "--out", "{missing}"]
+
 # (case, argv with {file} placeholders, exit code, text stderr must hold)
 EXIT_CASES = [
     ("covariate on the wrong grid",
@@ -281,6 +285,29 @@ EXIT_CASES = [
      ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
       "--alphas", "x", "--out", "{missing}"],
      2, "--alphas:"),
+    ("exogenous flag other than no-weekly",
+     ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+      "--exog", "{series}:noweekly", "--out", "{missing}"],
+     2, "no-weekly"),
+    ("no predictors",
+     ["rmse-exp", *RMSE_SMALL, "--predictors", "0"],
+     2, "n_predictors must be >= 1"),
+    ("empty oracle",
+     ["rmse-exp", *RMSE_SMALL, "--oracle-size", "0"],
+     2, "oracle_size must be >= 1"),
+    ("empty oracle for the quantile target",
+     ["rmse-exp", *RMSE_SMALL, "--oracle-size", "0", "--target", "quantile"],
+     2, "oracle_size must be >= 1"),
+    ("empty series for the quantile target",
+     ["rmse-exp", *RMSE_SMALL, "--n", "0", "--target", "quantile"],
+     2, "n must be >= 1"),
+    ("no replicates",
+     ["rmse-exp", *RMSE_SMALL, "--reps", "0"],
+     2, "reps must be >= 1"),
+    ("binomial baseline without components",
+     ["baseline", "glm", "--train-series", "{series}", "--x", "{x}",
+      "--event", "extremal:d=0.0", "--components", "0"],
+     2, ">= 1"),
 ]
 
 

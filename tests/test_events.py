@@ -9,7 +9,6 @@ from curveprob.events import (
     contains,
     contains_batch,
     contrast_set,
-    custom_event,
     excursion_set,
     extremal_set,
     family_level_in_alpha,
@@ -67,11 +66,6 @@ class TestContains:
         assert not contains(uniform_band(center, narrow, narrow), y)
         # point membership only looks at the nearest grid point
         assert contains(point_band(center, narrow, narrow, s=0.5), y)
-
-    def test_custom_predicate(self):
-        ev = custom_event(lambda c: c.values[0] > 0)
-        assert contains(ev, Curve.constant(GRID, 1.0))
-        assert not contains(ev, Curve.constant(GRID, -1.0))
 
 
 class TestComplement:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from curveprob.baselines import fglm_fit, fglm_prob
 from curveprob.conddist import GaussSampler, boot_prob, gauss_prob, noise_sampler
 from curveprob.curves import Covariate, Curve, Grid
 from curveprob.errors import ParseError, UsageError
@@ -162,27 +163,32 @@ class TestConditionalOracle:
 
 
 class TestDriversShareTheEstimator:
-    """The drivers' ensemble probabilities are the public estimators'."""
+    """The drivers' ensemble and binomial-baseline probabilities are the
+    public estimators'."""
 
-    def test_rmse_estimates_equal_boot_and_gauss_prob(self, monkeypatch):
+    def test_rmse_estimates_equal_the_public_estimators(self, monkeypatch):
         seen = []
         monkeypatch.setattr(experiments, "rmse", lambda est, truth: seen.append(np.array(est)) or 0.0)
         seed, n, n_pred, reps, mc = 6, 40, 3, 2, 150
         event = level_set(5.5, 0.5)
-        run_rmse_experiment(n=n, n_predictors=n_pred, event=event, methods="gauss,boot",
+        run_rmse_experiment(n=n, n_predictors=n_pred, event=event, methods="gauss,boot,glm",
                             reps=reps, seed=seed, grid_d=16, oracle_size=50, mc_size=mc)
 
         spec = synthetic_dgp(Grid(16))
         predictors = stationary_predictors(spec, n_pred, _int_seed(seed, _PREDICTORS))
-        want = np.empty((2, n_pred, reps))  # methods in the order given: gauss, boot
+        want = np.empty((3, n_pred, reps))  # methods in the order given: gauss, boot, glm
         for rep in range(reps):
             series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
-            model = fit(build_far_design(series, order=1)[0], TruncationRule.threshold(), center=True)
+            sample = build_far_design(series, order=1)[0]
+            model = fit(sample, TruncationRule.threshold(), center=True)
+            glm = fglm_fit(sample.x, contains_batch(event, sample.y, spec.grid).astype(float),
+                           model)
             for j, y0 in enumerate(predictors):
                 x = Covariate((y0,))
                 want[0, j, rep] = gauss_prob(model, x, event, mc_size=mc,
                                              seed=_int_seed(seed, _MC, rep)).value
                 want[1, j, rep] = boot_prob(model, x, event).value
+                want[2, j, rep] = fglm_prob(glm, x.coords())
         assert np.mean((0.0 < want) & (want < 1.0)) >= 0.5  # not all indicators
         np.testing.assert_array_equal(np.reshape(seen, want.shape), want)
 
@@ -201,7 +207,7 @@ class TestDriversShareTheEstimator:
         seed, mc, order = 9, 200, 2
         alphas, zs = (45.0, 55.0), (0.0, 0.25, 1.0 / 3, 0.5, 1.0)
         run_entropy_eval(response, [(wind, False)], day_of_year=doy, day_of_week=dow,
-                         ar_order=order, alphas=alphas, zs=zs, methods="gauss,boot",
+                         ar_order=order, alphas=alphas, zs=zs, methods="gauss,boot,glm",
                          seed=seed, mc_size=mc)
 
         # reference: each day's ensemble tested against level_set(alpha, z) per z
@@ -216,11 +222,15 @@ class TestDriversShareTheEstimator:
         noise = {"gauss": noise_sampler(model, _int_seed(seed, _MC)).draw_matrix(mc),
                  "boot": model.residual_matrix}
         days = [positions[i] for i in test_ids]
+        train_days = [positions[i] for i in train_ids]
         cells = iter(seen)
+        fitted = 0
         for alpha in alphas:
             for z in zs:
                 event = level_set(alpha, z)
                 labels = contains_batch(event, [response[k].values for k in days], grid)
+                train_labels = contains_batch(
+                    event, [response[k].values for k in train_days], grid).astype(float)
                 for m in ("gauss", "boot"):
                     probs = [np.count_nonzero(contains_batch(
                         event, predict_coords(model, sample.x[i]) + noise[m]
@@ -229,7 +239,15 @@ class TestDriversShareTheEstimator:
                     got_labels, got_probs = next(cells)
                     np.testing.assert_array_equal(got_labels, labels)
                     np.testing.assert_array_equal(got_probs, probs)
+                if train_labels.min() == train_labels.max():  # one class: the label mean
+                    glm_probs = np.full(len(test_ids), train_labels.mean())
+                else:
+                    glm = fglm_fit(sample.x[train_ids], train_labels, model)
+                    glm_probs = [fglm_prob(glm, sample.x[i]) for i in test_ids]
+                    fitted += 1
+                np.testing.assert_array_equal(next(cells)[1], glm_probs)
         assert next(cells, None) is None
+        assert 0 < fitted < len(alphas) * len(zs)  # both glm paths ran
 
 
 class TestSyntheticNoiseBasis:

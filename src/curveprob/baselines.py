@@ -61,34 +61,36 @@ def default_bandwidth_grid(dist: np.ndarray) -> np.ndarray:
     )
 
 
-def nw_select_bandwidth(coords, labels, grid: np.ndarray = None) -> float:
-    """Bandwidth minimizing leave-one-out squared error of the indicator
-    regression; ties go to the smaller bandwidth. A point whose kernel
-    weights all underflow is predicted by the mean of the other labels.
-    Labels of one class fit exactly at every bandwidth, so they get the
-    smallest one (comparing their errors would compare round-off)."""
-    coords = np.asarray(coords, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    n = len(coords)
+def nw_select_bandwidth(dist: np.ndarray, label_sets, grid: np.ndarray = None) -> list:
+    """Per label set, the bandwidth minimizing leave-one-out squared error of
+    the indicator regression on an (n, n) distance matrix; ties go to the
+    smaller bandwidth. Each bandwidth's kernel is built once for all sets. A
+    point whose kernel weights all underflow is predicted by the mean of the
+    other labels. Labels of one class fit exactly at every bandwidth, so they
+    get the smallest one (comparing their errors would compare round-off)."""
+    dist = np.asarray(dist, dtype=float)
+    n = len(dist)
     if n < 3:
         raise UsageError("bandwidth selection needs at least 3 training points")
-    dist = pairwise_distances(coords)
     if grid is None:
         grid = default_bandwidth_grid(dist)
-    if labels.min() == labels.max():
-        return float(np.min(grid))
-    leave_one_out_means = (labels.sum() - labels) / (n - 1)
-
-    best_h, best_err = None, np.inf
+    label_sets = [np.asarray(labels, dtype=float) for labels in label_sets]
+    best_h = [float(np.min(grid))] * len(label_sets)
+    scored = [j for j, labels in enumerate(label_sets) if labels.min() < labels.max()]
+    if not scored:
+        return best_h
+    loo_means = {j: (label_sets[j].sum() - label_sets[j]) / (n - 1) for j in scored}
+    best_err = dict.fromkeys(scored, np.inf)
     for h in np.sort(np.asarray(grid, dtype=float)):
         k = np.exp(-0.5 * (dist / h) ** 2)
         np.fill_diagonal(k, 0.0)
         denom = k.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            preds = np.where(denom > 0, (k @ labels) / denom, leave_one_out_means)
-        err = float(np.mean((labels - preds) ** 2))
-        if err < best_err:
-            best_h, best_err = float(h), err
+        for j in scored:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                preds = np.where(denom > 0, (k @ label_sets[j]) / denom, loo_means[j])
+            err = float(np.mean((label_sets[j] - preds) ** 2))
+            if err < best_err[j]:
+                best_h[j], best_err[j] = float(h), err
     return best_h
 
 
@@ -98,15 +100,23 @@ def nw_fit(coords, labels, bandwidth: float = None, grid: np.ndarray = None) -> 
     if len(coords) == 0:
         raise UsageError("kernel regression needs at least one training point")
     if bandwidth is None:
-        bandwidth = nw_select_bandwidth(coords, labels, grid)
+        bandwidth = nw_select_bandwidth(pairwise_distances(coords), [labels], grid)[0]
     return NWEstimator(bandwidth=bandwidth, train_coords=coords, labels=labels)
 
 
+def query_distances(train_coords: np.ndarray, x_coords) -> np.ndarray:
+    """Euclidean distances from one query row to every training row."""
+    return np.sqrt(np.sum((train_coords - x_coords) ** 2, axis=1))
+
+
 def nw_prob(est: NWEstimator, x_coords) -> float:
-    """Kernel-weighted mean of training indicators at the query point,
+    """Kernel-weighted mean of training indicators at the query point."""
+    return nw_prob_from_distances(est, query_distances(est.train_coords, x_coords))
+
+
+def nw_prob_from_distances(est: NWEstimator, dist: np.ndarray) -> float:
+    """:func:`nw_prob` at a query given by its :func:`query_distances` row,
     clipped to [0, 1] against round-off."""
-    diffs = est.train_coords - x_coords
-    dist = np.sqrt(np.sum(diffs**2, axis=1))
     with np.errstate(over="ignore"):  # ratio overflow just underflows the weight
         weights = np.exp(-0.5 * (dist / est.bandwidth) ** 2)
     total = weights.sum()
@@ -229,8 +239,18 @@ def fglm_fit(coords, labels, regression: FittedFLM, link: str = "logit") -> FGLM
     )
 
 
+def fglm_score(model: FGLMModel, x_coords) -> np.ndarray:
+    """A query's scores on the model's principal directions."""
+    return (x_coords - model.x_mean_coords) @ model.basis
+
+
 def fglm_prob(model: FGLMModel, x_coords) -> float:
-    """Fitted probability at a new covariate, kept inside the open unit interval."""
-    score = (x_coords - model.x_mean_coords) @ model.basis
+    """Fitted probability at a new covariate."""
+    return fglm_prob_from_score(model, fglm_score(model, x_coords))
+
+
+def fglm_prob_from_score(model: FGLMModel, score: np.ndarray) -> float:
+    """:func:`fglm_prob` at a query given by its :func:`fglm_score`, kept
+    inside the open unit interval."""
     eta = model.intercept + float(score @ model.coefficients)
     return float(np.clip(_link_mean(model.link, np.asarray(eta)), 1e-12, 1 - 1e-12))

@@ -233,9 +233,12 @@ def parse_event(text: str, load_curve=None) -> EventSet:
         if key not in params:
             raise UsageError(f"event kind {kind!r} needs parameter {key!r}")
         try:
-            return float(params.pop(key))
+            value = float(params.pop(key))
         except ValueError as exc:
             raise UsageError(f"parameter {key!r} is not a number: {exc}") from exc
+        if np.isnan(value):
+            raise UsageError(f"parameter {key!r} is NaN, not a number")
+        return value
 
     def curve(key):
         if key not in params:

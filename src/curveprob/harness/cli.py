@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -40,9 +41,12 @@ from .seasonal import deseasonalize
 def _parse_floats(text: str, option: str) -> tuple:
     """Comma-separated numbers of a command-line option."""
     try:
-        return tuple(float(s) for s in text.split(","))
+        values = tuple(float(s) for s in text.split(","))
     except ValueError as exc:
         raise UsageError(f"{option}: {exc}") from None
+    if any(map(math.isnan, values)):
+        raise UsageError(f"{option}: NaN is not a number")
+    return values
 
 
 def _load_covariate(args) -> Covariate:

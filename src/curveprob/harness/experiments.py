@@ -16,7 +16,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..baselines import fglm_fit, fglm_prob, nw_fit, nw_prob
+from ..baselines import (
+    fglm_fit,
+    fglm_prob_from_score,
+    fglm_score,
+    nw_fit,
+    nw_prob,
+    nw_prob_from_distances,
+    nw_select_bandwidth,
+    pairwise_distances,
+    query_distances,
+)
 from ..conddist import (
     calibrate_uniform_band,
     ensemble_noise,
@@ -113,9 +123,11 @@ def _parse_methods(methods) -> tuple:
     if isinstance(methods, str):
         methods = tuple(m.strip() for m in methods.split(",") if m.strip())
     methods = tuple(methods)
-    for m in methods:
+    for k, m in enumerate(methods):
         if m not in METHODS:
             raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
+        if m in methods[:k]:
+            raise UsageError(f"method {m!r} is given twice")
     if not methods:
         raise UsageError("need at least one method")
     return methods
@@ -130,6 +142,19 @@ def _check_counts(**counts) -> None:
 def _ensemble_methods(methods) -> tuple:
     """The requested ensemble methods, always in the order boot, gauss."""
     return tuple(m for m in ENSEMBLE_METHODS if m in methods)
+
+
+def _glm_probs(coords, labels, regression, queries, scores: list) -> np.ndarray:
+    """Binomial-baseline probabilities at the query rows. No binomial
+    regression fits labels of one class; every query then gets the
+    training-label mean. ``scores`` caches the queries' scores: every fit on
+    one regression shares its principal directions, so the first fit fills it."""
+    if labels.min() == labels.max():
+        return np.full(len(queries), float(labels.mean()))
+    glm = fglm_fit(coords, labels, regression, link="logit")
+    if not scores:
+        scores.extend(fglm_score(glm, q) for q in queries)
+    return np.asarray([fglm_prob_from_score(glm, s) for s in scores])
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +288,7 @@ def run_rmse_experiment(
         if "glm" in methods or "nw" in methods:
             labels = contains_batch(event, sample.y, grid).astype(float)
             if "glm" in methods:
-                glm = fglm_fit(sample.x, labels, model, link="logit")
-                estimates["glm"][rep] = [fglm_prob(glm, q) for q in queries]
+                estimates["glm"][rep] = _glm_probs(sample.x, labels, model, queries, [])
             if "nw" in methods:
                 est = nw_fit(sample.x, labels)
                 estimates["nw"][rep] = [nw_prob(est, q) for q in queries]
@@ -411,6 +435,8 @@ def run_entropy_eval(
     methods = _parse_methods(methods)
     if day_of_year is None:
         raise UsageError("the cross-entropy pipeline needs a day-of-year index")
+    if not 0.0 < test_fraction < 1.0:
+        raise UsageError(f"test fraction must lie in (0, 1), got {test_fraction}")
     started = time.perf_counter()
     n_days = len(response)
     grid = response[0].grid
@@ -443,6 +469,14 @@ def run_entropy_eval(
     noise = {m: ensemble_noise(model, m, mc_size, _int_seed(seed, _MC))[0]
              for m in ensemble_methods}
 
+    # each test day's geometry depends only on the split: its distances to
+    # the training days and its scores on the regression's directions
+    test_x = [sample.x[i] for i in test_ids]
+    glm_scores = []
+    if "nw" in methods:
+        train_dist = pairwise_distances(train_x)
+        test_dist = [query_distances(train_x, x) for x in test_x]
+
     columns = ("alpha", "z", "method", "cross_entropy", "n_test")
     rows = []
     summary = {}
@@ -463,33 +497,19 @@ def run_entropy_eval(
         shares = {m: np.asarray([level_share(centers[pos] + noise[m] + seasonal[i], grid)
                                  for pos, i in enumerate(test_ids)])
                   for m in ensemble_methods}
-        for z in zs:
+        train_labels = [(train_share <= z).astype(float) for z in zs]
+        if "nw" in methods:
+            bandwidths = nw_select_bandwidth(train_dist, train_labels)
+        for iz, z in enumerate(zs):
             labels = (test_share <= z).astype(float)
             probs = {m: np.count_nonzero(shares[m] <= z, axis=1) / len(noise[m])
                      for m in ensemble_methods}
-            probs.update({m: np.empty(len(test_ids)) for m in methods
-                          if m not in ensemble_methods})
-
-            if "glm" in methods or "nw" in methods:
-                train_labels = (train_share <= z).astype(float)
-                glm_model = nw_model = None
-                if "glm" in methods:
-                    if train_labels.min() == train_labels.max():
-                        glm_model = None  # single-class event on this split
-                    else:
-                        glm_model = fglm_fit(train_x, train_labels, model, link="logit")
-                if "nw" in methods:
-                    nw_model = nw_fit(train_x, train_labels)
-
-            for pos, i in enumerate(test_ids):
-                x = sample.x[i]
-                if "glm" in methods:
-                    probs["glm"][pos] = (
-                        fglm_prob(glm_model, x) if glm_model is not None
-                        else float(train_labels.mean())
-                    )
-                if "nw" in methods:
-                    probs["nw"][pos] = nw_prob(nw_model, x)
+            if "glm" in methods:
+                probs["glm"] = _glm_probs(train_x, train_labels[iz], model, test_x, glm_scores)
+            if "nw" in methods:
+                nw_model = nw_fit(train_x, train_labels[iz], bandwidth=bandwidths[iz])
+                probs["nw"] = np.asarray([nw_prob_from_distances(nw_model, dist)
+                                          for dist in test_dist])
 
             cell = {m: cross_entropy(labels, probs[m]) for m in methods}
             best = min(cell, key=cell.get)

@@ -10,10 +10,14 @@ from curveprob.baselines import (
     default_bandwidth_grid,
     fglm_fit,
     fglm_prob,
+    fglm_prob_from_score,
+    fglm_score,
     nw_fit,
     nw_prob,
+    nw_prob_from_distances,
     nw_select_bandwidth,
     pairwise_distances,
+    query_distances,
 )
 from curveprob.curves import Grid
 from curveprob.errors import DegenerateInputError
@@ -99,11 +103,33 @@ class TestNWProb:
             assert nw_prob(est, scalar_cov(1e6)) == pytest.approx(1.0)
 
 
+class TestKernels:
+    """The public estimators are their kernels fed one query's geometry."""
+
+    def test_nw_prob_reads_the_query_distances(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            coords = rng.normal(size=(15, 4))
+            est = nw_fit(coords, (rng.uniform(size=15) < 0.5).astype(float),
+                         bandwidth=rng.uniform(0.2, 3.0))
+            x = rng.normal(size=4)
+            assert nw_prob(est, x) == nw_prob_from_distances(est, query_distances(coords, x))
+
+    def test_fglm_prob_reads_the_score(self):
+        rng = np.random.default_rng(24)
+        xs = rng.normal(size=(80, 5)) * [3.0, 2.0, 1.0, 0.5, 0.2]
+        labels = (xs[:, 0] + rng.normal(size=80) > 0).astype(float)
+        model = fglm_fit(xs, labels, regression_on(xs, k=3))
+        for x in rng.normal(size=(30, 5)):
+            assert fglm_prob(model, x) == fglm_prob_from_score(model, fglm_score(model, x))
+
+
 class TestBandwidthSelection:
     def test_constant_labels_pick_smallest(self):
         xs = scalar_sample(range(6))
         grid = np.array([0.3, 1.0, 3.0])
-        assert nw_select_bandwidth(xs, np.ones(6), grid) == pytest.approx(0.3)
+        assert nw_select_bandwidth(pairwise_distances(xs), [np.ones(6)], grid) == [
+            pytest.approx(0.3)]
 
     def test_single_class_labels_pick_smallest_default_bandwidth(self):
         # every leave-one-out error of one-class labels is round-off, so the
@@ -112,8 +138,8 @@ class TestBandwidthSelection:
         for case in range(100):
             coords = rng.normal(size=(8, 2)) * rng.uniform(0.1, 10.0)
             labels = np.full(8, float(case % 2))
-            grid = default_bandwidth_grid(pairwise_distances(coords))
-            assert nw_select_bandwidth(coords, labels) == grid[0]
+            dist = pairwise_distances(coords)
+            assert nw_select_bandwidth(dist, [labels]) == [default_bandwidth_grid(dist)[0]]
 
     def test_separated_clusters_pick_small_bandwidth(self):
         # 10-point synthetic set: two clusters 10 apart with opposite labels;
@@ -132,7 +158,7 @@ class TestBandwidthSelection:
                 err += (labels[i] - w @ labels / w.sum()) ** 2
             return err / len(pts)
 
-        got = nw_select_bandwidth(xs, labels, grid)
+        got, = nw_select_bandwidth(pairwise_distances(xs), [labels], grid)
         assert got < 10.0
         # matches the oracle search up to float noise in the near-zero errors
         assert loo_error(got) <= min(loo_error(h) for h in grid) + 1e-12
@@ -154,7 +180,7 @@ class TestBandwidthSelection:
                                      else np.delete(labels, i).mean())) ** 2
             return err / len(pts)
 
-        got = nw_select_bandwidth(xs, labels, grid)
+        got, = nw_select_bandwidth(pairwise_distances(xs), [labels], grid)
         assert loo_error(got) <= min(loo_error(h) for h in grid) + 1e-12
 
     def test_matches_per_row_reference_loop(self):
@@ -191,7 +217,8 @@ class TestBandwidthSelection:
                 labels = (rng.uniform(size=n) < rng.uniform(0.1, 0.9)).astype(float)
             grid = default_bandwidth_grid(pairwise_distances(coords)) * (
                 1e-3 if case % 4 == 0 else 1.0)
-            assert nw_select_bandwidth(coords, labels, grid) == reference(coords, labels, grid)
+            assert nw_select_bandwidth(pairwise_distances(coords), [labels], grid) == [
+                reference(coords, labels, grid)]
 
     def test_underflowed_point_is_predicted_by_the_other_labels(self):
         # at h=0.05 every kernel weight of the point at 3 underflows, so its
@@ -200,7 +227,8 @@ class TestBandwidthSelection:
         # all four labels (1/2) would favour h=0.05
         xs = scalar_sample([0.0, 0.1, 0.2, 3.0])
         labels = np.array([0.0, 0.0, 1.0, 1.0])
-        assert nw_select_bandwidth(xs, labels, np.array([0.05, 0.5, 5.0])) == 0.5
+        assert nw_select_bandwidth(pairwise_distances(xs), [labels],
+                                   np.array([0.05, 0.5, 5.0])) == [0.5]
 
     def test_degenerate_distances(self):
         with pytest.raises(DegenerateInputError):
@@ -218,8 +246,23 @@ class TestBandwidthSelection:
         monkeypatch.setattr(baselines, "pairwise_distances",
                             lambda coords: calls.append(1) or pairwise_distances(coords))
         rng = np.random.default_rng(6)
-        nw_select_bandwidth(rng.normal(size=(12, 3)), np.arange(12) % 2)
+        nw_fit(rng.normal(size=(12, 3)), np.arange(12) % 2)
         assert len(calls) == 1
+
+    def test_several_label_sets_equal_the_per_set_searches(self):
+        # one kernel per bandwidth scores every set; a single-class set in the
+        # middle keeps the smallest bandwidth and leaves its neighbours alone
+        rng = np.random.default_rng(22)
+        for case in range(40):
+            n = int(rng.integers(3, 30))
+            dist = pairwise_distances(rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0))
+            a, c = (rng.uniform(size=(2, n)) < [[0.3], [0.6]]).astype(float)
+            a[:2], c[:2] = (0.0, 1.0), (1.0, 0.0)
+            sets = [a, np.full(n, float(case % 2)), c]
+            grid = None if case % 2 else default_bandwidth_grid(dist) * 1e-3
+            want = [nw_select_bandwidth(dist, [labels], grid)[0] for labels in sets]
+            assert nw_select_bandwidth(dist, sets, grid) == want
+            assert want[1] == np.min(default_bandwidth_grid(dist) if grid is None else grid)
 
 
 class TestFGLM:

@@ -135,28 +135,41 @@ class TestExperimentCommands:
         assert doc["kind"] == "rmse"
         assert "median_rmse_boot" in doc["summary"]
 
-    def test_entropy_eval_runs(self, tmp_path):
-        grid = Grid(8)
-        rng = np.random.default_rng(4)
-        n = 90
-        base = 50.0 + 8.0 * np.sin(2 * np.pi * np.arange(n) / 30)
-        series = [Curve(grid, b + 4.0 * rng.normal(size=grid.size)) for b in base]
-        wind = [Curve(grid, rng.normal(size=grid.size)) for _ in range(n)]
-        series_path = tmp_path / "price.csv"
-        wind_path = tmp_path / "wind.csv"
-        save_curves(series, series_path)
-        save_curves(wind, wind_path)
-        (tmp_path / "doy.csv").write_text("\n".join(str(k) for k in range(n)))
-        (tmp_path / "dow.csv").write_text("\n".join(str(k % 7) for k in range(n)))
+    def test_entropy_eval_runs(self, tmp_path, entropy_inputs):
         out = tmp_path / "entropy.csv"
-        assert run("entropy-eval", "--response", series_path,
-                   "--exog", f"{wind_path}:no-weekly",
-                   "--doy", tmp_path / "doy.csv", "--dow", tmp_path / "dow.csv",
-                   "--ar-order", 2, "--alphas", "45,55", "--zs", "0.25,0.5",
-                   "--methods", "boot,glm,nw", "--mc", 200, "--seed", 9,
+        assert run("entropy-eval", *entropy_inputs, "--methods", "boot,glm,nw",
                    "--out", out) == 0
         lines = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
         assert len(lines) == 1 + 2 * 2 * 3  # header + alphas x zs x methods
+
+    def test_rmse_exp_glm_with_a_single_class_replicate(self, tmp_path):
+        # no curve of any replicate exceeds 50, so no binomial regression fits;
+        # the baseline then predicts the training-label mean
+        assert run("rmse-exp", "--n", 30, "--grid-d", 16, "--predictors", 2, "--reps", 3,
+                   "--methods", "boot,glm", "--event", "extremal:d=50",
+                   "--out", tmp_path / "rmse.csv") == 0
+
+
+@pytest.fixture
+def entropy_inputs(tmp_path):
+    """Arguments of a small entropy-eval run: 90 days of a seasonal response
+    on 8 points with one exogenous series, two alphas and two z values."""
+    grid = Grid(8)
+    rng = np.random.default_rng(4)
+    n = 90
+    base = 50.0 + 8.0 * np.sin(2 * np.pi * np.arange(n) / 30)
+    series = [Curve(grid, b + 4.0 * rng.normal(size=grid.size)) for b in base]
+    wind = [Curve(grid, rng.normal(size=grid.size)) for _ in range(n)]
+    series_path = tmp_path / "price.csv"
+    wind_path = tmp_path / "wind.csv"
+    save_curves(series, series_path)
+    save_curves(wind, wind_path)
+    (tmp_path / "doy.csv").write_text("\n".join(str(k) for k in range(n)))
+    (tmp_path / "dow.csv").write_text("\n".join(str(k % 7) for k in range(n)))
+    return ["--response", series_path, "--exog", f"{wind_path}:no-weekly",
+            "--doy", tmp_path / "doy.csv", "--dow", tmp_path / "dow.csv",
+            "--ar-order", 2, "--alphas", "45,55", "--zs", "0.25,0.5",
+            "--mc", 200, "--seed", 9]
 
 
 class TestDeterminism:
@@ -165,6 +178,13 @@ class TestDeterminism:
         for out in (a, b):
             assert run("coverage-exp", "--n", 25, "--reps", 4, "--grid-d", 16,
                        "--mc", 100, "--seed", 77, "--out", out) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_entropy_eval_rerun_is_byte_identical(self, tmp_path, entropy_inputs):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out in (a, b):
+            assert run("entropy-eval", *entropy_inputs, "--methods", "boot,gauss,glm,nw",
+                       "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_simulate_rerun_is_byte_identical(self, tmp_path):
@@ -304,6 +324,24 @@ EXIT_CASES = [
     ("no replicates",
      ["rmse-exp", *RMSE_SMALL, "--reps", "0"],
      2, "reps must be >= 1"),
+    ("repeated ensemble method",
+     ["rmse-exp", *RMSE_SMALL, "--methods", "boot,boot"],
+     2, "method 'boot' is given twice"),
+    ("repeated baseline",
+     ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+      "--methods", "nw,nw", "--out", "{missing}"],
+     2, "method 'nw' is given twice"),
+    ("level threshold that is NaN",
+     ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+      "--alphas", "nan", "--out", "{missing}"],
+     2, "--alphas: NaN"),
+    ("test fraction that is NaN",
+     ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+      "--test-fraction", "nan", "--out", "{missing}"],
+     2, "test fraction must lie in (0, 1), got nan"),
+    ("event parameter that is NaN",
+     ["rmse-exp", *RMSE_SMALL, "--event", "level:alpha=nan,z=0.5"],
+     2, "parameter 'alpha' is NaN"),
     ("binomial baseline without components",
      ["baseline", "glm", "--train-series", "{series}", "--x", "{x}",
       "--event", "extremal:d=0.0", "--components", "0"],

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from curveprob.baselines import fglm_fit, fglm_prob
+from curveprob.baselines import fglm_fit, fglm_prob, nw_fit, nw_prob
 from curveprob.conddist import GaussSampler, boot_prob, gauss_prob, noise_sampler
 from curveprob.curves import Covariate, Curve, Grid
 from curveprob.errors import ParseError, UsageError
@@ -22,7 +22,7 @@ from curveprob.harness.dgp import (
     stationary_predictors,
     synthetic_noise_basis,
 )
-from curveprob.events import contains_batch, level_set
+from curveprob.events import contains_batch, extremal_set, level_set
 from curveprob.flm import TruncationRule, build_far_design, fit, predict_coords
 from curveprob.harness import experiments
 from curveprob.harness.experiments import (
@@ -192,6 +192,34 @@ class TestDriversShareTheEstimator:
         assert np.mean((0.0 < want) & (want < 1.0)) >= 0.5  # not all indicators
         np.testing.assert_array_equal(np.reshape(seen, want.shape), want)
 
+    def test_rmse_glm_on_a_single_class_replicate_is_the_label_mean(self, monkeypatch):
+        # every response curve of replicates 1 and 3 peaks above 6, so no
+        # binomial regression fits them; replicates 0 and 2 hold both classes
+        seen = []
+        monkeypatch.setattr(experiments, "rmse", lambda est, truth: seen.append(np.array(est)) or 0.0)
+        seed, n, n_pred, reps = 1, 30, 2, 4
+        event = extremal_set(6.0)
+        run_rmse_experiment(n=n, n_predictors=n_pred, event=event, methods="glm",
+                            reps=reps, seed=seed, grid_d=16, oracle_size=50)
+
+        spec = synthetic_dgp(Grid(16))
+        predictors = stationary_predictors(spec, n_pred, _int_seed(seed, _PREDICTORS))
+        want = np.empty((n_pred, reps))
+        single_class = []
+        for rep in range(reps):
+            sample = build_far_design(simulate_far(spec, n, rng=substream(seed, _SIM, rep)),
+                                      order=1)[0]
+            labels = contains_batch(event, sample.y, spec.grid).astype(float)
+            single_class.append(labels.min() == labels.max())
+            if single_class[-1]:
+                want[:, rep] = labels.mean()
+            else:
+                glm = fglm_fit(sample.x, labels, fit(sample, TruncationRule.threshold(),
+                                                     center=True))
+                want[:, rep] = [fglm_prob(glm, Covariate((y0,)).coords()) for y0 in predictors]
+        assert single_class == [False, True, False, True]
+        np.testing.assert_array_equal(np.reshape(seen, want.shape), want)
+
     def test_entropy_probabilities_equal_per_z_event_tests(self, monkeypatch):
         grid = Grid(8)
         rng = np.random.default_rng(4)
@@ -207,7 +235,7 @@ class TestDriversShareTheEstimator:
         seed, mc, order = 9, 200, 2
         alphas, zs = (45.0, 55.0), (0.0, 0.25, 1.0 / 3, 0.5, 1.0)
         run_entropy_eval(response, [(wind, False)], day_of_year=doy, day_of_week=dow,
-                         ar_order=order, alphas=alphas, zs=zs, methods="gauss,boot,glm",
+                         ar_order=order, alphas=alphas, zs=zs, methods="gauss,boot,glm,nw",
                          seed=seed, mc_size=mc)
 
         # reference: each day's ensemble tested against level_set(alpha, z) per z
@@ -246,6 +274,9 @@ class TestDriversShareTheEstimator:
                     glm_probs = [fglm_prob(glm, sample.x[i]) for i in test_ids]
                     fitted += 1
                 np.testing.assert_array_equal(next(cells)[1], glm_probs)
+                nw = nw_fit(sample.x[train_ids], train_labels)
+                np.testing.assert_array_equal(next(cells)[1],
+                                              [nw_prob(nw, sample.x[i]) for i in test_ids])
         assert next(cells, None) is None
         assert 0 < fitted < len(alphas) * len(zs)  # both glm paths ran
 

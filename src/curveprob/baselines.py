@@ -246,11 +246,13 @@ def fglm_score(model: FGLMModel, x_coords) -> np.ndarray:
 
 def fglm_prob(model: FGLMModel, x_coords) -> float:
     """Fitted probability at a new covariate."""
-    return fglm_prob_from_score(model, fglm_score(model, x_coords))
+    return float(fglm_probs_from_scores(model, [fglm_score(model, x_coords)])[0])
 
 
-def fglm_prob_from_score(model: FGLMModel, score: np.ndarray) -> float:
-    """:func:`fglm_prob` at a query given by its :func:`fglm_score`, kept
-    inside the open unit interval."""
-    eta = model.intercept + float(score @ model.coefficients)
-    return float(np.clip(_link_mean(model.link, np.asarray(eta)), 1e-12, 1 - 1e-12))
+def fglm_probs_from_scores(model: FGLMModel, scores) -> np.ndarray:
+    """:func:`fglm_prob` at each query given by its :func:`fglm_score`, kept
+    inside the open unit interval. Each query's linear predictor is a dot
+    product of its own (a matrix product over the stacked scores rounds
+    differently), so its probability does not depend on the other queries."""
+    eta = np.asarray([model.intercept + float(s @ model.coefficients) for s in scores])
+    return np.clip(_link_mean(model.link, eta), 1e-12, 1 - 1e-12)

@@ -68,10 +68,11 @@ class GaussSampler:
         """(count, D+1) matrix of noise curves as raw samples."""
         if count < 1:
             raise UsageError(f"count must be >= 1, got {count}")
+        rng = substream(self.rng_seed)  # validates the seed even when rank zero leaves it unused
         if self.rank == 0:
             return np.zeros((count, self.grid.size))
         lam, vecs = self.spectrum.leading(self.rank)
-        z = substream(self.rng_seed).standard_normal((count, self.rank))
+        z = rng.standard_normal((count, self.rank))
         weighted = (z * np.sqrt(lam)) @ vecs.T
         return weighted / self.grid.quad_weights_sqrt()
 
@@ -84,9 +85,15 @@ def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> tu
     """(noise rows, degenerate flag) that a method adds to the fitted mean.
 
     'boot' gives the in-sample residual curves (``mc_size`` and ``seed`` are
-    unused); 'gauss' gives ``mc_size`` Karhunen-Loeve draws from ``seed``.
-    A rank-zero noise covariance draws zero rows, so every estimate is the
-    indicator of the fitted mean; that case warns and is flagged.
+    unused); 'gauss' gives ``mc_size`` Karhunen-Loeve draws from ``seed``,
+    read-only. A rank-zero noise covariance draws zero rows, so every
+    estimate is the indicator of the fitted mean; that case warns and is
+    flagged.
+
+    The model's ``noise_memo`` holds one ``(mc_size, seed)`` key: the first
+    request for a key records it, and a second request in a row keeps the
+    rows it draws, so later requests reuse them. A model drawn from once
+    holds no rows.
     """
     if method == "boot":
         return model.residual_matrix, False
@@ -102,7 +109,16 @@ def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> tu
             "to an indicator of the fitted mean",
             stacklevel=3,
         )
-    return sampler.draw_matrix(mc_size), degenerate
+    key = (mc_size, int(seed))
+    memo = model.noise_memo
+    rows = memo.get(key)
+    if rows is None:
+        rows = sampler.draw_matrix(mc_size)
+        rows.flags.writeable = False
+        repeated = key in memo
+        memo.clear()
+        memo[key] = rows if repeated else None
+    return rows, degenerate
 
 
 def _count_inside(model: FittedFLM, x: Covariate, event: EventSet, rows: np.ndarray) -> int:

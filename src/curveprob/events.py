@@ -90,10 +90,15 @@ def complement(inner: EventSet) -> EventSet:
 
 
 def _longest_run_lengths(mask: np.ndarray) -> np.ndarray:
-    """Row-wise longest run of True in a boolean matrix (vectorized reset-cumsum)."""
-    csum = np.cumsum(mask, axis=1)
-    anchors = np.maximum.accumulate(np.where(mask, 0, csum), axis=1)
-    return np.max(csum - anchors, axis=1, initial=0)
+    """Row-wise longest run of True in a boolean matrix: one sweep over the
+    columns, each step vectorized over the rows."""
+    longest = np.zeros(mask.shape[0], dtype=np.intp)
+    run = np.zeros_like(longest)
+    for column in mask.T:
+        run += 1
+        run *= column
+        np.maximum(longest, run, out=longest)
+    return longest
 
 
 def contains(event: EventSet, y: Curve) -> bool:

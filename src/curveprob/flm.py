@@ -178,7 +178,9 @@ class FittedFLM:
     ``coef_w`` maps weighted covariate coordinates to weighted response
     coordinates. ``residual_matrix`` holds the raw residual curves row-wise;
     ``noise_spectrum`` is the eigendecomposition of their (mean-centered)
-    covariance operator.
+    covariance operator. ``noise_memo`` is the Gaussian-noise memo of
+    :func:`curveprob.conddist.ensemble_noise`; serialization, comparison,
+    ``repr`` and :func:`dataclasses.replace` ignore it.
     """
 
     grid: Grid
@@ -194,6 +196,7 @@ class FittedFLM:
     centered: bool = True
     dof_correction: bool = False
     truncation: TruncationRule = None
+    noise_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_observations(self) -> int:

@@ -66,10 +66,8 @@ def _parse_family(text: str):
         key, eq, value = piece.partition("=")
         if not eq:
             raise UsageError(f"bad family parameter {piece!r}")
-        try:
-            params[key.strip()] = float(value)
-        except ValueError as exc:
-            raise UsageError(f"family parameter {key.strip()!r}: {exc}") from None
+        key = key.strip()
+        params[key] = _parse_floats(value, f"family parameter {key!r}")[0]
     kind = kind.strip().lower()
     try:
         if kind == "level-alpha":

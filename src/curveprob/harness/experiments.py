@@ -18,7 +18,7 @@ import numpy as np
 
 from ..baselines import (
     fglm_fit,
-    fglm_prob_from_score,
+    fglm_probs_from_scores,
     fglm_score,
     nw_fit,
     nw_prob,
@@ -46,7 +46,7 @@ from ..events import (
     level_set,
 )
 from ..flm import TruncationRule, build_far_design, fit, predict_coords
-from ..rng import substream
+from ..rng import seed_sequence, substream
 from .dgp import (
     DGPSpec,
     conditional_draws,
@@ -154,7 +154,7 @@ def _glm_probs(coords, labels, regression, queries, scores: list) -> np.ndarray:
     glm = fglm_fit(coords, labels, regression, link="logit")
     if not scores:
         scores.extend(fglm_score(glm, q) for q in queries)
-    return np.asarray([fglm_prob_from_score(glm, s) for s in scores])
+    return fglm_probs_from_scores(glm, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +221,7 @@ def run_coverage_experiment(
 
 def _int_seed(seed: int, *indices: int) -> int:
     """Fold an index path into a fresh 63-bit integer seed."""
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(i) for i in indices))
-    return int(seq.generate_state(1, dtype=np.uint64)[0] >> 1)
+    return int(seed_sequence(seed, *indices).generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import UsageError
+
+
+def seed_sequence(seed: int, *indices: int) -> np.random.SeedSequence:
+    """The seed sequence keyed on ``(seed, *indices)``; every part must be a
+    non-negative integer."""
+    key = (int(seed), *(int(i) for i in indices))
+    if min(key) < 0:
+        raise UsageError(f"seed and stream indices must be non-negative, got {key}")
+    return np.random.SeedSequence(entropy=key[0], spawn_key=key[1:])
+
 
 def substream(seed: int, *indices: int) -> np.random.Generator:
     """Return an independent generator for the given seed and index path."""
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(i) for i in indices))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.Philox(seed_sequence(seed, *indices)))

@@ -10,7 +10,7 @@ from curveprob.baselines import (
     default_bandwidth_grid,
     fglm_fit,
     fglm_prob,
-    fglm_prob_from_score,
+    fglm_probs_from_scores,
     fglm_score,
     nw_fit,
     nw_prob,
@@ -120,8 +120,9 @@ class TestKernels:
         xs = rng.normal(size=(80, 5)) * [3.0, 2.0, 1.0, 0.5, 0.2]
         labels = (xs[:, 0] + rng.normal(size=80) > 0).astype(float)
         model = fglm_fit(xs, labels, regression_on(xs, k=3))
-        for x in rng.normal(size=(30, 5)):
-            assert fglm_prob(model, x) == fglm_prob_from_score(model, fglm_score(model, x))
+        queries = rng.normal(size=(30, 5))
+        batch = fglm_probs_from_scores(model, [fglm_score(model, x) for x in queries])
+        assert np.array_equal(batch, [fglm_prob(model, x) for x in queries])
 
 
 class TestBandwidthSelection:

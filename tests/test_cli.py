@@ -342,6 +342,36 @@ EXIT_CASES = [
     ("event parameter that is NaN",
      ["rmse-exp", *RMSE_SMALL, "--event", "level:alpha=nan,z=0.5"],
      2, "parameter 'alpha' is NaN"),
+    ("family parameter that is NaN, level-z",
+     ["quantile", "--model", "{model}", "--x", "{x}", "--family", "level-z:alpha=nan",
+      "--p", "0.9"],
+     2, "family parameter 'alpha': NaN"),
+    ("family parameter that is NaN, level-alpha",
+     ["quantile", "--model", "{model}", "--x", "{x}", "--family",
+      "level-alpha:z=nan,lo=0,hi=25", "--p", "0.5"],
+     2, "family parameter 'z': NaN"),
+    ("negative seed, simulate",
+     ["simulate", "--n", "5", "--seed", "-1", "--out", "{missing}"],
+     2, "must be non-negative"),
+    ("negative seed, gauss estimate",
+     ["estimate", "--model", "{model}", "--x", "{x}", "--event", "extremal:d=0",
+      "--method", "gauss", "--seed", "-1"],
+     2, "must be non-negative"),
+    ("negative seed, gauss quantile",
+     ["quantile", "--model", "{model}", "--x", "{x}", "--family", "max-below:lo=-5,hi=5",
+      "--p", "0.5", "--method", "gauss", "--seed", "-1"],
+     2, "must be non-negative"),
+    ("negative seed, gauss band",
+     ["band", "--model", "{model}", "--x", "{x}", "--method", "gauss", "--seed", "-1",
+      "--out", "{missing}"],
+     2, "must be non-negative"),
+    ("negative seed, coverage-exp",
+     ["coverage-exp", "--n", "20", "--reps", "1", "--grid-d", "16", "--mc", "50",
+      "--seed", "-1", "--out", "{missing}"],
+     2, "must be non-negative"),
+    ("negative seed, rmse-exp",
+     ["rmse-exp", *RMSE_SMALL, "--seed", "-1"],
+     2, "must be non-negative"),
     ("binomial baseline without components",
      ["baseline", "glm", "--train-series", "{series}", "--x", "{x}",
       "--event", "extremal:d=0.0", "--components", "0"],

@@ -9,6 +9,7 @@ from curveprob.conddist import (
     calibrate_uniform_band,
     ensemble_noise,
     gauss_prob,
+    noise_sampler,
     order_statistic_quantile,
     quantile_over_family,
 )
@@ -30,7 +31,9 @@ from curveprob.flm import (
     TruncationRule,
     build_far_design,
     fit,
+    from_json,
     predict,
+    to_json,
 )
 from curveprob.harness.dgp import conditional_draws, simulate_far, synthetic_dgp
 from curveprob.rng import substream
@@ -164,11 +167,77 @@ class TestEnsembleNoise:
             ensemble_noise(model, method, mc_size, 0)
 
 
+class TestNoiseMemo:
+    """ensemble_noise keeps a model's Gaussian rows once a key repeats."""
+
+    def test_memo_rows_match_a_fresh_sampler(self):
+        model, _ = fitted_model()
+        ensemble_noise(model, "gauss", 40, 12)
+        kept, _ = ensemble_noise(model, "gauss", 40, 12)
+        reused, _ = ensemble_noise(model, "gauss", 40, 12)
+        assert reused is kept
+        np.testing.assert_array_equal(reused, noise_sampler(model, 12).draw_matrix(40))
+
+    @pytest.mark.parametrize("other", [(40, 13), (41, 12)])
+    def test_another_seed_or_size_gives_other_rows(self, other):
+        model, _ = fitted_model()
+        for _ in range(2):
+            kept, _ = ensemble_noise(model, "gauss", 40, 12)
+        rows, _ = ensemble_noise(model, "gauss", *other)
+        assert rows.shape != kept.shape or not np.array_equal(rows, kept)
+        np.testing.assert_array_equal(rows, noise_sampler(model, other[1]).draw_matrix(other[0]))
+
+    def test_rows_are_read_only(self):
+        model, _ = fitted_model()
+        for _ in range(3):
+            rows, _ = ensemble_noise(model, "gauss", 30, 4)
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
+
+    def test_one_request_keeps_no_rows(self):
+        model, _ = fitted_model()
+        ensemble_noise(model, "gauss", 30, 4)
+        assert model.noise_memo == {(30, 4): None}
+        ensemble_noise(model, "gauss", 30, 4)
+        assert list(model.noise_memo) == [(30, 4)] and model.noise_memo[(30, 4)] is not None
+        ensemble_noise(model, "gauss", 30, 5)
+        assert model.noise_memo == {(30, 5): None}
+
+    def test_boot_leaves_the_memo_empty(self):
+        model, _ = fitted_model()
+        for _ in range(2):
+            ensemble_noise(model, "boot", 30, 4)
+        assert model.noise_memo == {}
+
+    def test_copies_start_empty(self):
+        model, _ = fitted_model()
+        for _ in range(2):
+            ensemble_noise(model, "gauss", 30, 4)
+        assert model.noise_memo
+        assert from_json(to_json(model)).noise_memo == {}
+        assert dataclasses.replace(model).noise_memo == {}
+
+    def test_draws_leave_equality_and_repr_alone(self):
+        model, _ = fitted_model()
+        before, text = dataclasses.replace(model), repr(model)
+        for _ in range(2):
+            ensemble_noise(model, "gauss", 30, 4)
+        assert model == before and repr(model) == text
+
+
 class TestSampleNoise:
     def test_rank_zero_gives_zero_curves(self):
         sampler = GaussSampler.from_spectrum(GRID, SpectralPair(np.zeros(2), np.eye(GRID.size, 2)), 0)
         draws = sampler.draw_matrix(5)
         assert draws.shape == (5, GRID.size) and np.all(draws == 0.0)
+
+    @pytest.mark.parametrize("lam", [np.zeros(2), np.ones(2)])
+    def test_negative_seed_is_a_usage_error_at_any_rank(self, lam):
+        sampler = GaussSampler.from_spectrum(GRID, SpectralPair(lam, np.eye(GRID.size, 2)), -1)
+        with pytest.raises(UsageError, match="non-negative"):
+            sampler.draw_matrix(5)
+        with pytest.raises(UsageError, match="non-negative"):
+            substream(0, 3, -2)
 
     def test_empirical_covariance_matches_spectrum(self):
         grid = Grid(20)

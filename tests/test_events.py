@@ -4,6 +4,7 @@ import pytest
 from curveprob.curves import Curve, Grid
 from curveprob.errors import UsageError
 from curveprob.events import (
+    _longest_run_lengths,
     boundary_set,
     complement,
     contains,
@@ -103,6 +104,26 @@ class TestBatchConsistency:
             batch = contains_batch(ev, values, GRID)
             singles = [contains(ev, c) for c in curves]
             assert list(batch) == singles
+
+
+def longest_run_reference(row) -> int:
+    longest = run = 0
+    for flag in row:
+        run = run + 1 if flag else 0
+        longest = max(longest, run)
+    return longest
+
+
+class TestLongestRun:
+    @pytest.mark.parametrize("shape", [(200, 101), (50, 1), (0, 101), (7, 0)])
+    def test_matches_a_plain_loop(self, shape):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        mask = rng.uniform(size=shape) < rng.uniform(size=(shape[0], 1))
+        if shape[0] >= 2:
+            mask[0], mask[1] = True, False
+        runs = _longest_run_lengths(mask)
+        assert runs.shape == (shape[0],)
+        assert list(runs) == [longest_run_reference(row) for row in mask]
 
 
 class TestMonotoneFamilies:

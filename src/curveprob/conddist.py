@@ -22,7 +22,7 @@ import numpy as np
 from .curves import Curve, Covariate, Grid
 from .errors import DegenerateInputError, RangeExhaustedError, UsageError
 from .events import EventSet, MonotoneFamily, contains_batch, uniform_band
-from .flm import FittedFLM, predict
+from .flm import FittedFLM, predict, predict_coords
 from .rng import substream
 from .spectral import SpectralPair
 
@@ -81,57 +81,101 @@ def noise_sampler(model: FittedFLM, seed: int) -> GaussSampler:
     return GaussSampler.from_spectrum(model.grid, model.noise_spectrum, seed)
 
 
-def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> tuple:
-    """(noise rows, degenerate flag) that a method adds to the fitted mean.
+def _keep_on_repeat(memo: dict, slot: str, key, build):
+    """``build()``, kept in ``memo[slot]`` only when ``key`` is asked for twice
+    in a row.
 
-    'boot' gives the in-sample residual curves (``mc_size`` and ``seed`` are
-    unused); 'gauss' gives ``mc_size`` Karhunen-Loeve draws from ``seed``,
-    read-only. A rank-zero noise covariance draws zero rows, so every
-    estimate is the indicator of the fitted mean; that case warns and is
-    flagged.
-
-    The model's ``noise_memo`` holds one ``(mc_size, seed)`` key: the first
-    request for a key records it, and a second request in a row keeps the
-    rows it draws, so later requests reuse them. A model drawn from once
-    holds no rows.
+    A slot holds one ``(key, value)`` pair. A new key is recorded with no
+    value, a second request in a row keeps the value it builds, and later
+    requests reuse it; so a slot holds at most one value, and a key asked
+    for once holds none.
     """
+    held, value = memo.get(slot, (None, None))
+    if held != key or value is None:
+        value = build()
+        memo[slot] = (key, value if held == key else None)
+    return value
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _check_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> bool:
+    """Validate a noise request and say whether it is degenerate: a rank-zero
+    noise covariance draws zero rows, so every Gaussian estimate is the
+    indicator of the fitted mean; that case warns."""
     if method == "boot":
-        return model.residual_matrix, False
+        return False
     if method != "gauss":
         raise UsageError(f"method must be 'boot' or 'gauss', got {method!r}")
     if mc_size < 1:
         raise UsageError(f"mc_size must be >= 1, got {mc_size}")
-    sampler = noise_sampler(model, seed)
-    degenerate = sampler.rank == 0
+    degenerate = noise_sampler(model, seed).rank == 0
     if degenerate:
         warnings.warn(
             "noise covariance has rank zero; the Gaussian estimate degenerates "
             "to an indicator of the fitted mean",
             stacklevel=3,
         )
-    key = (mc_size, int(seed))
-    memo = model.noise_memo
-    rows = memo.get(key)
-    if rows is None:
-        rows = sampler.draw_matrix(mc_size)
-        rows.flags.writeable = False
-        repeated = key in memo
-        memo.clear()
-        memo[key] = rows if repeated else None
-    return rows, degenerate
+    return degenerate
 
 
-def _count_inside(model: FittedFLM, x: Covariate, event: EventSet, rows: np.ndarray) -> int:
-    """Number of ensemble curves ``fitted mean + noise row`` in the event."""
-    center = predict(model, x).values
-    return int(np.count_nonzero(contains_batch(event, center + rows, model.grid)))
+def _noise_rows(model: FittedFLM, method: str, mc_size: int, seed: int) -> np.ndarray:
+    if method == "boot":
+        return model.residual_matrix
+    return _keep_on_repeat(model.memo, "noise", (mc_size, int(seed)),
+                           lambda: _read_only(noise_sampler(model, seed).draw_matrix(mc_size)))
+
+
+def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> tuple:
+    """(noise rows, degenerate flag) that a method adds to the fitted mean.
+
+    'boot' gives the in-sample residual curves (``mc_size`` and ``seed`` are
+    unused); 'gauss' gives ``mc_size`` Karhunen-Loeve draws from ``seed``,
+    read-only and kept in the model's ``noise`` memo slot. A rank-zero noise
+    covariance draws zero rows; that case warns and is flagged.
+    """
+    degenerate = _check_noise(model, method, mc_size, seed)
+    return _noise_rows(model, method, mc_size, seed), degenerate
+
+
+def ensemble(model: FittedFLM, x_coords: np.ndarray, method: str, mc_size: int,
+             seed: int) -> tuple:
+    """(ensemble, degenerate flag): the read-only (rows, D+1) matrix
+    ``predict_coords(model, x_coords) + rows`` of response curves at the
+    weighted covariate coordinates ``x_coords``, for the noise rows of
+    :func:`ensemble_noise`.
+
+    Every probability, quantile and experiment estimate counts curves of
+    this matrix. It is kept in the model's ``ensemble/<method>`` memo slot,
+    keyed on the covariate's value (and on ``mc_size`` and ``seed`` for
+    'gauss').
+    """
+    degenerate = _check_noise(model, method, mc_size, seed)
+    key = (np.asarray(x_coords, dtype=float).tobytes(),)
+    if method == "gauss":
+        key += (mc_size, int(seed))
+    values = _keep_on_repeat(
+        model.memo, f"ensemble/{method}", key,
+        lambda: _read_only(predict_coords(model, x_coords)
+                           + _noise_rows(model, method, mc_size, seed)),
+    )
+    return values, degenerate
+
+
+def _coords(model: FittedFLM, x: Covariate) -> np.ndarray:
+    model.check_structure(x)
+    return x.coords()
 
 
 def boot_prob(model: FittedFLM, x: Covariate, event: EventSet) -> CondProbEstimate:
     """Fraction of residual-shifted fitted means that fall in the event."""
-    rows, _ = ensemble_noise(model, "boot", DEFAULT_MC_SIZE, 0)
-    count = _count_inside(model, x, event, rows)
-    return CondProbEstimate(value=count / len(rows), method="boot", n_used=len(rows), count=count)
+    values, _ = ensemble(model, _coords(model, x), "boot", DEFAULT_MC_SIZE, 0)
+    count = int(np.count_nonzero(contains_batch(event, values, model.grid)))
+    return CondProbEstimate(value=count / len(values), method="boot", n_used=len(values),
+                            count=count)
 
 
 def gauss_prob(
@@ -142,12 +186,12 @@ def gauss_prob(
     seed: int = 0,
 ) -> CondProbEstimate:
     """Monte-Carlo fraction of Gaussian-noise-shifted fitted means in the event."""
-    rows, degenerate = ensemble_noise(model, "gauss", mc_size, seed)
-    count = _count_inside(model, x, event, rows)
+    values, degenerate = ensemble(model, _coords(model, x), "gauss", mc_size, seed)
+    count = int(np.count_nonzero(contains_batch(event, values, model.grid)))
     return CondProbEstimate(
-        value=count / len(rows),
+        value=count / len(values),
         method="gauss",
-        n_used=len(rows),
+        n_used=len(values),
         count=count,
         seed=int(seed),
         status="degenerate" if degenerate else "ok",
@@ -199,16 +243,15 @@ def quantile_over_family(
     if tol <= 0:
         raise UsageError(f"tolerance must be positive, got {tol}")
 
-    rows, _ = ensemble_noise(model, method, mc_size, seed)
-    ensemble = predict(model, x).values + rows
-    m = ensemble.shape[0]
+    values, _ = ensemble(model, _coords(model, x), method, mc_size, seed)
+    m = values.shape[0]
     n_steps = int(np.ceil((hi - lo) / tol))
 
     def point(i: int) -> float:
         return hi if i == n_steps else lo + i * (hi - lo) / n_steps
 
     if family.critical is not None:
-        crit = family.critical(ensemble, model.grid)
+        crit = family.critical(values, model.grid)
         threshold = order_statistic_quantile(crit, p)
 
         def estimate(xi: float) -> float:
@@ -218,7 +261,7 @@ def quantile_over_family(
             return xi >= threshold
     else:
         def estimate(xi: float) -> float:
-            inside = contains_batch(family.at(xi), ensemble, model.grid)
+            inside = contains_batch(family.at(xi), values, model.grid)
             return np.count_nonzero(inside) / m
 
         def reaches(xi: float) -> bool:
@@ -274,9 +317,20 @@ def calibrate_uniform_band(
     """
     if not 0.0 < nominal < 1.0:
         raise UsageError(f"nominal coverage must lie in (0, 1), got {nominal}")
+    _check_noise(model, method, mc_size, seed)
+    cal, lower, upper = _keep_on_repeat(
+        model.memo, "band", (method, mc_size, int(seed), nominal, literal_abs),
+        lambda: _band_scale(model, nominal, method, mc_size, seed, literal_abs),
+    )
+    return cal, uniform_band(predict(model, x), lower, upper)
+
+
+def _band_scale(model: FittedFLM, nominal: float, method: str, mc_size: int, seed: int,
+                literal_abs: bool) -> tuple:
+    """The covariate-free part of a band: its calibration and the offsets
+    ``-L * sigma`` and ``U * sigma`` below and above the center, read-only."""
     alpha = 1.0 - nominal
-    draws, _ = ensemble_noise(model, method, mc_size, seed)
-    center = predict(model, x)
+    draws = _noise_rows(model, method, mc_size, seed)
 
     sigma = model.noise_std()
     if not np.all(np.isfinite(sigma)):
@@ -284,9 +338,10 @@ def calibrate_uniform_band(
     peak = float(np.max(sigma))
     if peak == 0.0:
         zero = Curve.constant(model.grid, 0.0)
+        _read_only(zero.values)
         cal = BandCalibration(sigma=zero, lower_quantile=0.0, upper_quantile=0.0,
                               nominal=nominal, method=method)
-        return cal, uniform_band(center, zero, zero)
+        return cal, zero, zero
     sigma = np.maximum(sigma, SIGMA_FLOOR * peak)
 
     ratios = draws / sigma
@@ -298,12 +353,8 @@ def calibrate_uniform_band(
         lo_q = float(np.quantile(np.min(ratios, axis=1), alpha / 2))
         hi_q = float(np.quantile(np.max(ratios, axis=1), 1 - alpha / 2))
 
-    sigma_curve = Curve(model.grid, sigma)
-    cal = BandCalibration(sigma=sigma_curve, lower_quantile=lo_q, upper_quantile=hi_q,
-                          nominal=nominal, method=method)
-    band = uniform_band(
-        center,
-        Curve(model.grid, -lo_q * sigma),  # band floor = center + L * sigma
-        Curve(model.grid, hi_q * sigma),
-    )
-    return cal, band
+    cal = BandCalibration(sigma=Curve(model.grid, _read_only(sigma)), lower_quantile=lo_q,
+                          upper_quantile=hi_q, nominal=nominal, method=method)
+    lower = Curve(model.grid, _read_only(-lo_q * sigma))  # band floor = center + L * sigma
+    upper = Curve(model.grid, _read_only(hi_q * sigma))
+    return cal, lower, upper

@@ -48,6 +48,10 @@ class TruncationRule:
     v: float | None = None
     k: int | None = None
 
+    def __post_init__(self):
+        if self.m_n is not None and not np.isfinite(self.m_n):
+            raise UsageError(f"threshold m_n must be finite, got {self.m_n}")
+
     @staticmethod
     def threshold(m_n: float | None = None, relative: bool = True) -> "TruncationRule":
         return TruncationRule(kind="threshold", m_n=m_n, relative=relative)
@@ -178,9 +182,17 @@ class FittedFLM:
     ``coef_w`` maps weighted covariate coordinates to weighted response
     coordinates. ``residual_matrix`` holds the raw residual curves row-wise;
     ``noise_spectrum`` is the eigendecomposition of their (mean-centered)
-    covariance operator. ``noise_memo`` is the Gaussian-noise memo of
-    :func:`curveprob.conddist.ensemble_noise`; serialization, comparison,
-    ``repr`` and :func:`dataclasses.replace` ignore it.
+    covariance operator.
+
+    ``memo`` holds what :mod:`curveprob.conddist` derives from the model for
+    one request and may reuse for the next, one ``(key, value)`` pair per
+    slot: ``noise`` (Gaussian rows per ``(mc_size, seed)``), ``ensemble/boot``
+    and ``ensemble/gauss`` (fitted mean plus noise rows per covariate value)
+    and ``band`` (a band's covariate-free calibration). A slot keeps a value
+    only when its key is asked for twice in a row, and one key replaces the
+    last, so each slot holds at most one read-only value and a model asked
+    once holds none. Serialization, comparison, ``repr`` and
+    :func:`dataclasses.replace` ignore the memo.
     """
 
     grid: Grid
@@ -196,7 +208,7 @@ class FittedFLM:
     centered: bool = True
     dof_correction: bool = False
     truncation: TruncationRule = None
-    noise_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_observations(self) -> int:
@@ -365,8 +377,9 @@ def to_json(model: FittedFLM) -> str:
 
 def from_json(text: str) -> FittedFLM:
     """Read a model document and check every matrix shape against the grid,
-    the part counts, ``n_components`` and the residual count. Version 1
-    documents hold the whole covariate spectrum; its leading pairs are kept."""
+    the part counts, ``n_components`` and the residual count, every cell for
+    finiteness and every eigenvalue for sign. Version 1 documents hold the
+    whole covariate spectrum; its leading pairs are kept."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise UsageError(f"not a {MODEL_FORMAT} document")
@@ -388,12 +401,18 @@ def from_json(text: str) -> FittedFLM:
         m = {key: np.asarray(doc[key], dtype=float) for key in want}
         truncation = TruncationRule.from_dict(doc["truncation"]) if doc["truncation"] else None
         centered, dof_correction = bool(doc["centered"]), bool(doc["dof_correction"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, UsageError) as exc:
         raise StructureError(f"malformed model document: {exc!r}") from None
     bad = [key for key, shape in want.items() if m[key].shape != shape]
     if bad or not 1 <= k <= p:
         raise StructureError(f"model fields {bad} do not match grid_d={grid.resolution}, "
                              f"p={p}, n_components={k}")
+    bad = [key for key in want if not np.all(np.isfinite(m[key]))]
+    if bad:
+        raise StructureError(f"model fields {bad} hold non-finite cells")
+    bad = [key for key in ("covariate_eigenvalues", "noise_eigenvalues") if np.any(m[key] < 0)]
+    if bad:
+        raise StructureError(f"model fields {bad} hold negative eigenvalues")
 
     return FittedFLM(
         grid=grid,

@@ -29,7 +29,7 @@ from ..baselines import (
 )
 from ..conddist import (
     calibrate_uniform_band,
-    ensemble_noise,
+    ensemble,
     order_statistic_quantile,
     quantile_over_family,
 )
@@ -45,7 +45,7 @@ from ..events import (
     level_alpha_critical,
     level_set,
 )
-from ..flm import TruncationRule, build_far_design, fit, predict_coords
+from ..flm import TruncationRule, build_far_design, fit
 from ..rng import seed_sequence, substream
 from .dgp import (
     DGPSpec,
@@ -277,13 +277,13 @@ def run_rmse_experiment(
         series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
         sample, _ = build_far_design(series, order=1)
         model = fit(sample, truncation, center=True)
-        centers = np.asarray([predict_coords(model, q) for q in queries])
+        mc_seed = _int_seed(seed, _MC, rep)
 
         for m in _ensemble_methods(methods):
-            rows, _ = ensemble_noise(model, m, mc_size, _int_seed(seed, _MC, rep))
-            for j in range(n_predictors):
-                inside = contains_batch(event, centers[j] + rows, grid)
-                estimates[m][rep, j] = np.count_nonzero(inside) / len(rows)
+            for j, q in enumerate(queries):
+                values, _ = ensemble(model, q, m, mc_size, mc_seed)
+                inside = contains_batch(event, values, grid)
+                estimates[m][rep, j] = np.count_nonzero(inside) / len(values)
         if "glm" in methods or "nw" in methods:
             labels = contains_batch(event, sample.y, grid).astype(float)
             if "glm" in methods:
@@ -458,15 +458,13 @@ def run_entropy_eval(
     train_x = sample.x[train_ids]
     model = fit(replace(sample, y=sample.y[train_ids], x=train_x),
                 TruncationRule.pve(pve), center=True)
-    centers = [predict_coords(model, sample.x[i]) for i in test_ids]
 
     # real-scale curves and per-day seasonal components, keyed by pair index
     real_values = np.asarray([response[k].values for k in day_of_pair])
     seasonal = np.asarray([adj_response.seasonal_values(k) for k in day_of_pair])
 
     ensemble_methods = _ensemble_methods(methods)
-    noise = {m: ensemble_noise(model, m, mc_size, _int_seed(seed, _MC))[0]
-             for m in ensemble_methods}
+    mc_seed = _int_seed(seed, _MC)
 
     # each test day's geometry depends only on the split: its distances to
     # the training days and its scores on the regression's directions
@@ -493,15 +491,17 @@ def run_entropy_eval(
         level_share = family_level_in_z(alpha).critical
         test_share = level_share(real_values[test_ids], grid)
         train_share = level_share(real_values[train_ids], grid)
-        shares = {m: np.asarray([level_share(centers[pos] + noise[m] + seasonal[i], grid)
-                                 for pos, i in enumerate(test_ids)])
+        shares = {m: np.asarray([
+                      level_share(ensemble(model, sample.x[i], m, mc_size, mc_seed)[0]
+                                  + seasonal[i], grid)
+                      for i in test_ids])
                   for m in ensemble_methods}
         train_labels = [(train_share <= z).astype(float) for z in zs]
         if "nw" in methods:
             bandwidths = nw_select_bandwidth(train_dist, train_labels)
         for iz, z in enumerate(zs):
             labels = (test_share <= z).astype(float)
-            probs = {m: np.count_nonzero(shares[m] <= z, axis=1) / len(noise[m])
+            probs = {m: np.count_nonzero(shares[m] <= z, axis=1) / shares[m].shape[1]
                      for m in ensemble_methods}
             if "glm" in methods:
                 probs["glm"] = _glm_probs(train_x, train_labels[iz], model, test_x, glm_scores)

@@ -27,6 +27,8 @@ from curveprob.spectral import empirical_covariance, reconstruct
 
 MASTER_SEED = 7
 
+pytestmark = pytest.mark.acceptance
+
 
 def report(number, label, ok, detail):
     line = (f"[acceptance] criterion {number} ({label}): "

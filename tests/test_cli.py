@@ -250,9 +250,18 @@ def broken_inputs(tmp_path, model_json, x_csv):
     doy.write_text("\n".join(str(k) for k in range(n_days)))
     dow = tmp_path / "dow.csv"
     dow.write_text("\n".join(str(k % 7) for k in range(n_days)))
+    doc = json.loads(model_json.read_text())
+    doc["noise_eigenvectors"][0][0] = float("nan")
+    nan_model = tmp_path / "nan_model.json"
+    nan_model.write_text(json.dumps(doc))
+    doc = json.loads(model_json.read_text())
+    doc["noise_eigenvalues"][0] = -1.0
+    negative_model = tmp_path / "negative_model.json"
+    negative_model.write_text(json.dumps(doc))
     return {"model": model_json, "x": x_csv, "wrong_grid": wrong_grid,
             "nan_cell": nan_cell, "truncated": truncated, "series": series,
             "letters": letters, "squared": squared, "doy": doy, "dow": dow,
+            "nan_model": nan_model, "negative_model": negative_model,
             "missing": tmp_path / "missing.csv"}
 
 
@@ -372,6 +381,22 @@ EXIT_CASES = [
     ("negative seed, rmse-exp",
      ["rmse-exp", *RMSE_SMALL, "--seed", "-1"],
      2, "must be non-negative"),
+    ("threshold m_n that is NaN",
+     ["fit", "--series", "{series}", "--truncation", "threshold:mn=nan", "--out", "{missing}"],
+     2, "m_n must be finite, got nan"),
+    ("threshold m_n that is infinite",
+     ["fit", "--series", "{series}", "--truncation", "threshold:mn=inf", "--out", "{missing}"],
+     2, "m_n must be finite, got inf"),
+    ("model with a NaN noise eigenvector cell",
+     ["estimate", "--model", "{nan_model}", "--x", "{x}", "--event", "extremal:d=0",
+      "--method", "gauss"],
+     2, "['noise_eigenvectors'] hold non-finite cells"),
+    ("model with a negative noise eigenvalue, estimate",
+     ["estimate", "--model", "{negative_model}", "--x", "{x}", "--event", "extremal:d=0"],
+     2, "['noise_eigenvalues'] hold negative eigenvalues"),
+    ("model with a negative noise eigenvalue, band",
+     ["band", "--model", "{negative_model}", "--x", "{x}", "--out", "{missing}"],
+     2, "['noise_eigenvalues'] hold negative eigenvalues"),
     ("binomial baseline without components",
      ["baseline", "glm", "--train-series", "{series}", "--x", "{x}",
       "--event", "extremal:d=0.0", "--components", "0"],

@@ -7,6 +7,7 @@ from curveprob.conddist import (
     GaussSampler,
     boot_prob,
     calibrate_uniform_band,
+    ensemble,
     ensemble_noise,
     gauss_prob,
     noise_sampler,
@@ -33,6 +34,7 @@ from curveprob.flm import (
     fit,
     from_json,
     predict,
+    predict_coords,
     to_json,
 )
 from curveprob.harness.dgp import conditional_draws, simulate_far, synthetic_dgp
@@ -197,25 +199,26 @@ class TestNoiseMemo:
     def test_one_request_keeps_no_rows(self):
         model, _ = fitted_model()
         ensemble_noise(model, "gauss", 30, 4)
-        assert model.noise_memo == {(30, 4): None}
+        assert model.memo == {"noise": ((30, 4), None)}
         ensemble_noise(model, "gauss", 30, 4)
-        assert list(model.noise_memo) == [(30, 4)] and model.noise_memo[(30, 4)] is not None
+        assert list(model.memo) == ["noise"]
+        assert model.memo["noise"][0] == (30, 4) and model.memo["noise"][1] is not None
         ensemble_noise(model, "gauss", 30, 5)
-        assert model.noise_memo == {(30, 5): None}
+        assert model.memo == {"noise": ((30, 5), None)}
 
     def test_boot_leaves_the_memo_empty(self):
         model, _ = fitted_model()
         for _ in range(2):
             ensemble_noise(model, "boot", 30, 4)
-        assert model.noise_memo == {}
+        assert model.memo == {}
 
     def test_copies_start_empty(self):
         model, _ = fitted_model()
         for _ in range(2):
             ensemble_noise(model, "gauss", 30, 4)
-        assert model.noise_memo
-        assert from_json(to_json(model)).noise_memo == {}
-        assert dataclasses.replace(model).noise_memo == {}
+        assert model.memo
+        assert from_json(to_json(model)).memo == {}
+        assert dataclasses.replace(model).memo == {}
 
     def test_draws_leave_equality_and_repr_alone(self):
         model, _ = fitted_model()
@@ -223,6 +226,174 @@ class TestNoiseMemo:
         for _ in range(2):
             ensemble_noise(model, "gauss", 30, 4)
         assert model == before and repr(model) == text
+
+
+def copy_of(x):
+    """A distinct covariate object with the same values."""
+    return Covariate(tuple(Curve(c.grid, c.values.copy()) for c in x.curve_parts))
+
+
+def held(model):
+    """The memo slots that hold a value."""
+    return sorted(slot for slot, (_, value) in model.memo.items() if value is not None)
+
+
+class TestEnsembleMemo:
+    """ensemble keeps the fitted mean plus noise once a covariate value repeats,
+    and calibrate_uniform_band keeps a band's covariate-free part."""
+
+    @pytest.mark.parametrize("method", ["boot", "gauss"])
+    def test_hit_equals_a_fresh_ensemble_and_is_read_only(self, method):
+        model, xs = fitted_model()
+        coords = xs[0].coords()
+        fresh = predict_coords(model, coords) + ensemble_noise(model, method, 40, 12)[0]
+        for _ in range(2):
+            kept, _ = ensemble(model, coords, method, 40, 12)
+        hit, degenerate = ensemble(model, coords, method, 40, 12)
+        assert hit is kept and not degenerate
+        np.testing.assert_array_equal(hit, fresh)
+        with pytest.raises(ValueError):
+            hit[0, 0] = 1.0
+
+    def test_equal_covariate_objects_hit(self):
+        model, xs = fitted_model()
+        ev = level_set(0.2, 0.5)
+        gauss_prob(model, xs[0], ev, mc_size=40, seed=1)
+        gauss_prob(model, copy_of(xs[0]), ev, mc_size=40, seed=1)
+        kept = model.memo["ensemble/gauss"][1]
+        assert kept is not None
+        assert ensemble(model, copy_of(xs[0]).coords(), "gauss", 40, 1)[0] is kept
+
+    def test_changing_one_cell_misses(self):
+        model, xs = fitted_model()
+        coords = xs[0].coords()
+        for _ in range(2):
+            kept, _ = ensemble(model, coords, "boot", 0, 0)
+        changed = coords.copy()
+        changed[3] += 1e-12
+        got, _ = ensemble(model, changed, "boot", 0, 0)
+        assert got is not kept
+        np.testing.assert_array_equal(got, predict_coords(model, changed) + model.residual_matrix)
+        assert held(model) == []
+
+    def test_gauss_key_holds_size_and_seed(self):
+        model, xs = fitted_model()
+        coords = xs[0].coords()
+        for _ in range(2):
+            kept, _ = ensemble(model, coords, "gauss", 40, 12)
+        for other in [(40, 13), (41, 12)]:
+            got, _ = ensemble(model, coords, "gauss", *other)
+            assert got is not kept and got.shape[0] == other[0]
+
+    def test_boot_and_gauss_slots_do_not_evict_each_other(self):
+        model, xs = fitted_model()
+        ev = extremal_set(0.3)
+        for _ in range(2):
+            boot_prob(model, xs[0], ev)
+            gauss_prob(model, xs[0], ev, mc_size=40, seed=2)
+        assert held(model) == ["ensemble/boot", "ensemble/gauss", "noise"]
+        boot_kept, gauss_kept = model.memo["ensemble/boot"][1], model.memo["ensemble/gauss"][1]
+        quantile_over_family(model, xs[0], family_max_below(-5.0, 5.0), 0.5)
+        quantile_over_family(model, xs[0], family_max_below(-5.0, 5.0), 0.5,
+                             method="gauss", mc_size=40, seed=2)
+        assert model.memo["ensemble/boot"][1] is boot_kept
+        assert model.memo["ensemble/gauss"][1] is gauss_kept
+
+    def test_band_slot_separates_nominal_literal_abs_and_method(self):
+        model, xs = fitted_model(n=60)
+        base = dict(nominal=0.9, method="boot", mc_size=50, seed=3, literal_abs=False)
+        for _ in range(2):
+            cal, _ = calibrate_uniform_band(model, xs[0], **base)
+        assert model.memo["band"][1][0] is cal
+        assert calibrate_uniform_band(model, xs[1], **base)[0] is cal  # covariate-free
+        for change in ({"nominal": 0.8}, {"literal_abs": True}, {"method": "gauss"}):
+            args = dict(base, **change)
+            got, band = calibrate_uniform_band(model, xs[0], **args)
+            assert got is not cal and model.memo["band"] == (
+                (args["method"], 50, 3, args["nominal"], args["literal_abs"]), None)
+            fresh, fresh_band = calibrate_uniform_band(dataclasses.replace(model), xs[0], **args)
+            assert repr(got) == repr(fresh)
+            assert np.array_equal(band.lower.values, fresh_band.lower.values)
+            assert np.array_equal(band.upper.values, fresh_band.upper.values)
+
+    def test_band_values_are_read_only(self):
+        model, xs = fitted_model()
+        for _ in range(2):
+            cal, band = calibrate_uniform_band(model, xs[0], 0.9, "boot")
+        for curve in (cal.sigma, band.lower, band.upper):
+            with pytest.raises(ValueError):
+                curve.values[0] = 1.0
+
+    @pytest.mark.parametrize("query", [
+        lambda m, x: boot_prob(m, x, extremal_set(0.3)),
+        lambda m, x: gauss_prob(m, x, extremal_set(0.3), mc_size=40, seed=2),
+        lambda m, x: quantile_over_family(m, x, family_max_below(-5.0, 5.0), 0.5,
+                                          method="gauss", mc_size=40, seed=2),
+        lambda m, x: calibrate_uniform_band(m, x, 0.9, "gauss", mc_size=40, seed=2),
+    ])
+    def test_a_model_queried_once_holds_nothing(self, query):
+        model, xs = fitted_model()
+        query(model, xs[0])
+        assert model.memo and held(model) == []
+
+    def test_copies_start_empty_and_equality_and_repr_are_unchanged(self):
+        model, xs = fitted_model()
+        before, text = dataclasses.replace(model), repr(model)
+        for _ in range(2):
+            boot_prob(model, xs[0], extremal_set(0.3))
+            gauss_prob(model, xs[0], extremal_set(0.3), mc_size=40, seed=2)
+            calibrate_uniform_band(model, xs[0], 0.9, "boot")
+        assert held(model) == ["band", "ensemble/boot", "ensemble/gauss", "noise"]
+        assert from_json(to_json(model)).memo == {}
+        assert dataclasses.replace(model).memo == {}
+        assert model == before and repr(model) == text
+
+
+def _answer(model, request):
+    """The repr of one public call, with the bits of every curve it returns."""
+    kind, x, method, (mc_size, seed), nominal, extra = request
+    if kind == "prob" and method == "boot":
+        return repr(boot_prob(model, x, extra))
+    if kind == "prob":
+        return repr(gauss_prob(model, x, extra, mc_size=mc_size, seed=seed))
+    if kind == "quantile":
+        try:
+            return repr(quantile_over_family(model, x, extra, nominal, method=method,
+                                             mc_size=mc_size, seed=seed))
+        except RangeExhaustedError as err:
+            return "exhausted " + repr(err.boundary_estimate)
+    cal, band = calibrate_uniform_band(model, x, nominal, method, mc_size=mc_size, seed=seed,
+                                       literal_abs=extra)
+    return repr(cal) + "".join(c.values.tobytes().hex() for c in
+                               (cal.sigma, band.center, band.lower, band.upper))
+
+
+def test_memo_sweep_is_bit_identical_to_fresh_models():
+    # interleaved requests with repeats: every answer from the memoizing
+    # model equals the same call on a copy whose memo is empty
+    rng = np.random.default_rng(2024)
+    model, xs = fitted_model(n=40, seed=9)
+    covariates = [xs[0], copy_of(xs[0]), xs[1], xs[2]]
+    events = [extremal_set(0.3), level_set(0.0, 0.5), complement(extremal_set(0.8))]
+    families = [family_max_below(-3.0, 3.0), family_max_below(-3.0, -1.5),
+                family_level_in_alpha(0.4, -2.0, 2.0)]
+    keys = [(60, 1), (60, 2), (80, 1)]
+    request, kept, exhausted = None, set(), 0
+    for step in range(400):
+        if request is None or rng.random() < 0.4:
+            kind = ["prob", "quantile", "band"][int(rng.integers(3))]
+            extra = {"prob": events, "quantile": families, "band": [False, True]}[kind]
+            request = (kind,
+                       covariates[int(rng.integers(len(covariates)))],
+                       ["boot", "gauss"][int(rng.integers(2))],
+                       keys[int(rng.integers(len(keys)))],
+                       [0.5, 0.9, 0.95][int(rng.integers(3))],
+                       extra[int(rng.integers(len(extra)))])
+        got = _answer(model, request)
+        assert got == _answer(dataclasses.replace(model), request), (step, request)
+        kept.update(held(model))
+        exhausted += got.startswith("exhausted")
+    assert kept == {"band", "ensemble/boot", "ensemble/gauss", "noise"} and exhausted > 5
 
 
 class TestSampleNoise:

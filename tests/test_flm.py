@@ -358,6 +358,34 @@ class TestSerialization:
         with pytest.raises(StructureError):
             from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["coef_w", "x_mean_coords", "y_mean", "residual_matrix",
+                                     "covariate_eigenvalues", "covariate_eigenvectors",
+                                     "noise_eigenvalues", "noise_eigenvectors"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_cell(self, key, bad):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        value = np.asarray(doc[key])
+        value.flat[-1] = bad
+        doc[key] = value.tolist()
+        with pytest.raises(StructureError, match="non-finite"):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["covariate_eigenvalues", "noise_eigenvalues"])
+    def test_rejects_a_negative_eigenvalue(self, key):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        doc[key][-1] = -1e-300
+        with pytest.raises(StructureError, match="negative"):
+            from_json(json.dumps(doc))
+
+    def test_rejects_a_non_finite_truncation_parameter(self):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        doc["truncation"].update(kind="threshold", m_n=float("nan"))
+        with pytest.raises(StructureError):
+            from_json(json.dumps(doc))
+
     def test_rejects_foreign_documents(self):
         with pytest.raises(UsageError):
             from_json('{"format": "something-else", "version": 1}')
@@ -376,6 +404,7 @@ class TestTruncationRuleParse:
             TruncationRule.parse("frobnicate:1")
         with pytest.raises(UsageError):
             TruncationRule.parse("threshold:bogus=1")
-        for text in ("pve:abc", "fixed:1.5", "threshold:mn=x"):
+        for text in ("pve:abc", "fixed:1.5", "threshold:mn=x", "threshold:mn=nan",
+                     "threshold:mn=inf", "threshold:mn=-inf"):
             with pytest.raises(UsageError):
                 TruncationRule.parse(text)

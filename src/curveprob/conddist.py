@@ -102,7 +102,7 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> bool:
+def _check_noise(model: FittedFLM, method: str, mc_size: int) -> bool:
     """Validate a noise request and say whether it is degenerate: a rank-zero
     noise covariance draws zero rows, so every Gaussian estimate is the
     indicator of the fitted mean; that case warns."""
@@ -112,7 +112,8 @@ def _check_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> bool
         raise UsageError(f"method must be 'boot' or 'gauss', got {method!r}")
     if mc_size < 1:
         raise UsageError(f"mc_size must be >= 1, got {mc_size}")
-    degenerate = noise_sampler(model, seed).rank == 0
+    lam = model.noise_spectrum.eigenvalues
+    degenerate = not (lam.size and lam[0] > 0)  # where GaussSampler.from_spectrum gives rank 0
     if degenerate:
         warnings.warn(
             "noise covariance has rank zero; the Gaussian estimate degenerates "
@@ -137,7 +138,7 @@ def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> tu
     read-only and kept in the model's ``noise`` memo slot. A rank-zero noise
     covariance draws zero rows; that case warns and is flagged.
     """
-    degenerate = _check_noise(model, method, mc_size, seed)
+    degenerate = _check_noise(model, method, mc_size)
     return _noise_rows(model, method, mc_size, seed), degenerate
 
 
@@ -153,7 +154,7 @@ def ensemble(model: FittedFLM, x_coords: np.ndarray, method: str, mc_size: int,
     keyed on the covariate's value (and on ``mc_size`` and ``seed`` for
     'gauss').
     """
-    degenerate = _check_noise(model, method, mc_size, seed)
+    degenerate = _check_noise(model, method, mc_size)
     key = (np.asarray(x_coords, dtype=float).tobytes(),)
     if method == "gauss":
         key += (mc_size, int(seed))
@@ -317,7 +318,7 @@ def calibrate_uniform_band(
     """
     if not 0.0 < nominal < 1.0:
         raise UsageError(f"nominal coverage must lie in (0, 1), got {nominal}")
-    _check_noise(model, method, mc_size, seed)
+    _check_noise(model, method, mc_size)
     cal, lower, upper = _keep_on_repeat(
         model.memo, "band", (method, mc_size, int(seed), nominal, literal_abs),
         lambda: _band_scale(model, nominal, method, mc_size, seed, literal_abs),

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +163,17 @@ class TestEnsembleNoise:
             rows, degenerate = ensemble_noise(model, "gauss", 7, 0)
         assert degenerate and rows.shape == (7, GRID.size) and np.all(rows == 0.0)
 
+    @pytest.mark.parametrize("lam", [[0.0, 0.0], [2.0, 0.0], [1e-300, 0.0], [0.0, 1.0], [], [np.nan, 1.0]])
+    def test_degenerate_exactly_when_the_sampler_has_rank_zero(self, lam):
+        model = toy_model(GRID, np.zeros((4, GRID.size)))
+        lam = np.asarray(lam)
+        object.__setattr__(model, "noise_spectrum",
+                           SpectralPair(lam, np.eye(GRID.size, lam.size)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, degenerate = ensemble_noise(model, "gauss", 3, 0)
+        assert degenerate == (noise_sampler(model, 0).rank == 0)
+
     @pytest.mark.parametrize("method, mc_size", [("bogus", 10), ("Boot", 10), ("gauss", 0)])
     def test_rejects_unknown_method_and_empty_draw(self, method, mc_size):
         model, _ = fitted_model()
@@ -270,7 +282,7 @@ class TestEnsembleMemo:
         for _ in range(2):
             kept, _ = ensemble(model, coords, "boot", 0, 0)
         changed = coords.copy()
-        changed[3] += 1e-12
+        changed[3] = np.nextafter(changed[3], np.inf)
         got, _ = ensemble(model, changed, "boot", 0, 0)
         assert got is not kept
         np.testing.assert_array_equal(got, predict_coords(model, changed) + model.residual_matrix)

@@ -149,10 +149,13 @@ def ensemble(model: FittedFLM, x_coords: np.ndarray, method: str, mc_size: int,
     weighted covariate coordinates ``x_coords``, for the noise rows of
     :func:`ensemble_noise`.
 
-    Every probability, quantile and experiment estimate counts curves of
-    this matrix. It is kept in the model's ``ensemble/<method>`` memo slot,
-    keyed on the covariate's value (and on ``mc_size`` and ``seed`` for
-    'gauss').
+    Every probability, quantile and RMSE-experiment estimate counts curves
+    of this matrix. The cross-entropy pipeline does not: it reads
+    :func:`ensemble_noise` and ``predict_coords`` once per fit and counts
+    through :func:`~curveprob.events.level_shares`, so it keeps no value in
+    the memo. The matrix is kept in the model's ``ensemble/<method>`` memo
+    slot, keyed on the covariate's value (and on ``mc_size`` and ``seed``
+    for 'gauss').
     """
     degenerate = _check_noise(model, method, mc_size)
     key = (np.asarray(x_coords, dtype=float).tobytes(),)

@@ -101,6 +101,60 @@ def _longest_run_lengths(mask: np.ndarray) -> np.ndarray:
     return longest
 
 
+@dataclass(frozen=True)
+class SortedColumns:
+    """The columns of a (m, D+1) noise matrix, each sorted once for
+    :func:`level_shares`: ``values[g]`` is column g in ascending order and
+    ``ranks[g, r]`` is the position of cell (r, g) in it. The rank dtype also
+    holds m, the longest prefix of a column."""
+
+    values: np.ndarray = field(repr=False)  # (D+1, m)
+    ranks: np.ndarray = field(repr=False)   # (D+1, m)
+
+
+def sorted_columns(noise: np.ndarray) -> SortedColumns:
+    # tied cells pass or fail the level test together, so their order is free
+    noise = np.ascontiguousarray(np.asarray(noise, dtype=float).T)
+    order = np.argsort(noise, axis=1)
+    ranks = np.empty(noise.shape, dtype=np.min_scalar_type(noise.shape[1]))
+    np.put_along_axis(ranks, order, np.arange(noise.shape[1]), axis=1)
+    return SortedColumns(np.take_along_axis(noise, order, axis=1), ranks)
+
+
+def level_shares(columns: SortedColumns, centers: np.ndarray, offsets: np.ndarray,
+                 alpha: float) -> np.ndarray:
+    """(T, m) share of grid points above ``alpha`` for every test curve
+    ``(centers[t] + noise[r]) + offsets[t]``: bit for bit
+    ``count_nonzero(((centers[t] + noise) + offsets[t]) > alpha, axis=1) / (D+1)``
+    for each of the T rows of ``centers`` and ``offsets``.
+
+    Float addition is monotone, so for finite noise the cells of one column
+    that fail the test form a prefix of the sorted column. One bisection over all (t, g)
+    pairs finds each prefix length; a cell is then above ``alpha`` exactly
+    when its rank reaches that length, swept column by column.
+    """
+    values, ranks = columns.values, columns.ranks
+    size, m = values.shape
+    cols = np.arange(size)
+    prefix = np.zeros(np.shape(centers), dtype=np.intp)
+    step = 1 << (m.bit_length() - 1)
+    while step:
+        longer = prefix + step
+        v = values[cols, np.minimum(longer, m) - 1]
+        # not <=: a NaN sum fails here, as it does in the level test
+        fails = ~(((centers + v) + offsets) > alpha)
+        prefix = np.where((longer <= m) & fails, longer, prefix)
+        step >>= 1
+    prefix = prefix.astype(ranks.dtype)
+
+    counts = np.zeros((prefix.shape[0], m), dtype=np.min_scalar_type(size))
+    above = np.empty(counts.shape, dtype=bool)
+    for g in range(size):
+        np.greater_equal(ranks[g], prefix[:, g, np.newaxis], out=above)
+        counts += above
+    return counts / size
+
+
 def contains(event: EventSet, y: Curve) -> bool:
     """Deterministic membership test."""
     return bool(contains_batch(event, y.values[np.newaxis, :], y.grid)[0])

@@ -30,6 +30,7 @@ from ..baselines import (
 from ..conddist import (
     calibrate_uniform_band,
     ensemble,
+    ensemble_noise,
     order_statistic_quantile,
     quantile_over_family,
 )
@@ -44,8 +45,10 @@ from ..events import (
     format_event,
     level_alpha_critical,
     level_set,
+    level_shares,
+    sorted_columns,
 )
-from ..flm import TruncationRule, build_far_design, fit
+from ..flm import TruncationRule, build_far_design, fit, predict_coords
 from ..rng import seed_sequence, substream
 from .dgp import (
     DGPSpec,
@@ -436,6 +439,9 @@ def run_entropy_eval(
         raise UsageError("the cross-entropy pipeline needs a day-of-year index")
     if not 0.0 < test_fraction < 1.0:
         raise UsageError(f"test fraction must lie in (0, 1), got {test_fraction}")
+    for z in zs:
+        if not 0.0 <= z <= 1.0:
+            raise UsageError(f"time budget z must lie in [0, 1], got {z}")
     started = time.perf_counter()
     n_days = len(response)
     grid = response[0].grid
@@ -459,12 +465,9 @@ def run_entropy_eval(
     model = fit(replace(sample, y=sample.y[train_ids], x=train_x),
                 TruncationRule.pve(pve), center=True)
 
-    # real-scale curves and per-day seasonal components, keyed by pair index
-    real_values = np.asarray([response[k].values for k in day_of_pair])
-    seasonal = np.asarray([adj_response.seasonal_values(k) for k in day_of_pair])
-
-    ensemble_methods = _ensemble_methods(methods)
-    mc_seed = _int_seed(seed, _MC)
+    # real-scale curves keyed by pair index
+    day_of_pair = np.asarray(day_of_pair)
+    real_values = np.asarray([c.values for c in response])[day_of_pair]
 
     # each test day's geometry depends only on the split: its distances to
     # the training days and its scores on the regression's directions
@@ -473,6 +476,16 @@ def run_entropy_eval(
     if "nw" in methods:
         train_dist = pairwise_distances(train_x)
         test_dist = [query_distances(train_x, x) for x in test_x]
+
+    # each test day's ensemble is center + noise row + seasonal component;
+    # one noise draw and one column sort per method serve every alpha
+    mc_seed = _int_seed(seed, _MC)
+    noise_columns = {m: sorted_columns(ensemble_noise(model, m, mc_size, mc_seed)[0])
+                     for m in _ensemble_methods(methods)}
+    test_centers = np.asarray([predict_coords(model, x) for x in test_x])
+    test_days = day_of_pair[test_ids]
+    test_seasonal = adj_response.yearly[adj_response.day_of_year[test_days]] \
+        + adj_response.weekly[adj_response.day_of_week[test_days]]
 
     columns = ("alpha", "z", "method", "cross_entropy", "n_test")
     rows = []
@@ -491,18 +504,15 @@ def run_entropy_eval(
         level_share = family_level_in_z(alpha).critical
         test_share = level_share(real_values[test_ids], grid)
         train_share = level_share(real_values[train_ids], grid)
-        shares = {m: np.asarray([
-                      level_share(ensemble(model, sample.x[i], m, mc_size, mc_seed)[0]
-                                  + seasonal[i], grid)
-                      for i in test_ids])
-                  for m in ensemble_methods}
+        shares = {m: level_shares(table, test_centers, test_seasonal, alpha)
+                  for m, table in noise_columns.items()}
         train_labels = [(train_share <= z).astype(float) for z in zs]
         if "nw" in methods:
             bandwidths = nw_select_bandwidth(train_dist, train_labels)
         for iz, z in enumerate(zs):
             labels = (test_share <= z).astype(float)
-            probs = {m: np.count_nonzero(shares[m] <= z, axis=1) / shares[m].shape[1]
-                     for m in ensemble_methods}
+            probs = {m: np.count_nonzero(share <= z, axis=1) / share.shape[1]
+                     for m, share in shares.items()}
             if "glm" in methods:
                 probs["glm"] = _glm_probs(train_x, train_labels[iz], model, test_x, glm_scores)
             if "nw" in methods:

@@ -314,6 +314,18 @@ EXIT_CASES = [
      ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
       "--alphas", "x", "--out", "{missing}"],
      2, "--alphas:"),
+    ("time budget below zero",
+     ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+      "--zs", "-1", "--out", "{missing}"],
+     2, "time budget z must lie in [0, 1], got -1.0"),
+    ("time budget above one",
+     ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+      "--zs", "0,2", "--out", "{missing}"],
+     2, "time budget z must lie in [0, 1], got 2.0"),
+    ("time budget that is infinite",
+     ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+      "--zs", "inf", "--out", "{missing}"],
+     2, "time budget z must lie in [0, 1], got inf"),
     ("exogenous flag other than no-weekly",
      ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
       "--exog", "{series}:noweekly", "--out", "{missing}"],

@@ -17,8 +17,10 @@ from curveprob.events import (
     family_max_below,
     format_event,
     level_set,
+    level_shares,
     parse_event,
     point_band,
+    sorted_columns,
     uniform_band,
 )
 
@@ -124,6 +126,72 @@ class TestLongestRun:
         runs = _longest_run_lengths(mask)
         assert runs.shape == (shape[0],)
         assert list(runs) == [longest_run_reference(row) for row in mask]
+
+
+def level_shares_reference(noise, centers, offsets, alpha):
+    """Each test day's ensemble tested directly, as a level event does."""
+    return np.asarray([np.count_nonzero(((c + noise) + s) > alpha, axis=1) / noise.shape[1]
+                       for c, s in zip(centers, offsets)])
+
+
+def assert_level_shares_exact(noise, centers, offsets, alphas):
+    columns = sorted_columns(noise)
+    for alpha in alphas:
+        want = level_shares_reference(noise, centers, offsets, alpha)
+        got = level_shares(columns, centers, offsets, alpha)
+        assert got.shape == (len(centers), len(noise))
+        np.testing.assert_array_equal(got, want, err_msg=f"alpha={alpha}")
+
+
+class TestLevelShares:
+    def test_ties_duplicated_rows_and_sums_on_alpha(self):
+        # tenths round differently as (c + v) + s and as (c + s) + v, and every
+        # alpha is a sum some cell lands on exactly, or the double beside it
+        rng = np.random.default_rng(7)
+        noise = rng.integers(-9, 10, size=(40, 6)) / 10
+        noise = np.concatenate([noise, noise[:15], noise[:3]])
+        centers = rng.integers(0, 10, size=(5, 6)) / 10
+        offsets = rng.integers(-5, 6, size=(5, 6)) / 10
+        centers[1], offsets[1] = centers[0], offsets[0]
+        sums = np.unique((centers[:, None] + noise) + offsets[:, None])
+        alphas = rng.choice(sums, size=20, replace=False)
+        alphas = np.concatenate([alphas, np.nextafter(alphas[:5], np.inf),
+                                 np.nextafter(alphas[:5], -np.inf), [-2.0, 2.5]])
+        assert_level_shares_exact(noise, centers, offsets, alphas)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_centers_and_alphas(self):
+        rng = np.random.default_rng(8)
+        noise = rng.normal(size=(30, 5))
+        centers = np.array([[np.nan, 0.0, np.inf, -np.inf, 1.0],
+                            [np.inf, np.inf, -np.inf, 0.5, np.nan],
+                            [0.0, -0.5, 0.25, 2.0, -1.0]])
+        offsets = np.array([[0.0, np.nan, -np.inf, 1.0, 0.0],
+                            [-np.inf, 1.0, np.inf, 0.0, 0.0],
+                            [0.0, 0.0, 0.0, 0.0, 0.0]])
+        assert_level_shares_exact(noise, centers, offsets, [-np.inf, np.inf, 0.0, 1.0, np.nan])
+
+    def test_one_row_and_one_day(self):
+        rng = np.random.default_rng(9)
+        assert_level_shares_exact(rng.normal(size=(1, 4)), rng.normal(size=(3, 4)),
+                                  rng.normal(size=(3, 4)), [-1.0, 0.0, 1.0])
+        assert_level_shares_exact(rng.normal(size=(50, 4)), rng.normal(size=(1, 4)),
+                                  rng.normal(size=(1, 4)), [-1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("m", [255, 256, 65_536])
+    def test_rank_dtype_boundaries(self, m):
+        # prefixes of length 0 and m occur: one day lies below every sum,
+        # one above, and the third straddles alpha
+        rng = np.random.default_rng(m)
+        noise = rng.normal(size=(m, 3))
+        centers = np.array([[-10.0] * 3, [10.0] * 3, [0.0, 0.5, -0.5]])
+        assert_level_shares_exact(noise, centers, np.zeros((3, 3)), [0.0, -20.0, 20.0])
+
+    def test_grid_of_more_than_255_points(self):
+        rng = np.random.default_rng(10)
+        noise = rng.normal(size=(20, 300))
+        centers = np.stack([np.full(300, 10.0), np.zeros(300), np.full(300, -10.0)])
+        assert_level_shares_exact(noise, centers, rng.normal(size=(3, 300)), [0.0, 1.0])
 
 
 class TestMonotoneFamilies:

@@ -221,64 +221,98 @@ class TestDriversShareTheEstimator:
         np.testing.assert_array_equal(np.reshape(seen, want.shape), want)
 
     def test_entropy_probabilities_equal_per_z_event_tests(self, monkeypatch):
-        grid = Grid(8)
-        rng = np.random.default_rng(4)
-        n = 90
-        base = 50.0 + 8.0 * np.sin(2 * np.pi * np.arange(n) / 30)
-        response = [Curve(grid, b + 4.0 * rng.normal(size=grid.size)) for b in base]
-        wind = [Curve(grid, rng.normal(size=grid.size)) for _ in range(n)]
-        doy, dow = np.arange(n), np.arange(n) % 7
-        seen = []
-        real_cross_entropy = experiments.cross_entropy
-        monkeypatch.setattr(experiments, "cross_entropy", lambda labels, probs: (
-            seen.append((np.array(labels), np.array(probs))) or real_cross_entropy(labels, probs)))
-        seed, mc, order = 9, 200, 2
-        alphas, zs = (45.0, 55.0), (0.0, 0.25, 1.0 / 3, 0.5, 1.0)
-        run_entropy_eval(response, [(wind, False)], day_of_year=doy, day_of_week=dow,
-                         ar_order=order, alphas=alphas, zs=zs, methods="gauss,boot,glm,nw",
-                         seed=seed, mc_size=mc)
+        check_entropy_probabilities(monkeypatch, alphas=(45.0, 55.0))
 
-        # reference: each day's ensemble tested against level_set(alpha, z) per z
-        adjusted = deseasonalize(response, doy, dow, weekly=True)
-        sample, positions = build_far_design(
-            adjusted.adjusted, order, [deseasonalize(wind, doy, dow, weekly=False).adjusted])
-        n_test = int(round(len(sample) * (1.0 / 3)))
-        test_ids = np.sort(substream(seed, _SPLIT).choice(len(sample), size=n_test, replace=False))
-        train_ids = np.setdiff1d(np.arange(len(sample)), test_ids)
-        model = fit(replace(sample, y=sample.y[train_ids], x=sample.x[train_ids]),
-                    TruncationRule.pve(0.98), center=True)
-        noise = {"gauss": noise_sampler(model, _int_seed(seed, _MC)).draw_matrix(mc),
-                 "boot": model.residual_matrix}
-        days = [positions[i] for i in test_ids]
-        train_days = [positions[i] for i in train_ids]
-        cells = iter(seen)
-        fitted = 0
-        for alpha in alphas:
-            for z in zs:
-                event = level_set(alpha, z)
-                labels = contains_batch(event, [response[k].values for k in days], grid)
-                train_labels = contains_batch(
-                    event, [response[k].values for k in train_days], grid).astype(float)
-                for m in ("gauss", "boot"):
-                    probs = [np.count_nonzero(contains_batch(
-                        event, predict_coords(model, sample.x[i]) + noise[m]
-                        + adjusted.seasonal_values(k), grid)) / len(noise[m])
-                        for i, k in zip(test_ids, days)]
-                    got_labels, got_probs = next(cells)
-                    np.testing.assert_array_equal(got_labels, labels)
-                    np.testing.assert_array_equal(got_probs, probs)
-                if train_labels.min() == train_labels.max():  # one class: the label mean
-                    glm_probs = np.full(len(test_ids), train_labels.mean())
-                else:
-                    glm = fglm_fit(sample.x[train_ids], train_labels, model)
-                    glm_probs = [fglm_prob(glm, sample.x[i]) for i in test_ids]
-                    fitted += 1
-                np.testing.assert_array_equal(next(cells)[1], glm_probs)
-                nw = nw_fit(sample.x[train_ids], train_labels)
-                np.testing.assert_array_equal(next(cells)[1],
-                                              [nw_prob(nw, sample.x[i]) for i in test_ids])
-        assert next(cells, None) is None
-        assert 0 < fitted < len(alphas) * len(zs)  # both glm paths ran
+    def test_entropy_probabilities_equal_per_z_event_tests_over_many_alphas(self, monkeypatch):
+        # one column table per method serves every alpha
+        check_entropy_probabilities(monkeypatch, alphas=(42.0, 48.0, 52.0, 58.0))
+
+    def test_entropy_eval_draws_gaussian_rows_once(self, monkeypatch):
+        calls = []
+        draw = GaussSampler.draw_matrix
+        monkeypatch.setattr(GaussSampler, "draw_matrix",
+                            lambda sampler, count: calls.append(count) or draw(sampler, count))
+        response, wind, doy, dow = entropy_series()
+        run_entropy_eval(response, [(wind, False)], day_of_year=doy, day_of_week=dow,
+                         ar_order=2, alphas=(45.0, 55.0), methods="gauss", mc_size=50)
+        assert calls == [50]
+
+    @pytest.mark.parametrize("z", [-0.1, 1.5, np.inf, -np.inf, np.nan])
+    def test_entropy_rejects_a_time_budget_outside_the_unit_interval(self, z):
+        response, wind, doy, dow = entropy_series()
+        with pytest.raises(UsageError, match="time budget z must lie in"):
+            run_entropy_eval(response, [(wind, False)], day_of_year=doy, day_of_week=dow,
+                             zs=(0.0, z))
+
+
+def entropy_series():
+    """90 days of a seasonal response on an 8-interval grid, one exogenous
+    series and the day indices."""
+    grid = Grid(8)
+    rng = np.random.default_rng(4)
+    n = 90
+    base = 50.0 + 8.0 * np.sin(2 * np.pi * np.arange(n) / 30)
+    response = [Curve(grid, b + 4.0 * rng.normal(size=grid.size)) for b in base]
+    wind = [Curve(grid, rng.normal(size=grid.size)) for _ in range(n)]
+    return response, wind, np.arange(n), np.arange(n) % 7
+
+
+def check_entropy_probabilities(monkeypatch, alphas):
+    """Every cross-entropy cell of run_entropy_eval sees the labels and
+    probabilities of a direct per-day, per-z evaluation."""
+    response, wind, doy, dow = entropy_series()
+    grid = response[0].grid
+    seen = []
+    real_cross_entropy = experiments.cross_entropy
+    monkeypatch.setattr(experiments, "cross_entropy", lambda labels, probs: (
+        seen.append((np.array(labels), np.array(probs))) or real_cross_entropy(labels, probs)))
+    seed, mc, order = 9, 200, 2
+    zs = (0.0, 0.25, 1.0 / 3, 0.5, 1.0)
+    run_entropy_eval(response, [(wind, False)], day_of_year=doy, day_of_week=dow,
+                     ar_order=order, alphas=alphas, zs=zs, methods="gauss,boot,glm,nw",
+                     seed=seed, mc_size=mc)
+
+    # reference: each day's ensemble tested against level_set(alpha, z) per z
+    adjusted = deseasonalize(response, doy, dow, weekly=True)
+    sample, positions = build_far_design(
+        adjusted.adjusted, order, [deseasonalize(wind, doy, dow, weekly=False).adjusted])
+    n_test = int(round(len(sample) * (1.0 / 3)))
+    test_ids = np.sort(substream(seed, _SPLIT).choice(len(sample), size=n_test, replace=False))
+    train_ids = np.setdiff1d(np.arange(len(sample)), test_ids)
+    model = fit(replace(sample, y=sample.y[train_ids], x=sample.x[train_ids]),
+                TruncationRule.pve(0.98), center=True)
+    noise = {"gauss": noise_sampler(model, _int_seed(seed, _MC)).draw_matrix(mc),
+             "boot": model.residual_matrix}
+    days = [positions[i] for i in test_ids]
+    train_days = [positions[i] for i in train_ids]
+    cells = iter(seen)
+    fitted = 0
+    for alpha in alphas:
+        for z in zs:
+            event = level_set(alpha, z)
+            labels = contains_batch(event, [response[k].values for k in days], grid)
+            train_labels = contains_batch(
+                event, [response[k].values for k in train_days], grid).astype(float)
+            for m in ("gauss", "boot"):
+                probs = [np.count_nonzero(contains_batch(
+                    event, predict_coords(model, sample.x[i]) + noise[m]
+                    + adjusted.seasonal_values(k), grid)) / len(noise[m])
+                    for i, k in zip(test_ids, days)]
+                got_labels, got_probs = next(cells)
+                np.testing.assert_array_equal(got_labels, labels)
+                np.testing.assert_array_equal(got_probs, probs)
+            if train_labels.min() == train_labels.max():  # one class: the label mean
+                glm_probs = np.full(len(test_ids), train_labels.mean())
+            else:
+                glm = fglm_fit(sample.x[train_ids], train_labels, model)
+                glm_probs = [fglm_prob(glm, sample.x[i]) for i in test_ids]
+                fitted += 1
+            np.testing.assert_array_equal(next(cells)[1], glm_probs)
+            nw = nw_fit(sample.x[train_ids], train_labels)
+            np.testing.assert_array_equal(next(cells)[1],
+                                          [nw_prob(nw, sample.x[i]) for i in test_ids])
+    assert next(cells, None) is None
+    assert 0 < fitted < len(alphas) * len(zs)  # both glm paths ran
 
 
 class TestSyntheticNoiseBasis:

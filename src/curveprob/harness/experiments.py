@@ -439,6 +439,10 @@ def run_entropy_eval(
         raise UsageError("the cross-entropy pipeline needs a day-of-year index")
     if not 0.0 < test_fraction < 1.0:
         raise UsageError(f"test fraction must lie in (0, 1), got {test_fraction}")
+    # nested events (z grows at fixed alpha) should give nondecreasing
+    # probabilities; refit-per-event baselines may violate this, which is
+    # recorded rather than forbidden
+    zs = sorted(zs)
     for z in zs:
         if not 0.0 <= z <= 1.0:
             raise UsageError(f"time budget z must lie in [0, 1], got {z}")
@@ -482,19 +486,14 @@ def run_entropy_eval(
     mc_seed = _int_seed(seed, _MC)
     noise_columns = {m: sorted_columns(ensemble_noise(model, m, mc_size, mc_seed)[0])
                      for m in _ensemble_methods(methods)}
-    test_centers = np.asarray([predict_coords(model, x) for x in test_x])
-    test_days = day_of_pair[test_ids]
-    test_seasonal = adj_response.yearly[adj_response.day_of_year[test_days]] \
-        + adj_response.weekly[adj_response.day_of_week[test_days]]
+    if noise_columns:
+        test_centers = np.asarray([predict_coords(model, x) for x in test_x])
+        test_seasonal = adj_response.seasonal_values(day_of_pair[test_ids])
 
     columns = ("alpha", "z", "method", "cross_entropy", "n_test")
     rows = []
     summary = {}
     best_counts = {m: 0 for m in methods}
-    # nested events (z grows at fixed alpha) should give nondecreasing
-    # probabilities; refit-per-event baselines may violate this, which is
-    # recorded rather than forbidden
-    zs = sorted(zs)
     previous_probs = {}
     monotonicity_violations = {m: 0 for m in methods}
     for alpha in alphas:

@@ -30,8 +30,9 @@ class SeasonalDecomposition:
     day_of_year: np.ndarray = field(repr=False)
     day_of_week: np.ndarray = field(repr=False)
 
-    def seasonal_values(self, i: int) -> np.ndarray:
-        """Seasonal curve that was subtracted from series element i."""
+    def seasonal_values(self, i: int | np.ndarray) -> np.ndarray:
+        """Seasonal curve that was subtracted from series element i; for an
+        index array, one row per listed element."""
         out = self.yearly[self.day_of_year[i]].copy()
         if self.weekly is not None:
             out += self.weekly[self.day_of_week[i]]

@@ -244,6 +244,14 @@ class TestDriversShareTheEstimator:
             run_entropy_eval(response, [(wind, False)], day_of_year=doy, day_of_week=dow,
                              zs=(0.0, z))
 
+    def test_entropy_reads_a_one_shot_iterable_of_time_budgets(self):
+        response, wind, doy, dow = entropy_series()
+        kwargs = dict(day_of_year=doy, day_of_week=dow, alphas=(50.0,), methods="glm",
+                      mc_size=50)
+        once = run_entropy_eval(response, [(wind, False)], zs=(z for z in (0.5, 0.0)), **kwargs)
+        listed = run_entropy_eval(response, [(wind, False)], zs=[0.0, 0.5], **kwargs)
+        assert once.rows and once.rows == listed.rows
+
 
 def entropy_series():
     """90 days of a seasonal response on an 8-interval grid, one exogenous

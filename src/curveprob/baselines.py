@@ -43,11 +43,24 @@ class NWEstimator:
             raise UsageError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
 
+def _distances(row_sq: np.ndarray, col_sq: np.ndarray, twice_products: np.ndarray) -> np.ndarray:
+    """Euclidean distances from squared norms and doubled inner products, by
+    ``|a - b|^2 = |a|^2 + |b|^2 - 2 a.b`` clamped at zero against round-off."""
+    return np.sqrt(np.maximum(row_sq[:, None] + col_sq[None, :] - twice_products, 0.0))
+
+
 def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     """(n, n) Euclidean distances between the rows of a coordinate matrix."""
     sq = np.sum(coords**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * coords @ coords.T
-    return np.sqrt(np.maximum(d2, 0.0))
+    return _distances(sq, sq, 2.0 * coords @ coords.T)
+
+
+def _gaussian_kernel(dist: np.ndarray, bandwidth: float, out: np.ndarray) -> np.ndarray:
+    """``exp(-0.5 * (dist / bandwidth) ** 2)``, built in ``out``."""
+    np.divide(dist, bandwidth, out=out)
+    np.square(out, out=out)
+    np.multiply(out, -0.5, out=out)
+    return np.exp(out, out=out)
 
 
 def default_bandwidth_grid(dist: np.ndarray) -> np.ndarray:
@@ -81,8 +94,9 @@ def nw_select_bandwidth(dist: np.ndarray, label_sets, grid: np.ndarray = None) -
         return best_h
     loo_means = {j: (label_sets[j].sum() - label_sets[j]) / (n - 1) for j in scored}
     best_err = dict.fromkeys(scored, np.inf)
+    k = np.empty_like(dist)
     for h in np.sort(np.asarray(grid, dtype=float)):
-        k = np.exp(-0.5 * (dist / h) ** 2)
+        _gaussian_kernel(dist, h, k)
         np.fill_diagonal(k, 0.0)
         denom = k.sum(axis=1)
         for j in scored:
@@ -104,9 +118,21 @@ def nw_fit(coords, labels, bandwidth: float = None, grid: np.ndarray = None) -> 
     return NWEstimator(bandwidth=bandwidth, train_coords=coords, labels=labels)
 
 
+def cross_distances(train_coords: np.ndarray, queries) -> np.ndarray:
+    """(T, n) Euclidean distances from each of T query rows to every training
+    row, by the identity of :func:`pairwise_distances`. Each query's inner
+    products are one matrix-vector product of its own (a matrix product over
+    the stacked queries rounds differently), so a query's row does not depend
+    on the other queries."""
+    queries = np.asarray(queries, dtype=float)
+    products = np.stack([train_coords @ x for x in queries])
+    return _distances(np.sum(queries**2, axis=1), np.sum(train_coords**2, axis=1),
+                      2.0 * products)
+
+
 def query_distances(train_coords: np.ndarray, x_coords) -> np.ndarray:
     """Euclidean distances from one query row to every training row."""
-    return np.sqrt(np.sum((train_coords - x_coords) ** 2, axis=1))
+    return cross_distances(train_coords, [x_coords])[0]
 
 
 def nw_prob(est: NWEstimator, x_coords) -> float:
@@ -115,18 +141,30 @@ def nw_prob(est: NWEstimator, x_coords) -> float:
 
 
 def nw_prob_from_distances(est: NWEstimator, dist: np.ndarray) -> float:
-    """:func:`nw_prob` at a query given by its :func:`query_distances` row,
-    clipped to [0, 1] against round-off."""
+    """:func:`nw_prob` at a query given by its :func:`query_distances` row."""
+    return float(nw_probs_from_distances(est, [dist])[0])
+
+
+def nw_probs_from_distances(est: NWEstimator, dist) -> np.ndarray:
+    """:func:`nw_prob` at each query given by its row of a
+    :func:`cross_distances` matrix, clipped to [0, 1] against round-off. Each
+    query's weighted label sum is a dot product of its own, so its
+    probability does not depend on the other queries. A query whose kernel
+    weights all underflow gets the unweighted label mean, with a warning."""
+    dist = np.asarray(dist, dtype=float)
     with np.errstate(over="ignore"):  # ratio overflow just underflows the weight
-        weights = np.exp(-0.5 * (dist / est.bandwidth) ** 2)
-    total = weights.sum()
-    if total <= 0.0:
+        weights = _gaussian_kernel(dist, est.bandwidth, np.empty_like(dist))
+    totals = weights.sum(axis=1)
+    probs = np.full(len(dist), float(est.labels.mean()))
+    underflowed = totals <= 0.0
+    if underflowed.any():
         warnings.warn(
             "all kernel weights underflowed; falling back to the unweighted mean",
             stacklevel=2,
         )
-        return float(est.labels.mean())
-    return min(max(float(weights @ est.labels / total), 0.0), 1.0)
+    for t in np.flatnonzero(~underflowed):
+        probs[t] = weights[t] @ est.labels / totals[t]
+    return np.clip(probs, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

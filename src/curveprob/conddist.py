@@ -149,13 +149,13 @@ def ensemble(model: FittedFLM, x_coords: np.ndarray, method: str, mc_size: int,
     weighted covariate coordinates ``x_coords``, for the noise rows of
     :func:`ensemble_noise`.
 
-    Every probability, quantile and RMSE-experiment estimate counts curves
-    of this matrix. The cross-entropy pipeline does not: it reads
-    :func:`ensemble_noise` and ``predict_coords`` once per fit and counts
-    through :func:`~curveprob.events.level_shares`, so it keeps no value in
-    the memo. The matrix is kept in the model's ``ensemble/<method>`` memo
-    slot, keyed on the covariate's value (and on ``mc_size`` and ``seed``
-    for 'gauss').
+    Every probability and quantile estimate counts curves of this matrix.
+    The experiment drivers, which query one fit at many covariates, read
+    :func:`ensemble_noise` once per fit and add each covariate's
+    ``predict_coords`` themselves (the same sum), so they keep no ensemble
+    in the memo. The matrix is kept in the model's ``ensemble/<method>``
+    memo slot, keyed on the covariate's value (and on ``mc_size`` and
+    ``seed`` for 'gauss').
     """
     degenerate = _check_noise(model, method, mc_size)
     key = (np.asarray(x_coords, dtype=float).tobytes(),)
@@ -225,11 +225,25 @@ def quantile_over_family(
     seed: int = 0,
     tol: float = None,
 ) -> float:
-    """Smallest family parameter whose estimated probability reaches p.
+    """Smallest family parameter whose estimated probability reaches p:
+    :func:`ensemble_quantile` of the method's :func:`ensemble` at ``x``."""
+    values, _ = ensemble(model, _coords(model, x), method, mc_size, seed)
+    return ensemble_quantile(values, model.grid, family, p, tol)
+
+
+def ensemble_quantile(
+    values: np.ndarray,
+    grid: Grid,
+    family: MonotoneFamily,
+    p: float,
+    tol: float = None,
+) -> float:
+    """Smallest family parameter at which the fraction of the ensemble
+    ``values`` (rows of curves on ``grid``) inside the event reaches p.
 
     The family range is discretized at resolution ``tol`` (default 1e-4 of
     the range), and the left-most grid point with estimate >= p is found
-    by index bisection over one fixed ensemble, so the profile is exactly
+    by index bisection over the one ensemble, so the profile is exactly
     monotone.
 
     For a family with critical values (the built-in ones) the estimate
@@ -247,7 +261,6 @@ def quantile_over_family(
     if tol <= 0:
         raise UsageError(f"tolerance must be positive, got {tol}")
 
-    values, _ = ensemble(model, _coords(model, x), method, mc_size, seed)
     m = values.shape[0]
     n_steps = int(np.ceil((hi - lo) / tol))
 
@@ -255,7 +268,7 @@ def quantile_over_family(
         return hi if i == n_steps else lo + i * (hi - lo) / n_steps
 
     if family.critical is not None:
-        crit = family.critical(values, model.grid)
+        crit = family.critical(values, grid)
         threshold = order_statistic_quantile(crit, p)
 
         def estimate(xi: float) -> float:
@@ -265,7 +278,7 @@ def quantile_over_family(
             return xi >= threshold
     else:
         def estimate(xi: float) -> float:
-            inside = contains_batch(family.at(xi), values, model.grid)
+            inside = contains_batch(family.at(xi), values, grid)
             return np.count_nonzero(inside) / m
 
         def reaches(xi: float) -> bool:

@@ -17,22 +17,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..baselines import (
+    cross_distances,
     fglm_fit,
     fglm_probs_from_scores,
     fglm_score,
     nw_fit,
-    nw_prob,
-    nw_prob_from_distances,
+    nw_probs_from_distances,
     nw_select_bandwidth,
     pairwise_distances,
-    query_distances,
 )
 from ..conddist import (
     calibrate_uniform_band,
-    ensemble,
     ensemble_noise,
+    ensemble_quantile,
     order_statistic_quantile,
-    quantile_over_family,
 )
 from ..curves import Covariate, Curve, Grid
 from ..errors import RangeExhaustedError, UsageError
@@ -145,6 +143,11 @@ def _check_counts(**counts) -> None:
 def _ensemble_methods(methods) -> tuple:
     """The requested ensemble methods, always in the order boot, gauss."""
     return tuple(m for m in ENSEMBLE_METHODS if m in methods)
+
+
+def _predictor_coords(predictors, grid: Grid) -> np.ndarray:
+    """Weighted coordinates of the one-curve covariates (y0,), one row each."""
+    return np.asarray([y0.values for y0 in predictors]) * grid.quad_weights_sqrt()
 
 
 def _glm_probs(coords, labels, regression, queries, scores: list) -> np.ndarray:
@@ -272,8 +275,7 @@ def run_rmse_experiment(
         oracle_event_probability(spec, y0, event, oracle_size, _int_seed(seed, _ORACLE, j))
         for j, y0 in enumerate(predictors)
     ])
-    # weighted coordinates of the one-curve covariates (y0,)
-    queries = np.asarray([y0.values for y0 in predictors]) * grid.quad_weights_sqrt()
+    queries = _predictor_coords(predictors, grid)
 
     estimates = {m: np.empty((reps, n_predictors)) for m in methods}
     for rep in range(reps):
@@ -282,18 +284,21 @@ def run_rmse_experiment(
         model = fit(sample, truncation, center=True)
         mc_seed = _int_seed(seed, _MC, rep)
 
+        # one noise draw per (fit, method); each predictor's ensemble is the
+        # sum conddist.ensemble forms, predict_coords + noise rows
         for m in _ensemble_methods(methods):
+            rows, _ = ensemble_noise(model, m, mc_size, mc_seed)
             for j, q in enumerate(queries):
-                values, _ = ensemble(model, q, m, mc_size, mc_seed)
-                inside = contains_batch(event, values, grid)
-                estimates[m][rep, j] = np.count_nonzero(inside) / len(values)
+                inside = contains_batch(event, predict_coords(model, q) + rows, grid)
+                estimates[m][rep, j] = np.count_nonzero(inside) / len(rows)
         if "glm" in methods or "nw" in methods:
             labels = contains_batch(event, sample.y, grid).astype(float)
             if "glm" in methods:
                 estimates["glm"][rep] = _glm_probs(sample.x, labels, model, queries, [])
             if "nw" in methods:
                 est = nw_fit(sample.x, labels)
-                estimates["nw"][rep] = [nw_prob(est, q) for q in queries]
+                estimates["nw"][rep] = nw_probs_from_distances(
+                    est, cross_distances(sample.x, queries))
 
     columns = ("method", "predictor", "truth", "rmse")
     rows = []
@@ -365,19 +370,18 @@ def run_var_experiment(
     ])
 
     family = family_level_in_alpha(z, search_lo, search_hi)
-    queries = [Covariate((y0,)) for y0 in predictors]
+    queries = _predictor_coords(predictors, grid)
     estimates = {m: np.empty((reps, n_predictors)) for m in methods}
     for rep in range(reps):
         series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
         sample, _ = build_far_design(series, order=1)
         model = fit(sample, truncation, center=True)
-        for j, x in enumerate(queries):
-            for m in methods:
+        mc_seed = _int_seed(seed, _MC, rep)
+        for m in methods:  # the ensembles of quantile_over_family, one noise draw per fit
+            rows, _ = ensemble_noise(model, m, mc_size, mc_seed)
+            for j, q in enumerate(queries):
                 try:
-                    xi = quantile_over_family(
-                        model, x, family, p, method=m,
-                        mc_size=mc_size, seed=_int_seed(seed, _MC, rep),
-                    )
+                    xi = ensemble_quantile(predict_coords(model, q) + rows, grid, family, p)
                 except RangeExhaustedError:
                     xi = search_hi
                 estimates[m][rep, j] = xi
@@ -473,13 +477,14 @@ def run_entropy_eval(
     day_of_pair = np.asarray(day_of_pair)
     real_values = np.asarray([c.values for c in response])[day_of_pair]
 
-    # each test day's geometry depends only on the split: its distances to
-    # the training days and its scores on the regression's directions
-    test_x = [sample.x[i] for i in test_ids]
+    # each test day's geometry depends only on the split: its row of
+    # distances to the training days (one matrix for all test days) and its
+    # scores on the regression's directions
+    test_x = sample.x[test_ids]
     glm_scores = []
     if "nw" in methods:
         train_dist = pairwise_distances(train_x)
-        test_dist = [query_distances(train_x, x) for x in test_x]
+        test_dist = cross_distances(train_x, test_x)
 
     # each test day's ensemble is center + noise row + seasonal component;
     # one noise draw and one column sort per method serve every alpha
@@ -516,8 +521,7 @@ def run_entropy_eval(
                 probs["glm"] = _glm_probs(train_x, train_labels[iz], model, test_x, glm_scores)
             if "nw" in methods:
                 nw_model = nw_fit(train_x, train_labels[iz], bandwidth=bandwidths[iz])
-                probs["nw"] = np.asarray([nw_prob_from_distances(nw_model, dist)
-                                          for dist in test_dist])
+                probs["nw"] = nw_probs_from_distances(nw_model, test_dist)
 
             cell = {m: cross_entropy(labels, probs[m]) for m in methods}
             best = min(cell, key=cell.get)

@@ -7,6 +7,7 @@ from scipy.stats import norm
 from curveprob import baselines
 from curveprob.baselines import (
     FGLMModel,
+    cross_distances,
     default_bandwidth_grid,
     fglm_fit,
     fglm_prob,
@@ -15,13 +16,14 @@ from curveprob.baselines import (
     nw_fit,
     nw_prob,
     nw_prob_from_distances,
+    nw_probs_from_distances,
     nw_select_bandwidth,
     pairwise_distances,
     query_distances,
 )
-from curveprob.curves import Grid
+from curveprob.curves import Curve, Grid
 from curveprob.errors import DegenerateInputError
-from curveprob.flm import RegressionSample, TruncationRule, fit
+from curveprob.flm import RegressionSample, TruncationRule, build_far_design, fit
 from curveprob.spectral import SpectralPair
 
 GRID = Grid(12)
@@ -40,6 +42,23 @@ def scalar_sample(values):
 def curve_cov(grid, values):
     """Weighted coordinates of a one-curve covariate."""
     return np.asarray(values, dtype=float) * grid.quad_weights_sqrt()
+
+
+def daily_like_coords(n_days=150, seed=0):
+    """Weighted coordinates of seven lags of a persistent, mean-zero series
+    of curves on a 24-interval grid plus one exogenous series: the geometry
+    of the cross-entropy pipeline's deseasonalized daily curves."""
+    grid = Grid(24)
+    rng = np.random.default_rng(seed)
+    basis = np.array([np.ones(grid.size), np.sin(2 * np.pi * grid.points),
+                      np.cos(2 * np.pi * grid.points)])
+    state = np.zeros(len(basis))
+    response = []
+    for _ in range(n_days):
+        state = 0.6 * state + rng.normal(size=len(basis)) * [0.8, 0.4, 0.3]
+        response.append(Curve(grid, state @ basis + 0.1 * rng.normal(size=grid.size)))
+    exog = [Curve(grid, rng.normal(size=grid.size)) for _ in range(n_days)]
+    return build_far_design(response, 7, [exog])[0].x
 
 
 def regression_on(coords, k=1):
@@ -123,6 +142,57 @@ class TestKernels:
         queries = rng.normal(size=(30, 5))
         batch = fglm_probs_from_scores(model, [fglm_score(model, x) for x in queries])
         assert np.array_equal(batch, [fglm_prob(model, x) for x in queries])
+
+
+class TestDistances:
+    def test_cross_distances_agree_with_the_direct_formula(self):
+        coords = daily_like_coords()
+        train, queries = coords[::3], coords[1::3]
+        direct = np.sqrt(np.sum((train[None, :, :] - queries[:, None, :]) ** 2, axis=2))
+        np.testing.assert_allclose(cross_distances(train, queries), direct, rtol=1e-12, atol=0)
+
+    def test_query_on_a_training_row_is_a_finite_nonnegative_distance(self):
+        coords = daily_like_coords()
+        own = np.diagonal(cross_distances(coords, coords))
+        assert np.all(np.isfinite(own)) and np.all(own >= 0.0)
+        assert np.all(own <= 1e-6 * np.linalg.norm(coords, axis=1))
+
+
+class TestNWBatch:
+    """Each query's row of the batched kernel is its own: equal bit for bit
+    to :func:`nw_prob`, whatever else is in the batch."""
+
+    def setup_method(self):
+        coords = daily_like_coords()
+        rng = np.random.default_rng(5)
+        self.train, self.queries = coords[:100], coords[100:]
+        self.labels = (rng.uniform(size=100) < 0.4).astype(float)
+        self.est = nw_fit(self.train, self.labels)
+        self.probs = nw_probs_from_distances(self.est, cross_distances(self.train, self.queries))
+        self.rng = rng
+
+    def test_rows_equal_per_query_nw_prob(self):
+        assert 0.0 < self.probs.min() < self.probs.max() < 1.0
+        assert np.array_equal(self.probs, [nw_prob(self.est, x) for x in self.queries])
+
+    def test_rows_do_not_depend_on_the_rest_of_the_batch(self):
+        full = cross_distances(self.train, self.queries)
+        perm = self.rng.permutation(len(self.queries))
+        permuted = cross_distances(self.train, self.queries[perm])
+        assert np.array_equal(permuted, full[perm])
+        assert np.array_equal(nw_probs_from_distances(self.est, permuted), self.probs[perm])
+        for t in (0, 17, len(self.queries) - 1):
+            one = cross_distances(self.train, self.queries[t:t + 1])
+            assert np.array_equal(one, full[t:t + 1])
+            assert np.array_equal(nw_probs_from_distances(self.est, one), self.probs[t:t + 1])
+
+    def test_an_underflowed_row_gets_the_label_mean_and_leaves_the_others(self):
+        far = self.queries.copy()
+        far[3] += 1e3  # every kernel weight of this row underflows
+        with pytest.warns(UserWarning, match="underflowed"):
+            got = nw_probs_from_distances(self.est, cross_distances(self.train, far))
+        assert got[3] == self.labels.mean()
+        assert np.array_equal(np.delete(got, 3), np.delete(self.probs, 3))
 
 
 class TestBandwidthSelection:

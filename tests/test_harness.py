@@ -3,10 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from curveprob import baselines
 from curveprob.baselines import fglm_fit, fglm_prob, nw_fit, nw_prob
-from curveprob.conddist import GaussSampler, boot_prob, gauss_prob, noise_sampler
+from curveprob.conddist import (
+    GaussSampler,
+    boot_prob,
+    gauss_prob,
+    noise_sampler,
+    quantile_over_family,
+)
 from curveprob.curves import Covariate, Curve, Grid
-from curveprob.errors import ParseError, UsageError
+from curveprob.errors import ParseError, RangeExhaustedError, UsageError
 from curveprob.harness.dgp import (
     DGPSpec,
     brownian_matrix,
@@ -22,7 +29,7 @@ from curveprob.harness.dgp import (
     stationary_predictors,
     synthetic_noise_basis,
 )
-from curveprob.events import contains_batch, extremal_set, level_set
+from curveprob.events import contains_batch, extremal_set, family_level_in_alpha, level_set
 from curveprob.flm import TruncationRule, build_far_design, fit, predict_coords
 from curveprob.harness import experiments
 from curveprob.harness.experiments import (
@@ -34,6 +41,7 @@ from curveprob.harness.experiments import (
     oracle_level_quantile,
     run_entropy_eval,
     run_rmse_experiment,
+    run_var_experiment,
 )
 from curveprob.harness.io import load_curves, load_index, save_curves
 from curveprob.harness.metrics import binomial_se, cross_entropy, rmse
@@ -171,26 +179,66 @@ class TestDriversShareTheEstimator:
         monkeypatch.setattr(experiments, "rmse", lambda est, truth: seen.append(np.array(est)) or 0.0)
         seed, n, n_pred, reps, mc = 6, 40, 3, 2, 150
         event = level_set(5.5, 0.5)
-        run_rmse_experiment(n=n, n_predictors=n_pred, event=event, methods="gauss,boot,glm",
+        run_rmse_experiment(n=n, n_predictors=n_pred, event=event, methods="gauss,boot,glm,nw",
                             reps=reps, seed=seed, grid_d=16, oracle_size=50, mc_size=mc)
 
         spec = synthetic_dgp(Grid(16))
         predictors = stationary_predictors(spec, n_pred, _int_seed(seed, _PREDICTORS))
-        want = np.empty((3, n_pred, reps))  # methods in the order given: gauss, boot, glm
+        want = np.empty((4, n_pred, reps))  # methods in the order given: gauss, boot, glm, nw
         for rep in range(reps):
             series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
             sample = build_far_design(series, order=1)[0]
             model = fit(sample, TruncationRule.threshold(), center=True)
-            glm = fglm_fit(sample.x, contains_batch(event, sample.y, spec.grid).astype(float),
-                           model)
+            labels = contains_batch(event, sample.y, spec.grid).astype(float)
+            glm = fglm_fit(sample.x, labels, model)
+            nw = nw_fit(sample.x, labels)
             for j, y0 in enumerate(predictors):
                 x = Covariate((y0,))
                 want[0, j, rep] = gauss_prob(model, x, event, mc_size=mc,
                                              seed=_int_seed(seed, _MC, rep)).value
                 want[1, j, rep] = boot_prob(model, x, event).value
                 want[2, j, rep] = fglm_prob(glm, x.coords())
+                want[3, j, rep] = nw_prob(nw, x.coords())
         assert np.mean((0.0 < want) & (want < 1.0)) >= 0.5  # not all indicators
         np.testing.assert_array_equal(np.reshape(seen, want.shape), want)
+
+    def test_var_estimates_equal_quantile_over_family(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(experiments, "rmse", lambda est, truth: seen.append(np.array(est)) or 0.0)
+        seed, n, n_pred, reps, mc = 4, 40, 3, 2, 150
+        run_var_experiment(n=n, n_predictors=n_pred, reps=reps, seed=seed, grid_d=16,
+                           oracle_size=50, mc_size=mc, search_hi=8.0)
+
+        spec = synthetic_dgp(Grid(16))
+        predictors = stationary_predictors(spec, n_pred, _int_seed(seed, _PREDICTORS))
+        family = family_level_in_alpha(0.5, 0.0, 8.0)
+        want = np.empty((2, n_pred, reps))  # boot, gauss
+        for rep in range(reps):
+            series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
+            model = fit(build_far_design(series, order=1)[0], TruncationRule.threshold(),
+                        center=True)
+            for j, y0 in enumerate(predictors):
+                for k, m in enumerate(("boot", "gauss")):
+                    try:
+                        want[k, j, rep] = quantile_over_family(
+                            model, Covariate((y0,)), family, 1.0 - 1.0 / n, method=m,
+                            mc_size=mc, seed=_int_seed(seed, _MC, rep))
+                    except RangeExhaustedError:
+                        want[k, j, rep] = 8.0
+        assert 0.0 < np.mean(want < 8.0) < 1.0  # both the search and its fallback ran
+        np.testing.assert_array_equal(np.reshape(seen, want.shape), want)
+
+    @pytest.mark.parametrize("driver", [
+        lambda **kw: run_rmse_experiment(methods="gauss,boot", **kw),
+        run_var_experiment,
+    ])
+    def test_drivers_draw_gaussian_rows_once_per_replicate(self, monkeypatch, driver):
+        calls = []
+        draw = GaussSampler.draw_matrix
+        monkeypatch.setattr(GaussSampler, "draw_matrix",
+                            lambda sampler, count: calls.append(count) or draw(sampler, count))
+        driver(n=40, n_predictors=3, reps=2, seed=2, grid_d=16, oracle_size=50, mc_size=60)
+        assert calls == [60, 60]
 
     def test_rmse_glm_on_a_single_class_replicate_is_the_label_mean(self, monkeypatch):
         # every response curve of replicates 1 and 3 peaks above 6, so no
@@ -226,6 +274,22 @@ class TestDriversShareTheEstimator:
     def test_entropy_probabilities_equal_per_z_event_tests_over_many_alphas(self, monkeypatch):
         # one column table per method serves every alpha
         check_entropy_probabilities(monkeypatch, alphas=(42.0, 48.0, 52.0, 58.0))
+
+    def test_entropy_eval_builds_test_distances_once_per_split(self, monkeypatch):
+        calls = []
+        build = baselines.cross_distances
+
+        def counted(train, queries):
+            calls.append(len(queries))
+            return build(train, queries)
+
+        # the baselines' own name covers per-query nw_prob / query_distances calls
+        monkeypatch.setattr(baselines, "cross_distances", counted)
+        monkeypatch.setattr(experiments, "cross_distances", counted)
+        response, wind, doy, dow = entropy_series()
+        report = run_entropy_eval(response, [(wind, False)], day_of_year=doy, day_of_week=dow,
+                                  ar_order=2, alphas=(45.0, 55.0), methods="nw")
+        assert calls == [report.rows[0][4]]  # one call holding every test day
 
     def test_entropy_eval_draws_gaussian_rows_once(self, monkeypatch):
         calls = []

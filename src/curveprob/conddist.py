@@ -255,8 +255,6 @@ def ensemble_quantile(
     if not 0.0 < p < 1.0:
         raise UsageError(f"p must lie in (0, 1), got {p}")
     lo, hi = family.lo, family.hi
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise UsageError("quantile search needs a bounded family range")
     tol = tol if tol is not None else 1e-4 * (hi - lo)
     if tol <= 0:
         raise UsageError(f"tolerance must be positive, got {tol}")

@@ -217,8 +217,10 @@ class MonotoneFamily:
         default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise UsageError(f"family range must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+        # finite width, not just finite bounds: the quantile search steps through it
+        if not (self.lo < self.hi and np.isfinite(self.hi - self.lo)):
+            raise UsageError(f"family range must satisfy lo < hi with a finite width, "
+                             f"got [{self.lo}, {self.hi}]")
 
     def at(self, xi: float) -> EventSet:
         return self.generator(xi)
@@ -266,6 +268,51 @@ def family_max_below(lo: float, hi: float) -> MonotoneFamily:
     )
 
 
+class _Params(dict):
+    """The raw parameters of one spec, each taken at most once."""
+
+    def take(self, key: str) -> str:
+        if key not in self:
+            raise UsageError(f"{self.what} kind {self.kind!r} needs parameter {key!r}")
+        return self.pop(key)
+
+    def number(self, key: str, default: float = None) -> float:
+        """One rule for every number: not a number or NaN is a usage error."""
+        if default is not None and key not in self:
+            return default
+        text = self.take(key)
+        try:
+            value = float(text)
+        except ValueError:
+            raise UsageError(f"{self.what} parameter {key!r} is not a number: {text!r}") from None
+        if np.isnan(value):
+            raise UsageError(f"{self.what} parameter {key!r} is NaN")
+        return value
+
+
+def _parse_spec(text: str, what: str, kinds: dict):
+    """Parse ``kind:key=value,...`` with ``kinds[kind](params)``. A key may be
+    given once, and every key must be taken."""
+    kind, sep, rest = text.partition(":")
+    if not sep:
+        raise UsageError(f"{what} spec {text!r} needs the form kind:key=value,...")
+    params = _Params()
+    params.what, params.kind = what, kind.strip().lower()
+    for piece in filter(None, (p.strip() for p in rest.split(","))):
+        key, eq, value = (s.strip() for s in piece.partition("="))
+        if not eq:
+            raise UsageError(f"bad {what} parameter {piece!r}, expected key=value")
+        if key in params:
+            raise UsageError(f"{what} parameter {key!r} is given twice")
+        params[key] = value
+    if params.kind not in kinds:
+        raise UsageError(f"{what} kind {params.kind!r} is not one of {sorted(kinds)}")
+    result = kinds[params.kind](params)
+    if params:
+        raise UsageError(f"unused {what} parameters: {sorted(params)}")
+    return result
+
+
 def parse_event(text: str, load_curve=None) -> EventSet:
     """Parse the compact event syntax used on the command line.
 
@@ -274,56 +321,38 @@ def parse_event(text: str, load_curve=None) -> EventSet:
     and ``complement:<inner spec>``. Curve-valued parameters use ``@path``
     and are resolved through ``load_curve``.
     """
-    kind, sep, rest = text.partition(":")
-    kind = kind.strip().lower()
-    if not sep:
-        raise UsageError(f"event spec {text!r} needs the form kind:key=value,...")
-    if kind == "complement":
-        return complement(parse_event(rest, load_curve))
+    kind, _, inner = text.partition(":")
+    if kind.strip().lower() == "complement":
+        return complement(parse_event(inner, load_curve))
 
-    params = {}
-    for piece in filter(None, (p.strip() for p in rest.split(","))):
-        key, eq, value = piece.partition("=")
-        if not eq:
-            raise UsageError(f"bad event parameter {piece!r}, expected key=value")
-        params[key.strip()] = value.strip()
-
-    def num(key):
-        if key not in params:
-            raise UsageError(f"event kind {kind!r} needs parameter {key!r}")
-        try:
-            value = float(params.pop(key))
-        except ValueError as exc:
-            raise UsageError(f"parameter {key!r} is not a number: {exc}") from exc
-        if np.isnan(value):
-            raise UsageError(f"parameter {key!r} is NaN, not a number")
-        return value
-
-    def curve(key):
-        if key not in params:
-            raise UsageError(f"event kind {kind!r} needs parameter {key!r}")
-        ref = params.pop(key)
+    def curve(params, key):
+        ref = params.take(key)
         if not ref.startswith("@"):
             raise UsageError(f"parameter {key!r} must reference a curve file as @path")
         if load_curve is None:
             raise UsageError("no curve loader available for @path parameters")
         return load_curve(ref[1:])
 
-    if kind == "level":
-        result = level_set(num("alpha"), num("z"))
-    elif kind == "contrast":
-        result = contrast_set(curve("gamma"), num("a"))
-    elif kind == "extremal":
-        result = extremal_set(num("d"))
-    elif kind == "excursion":
-        result = excursion_set(num("d"), num("c"))
-    elif kind == "boundary":
-        result = boundary_set(num("lo"), num("hi"))
-    else:
-        raise UsageError(f"event kind {kind!r} cannot be parsed from a string")
-    if params:
-        raise UsageError(f"unused event parameters: {sorted(params)}")
-    return result
+    return _parse_spec(text, "event", {
+        "level": lambda p: level_set(p.number("alpha"), p.number("z")),
+        "contrast": lambda p: contrast_set(curve(p, "gamma"), p.number("a")),
+        "extremal": lambda p: extremal_set(p.number("d")),
+        "excursion": lambda p: excursion_set(p.number("d"), p.number("c")),
+        "boundary": lambda p: boundary_set(p.number("lo"), p.number("hi")),
+    })
+
+
+def parse_family(text: str) -> MonotoneFamily:
+    """Parse a monotone family spec: ``level-alpha:z=0.5,lo=0,hi=25``,
+    ``level-z:alpha=50`` (lo and hi default to 0 and 1) or
+    ``max-below:lo=-5,hi=5``."""
+    return _parse_spec(text, "family", {
+        "level-alpha": lambda p: family_level_in_alpha(p.number("z"), p.number("lo"),
+                                                       p.number("hi")),
+        "level-z": lambda p: family_level_in_z(p.number("alpha"), p.number("lo", 0.0),
+                                               p.number("hi", 1.0)),
+        "max-below": lambda p: family_max_below(p.number("lo"), p.number("hi")),
+    })
 
 
 def format_event(event: EventSet) -> str:

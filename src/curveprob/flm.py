@@ -401,7 +401,7 @@ def from_json(text: str) -> FittedFLM:
         m = {key: np.asarray(doc[key], dtype=float) for key in want}
         truncation = TruncationRule.from_dict(doc["truncation"]) if doc["truncation"] else None
         centered, dof_correction = bool(doc["centered"]), bool(doc["dof_correction"])
-    except (KeyError, TypeError, ValueError, UsageError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise StructureError(f"malformed model document: {exc!r}") from None
     bad = [key for key, shape in want.items() if m[key].shape != shape]
     if bad or not 1 <= k <= p:

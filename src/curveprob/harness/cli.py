@@ -25,7 +25,7 @@ from ..conddist import (
 )
 from ..curves import Covariate, Grid
 from ..errors import DegenerateInputError, RangeExhaustedError, StructureError, UsageError
-from ..events import contains_batch, family_level_in_alpha, family_level_in_z, family_max_below, parse_event
+from ..events import contains_batch, parse_event, parse_family
 from ..flm import TruncationRule, build_far_design, fit, from_json, to_json
 from . import io
 from .dgp import paparoditis_dgp, simulate_brownian, simulate_far, synthetic_dgp
@@ -57,29 +57,10 @@ def _load_covariate(args) -> Covariate:
     return Covariate(parts, scalars)
 
 
-def _parse_family(text: str):
-    """Family specs: 'level-alpha:z=0.5,lo=0,hi=25', 'level-z:alpha=50',
-    'max-below:lo=-5,hi=5'."""
-    kind, _, rest = text.partition(":")
-    params = {}
-    for piece in filter(None, (p.strip() for p in rest.split(","))):
-        key, eq, value = piece.partition("=")
-        if not eq:
-            raise UsageError(f"bad family parameter {piece!r}")
-        key = key.strip()
-        params[key] = _parse_floats(value, f"family parameter {key!r}")[0]
-    kind = kind.strip().lower()
-    try:
-        if kind == "level-alpha":
-            return family_level_in_alpha(params["z"], params["lo"], params["hi"])
-        if kind == "level-z":
-            return family_level_in_z(params["alpha"],
-                                     params.get("lo", 0.0), params.get("hi", 1.0))
-        if kind == "max-below":
-            return family_max_below(params["lo"], params["hi"])
-    except KeyError as exc:
-        raise UsageError(f"family {kind!r} needs parameter {exc}") from None
-    raise UsageError(f"unknown family kind {kind!r}")
+def _load_query(args):
+    """The model and covariate that estimate, quantile and band query."""
+    model = from_json(Path(args.model).read_text(encoding="utf-8"))
+    return model, _load_covariate(args)
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -88,6 +69,11 @@ def _write_json(payload: dict, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _save_report(report, out: str, what: str) -> None:
+    io.save_report(report, out)
+    sys.stderr.write(f"{what} finished in {report.runtime_seconds:.1f}s\n")
 
 
 def _cmd_simulate(args) -> None:
@@ -101,10 +87,8 @@ def _cmd_simulate(args) -> None:
     else:
         if args.dgp == "far_paparoditis":
             spec = paparoditis_dgp(grid, b=args.b, seed=args.seed)
-        elif args.dgp == "far_synthetic":
-            spec = synthetic_dgp(grid, seed=args.seed)
         else:
-            raise UsageError(f"unknown DGP {args.dgp!r}")
+            spec = synthetic_dgp(grid, seed=args.seed)
         if args.burn_in is not None:
             spec = replace(spec, burn_in=args.burn_in)
         curves = simulate_far(spec, args.n)
@@ -121,8 +105,7 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_estimate(args) -> None:
-    model = from_json(Path(args.model).read_text(encoding="utf-8"))
-    x = _load_covariate(args)
+    model, x = _load_query(args)
     event = parse_event(args.event, load_curve=io.load_single_curve)
     if args.method == "boot":
         est = boot_prob(model, x, event)
@@ -133,9 +116,8 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_quantile(args) -> None:
-    model = from_json(Path(args.model).read_text(encoding="utf-8"))
-    x = _load_covariate(args)
-    family = _parse_family(args.family)
+    model, x = _load_query(args)
+    family = parse_family(args.family)
     xi = quantile_over_family(model, x, family, args.p, method=args.method,
                               mc_size=args.mc, seed=args.seed)
     _write_json({"quantile": xi, "p": args.p, "method": args.method,
@@ -143,8 +125,7 @@ def _cmd_quantile(args) -> None:
 
 
 def _cmd_band(args) -> None:
-    model = from_json(Path(args.model).read_text(encoding="utf-8"))
-    x = _load_covariate(args)
+    model, x = _load_query(args)
     cal, band = calibrate_uniform_band(model, x, args.nominal, method=args.method,
                                        mc_size=args.mc, seed=args.seed,
                                        literal_abs=args.literal_abs)
@@ -163,25 +144,25 @@ def _cmd_coverage(args) -> None:
         n=args.n, b=args.b, nominal=args.nominal, method=args.method,
         reps=args.reps, seed=args.seed, grid_d=args.grid_d, pve=args.pve,
         mc_size=args.mc)
-    io.save_report(report, args.out or "coverage.csv")
-    sys.stderr.write(f"coverage experiment finished in {report.runtime_seconds:.1f}s\n")
+    _save_report(report, args.out or "coverage.csv", "coverage experiment")
 
 
 def _cmd_rmse(args) -> None:
-    event = parse_event(args.event, load_curve=io.load_single_curve)
-    if args.target == "prob":
-        report = run_rmse_experiment(
-            dgp=args.dgp, n=args.n, n_predictors=args.predictors, event=event,
-            methods=args.methods, reps=args.reps, seed=args.seed,
-            grid_d=args.grid_d, oracle_size=args.oracle_size, mc_size=args.mc)
-    else:
-        report = run_var_experiment(
-            dgp=args.dgp, n=args.n, n_predictors=args.predictors,
-            reps=args.reps, seed=args.seed, z=args.z,
-            search_lo=args.search_lo, search_hi=args.search_hi,
-            grid_d=args.grid_d, oracle_size=args.oracle_size, mc_size=args.mc)
-    io.save_report(report, args.out or "rmse.csv")
-    sys.stderr.write(f"rmse experiment finished in {report.runtime_seconds:.1f}s\n")
+    report = run_rmse_experiment(
+        dgp=args.dgp, n=args.n, n_predictors=args.predictors,
+        event=parse_event(args.event, load_curve=io.load_single_curve),
+        methods=args.methods, reps=args.reps, seed=args.seed,
+        grid_d=args.grid_d, oracle_size=args.oracle_size, mc_size=args.mc)
+    _save_report(report, args.out or "rmse.csv", "rmse experiment")
+
+
+def _cmd_quantile_exp(args) -> None:
+    report = run_var_experiment(
+        dgp=args.dgp, n=args.n, n_predictors=args.predictors,
+        reps=args.reps, seed=args.seed, z=args.z,
+        search_lo=args.search_lo, search_hi=args.search_hi,
+        grid_d=args.grid_d, oracle_size=args.oracle_size, mc_size=args.mc)
+    _save_report(report, args.out or "quantile.csv", "quantile experiment")
 
 
 def _cmd_entropy(args) -> None:
@@ -201,8 +182,7 @@ def _cmd_entropy(args) -> None:
         zs=_parse_floats(args.zs, "--zs"),
         test_fraction=args.test_fraction, methods=args.methods,
         seed=args.seed, mc_size=args.mc)
-    io.save_report(report, args.out or "entropy.csv")
-    sys.stderr.write(f"entropy evaluation finished in {report.runtime_seconds:.1f}s\n")
+    _save_report(report, args.out or "entropy.csv", "entropy evaluation")
 
 
 def _cmd_deseasonalize(args) -> None:
@@ -237,98 +217,88 @@ def _cmd_baseline(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand declares only the options its handler reads; shared
+    declarations live in parent parsers."""
     parser = argparse.ArgumentParser(
         prog="curveprob",
         description="Conditional event probabilities for curve-valued responses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid-d", type=int, default=100, dest="grid_d")
-        p.add_argument("--out", default=None)
+    def options(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
-    p = sub.add_parser("simulate", help="simulate a curve series")
-    common(p)
+    def command(name, fn, parents, help):
+        p = sub.add_parser(name, parents=parents, help=help)
+        p.set_defaults(fn=fn)
+        return p
+
+    out = options()
+    out.add_argument("--out", default=None)
+    drawn = options(out)  # the commands that draw Monte-Carlo ensembles
+    drawn.add_argument("--seed", type=int, default=0)
+    drawn.add_argument("--mc", type=int, default=2000)
+    covariate = options()  # what _load_covariate reads
+    covariate.add_argument("--x", required=True)
+    covariate.add_argument("--x-scalars", default=None, dest="x_scalars")
+    query = options(drawn, covariate)
+    query.add_argument("--model", required=True)
+    query.add_argument("--method", default="boot", choices=["boot", "gauss"])
+    experiment = options(drawn)  # the drivers that simulate their own series
+    experiment.add_argument("--n", type=int, required=True)
+    experiment.add_argument("--grid-d", type=int, default=100, dest="grid_d")
+    oracle = options(experiment)
+    oracle.add_argument("--dgp", default="far_synthetic")
+    oracle.add_argument("--predictors", type=int, default=50)
+    oracle.add_argument("--reps", type=int, default=100)
+    oracle.add_argument("--oracle-size", type=int, default=10000, dest="oracle_size")
+
+    p = command("simulate", _cmd_simulate, [out], "simulate a curve series")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid-d", type=int, default=100, dest="grid_d")
     p.add_argument("--dgp", default="far_paparoditis",
                    choices=["far_paparoditis", "far_synthetic", "brownian"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--burn-in", type=int, default=None, dest="burn_in",
                    help="curves dropped before the series (default: the process's own)")
-    p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("fit", help="fit the lagged regression to a series")
-    common(p)
+    p = command("fit", _cmd_fit, [out], "fit the lagged regression to a series")
     p.add_argument("--series", required=True)
     p.add_argument("--ar-order", type=int, default=1, dest="ar_order")
     p.add_argument("--exog", nargs="*", default=None)
     p.add_argument("--truncation", default="threshold:auto")
     p.add_argument("--no-center", action="store_true", dest="no_center")
     p.add_argument("--dof-correction", action="store_true", dest="dof_correction")
-    p.set_defaults(fn=_cmd_fit)
 
-    p = sub.add_parser("estimate", help="conditional probability of an event")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--x-scalars", default=None, dest="x_scalars")
+    p = command("estimate", _cmd_estimate, [query], "conditional probability of an event")
     p.add_argument("--event", required=True)
-    p.add_argument("--method", default="boot", choices=["boot", "gauss"])
-    p.add_argument("--mc", type=int, default=2000)
-    p.set_defaults(fn=_cmd_estimate)
 
-    p = sub.add_parser("quantile", help="quantile over a monotone event family")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--x-scalars", default=None, dest="x_scalars")
+    p = command("quantile", _cmd_quantile, [query], "quantile over a monotone event family")
     p.add_argument("--family", required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--method", default="boot", choices=["boot", "gauss"])
-    p.add_argument("--mc", type=int, default=2000)
-    p.set_defaults(fn=_cmd_quantile)
 
-    p = sub.add_parser("band", help="calibrated uniform prediction band")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--x-scalars", default=None, dest="x_scalars")
+    p = command("band", _cmd_band, [query], "calibrated uniform prediction band")
     p.add_argument("--nominal", type=float, default=0.95)
-    p.add_argument("--method", default="boot", choices=["boot", "gauss"])
-    p.add_argument("--mc", type=int, default=2000)
     p.add_argument("--literal-abs", action="store_true", dest="literal_abs")
-    p.set_defaults(fn=_cmd_band)
 
-    p = sub.add_parser("coverage-exp", help="band coverage experiment")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
+    p = command("coverage-exp", _cmd_coverage, [experiment], "band coverage experiment")
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--nominal", type=float, default=0.95)
     p.add_argument("--method", default="both", choices=["boot", "gauss", "both"])
     p.add_argument("--reps", type=int, default=500)
     p.add_argument("--pve", type=float, default=0.85)
-    p.add_argument("--mc", type=int, default=2000)
-    p.set_defaults(fn=_cmd_coverage)
 
-    p = sub.add_parser("rmse-exp", help="probability / quantile RMSE experiment")
-    common(p)
-    p.add_argument("--dgp", default="far_synthetic")
-    p.add_argument("--target", default="prob", choices=["prob", "quantile"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--predictors", type=int, default=50)
+    p = command("rmse-exp", _cmd_rmse, [oracle], "probability RMSE experiment")
     p.add_argument("--event", default="level:alpha=7.0710678118654755,z=0.5")
     p.add_argument("--methods", default="boot,gauss")
-    p.add_argument("--reps", type=int, default=100)
+
+    p = command("quantile-exp", _cmd_quantile_exp, [oracle], "extreme-quantile RMSE experiment")
     p.add_argument("--z", type=float, default=0.5)
     p.add_argument("--search-lo", type=float, default=0.0, dest="search_lo")
     p.add_argument("--search-hi", type=float, default=30.0, dest="search_hi")
-    p.add_argument("--oracle-size", type=int, default=10000, dest="oracle_size")
-    p.add_argument("--mc", type=int, default=2000)
-    p.set_defaults(fn=_cmd_rmse)
 
-    p = sub.add_parser("entropy-eval", help="cross-entropy pipeline on daily curves")
-    common(p)
+    p = command("entropy-eval", _cmd_entropy, [drawn], "cross-entropy pipeline on daily curves")
     p.add_argument("--response", required=True)
     p.add_argument("--exog", nargs="*", default=None,
                    help="exogenous series as path[:no-weekly]")
@@ -340,30 +310,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zs", default="0.0,0.16666666666666666,0.3333333333333333,0.5")
     p.add_argument("--test-fraction", type=float, default=1.0 / 3, dest="test_fraction")
     p.add_argument("--methods", default="boot,glm,nw")
-    p.add_argument("--mc", type=int, default=2000)
-    p.set_defaults(fn=_cmd_entropy)
 
-    p = sub.add_parser("deseasonalize", help="remove yearly/weekly components")
-    common(p)
+    p = command("deseasonalize", _cmd_deseasonalize, [out], "remove yearly/weekly components")
     p.add_argument("--series", required=True)
     p.add_argument("--doy", required=True)
     p.add_argument("--dow", default=None)
     p.add_argument("--window", type=int, default=21)
     p.add_argument("--no-weekly", action="store_true", dest="no_weekly")
-    p.set_defaults(fn=_cmd_deseasonalize)
 
-    p = sub.add_parser("baseline", help="kernel / binomial-regression baselines")
-    common(p)
+    p = command("baseline", _cmd_baseline, [out, covariate],
+                "kernel / binomial-regression baselines")
     p.add_argument("estimator", choices=["nw", "glm"])
     p.add_argument("--train-series", required=True, dest="train_series")
     p.add_argument("--ar-order", type=int, default=1, dest="ar_order")
-    p.add_argument("--x", required=True)
-    p.add_argument("--x-scalars", default=None, dest="x_scalars")
     p.add_argument("--event", required=True)
     p.add_argument("--bandwidth", type=float, default=None)
     p.add_argument("--components", type=int, default=3)
     p.add_argument("--link", default="logit", choices=["logit", "probit"])
-    p.set_defaults(fn=_cmd_baseline)
 
     return parser
 

@@ -324,6 +324,12 @@ def run_rmse_experiment(
 # ---------------------------------------------------------------------------
 # extreme-quantile RMSE
 
+def _check_level_quantile(p: float, z: float) -> None:
+    for name, value in (("p", p), ("time budget z", z)):
+        if not 0.0 < value < 1.0:
+            raise UsageError(f"{name} must lie in (0, 1), got {value}")
+
+
 def oracle_level_quantile(
     spec: DGPSpec, previous: Curve, p: float, z: float, n_mc: int, seed: int
 ) -> float:
@@ -332,8 +338,7 @@ def oracle_level_quantile(
     threshold (:func:`~curveprob.events.level_alpha_critical`), then the
     order statistic at which their fraction reaches p, with no search grid.
     """
-    if not 0.0 < z < 1.0:
-        raise UsageError(f"time budget z must lie in (0, 1), got {z}")
+    _check_level_quantile(p, z)
     draws = conditional_draws(spec, previous, n_mc, seed)
     return order_statistic_quantile(level_alpha_critical(draws, spec.grid, z), p)
 
@@ -358,6 +363,8 @@ def run_var_experiment(
     truncation = truncation or TruncationRule.threshold()
     _check_counts(n=n, reps=reps, n_predictors=n_predictors, oracle_size=oracle_size)
     p = p if p is not None else 1.0 - 1.0 / n
+    _check_level_quantile(p, z)
+    family = family_level_in_alpha(z, search_lo, search_hi)
     started = time.perf_counter()
     grid = Grid(grid_d)
     spec = _dgp_by_kind(dgp, grid)
@@ -369,7 +376,6 @@ def run_var_experiment(
         for j, y0 in enumerate(predictors)
     ])
 
-    family = family_level_in_alpha(z, search_lo, search_hi)
     queries = _predictor_coords(predictors, grid)
     estimates = {m: np.empty((reps, n_predictors)) for m in methods}
     for rep in range(reps):
@@ -452,9 +458,8 @@ def run_entropy_eval(
             raise UsageError(f"time budget z must lie in [0, 1], got {z}")
     started = time.perf_counter()
     n_days = len(response)
-    grid = response[0].grid
-
     adj_response = deseasonalize(response, day_of_year, day_of_week, weekly=True)
+    grid = response[0].grid
     adj_exog = [
         deseasonalize(series, day_of_year, day_of_week, weekly=remove_weekly)
         for series, remove_weekly in exog

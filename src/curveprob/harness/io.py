@@ -84,16 +84,16 @@ def load_single_curve(path) -> Curve:
 
 
 def load_index(path) -> np.ndarray:
-    """One integer per line (day-of-year or day-of-week labels)."""
+    """One 64-bit integer per line (day-of-year or day-of-week labels)."""
     text = Path(path).read_text(encoding="utf-8")
     out = []
     for r, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            out.append(int(line.strip()))
-        except ValueError:
-            raise ParseError(f"{path}: non-integer index {line.strip()!r}", row=r) from None
+            out.append(np.int64(line.strip()))
+        except (ValueError, OverflowError):
+            raise ParseError(f"{path}: index {line.strip()!r} is not a 64-bit integer", row=r) from None
     return np.asarray(out, dtype=int)
 
 

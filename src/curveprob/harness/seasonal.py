@@ -79,11 +79,14 @@ def deseasonalize(
 ) -> SeasonalDecomposition:
     """Subtract the yearly and (optionally) weekly seasonal components."""
     n = len(series)
+    if n == 0:
+        raise UsageError("no curves to deseasonalize")
     doy = np.asarray(day_of_year, dtype=int)
     if doy.shape != (n,):
         raise UsageError(f"day-of-year index has length {doy.size}, series has {n}")
-    if doy.min() < 0:
-        raise UsageError("day-of-year labels must be nonnegative")
+    # 0..365 holds a leap year; checked before a table that long is built
+    if doy.min() < 0 or doy.max() > 365:
+        raise UsageError("day-of-year labels must lie in 0..365")
     if weekly:
         if day_of_week is None:
             raise UsageError("weekly adjustment needs a day-of-week index")

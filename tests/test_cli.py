@@ -12,7 +12,8 @@ from curveprob.curves import Covariate, Curve, Grid
 from curveprob.flm import RegressionSample, TruncationRule, fit, to_json
 from curveprob.harness.cli import main
 from curveprob.harness.dgp import simulate_far, synthetic_dgp
-from curveprob.harness.io import load_curves, save_curves
+from curveprob.harness.experiments import run_var_experiment
+from curveprob.harness.io import load_curves, save_curves, save_report
 
 
 def run(*argv):
@@ -142,6 +143,15 @@ class TestExperimentCommands:
         lines = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
         assert len(lines) == 1 + 2 * 2 * 3  # header + alphas x zs x methods
 
+    def test_quantile_exp_writes_the_driver_report(self, tmp_path):
+        out, want = tmp_path / "quantile.csv", tmp_path / "want.csv"
+        assert run("quantile-exp", "--n", 30, "--predictors", 2, "--reps", 2, "--grid-d", 16,
+                   "--oracle-size", 100, "--mc", 100, "--seed", 4, "--search-hi", 8,
+                   "--out", out) == 0
+        save_report(run_var_experiment(n=30, n_predictors=2, reps=2, seed=4, grid_d=16,
+                                       oracle_size=100, mc_size=100, search_hi=8.0), want)
+        assert out.read_bytes() == want.read_bytes()
+
     def test_rmse_exp_glm_with_a_single_class_replicate(self, tmp_path):
         # no curve of any replicate exceeds 50, so no binomial regression fits;
         # the baseline then predicts the training-label mean
@@ -258,11 +268,23 @@ def broken_inputs(tmp_path, model_json, x_csv):
     doc["noise_eigenvalues"][0] = -1.0
     negative_model = tmp_path / "negative_model.json"
     negative_model.write_text(json.dumps(doc))
+    huge_models = {}
+    for field in ("grid_d", "n_curve_parts", "n_components"):
+        doc = json.loads(model_json.read_text())
+        doc[field] = "HUGE"  # json.dumps cannot write 1e400 itself
+        huge_models[f"huge_{field}"] = tmp_path / f"huge_{field}.json"
+        huge_models[f"huge_{field}"].write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    labels = {}
+    for name, label in (("late_doy", "1000"), ("long_doy", "9" * 20)):
+        labels[name] = tmp_path / f"{name}.csv"
+        labels[name].write_text("\n".join([label] + [str(k) for k in range(1, n_days)]))
     return {"model": model_json, "x": x_csv, "wrong_grid": wrong_grid,
             "nan_cell": nan_cell, "truncated": truncated, "series": series,
             "letters": letters, "squared": squared, "doy": doy, "dow": dow,
             "nan_model": nan_model, "negative_model": negative_model,
-            "missing": tmp_path / "missing.csv"}
+            "missing": tmp_path / "missing.csv", "empty": empty, **huge_models, **labels}
 
 
 # a small rmse-exp run, so that a missing check fails fast
@@ -336,11 +358,11 @@ EXIT_CASES = [
     ("empty oracle",
      ["rmse-exp", *RMSE_SMALL, "--oracle-size", "0"],
      2, "oracle_size must be >= 1"),
-    ("empty oracle for the quantile target",
-     ["rmse-exp", *RMSE_SMALL, "--oracle-size", "0", "--target", "quantile"],
+    ("empty oracle for the quantile experiment",
+     ["quantile-exp", *RMSE_SMALL, "--oracle-size", "0"],
      2, "oracle_size must be >= 1"),
-    ("empty series for the quantile target",
-     ["rmse-exp", *RMSE_SMALL, "--n", "0", "--target", "quantile"],
+    ("empty series for the quantile experiment",
+     ["quantile-exp", *RMSE_SMALL, "--n", "0"],
      2, "n must be >= 1"),
     ("no replicates",
      ["rmse-exp", *RMSE_SMALL, "--reps", "0"],
@@ -366,11 +388,11 @@ EXIT_CASES = [
     ("family parameter that is NaN, level-z",
      ["quantile", "--model", "{model}", "--x", "{x}", "--family", "level-z:alpha=nan",
       "--p", "0.9"],
-     2, "family parameter 'alpha': NaN"),
+     2, "family parameter 'alpha' is NaN"),
     ("family parameter that is NaN, level-alpha",
      ["quantile", "--model", "{model}", "--x", "{x}", "--family",
       "level-alpha:z=nan,lo=0,hi=25", "--p", "0.5"],
-     2, "family parameter 'z': NaN"),
+     2, "family parameter 'z' is NaN"),
     ("negative seed, simulate",
      ["simulate", "--n", "5", "--seed", "-1", "--out", "{missing}"],
      2, "must be non-negative"),
@@ -409,6 +431,52 @@ EXIT_CASES = [
     ("model with a negative noise eigenvalue, band",
      ["band", "--model", "{negative_model}", "--x", "{x}", "--out", "{missing}"],
      2, "['noise_eigenvalues'] hold negative eigenvalues"),
+    ("family parameter no family kind reads",
+     ["quantile", "--model", "{model}", "--x", "{x}", "--family", "max-below:lo=0,hi=25,typo=1",
+      "--p", "0.5"],
+     2, "unused family parameters: ['typo']"),
+    ("level-z family given a time budget",
+     ["quantile", "--model", "{model}", "--x", "{x}", "--family", "level-z:alpha=6,z=0.3",
+      "--p", "0.5"],
+     2, "unused family parameters: ['z']"),
+    ("family parameter given twice",
+     ["quantile", "--model", "{model}", "--x", "{x}", "--family", "max-below:lo=0,lo=1,hi=25",
+      "--p", "0.5"],
+     2, "family parameter 'lo' is given twice"),
+    ("event parameter given twice",
+     ["estimate", "--model", "{model}", "--x", "{x}", "--event", "extremal:d=0,d=99"],
+     2, "event parameter 'd' is given twice"),
+    ("family range whose width overflows, max-below",
+     ["quantile", "--model", "{model}", "--x", "{x}", "--family", "max-below:lo=-1e308,hi=1e308",
+      "--p", "0.5"],
+     2, "with a finite width, got [-1e+308, 1e+308]"),
+    ("family range whose width overflows, level-alpha",
+     ["quantile", "--model", "{model}", "--x", "{x}", "--family",
+      "level-alpha:z=0.5,lo=-1e308,hi=1e308", "--p", "0.5"],
+     2, "with a finite width, got [-1e+308, 1e+308]"),
+    ("model with an overflowing grid_d",
+     ["estimate", "--model", "{huge_grid_d}", "--x", "{x}", "--event", "extremal:d=0"],
+     2, "malformed model document"),
+    ("model with an overflowing n_curve_parts",
+     ["estimate", "--model", "{huge_n_curve_parts}", "--x", "{x}", "--event", "extremal:d=0"],
+     2, "malformed model document"),
+    ("model with an overflowing n_components",
+     ["estimate", "--model", "{huge_n_components}", "--x", "{x}", "--event", "extremal:d=0"],
+     2, "malformed model document"),
+    ("day-of-year label past the year",
+     ["deseasonalize", "--series", "{series}", "--doy", "{late_doy}", "--dow", "{dow}",
+      "--out", "{missing}"],
+     2, "day-of-year labels must lie in 0..365"),
+    ("day-of-year label past 64 bits",
+     ["deseasonalize", "--series", "{series}", "--doy", "{long_doy}", "--dow", "{dow}",
+      "--out", "{missing}"],
+     2, f"index '{'9' * 20}' is not a 64-bit integer (row 1)"),
+    ("empty series, deseasonalize",
+     ["deseasonalize", "--series", "{empty}", "--doy", "{empty}", "--out", "{missing}"],
+     2, "no curves to deseasonalize"),
+    ("empty series, entropy-eval",
+     ["entropy-eval", "--response", "{empty}", "--doy", "{empty}", "--out", "{missing}"],
+     2, "no curves to deseasonalize"),
     ("binomial baseline without components",
      ["baseline", "glm", "--train-series", "{series}", "--x", "{x}",
       "--event", "extremal:d=0.0", "--components", "0"],

@@ -1,0 +1,227 @@
+"""Contract tests of the command line.
+
+Each subcommand declares exactly the options its handler reads. Every
+option that ``build_parser()`` declares is given bad and edge values,
+and model files, CSV cells and index lines are mutated. Whatever the input,
+``main`` must exit 0, 2 or 3 and never let an exception escape (which the
+installed command would print as a traceback). Size options only get values
+up to 3, so no case allocates much memory.
+"""
+
+import argparse
+import ast
+import inspect
+import json
+import random
+
+import pytest
+
+from curveprob.harness import cli
+from curveprob.harness.cli import build_parser, main
+from curveprob.harness.io import load_curves, save_curves
+
+FLOATS = ["-1", "0", "0.5", "nan", "inf", "-inf", "1e308", "1e400", "abc"]
+SIZES = ["-1", "0", "1", "2", "3", "abc"]
+SIZE_OPTIONS = {"--n", "--reps", "--mc", "--predictors", "--oracle-size", "--grid-d",
+                "--window", "--ar-order", "--components"}
+# string options that hold a number inside a spec
+SPECS = {"--event": "extremal:d={}", "--family": "max-below:lo=-5,hi={}",
+         "--truncation": "pve:{}", "--alphas": "1,{}", "--zs": "{}", "--x-scalars": "{}"}
+FILES = ("series", "model", "x", "doy", "dow", "empty")
+VALUES_PER_OPTION = 3
+MUTATIONS_PER_FILE = 12
+
+
+def base_args(files, tmp):
+    """A small valid invocation of each subcommand: option -> value."""
+    query = {"--model": files["model"], "--x": files["x"]}
+    experiment = {"--n": "3", "--reps": "1", "--grid-d": "3", "--mc": "3",
+                  "--predictors": "1", "--oracle-size": "3", "--out": tmp / "exp.csv"}
+    daily = {"--doy": files["doy"], "--dow": files["dow"]}
+    return {
+        "simulate": {"--n": "3", "--grid-d": "3", "--out": tmp / "sim.csv"},
+        "fit": {"--series": files["series"], "--out": tmp / "fit.json"},
+        "estimate": {**query, "--event": "extremal:d=0", "--mc": "3"},
+        "quantile": {**query, "--family": "max-below:lo=-5,hi=5", "--p": "0.5", "--mc": "3"},
+        "band": {**query, "--mc": "3", "--out": tmp / "band.csv"},
+        "coverage-exp": {k: v for k, v in experiment.items()
+                         if k not in ("--predictors", "--oracle-size")},
+        "rmse-exp": experiment,
+        "quantile-exp": experiment,
+        "entropy-eval": {"--response": files["series"], **daily, "--ar-order": "1",
+                         "--mc": "3", "--out": tmp / "entropy.csv"},
+        "deseasonalize": {"--series": files["series"], **daily, "--window": "3",
+                          "--out": tmp / "adjusted.csv"},
+        "baseline": {"estimator": "nw", "--train-series": files["series"], "--x": files["x"],
+                     "--event": "extremal:d=0", "--out": tmp / "baseline.json"},
+    }
+
+
+def candidates(action, files):
+    """The values an option is tried with."""
+    flag = action.option_strings[0] if action.option_strings else action.dest
+    if isinstance(action, argparse._StoreTrueAction):
+        return [None]
+    if action.choices:
+        return list(action.choices) + ["abc"]
+    if flag in SIZE_OPTIONS or action.type is int:
+        return SIZES
+    if action.type is float:
+        return FLOATS
+    if flag in SPECS:
+        return [SPECS[flag].format(v) for v in FLOATS]
+    if flag == "--out":  # relative names land in the test's working directory
+        return ["out.csv", "out.json", "abc", ""]
+    return [str(files[name]) for name in FILES] + ["abc", ""]
+
+
+def flatten(args) -> list:
+    argv = [str(args.pop("estimator"))] if "estimator" in args else []
+    for flag, value in args.items():
+        argv += [flag] if value is None else [flag, str(value)]
+    return argv
+
+
+def outcome(argv, capsys):
+    """The exit code of ``main(argv)``, or the exception that escaped it."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # noqa: BLE001  any escape breaks the contract
+        code = f"{type(exc).__name__}: {exc}"
+    capsys.readouterr()
+    return code
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """A 40-day series on 8 intervals, its fitted model, one covariate, day
+    indices and an empty file; no case writes to them."""
+    tmp_path = tmp_path_factory.mktemp("contract")
+    series = tmp_path / "series.csv"
+    assert main(["simulate", "--n", "40", "--grid-d", "8", "--seed", "3",
+                 "--out", str(series)]) == 0
+    model = tmp_path / "model.json"
+    assert main(["fit", "--series", str(series), "--truncation", "pve:0.85",
+                 "--out", str(model)]) == 0
+    x = tmp_path / "x.csv"
+    save_curves(load_curves(series)[-1:], x)
+    (tmp_path / "doy.csv").write_text("\n".join(str(k) for k in range(40)))
+    (tmp_path / "dow.csv").write_text("\n".join(str(k % 7) for k in range(40)))
+    (tmp_path / "empty.csv").write_text("")
+    return {"series": series, "model": model, "x": x, "doy": tmp_path / "doy.csv",
+            "dow": tmp_path / "dow.csv", "empty": tmp_path / "empty.csv"}
+
+
+def check(cases, capsys):
+    broken = [(argv, code) for argv in cases
+              if (code := outcome(argv, capsys)) not in (0, 2, 3)]
+    assert not broken, "\n".join(f"{argv} -> {code}" for argv, code in broken)
+
+
+SUBCOMMANDS = next(a for a in build_parser()._subparsers._group_actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def args_read(name, functions) -> set:
+    """The ``args.<option>`` attributes that the function ``name`` reads,
+    following every module-level function it passes ``args`` to."""
+    read = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions
+              and any(getattr(a, "id", None) == "args" for a in node.args)):
+            read |= args_read(node.func.id, functions)
+    return read
+
+
+def test_every_subcommand_declares_exactly_the_options_its_handler_reads():
+    functions = {node.name: node for node in ast.parse(inspect.getsource(cli)).body
+                 if isinstance(node, ast.FunctionDef)}
+    for name, parser in SUBCOMMANDS.items():
+        declared = {a.dest for a in parser._actions if a.dest != "help"}
+        assert declared == args_read(parser.get_default("fn").__name__, functions), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--series", "series.csv", "--grid-d", "3"],
+    ["fit", "--series", "series.csv", "--seed", "5"],
+    ["deseasonalize", "--series", "series.csv", "--doy", "doy.csv", "--seed", "1"],
+    ["baseline", "nw", "--train-series", "s.csv", "--x", "x.csv", "--event", "extremal:d=0",
+     "--grid-d", "3"],
+    # --reps 0: where the option is accepted, the run stops at once
+    ["rmse-exp", "--n", "30", "--reps", "0", "--target", "quantile"],
+    ["quantile-exp", "--n", "30", "--reps", "0", "--event", "extremal:d=0"],
+    ["rmse-exp", "--n", "30", "--reps", "0", "--search-hi", "8"],
+])
+def test_an_option_no_handler_reads_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_every_option_keeps_the_exit_contract(command, contract_files, tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)  # default output names land here
+    rng = random.Random(f"options {command}")
+    base = base_args(contract_files, tmp_path)[command]
+    cases = [[command, *flatten(dict(base))]]
+    for action in SUBCOMMANDS[command]._actions:
+        if action.dest == "help":
+            continue
+        key = action.option_strings[0] if action.option_strings else action.dest
+        values = candidates(action, contract_files)
+        for value in rng.sample(values, min(VALUES_PER_OPTION, len(values))):
+            cases.append([command, *flatten({**base, key: value})])
+    check(cases, capsys)
+
+
+def mutate_file(path, rng, value):
+    """Replace one cell (CSV or index file) or one field or matrix cell
+    (model file) with ``value``."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        doc = json.loads(text)
+        key = rng.choice(sorted(doc))
+        if isinstance(doc[key], list) and doc[key]:
+            row = rng.randrange(len(doc[key]))
+            if isinstance(doc[key][row], list) and doc[key][row]:
+                doc[key][row][rng.randrange(len(doc[key][row]))] = "@@"
+            else:
+                doc[key][row] = "@@"
+        else:
+            doc[key] = "@@"
+        token = value if value != "abc" else '"abc"'
+        token = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(token, token)
+        return json.dumps(doc).replace('"@@"', token)
+    lines = text.splitlines()
+    r = rng.randrange(len(lines))
+    cells = lines[r].split(",")
+    cells[rng.randrange(len(cells))] = value
+    lines[r] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, command", [
+    ("model", ["estimate", "--model", "{model}", "--x", "{x}", "--event", "extremal:d=0",
+               "--method", "gauss", "--mc", "3"]),
+    ("x", ["estimate", "--model", "{model}", "--x", "{x}", "--event", "extremal:d=0"]),
+    ("series", ["fit", "--series", "{series}", "--out", "{out}"]),
+    ("doy", ["deseasonalize", "--series", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+             "--window", "3", "--out", "{out}"]),
+])
+def test_a_mutated_input_file_keeps_the_exit_contract(name, command, contract_files,
+                                                     tmp_path, capsys):
+    rng = random.Random(f"files {name}")
+    original = contract_files[name]
+    cases = []
+    for i in range(MUTATIONS_PER_FILE):
+        mutated = tmp_path / f"mutated_{i}{original.suffix}"
+        mutated.write_text(mutate_file(original, rng, rng.choice(FLOATS + SIZES)))
+        paths = {**contract_files, name: mutated, "out": tmp_path / "out.csv"}
+        cases.append([a.format(**paths) for a in command])
+    check(cases, capsys)

@@ -19,6 +19,7 @@ from curveprob.events import (
     level_set,
     level_shares,
     parse_event,
+    parse_family,
     point_band,
     sorted_columns,
     uniform_band,
@@ -299,6 +300,38 @@ class TestParsing:
             parse_event("level:alpha=50,z=1,q=2")   # stray parameter
         with pytest.raises(UsageError):
             parse_event("contrast:gamma=@x.csv,a=1")  # no loader available
+
+    @pytest.mark.parametrize("text, message", [
+        ("extremal:d=0,d=99", "event parameter 'd' is given twice"),
+        ("extremal:d=abc", "event parameter 'd' is not a number: 'abc'"),
+        ("level:alpha=nan,z=0.5", "event parameter 'alpha' is NaN"),
+        ("extremal", "needs the form kind:key=value"),
+    ])
+    def test_event_spec_rules(self, text, message):
+        with pytest.raises(UsageError, match=message):
+            parse_event(text)
+
+    def test_family_kinds(self):
+        fam = parse_family("level-alpha:z=0.5,lo=0,hi=25")
+        assert (fam.lo, fam.hi) == (0.0, 25.0) and fam.at(3.0) == level_set(3.0, 0.5)
+        fam = parse_family(" Level-Z : alpha=50 ")
+        assert (fam.lo, fam.hi) == (0.0, 1.0) and fam.at(0.25) == level_set(50.0, 0.25)
+        fam = parse_family("max-below:lo=-5,hi=5")
+        assert fam.at(1.0) == complement(extremal_set(1.0))
+
+    @pytest.mark.parametrize("text, message", [
+        ("max-below:lo=0,hi=25,typo=1", r"unused family parameters: \['typo'\]"),
+        ("level-z:alpha=6,z=0.3", r"unused family parameters: \['z'\]"),
+        ("max-below:lo=0,lo=1,hi=25", "family parameter 'lo' is given twice"),
+        ("level-alpha:z=nan,lo=0,hi=25", "family parameter 'z' is NaN"),
+        ("level-alpha:z=0.5,lo=x,hi=25", "family parameter 'lo' is not a number: 'x'"),
+        ("level-alpha:lo=0,hi=25", "family kind 'level-alpha' needs parameter 'z'"),
+        ("max-below:lo=0,hi", "bad family parameter 'hi'"),
+        ("max-above:lo=0,hi=1", "family kind 'max-above' is not one of"),
+    ])
+    def test_family_spec_rules(self, text, message):
+        with pytest.raises(UsageError, match=message):
+            parse_family(text)
 
     def test_format_round_trips_scalars(self):
         ev = level_set(50.0, 0.5)

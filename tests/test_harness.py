@@ -169,6 +169,29 @@ class TestConditionalOracle:
         assert fraction(xi) >= p
         assert fraction(np.nextafter(xi, -np.inf)) < p
 
+    @pytest.mark.parametrize("bad, message", [
+        ({"p": 0.0}, "p must lie in"), ({"p": 1.0}, "p must lie in"),
+        ({"p": 1.5}, "p must lie in"), ({"p": float("nan")}, "p must lie in"),
+        ({"search_lo": 40.0}, "lo < hi"),
+        ({"search_lo": -1e308, "search_hi": 1e308}, "finite width"),
+    ])
+    def test_a_bad_level_or_search_range_is_rejected_before_any_draw(
+            self, monkeypatch, bad, message):
+        spec = synthetic_dgp(Grid(16), seed=2)
+        prev = simulate_far(spec, 1, seed=5)[0]
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(experiments, "conditional_draws", no_draws)
+        monkeypatch.setattr(experiments, "stationary_predictors", no_draws)
+        if "p" in bad:
+            with pytest.raises(UsageError, match=message):
+                oracle_level_quantile(spec, prev, bad["p"], 0.5, 100, seed=9)
+        with pytest.raises(UsageError, match=message):
+            run_var_experiment(n=30, n_predictors=2, reps=1, grid_d=16, oracle_size=100,
+                               mc_size=100, **bad)
+
 
 class TestDriversShareTheEstimator:
     """The drivers' ensemble and binomial-baseline probabilities are the

@@ -136,6 +136,27 @@ class Covariate:
         return np.concatenate(pieces)
 
 
+def curve_matrix(series) -> tuple[np.ndarray, Grid]:
+    """A curve series as an ``(n, D+1)`` value matrix and its grid.
+
+    ``series`` is a nonempty list of curves on one grid, or a 2-D float
+    array with one curve per row on ``Grid(width - 1)``; an array gets the
+    finiteness check that :class:`Curve` applies to its values."""
+    if isinstance(series, np.ndarray):
+        values = np.asarray(series, dtype=float)
+        if values.ndim != 2:
+            raise StructureError(f"a curve matrix must be 2-D, got shape {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise StructureError("curve values must be finite")
+        return values, Grid(values.shape[1] - 1)
+    if len(series) == 0:
+        raise UsageError("a curve series needs at least one curve")
+    grid = series[0].grid
+    if any(c.grid != grid for c in series):
+        raise StructureError("all curves of a series must share one grid")
+    return np.asarray([c.values for c in series]), grid
+
+
 def _check_same_grid(a: Curve, b: Curve) -> None:
     if a.grid.resolution != b.grid.resolution:
         raise StructureError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import Covariate, Curve, Grid
+from .curves import Covariate, Curve, Grid, curve_matrix
 from .errors import DegenerateInputError, StructureError, UsageError
 from .spectral import (
     CovarianceOperator,
@@ -240,9 +240,9 @@ def fit(
 
     Centering removes the sample means of covariates and responses before
     estimation and stores them, so predictions are affine. The residuals are
-    computed through the same kernel as ``predict`` and therefore satisfy
-    residual_k = y_k - predict(x_k) bit for bit. Only the leading
-    ``n_components`` covariate eigenpairs are kept.
+    computed with the operations of ``predict``, one matrix-vector product
+    per row, and therefore satisfy residual_k = y_k - predict(x_k) bit for
+    bit. Only the leading ``n_components`` covariate eigenpairs are kept.
     """
     truncation = truncation or TruncationRule.threshold()
     n = len(sample)
@@ -269,9 +269,11 @@ def fit(
     lam, vecs = spectrum.leading(k)
     coef_w = (cross @ vecs / lam) @ vecs.T
 
-    residuals = np.empty_like(y)
+    # a batched product would round differently from predict's per-row one
+    products = np.empty_like(y)
     for i in range(n):
-        residuals[i] = y[i] - _apply(coef_w, x_mean, y_mean, sw, x[i])
+        products[i] = coef_w @ xc[i]
+    residuals = y - (y_mean + products / sw)
 
     scale = _noise_scale(n, k, dof_correction)
     centered_res = residuals - residuals.mean(axis=0)
@@ -312,18 +314,20 @@ def predict(model: FittedFLM, x: Covariate) -> Curve:
 
 
 def build_far_design(
-    series: list,
+    series,
     order: int,
     exog: list | None = None,
 ) -> tuple[RegressionSample, tuple]:
     """Turn a curve series into lagged (response, covariate) pairs, and
     give each response's position in the series.
 
-    The covariate for the response at position k stacks the curves at
+    ``series`` and each entry of ``exog`` are curve lists or ``(n, D+1)``
+    value matrices (see :func:`~curveprob.curves.curve_matrix`). The
+    covariate for the response at position k stacks the curves at
     k-1, ..., k-order followed by the position-k curve of each exogenous
     series in ``exog``; the response never appears inside its own
-    covariate. The curves are stacked once and every block of the design
-    is a slice of that stack.
+    covariate. The series are stacked once and every block of the design is
+    a slice of that stack.
     """
     if order < 1:
         raise UsageError(f"autoregressive order must be >= 1, got {order}")
@@ -333,12 +337,12 @@ def build_far_design(
     exog = list(exog or ())
     if any(len(ex) != n for ex in exog):
         raise UsageError("exogenous series must align one-to-one with the series")
-    grid = series[0].grid
-    curves = [c for part in (series, *exog) for c in part]
-    if any(c.grid != grid for c in curves):
+    parts = [curve_matrix(part) for part in (series, *exog)]
+    grid = parts[0][1]
+    if any(g != grid for _, g in parts):
         raise StructureError("all curves of a design must share one grid")
 
-    stacked = np.asarray([c.values for c in curves]).reshape(1 + len(exog), n, grid.size)
+    stacked = np.stack([values for values, _ in parts])
     weighted = stacked * grid.quad_weights_sqrt()
     blocks = [weighted[0, order - i:n - i] for i in range(1, order + 1)]
     blocks.extend(weighted[1:, order:])

@@ -23,7 +23,7 @@ from ..conddist import (
     gauss_prob,
     quantile_over_family,
 )
-from ..curves import Covariate, Grid
+from ..curves import Covariate, Curve, Grid
 from ..errors import DegenerateInputError, RangeExhaustedError, StructureError, UsageError
 from ..events import contains_batch, parse_event, parse_family
 from ..flm import TruncationRule, build_far_design, fit, from_json, to_json
@@ -191,7 +191,8 @@ def _cmd_deseasonalize(args) -> None:
     dow = io.load_index(args.dow) if args.dow else None
     result = deseasonalize(series, doy, dow, window=args.window,
                            weekly=not args.no_weekly)
-    io.save_curves(result.adjusted, args.out or "adjusted.csv")
+    grid = series[0].grid
+    io.save_curves([Curve(grid, row) for row in result.adjusted], args.out or "adjusted.csv")
 
 
 def _cmd_baseline(args) -> None:

@@ -148,14 +148,13 @@ def _step_matrix(spec: DGPSpec) -> np.ndarray:
     return spec.kernel_scale * kernel * spec.grid.quad_weights()
 
 
-def simulate_far(spec: DGPSpec, n: int, seed: int | None = None, rng=None) -> list:
-    """n curves from the recursion, zero-initialized with burn-in dropped."""
+def simulate_far_values(spec: DGPSpec, n: int, seed: int | None = None, rng=None) -> np.ndarray:
+    """(n, D+1) curves from the recursion, zero-initialized with burn-in dropped."""
     if n < 1:
         raise UsageError(f"series length must be >= 1, got {n}")
     if rng is None:
         rng = substream(spec.seed if seed is None else seed)
     step = _step_matrix(spec)
-    mu = mean_values(spec)
     total = spec.burn_in + n
     noise = noise_matrix(spec, total, rng)
 
@@ -167,7 +166,12 @@ def simulate_far(spec: DGPSpec, n: int, seed: int | None = None, rng=None) -> li
         out[k] = current
         prev2 = prev1
         prev1 = current
-    return [Curve(spec.grid, mu + row) for row in out[spec.burn_in:]]
+    return mean_values(spec) + out[spec.burn_in:]
+
+
+def simulate_far(spec: DGPSpec, n: int, seed: int | None = None, rng=None) -> list:
+    """:func:`simulate_far_values` as a list of curves."""
+    return [Curve(spec.grid, row) for row in simulate_far_values(spec, n, seed, rng)]
 
 
 def conditional_mean(spec: DGPSpec, previous: Curve) -> Curve:

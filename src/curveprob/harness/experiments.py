@@ -32,7 +32,7 @@ from ..conddist import (
     ensemble_quantile,
     order_statistic_quantile,
 )
-from ..curves import Covariate, Curve, Grid
+from ..curves import Covariate, Curve, Grid, curve_matrix
 from ..errors import RangeExhaustedError, UsageError
 from ..events import (
     EventSet,
@@ -53,7 +53,7 @@ from .dgp import (
     conditional_draws,
     gaussian_iid_dgp,
     paparoditis_dgp,
-    simulate_far,
+    simulate_far_values,
     stationary_predictors,
     synthetic_dgp,
 )
@@ -193,11 +193,11 @@ def run_coverage_experiment(
 
     hits = {m: 0 for m in methods}
     for rep in range(reps):
-        series = simulate_far(spec, n + 1, rng=substream(seed, _SIM, rep))
+        series = simulate_far_values(spec, n + 1, rng=substream(seed, _SIM, rep))
+        x_query = Covariate((Curve(grid, series[n - 1]),))
+        truth = Curve(grid, series[n])
         sample, _ = build_far_design(series[:n], order=1)
         model = fit(sample, TruncationRule.pve(pve), center=True)
-        x_query = Covariate((series[n - 1],))
-        truth = series[n]
         for m in methods:
             _, band = calibrate_uniform_band(
                 model, x_query, nominal, method=m, mc_size=mc_size,
@@ -279,7 +279,7 @@ def run_rmse_experiment(
 
     estimates = {m: np.empty((reps, n_predictors)) for m in methods}
     for rep in range(reps):
-        series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
+        series = simulate_far_values(spec, n, rng=substream(seed, _SIM, rep))
         sample, _ = build_far_design(series, order=1)
         model = fit(sample, truncation, center=True)
         mc_seed = _int_seed(seed, _MC, rep)
@@ -379,7 +379,7 @@ def run_var_experiment(
     queries = _predictor_coords(predictors, grid)
     estimates = {m: np.empty((reps, n_predictors)) for m in methods}
     for rep in range(reps):
-        series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
+        series = simulate_far_values(spec, n, rng=substream(seed, _SIM, rep))
         sample, _ = build_far_design(series, order=1)
         model = fit(sample, truncation, center=True)
         mc_seed = _int_seed(seed, _MC, rep)
@@ -422,7 +422,7 @@ def run_var_experiment(
 # cross-entropy pipeline on user-supplied daily series
 
 def run_entropy_eval(
-    response: list,
+    response,
     exog: list = (),
     day_of_year=None,
     day_of_week=None,
@@ -439,10 +439,11 @@ def run_entropy_eval(
     conditional level-set probabilities on a held-out test split by
     cross-entropy.
 
-    ``response`` and each entry of ``exog`` are day-aligned curve series;
-    exog entries are (series, remove_weekly) pairs. Events are evaluated on
-    the original scale: the estimators work on the adjusted series and each
-    day's seasonal component is added back to the predictive ensembles.
+    ``response`` and each entry of ``exog`` are day-aligned curve series,
+    as curve lists or ``(n, D+1)`` value matrices; exog entries are
+    (series, remove_weekly) pairs. Events are evaluated on the original
+    scale: the estimators work on the adjusted series and each day's
+    seasonal component is added back to the predictive ensembles.
     """
     methods = _parse_methods(methods)
     if day_of_year is None:
@@ -458,8 +459,10 @@ def run_entropy_eval(
             raise UsageError(f"time budget z must lie in [0, 1], got {z}")
     started = time.perf_counter()
     n_days = len(response)
-    adj_response = deseasonalize(response, day_of_year, day_of_week, weekly=True)
-    grid = response[0].grid
+    if n_days == 0:
+        raise UsageError("no curves to deseasonalize")
+    response_values, grid = curve_matrix(response)
+    adj_response = deseasonalize(response_values, day_of_year, day_of_week, weekly=True)
     adj_exog = [
         deseasonalize(series, day_of_year, day_of_week, weekly=remove_weekly)
         for series, remove_weekly in exog
@@ -480,7 +483,7 @@ def run_entropy_eval(
 
     # real-scale curves keyed by pair index
     day_of_pair = np.asarray(day_of_pair)
-    real_values = np.asarray([c.values for c in response])[day_of_pair]
+    real_values = response_values[day_of_pair]
 
     # each test day's geometry depends only on the split: its row of
     # distances to the training days (one matrix for all test days) and its

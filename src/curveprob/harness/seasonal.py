@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..curves import Curve
+from ..curves import curve_matrix
 from ..errors import UsageError
 
 DEFAULT_WINDOW = 21
@@ -24,7 +24,7 @@ WEEK = 7
 
 @dataclass(frozen=True)
 class SeasonalDecomposition:
-    adjusted: list
+    adjusted: np.ndarray = field(repr=False)      # (n, D+1) adjusted series, read-only
     yearly: np.ndarray = field(repr=False)        # (period, D+1) smoothed day-of-year means
     weekly: np.ndarray = field(repr=False)        # (7, D+1) centered weekday means, or None
     day_of_year: np.ndarray = field(repr=False)
@@ -71,13 +71,16 @@ def _circular_rolling_mean(table: np.ndarray, window: int) -> np.ndarray:
 
 
 def deseasonalize(
-    series: list,
+    series,
     day_of_year,
     day_of_week=None,
     window: int = DEFAULT_WINDOW,
     weekly: bool = True,
 ) -> SeasonalDecomposition:
-    """Subtract the yearly and (optionally) weekly seasonal components."""
+    """Subtract the yearly and (optionally) weekly seasonal components.
+
+    ``series`` is a curve list or an ``(n, D+1)`` value matrix (see
+    :func:`~curveprob.curves.curve_matrix`)."""
     n = len(series)
     if n == 0:
         raise UsageError("no curves to deseasonalize")
@@ -98,8 +101,7 @@ def deseasonalize(
     else:
         dow = np.zeros(n, dtype=int) if day_of_week is None else np.asarray(day_of_week, dtype=int)
 
-    grid = series[0].grid
-    values = np.asarray([c.values for c in series])
+    values, grid = curve_matrix(series)
     period = int(doy.max()) + 1
 
     sums = np.zeros((period, grid.size))
@@ -124,7 +126,9 @@ def deseasonalize(
         weekly_table = wmeans
         residual = residual - weekly_table[dow]
 
-    adjusted = [Curve(grid, row) for row in residual]
+    # finite input whose seasonal means overflow leaves non-finite cells
+    adjusted, _ = curve_matrix(residual)
+    adjusted.flags.writeable = False
     return SeasonalDecomposition(
         adjusted=adjusted,
         yearly=yearly,

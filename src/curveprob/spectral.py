@@ -28,6 +28,11 @@ class CovarianceOperator:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StructureError(f"covariance matrix must be square, got {m.shape}")
+        # data whose products overflow reach here as inf, and inf - inf = nan
+        # would pass the symmetry test below
+        if not np.all(np.isfinite(m)):
+            raise DegenerateInputError("covariance matrix has non-finite cells; "
+                                       "the data overflow double precision")
         scale = float(np.max(np.abs(m))) if m.size else 0.0
         if scale > 0 and float(np.max(np.abs(m - m.T))) > SYMMETRY_RTOL * scale:
             raise StructureError("covariance matrix is not symmetric within tolerance")
@@ -90,10 +95,10 @@ def eigendecompose(op: CovarianceOperator) -> SpectralPair:
         )
     vals = np.maximum(vals, 0.0)
 
-    for j in range(vecs.shape[1]):
-        lead = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[lead, j] < 0:
-            vecs[:, j] = -vecs[:, j]
+    if vecs.size:
+        lead = np.argmax(np.abs(vecs), axis=0)  # first largest magnitude per column
+        flip = vecs[lead, np.arange(vecs.shape[1])] < 0
+        vecs[:, flip] = -vecs[:, flip]
     return SpectralPair(vals, vecs, clamped_mass)
 
 

@@ -276,6 +276,12 @@ def broken_inputs(tmp_path, model_json, x_csv):
         huge_models[f"huge_{field}"].write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
     empty = tmp_path / "empty.csv"
     empty.write_text("")
+    # products of these values overflow: x.T @ x holds inf
+    huge = tmp_path / "huge.csv"
+    save_curves([Curve(c.grid, 1e200 * c.values) for c in load_curves(series)], huge)
+    # finite values whose seasonal means overflow
+    overflow = tmp_path / "overflow.csv"
+    save_curves([Curve.constant(Grid(size - 1), 1e308)] * n_days, overflow)
     labels = {}
     for name, label in (("late_doy", "1000"), ("long_doy", "9" * 20)):
         labels[name] = tmp_path / f"{name}.csv"
@@ -284,7 +290,8 @@ def broken_inputs(tmp_path, model_json, x_csv):
             "nan_cell": nan_cell, "truncated": truncated, "series": series,
             "letters": letters, "squared": squared, "doy": doy, "dow": dow,
             "nan_model": nan_model, "negative_model": negative_model,
-            "missing": tmp_path / "missing.csv", "empty": empty, **huge_models, **labels}
+            "missing": tmp_path / "missing.csv", "empty": empty, "huge": huge,
+            "overflow": overflow, **huge_models, **labels}
 
 
 # a small rmse-exp run, so that a missing check fails fast
@@ -477,6 +484,24 @@ EXIT_CASES = [
     ("empty series, entropy-eval",
      ["entropy-eval", "--response", "{empty}", "--doy", "{empty}", "--out", "{missing}"],
      2, "no curves to deseasonalize"),
+    ("series whose covariance overflows, fit",
+     ["fit", "--series", "{huge}", "--out", "{missing}"],
+     3, "covariance matrix has non-finite cells"),
+    ("series whose covariance overflows, binomial baseline",
+     ["baseline", "glm", "--train-series", "{huge}", "--x", "{x}", "--event", "extremal:d=0.0"],
+     3, "covariance matrix has non-finite cells"),
+    ("series whose seasonal means overflow, deseasonalize",
+     ["deseasonalize", "--series", "{overflow}", "--doy", "{doy}", "--dow", "{dow}",
+      "--out", "{missing}"],
+     2, "curve values must be finite"),
+    ("series whose seasonal means overflow, entropy-eval",
+     ["entropy-eval", "--response", "{overflow}", "--doy", "{doy}", "--dow", "{dow}",
+      "--out", "{missing}"],
+     2, "curve values must be finite"),
+    ("second-lag weight whose recursion overflows",
+     ["coverage-exp", "--n", "20", "--reps", "1", "--grid-d", "16", "--mc", "50",
+      "--b", "1e308", "--out", "{missing}"],
+     2, "curve values must be finite"),
     ("binomial baseline without components",
      ["baseline", "glm", "--train-series", "{series}", "--x", "{x}",
       "--event", "extremal:d=0.0", "--components", "0"],

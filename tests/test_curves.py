@@ -6,6 +6,7 @@ from curveprob.curves import (
     Curve,
     Grid,
     covariate_inner_product,
+    curve_matrix,
     inner_product,
 )
 from curveprob.errors import StructureError, UsageError
@@ -63,6 +64,36 @@ class TestCurveValidation:
     def test_covariate_requires_shared_grid(self):
         with pytest.raises(StructureError):
             Covariate((Curve.constant(Grid(4), 1.0), Curve.constant(Grid(8), 1.0)))
+
+
+class TestCurveMatrix:
+    def test_list_and_array_give_the_same_matrix(self):
+        g = Grid(6)
+        rng = np.random.default_rng(2)
+        curves = [Curve(g, rng.normal(size=g.size)) for _ in range(5)]
+        values, grid = curve_matrix(curves)
+        assert grid == g and values.shape == (5, g.size)
+        np.testing.assert_array_equal(values, [c.values for c in curves])
+        again, grid = curve_matrix(values)
+        assert grid == g
+        np.testing.assert_array_equal(again, values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_array_cells_must_be_finite_as_in_a_curve(self, bad):
+        values = np.zeros((3, 5))
+        values[2, 4] = bad
+        with pytest.raises(StructureError, match="curve values must be finite"):
+            curve_matrix(values)
+
+    def test_rejects_other_shapes_and_mixed_grids(self):
+        with pytest.raises(StructureError):
+            curve_matrix(np.zeros(5))
+        with pytest.raises(UsageError):
+            curve_matrix(np.zeros((3, 2)))  # Grid(1)
+        with pytest.raises(UsageError):
+            curve_matrix([])
+        with pytest.raises(StructureError):
+            curve_matrix([Curve.constant(Grid(4), 1.0), Curve.constant(Grid(8), 1.0)])
 
 
 class TestInnerProduct:

@@ -286,6 +286,41 @@ class TestFarDesign:
             assert sample.x.flags.c_contiguous
             assert sample.structure == reference.structure and sample.grid == reference.grid
 
+    def test_curve_lists_and_their_matrices_give_the_same_design(self):
+        rng = np.random.default_rng(21)
+        g = Grid(12)
+        series, ex_a, ex_b = ([Curve(g, rng.normal(size=g.size)) for _ in range(30)]
+                              for _ in range(3))
+
+        def matrix(curves):
+            return np.asarray([c.values for c in curves])
+
+        for order, exog in ((1, []), (4, [ex_a]), (2, [ex_a, ex_b])):
+            want, want_pos = build_far_design(series, order, exog)
+            for form in ((matrix(series), [matrix(ex) for ex in exog]),
+                         (series, [matrix(ex) for ex in exog]),
+                         (matrix(series), exog)):
+                got, got_pos = build_far_design(form[0], order, form[1])
+                np.testing.assert_array_equal(got.y, want.y)
+                np.testing.assert_array_equal(got.x, want.x)
+                assert got_pos == want_pos
+                assert got.structure == want.structure and got.grid == want.grid
+
+    def test_matrix_inputs_keep_every_check(self):
+        rng = np.random.default_rng(22)
+        series = rng.normal(size=(6, 5))
+        with pytest.raises(StructureError):  # exog on another grid
+            build_far_design(series, order=1, exog=[rng.normal(size=(6, 9))])
+        with pytest.raises(UsageError):
+            build_far_design(series, order=1, exog=[series[:5]])
+        with pytest.raises(UsageError):
+            build_far_design(series, order=0)
+        with pytest.raises(UsageError):
+            build_far_design(series[:1], order=1)
+        series[3, 2] = np.inf
+        with pytest.raises(StructureError, match="curve values must be finite"):
+            build_far_design(series, order=1)
+
     def test_mismatched_grids_and_lengths(self):
         series = [Curve.constant(Grid(4), float(k)) for k in range(5)]
         with pytest.raises(StructureError):

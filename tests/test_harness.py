@@ -13,7 +13,7 @@ from curveprob.conddist import (
     quantile_over_family,
 )
 from curveprob.curves import Covariate, Curve, Grid
-from curveprob.errors import ParseError, RangeExhaustedError, UsageError
+from curveprob.errors import ParseError, RangeExhaustedError, StructureError, UsageError
 from curveprob.harness.dgp import (
     DGPSpec,
     brownian_matrix,
@@ -25,6 +25,7 @@ from curveprob.harness.dgp import (
     paparoditis_dgp,
     simulate_brownian,
     simulate_far,
+    simulate_far_values,
     synthetic_dgp,
     stationary_predictors,
     synthetic_noise_basis,
@@ -39,6 +40,7 @@ from curveprob.harness.experiments import (
     _SPLIT,
     _int_seed,
     oracle_level_quantile,
+    run_coverage_experiment,
     run_entropy_eval,
     run_rmse_experiment,
     run_var_experiment,
@@ -116,6 +118,20 @@ class TestSimulateFar:
         series = simulate_far(spec, 400)
         grand_mean = np.mean([c.values for c in series], axis=0)
         np.testing.assert_allclose(grand_mean, mean_values(spec), atol=0.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: paparoditis_dgp(g, b=0.4, seed=4),
+        lambda g: synthetic_dgp(g, seed=5),
+        lambda g: gaussian_iid_dgp(g, seed=6),
+    ], ids=["far_paparoditis", "far_synthetic", "gaussian_iid"])
+    def test_curves_are_the_rows_of_simulate_far_values(self, make):
+        spec = make(Grid(20))
+        values = simulate_far_values(spec, 12)
+        assert values.shape == (12, 21)
+        np.testing.assert_array_equal([c.values for c in simulate_far(spec, 12)], values)
+        np.testing.assert_array_equal(
+            [c.values for c in simulate_far(spec, 3, rng=substream(7, 1))],
+            simulate_far_values(spec, 3, rng=substream(7, 1)))
 
     def test_kernel_is_asymmetric_for_synthetic(self):
         k = kernel_matrix(synthetic_dgp(Grid(20)))
@@ -340,12 +356,11 @@ class TestDriversShareTheEstimator:
         assert once.rows and once.rows == listed.rows
 
 
-def entropy_series():
-    """90 days of a seasonal response on an 8-interval grid, one exogenous
+def entropy_series(n=90):
+    """n days of a seasonal response on an 8-interval grid, one exogenous
     series and the day indices."""
     grid = Grid(8)
     rng = np.random.default_rng(4)
-    n = 90
     base = 50.0 + 8.0 * np.sin(2 * np.pi * np.arange(n) / 30)
     response = [Curve(grid, b + 4.0 * rng.normal(size=grid.size)) for b in base]
     wind = [Curve(grid, rng.normal(size=grid.size)) for _ in range(n)]
@@ -410,6 +425,40 @@ def check_entropy_probabilities(monkeypatch, alphas):
     assert 0 < fitted < len(alphas) * len(zs)  # both glm paths ran
 
 
+class TestSeriesStayMatrices:
+    """Curve objects are built at the edges of a run only, so a longer
+    series builds no more of them."""
+
+    @staticmethod
+    def count_curves(monkeypatch) -> list:
+        calls = []
+        original = Curve.__post_init__
+        monkeypatch.setattr(Curve, "__post_init__",
+                            lambda self: calls.append(1) or original(self))
+        return calls
+
+    def test_entropy_eval(self, monkeypatch):
+        calls = self.count_curves(monkeypatch)
+        built = []
+        for n in (120, 240):
+            response, wind, doy, dow = entropy_series(n)
+            before = len(calls)
+            run_entropy_eval(response, [(wind, False)], day_of_year=doy, day_of_week=dow,
+                             ar_order=2, alphas=(50.0,), methods="boot,gauss,glm,nw",
+                             mc_size=50)
+            built.append(len(calls) - before)
+        assert built[0] == built[1]
+
+    def test_coverage_replicate(self, monkeypatch):
+        calls = self.count_curves(monkeypatch)
+        built = []
+        for n in (50, 100):
+            before = len(calls)
+            run_coverage_experiment(n=n, b=0.0, nominal=0.9, reps=1, grid_d=16, mc_size=50)
+            built.append(len(calls) - before)
+        assert built[0] == built[1]
+
+
 class TestSyntheticNoiseBasis:
     def test_from_spectrum_matches_sampler_contract(self):
         # the basis rows are L2-orthonormal, so in weighted coordinates they
@@ -450,8 +499,8 @@ class TestDeseasonalize:
         doy = np.arange(n)
         dow = np.arange(n) % 7
         result = deseasonalize(series, doy, dow, weekly=True)
-        for c in result.adjusted:
-            np.testing.assert_allclose(c.values, 0.0, atol=1e-12)
+        for row in result.adjusted:
+            np.testing.assert_allclose(row, 0.0, atol=1e-12)
 
     def test_pure_weekday_pattern_removed(self):
         # two full 21-day windows of a weekly pattern, flat yearly component
@@ -463,8 +512,8 @@ class TestDeseasonalize:
         series = [Curve.constant(g, 10.0 + pattern[d]) for d in dow]
         result = deseasonalize(series, doy, dow, weekly=True)
         # oracle: subtracting the known pattern and grand level directly
-        for c in result.adjusted:
-            assert np.max(np.abs(c.values)) <= 1e-8
+        for row in result.adjusted:
+            assert np.max(np.abs(row)) <= 1e-8
 
     def test_weekly_flag_off_subtracts_yearly_only(self):
         g = self.grid()
@@ -474,9 +523,9 @@ class TestDeseasonalize:
         rng = np.random.default_rng(8)
         series = [Curve(g, rng.normal(size=g.size)) for _ in range(n)]
         result = deseasonalize(series, doy, dow, weekly=False)
-        for i, c in enumerate(result.adjusted):
+        for i, row in enumerate(result.adjusted):
             np.testing.assert_allclose(
-                c.values, series[i].values - result.yearly[doy[i]], atol=1e-12
+                row, series[i].values - result.yearly[doy[i]], atol=1e-12
             )
         assert result.weekly is None
 
@@ -494,6 +543,24 @@ class TestDeseasonalize:
         with pytest.raises(UsageError):
             deseasonalize(series, np.arange(4), np.arange(5) % 7)
 
+    def test_matrix_input_gives_the_curve_list_result(self):
+        g = self.grid()
+        n = 35
+        rng = np.random.default_rng(10)
+        series = [Curve(g, rng.normal(size=g.size)) for _ in range(n)]
+        doy, dow = np.arange(n), np.arange(n) % 7
+        from_list = deseasonalize(series, doy, dow, weekly=True)
+        from_matrix = deseasonalize(np.asarray([c.values for c in series]), doy, dow, weekly=True)
+        np.testing.assert_array_equal(from_matrix.adjusted, from_list.adjusted)
+        assert from_list.adjusted.shape == (n, g.size)
+        assert not from_list.adjusted.flags.writeable
+
+    def test_overflowing_seasonal_means_are_rejected(self):
+        n = 40
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(StructureError, match="curve values must be finite"):
+            deseasonalize(np.full((n, 9), 1e308), np.arange(n), np.arange(n) % 7)
+
     def test_seasonal_values_reconstruct_input(self):
         g = self.grid()
         n = 35
@@ -503,7 +570,7 @@ class TestDeseasonalize:
         dow = np.arange(n) % 7
         result = deseasonalize(series, doy, dow, weekly=True)
         for i in range(n):
-            rebuilt = result.adjusted[i].values + result.seasonal_values(i)
+            rebuilt = result.adjusted[i] + result.seasonal_values(i)
             np.testing.assert_allclose(rebuilt, series[i].values, atol=1e-12)
 
 

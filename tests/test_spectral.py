@@ -28,6 +28,19 @@ class TestCovarianceOperator:
         with pytest.raises(StructureError):
             CovarianceOperator(np.array([[-1.0, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_cell_is_degenerate(self, bad):
+        # inf - inf = nan passed the symmetry test, and eigh then failed
+        m = np.eye(3)
+        m[0, 0] = bad
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            CovarianceOperator(m)
+
+    def test_overflowing_sample_is_degenerate(self):
+        coords = 1e200 * np.random.default_rng(4).normal(size=(40, 9))
+        with np.errstate(over="ignore"), pytest.raises(DegenerateInputError):
+            empirical_covariance(coords)
+
 
 class TestEmpiricalCovariance:
     def test_opposite_pair_centered(self):
@@ -130,6 +143,32 @@ class TestEigendecompose:
         for j in range(6):
             v = pair.eigenvectors[:, j]
             assert v[np.argmax(np.abs(v))] > 0
+
+    @pytest.mark.parametrize("p", [1, 25, 101])
+    def test_sign_rule_equals_a_per_column_loop(self, p):
+        rng = np.random.default_rng(p)
+        for rank in (p, max(1, p // 3)):  # full rank, and zero eigenvalues too
+            a = rng.normal(size=(p, rank))
+            op = CovarianceOperator(a @ a.T)
+            vals, vecs = np.linalg.eigh(op.matrix)
+            want = vecs[:, np.argsort(vals)[::-1]]
+            for j in range(p):
+                lead = int(np.argmax(np.abs(want[:, j])))
+                if want[lead, j] < 0:
+                    want[:, j] = -want[:, j]
+            np.testing.assert_array_equal(eigendecompose(op).eigenvectors, want)
+
+    def test_tied_magnitudes_follow_the_first(self, monkeypatch):
+        s = np.sqrt(0.5)
+        vecs = np.array([[-s, s], [s, s]])  # column 0 is (-a, a), column 1 is (a, a)
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.array([2.0, 1.0]), vecs.copy()))
+        pair = eigendecompose(CovarianceOperator(np.eye(2)))
+        np.testing.assert_array_equal(pair.eigenvectors, [[s, s], [-s, s]])
+
+    def test_empty_operator(self):
+        pair = eigendecompose(CovarianceOperator(np.zeros((0, 0))))
+        assert pair.eigenvalues.shape == (0,) and pair.eigenvectors.shape == (0, 0)
+        assert pair.rank == 0 and pair.clamped_mass == 0.0
 
     def test_rejects_clearly_non_psd(self):
         with pytest.raises(StructureError):

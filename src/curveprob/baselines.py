@@ -45,8 +45,13 @@ class NWEstimator:
 
 def _distances(row_sq: np.ndarray, col_sq: np.ndarray, twice_products: np.ndarray) -> np.ndarray:
     """Euclidean distances from squared norms and doubled inner products, by
-    ``|a - b|^2 = |a|^2 + |b|^2 - 2 a.b`` clamped at zero against round-off."""
-    return np.sqrt(np.maximum(row_sq[:, None] + col_sq[None, :] - twice_products, 0.0))
+    ``|a - b|^2 = |a|^2 + |b|^2 - 2 a.b`` clamped at zero against round-off.
+    Coordinates whose squares overflow give no distances."""
+    dist = np.sqrt(np.maximum(row_sq[:, None] + col_sq[None, :] - twice_products, 0.0))
+    if not np.all(np.isfinite(dist)):
+        raise DegenerateInputError("covariate distances overflow: the distance matrix "
+                                   "has non-finite cells")
+    return dist
 
 
 def pairwise_distances(coords: np.ndarray) -> np.ndarray:

@@ -73,8 +73,10 @@ class GaussSampler:
             return np.zeros((count, self.grid.size))
         lam, vecs = self.spectrum.leading(self.rank)
         z = rng.standard_normal((count, self.rank))
-        weighted = (z * np.sqrt(lam)) @ vecs.T
-        return weighted / self.grid.quad_weights_sqrt()
+        z *= np.sqrt(lam)
+        weighted = z @ vecs.T
+        weighted /= self.grid.quad_weights_sqrt()
+        return weighted
 
 
 def noise_sampler(model: FittedFLM, seed: int) -> GaussSampler:

@@ -8,7 +8,9 @@ downstream conditional-distribution estimators consume.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +27,9 @@ from .spectral import (
 )
 
 MODEL_FORMAT = "curveprob-flm"
-MODEL_VERSION = 2  # version 1 also stored the trailing covariate eigenpairs
+# versions 1 and 2 stored matrices as decimal lists, and version 1 also
+# stored the trailing covariate eigenpairs
+MODEL_VERSION = 3
 
 
 def default_m_n(n: int) -> float:
@@ -355,6 +359,31 @@ def build_far_design(
     return sample, tuple(range(order, n))
 
 
+def _encode_matrix(values: np.ndarray) -> dict:
+    """A matrix as its shape and the base64 of its C-order little-endian
+    float64 bytes, which read back bit for bit."""
+    data = np.ascontiguousarray(values, dtype="<f8").tobytes()
+    return {"shape": list(values.shape), "f8le": base64.b64encode(data).decode("ascii")}
+
+
+def _decode_matrix(field, version: int) -> np.ndarray:
+    """A native, writeable float64 array from a document's matrix field: the
+    encoded form of :func:`_encode_matrix` in the current version, a decimal
+    list in versions 1 and 2."""
+    if version != MODEL_VERSION:
+        return np.asarray(field, dtype=float)
+    if not isinstance(field, dict) or set(field) != {"shape", "f8le"}:
+        raise StructureError("a matrix field must hold exactly 'shape' and 'f8le'")
+    shape = field["shape"]
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise StructureError(f"matrix shape must list non-negative integers, got {shape!r}")
+    data = base64.b64decode(field["f8le"], validate=True)
+    if len(data) != 8 * math.prod(shape):
+        raise StructureError(f"matrix of shape {shape} needs {8 * math.prod(shape)} bytes, "
+                             f"got {len(data)}")
+    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(float)
+
+
 def to_json(model: FittedFLM) -> str:
     """Serialize a fitted model to a versioned JSON document."""
     doc = {
@@ -367,14 +396,14 @@ def to_json(model: FittedFLM) -> str:
         "centered": model.centered,
         "dof_correction": model.dof_correction,
         "truncation": model.truncation.to_dict() if model.truncation else None,
-        "coef_w": model.coef_w.tolist(),
-        "x_mean_coords": model.x_mean_coords.tolist(),
-        "y_mean": model.y_mean.tolist(),
-        "residual_matrix": model.residual_matrix.tolist(),
-        "covariate_eigenvalues": model.covariate_spectrum.eigenvalues.tolist(),
-        "covariate_eigenvectors": model.covariate_spectrum.eigenvectors.tolist(),
-        "noise_eigenvalues": model.noise_spectrum.eigenvalues.tolist(),
-        "noise_eigenvectors": model.noise_spectrum.eigenvectors.tolist(),
+        "coef_w": _encode_matrix(model.coef_w),
+        "x_mean_coords": _encode_matrix(model.x_mean_coords),
+        "y_mean": _encode_matrix(model.y_mean),
+        "residual_matrix": _encode_matrix(model.residual_matrix),
+        "covariate_eigenvalues": _encode_matrix(model.covariate_spectrum.eigenvalues),
+        "covariate_eigenvectors": _encode_matrix(model.covariate_spectrum.eigenvectors),
+        "noise_eigenvalues": _encode_matrix(model.noise_spectrum.eigenvalues),
+        "noise_eigenvectors": _encode_matrix(model.noise_spectrum.eigenvectors),
     }
     return json.dumps(doc)
 
@@ -382,35 +411,40 @@ def to_json(model: FittedFLM) -> str:
 def from_json(text: str) -> FittedFLM:
     """Read a model document and check every matrix shape against the grid,
     the part counts, ``n_components`` and the residual count, every cell for
-    finiteness and every eigenvalue for sign. Version 1 documents hold the
-    whole covariate spectrum; its leading pairs are kept."""
+    finiteness and every eigenvalue for sign. Versions 1 and 2 store the
+    matrices as decimal lists; version 1 also holds the whole covariate
+    spectrum, whose leading pairs are kept."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise UsageError(f"not a {MODEL_FORMAT} document")
     version = doc.get("version")
-    if version not in (1, MODEL_VERSION):
+    if version not in (1, 2, MODEL_VERSION):
         raise UsageError(f"unsupported model version {version}")
     try:
         grid = Grid(int(doc["grid_d"]))
         n_parts, n_scalars, k = (int(doc[key]) for key in
                                  ("n_curve_parts", "n_scalars", "n_components"))
         size, p = grid.size, n_parts * grid.size + n_scalars
-        kept = k if version == MODEL_VERSION else p
-        want = {
-            "coef_w": (size, p), "x_mean_coords": (p,), "y_mean": (size,),
-            "residual_matrix": (len(doc["residual_matrix"]), size),
-            "covariate_eigenvalues": (kept,), "covariate_eigenvectors": (p, kept),
-            "noise_eigenvalues": (size,), "noise_eigenvectors": (size, size),
-        }
-        m = {key: np.asarray(doc[key], dtype=float) for key in want}
+        kept = p if version == 1 else k
+        fields = ("coef_w", "x_mean_coords", "y_mean", "residual_matrix",
+                  "covariate_eigenvalues", "covariate_eigenvectors",
+                  "noise_eigenvalues", "noise_eigenvectors")
+        m = {key: _decode_matrix(doc[key], version) for key in fields}
+        n = len(m["residual_matrix"])
         truncation = TruncationRule.from_dict(doc["truncation"]) if doc["truncation"] else None
         centered, dof_correction = bool(doc["centered"]), bool(doc["dof_correction"])
     except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise StructureError(f"malformed model document: {exc!r}") from None
+    want = {
+        "coef_w": (size, p), "x_mean_coords": (p,), "y_mean": (size,),
+        "residual_matrix": (n, size),
+        "covariate_eigenvalues": (kept,), "covariate_eigenvectors": (p, kept),
+        "noise_eigenvalues": (size,), "noise_eigenvectors": (size, size),
+    }
     bad = [key for key, shape in want.items() if m[key].shape != shape]
-    if bad or not 1 <= k <= p:
+    if bad or n < 1 or not 1 <= k <= p:
         raise StructureError(f"model fields {bad} do not match grid_d={grid.resolution}, "
-                             f"p={p}, n_components={k}")
+                             f"p={p}, n_components={k}, residual rows={n}")
     bad = [key for key in want if not np.all(np.isfinite(m[key]))]
     if bad:
         raise StructureError(f"model fields {bad} hold non-finite cells")

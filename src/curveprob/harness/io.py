@@ -19,8 +19,8 @@ from ..errors import ParseError, UsageError
 HEADER_ATOL = 1e-9  # header points may be hand-written decimals such as 0.3
 
 
-def _format_row(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
+def _format_row(values: np.ndarray) -> str:
+    return ",".join(map(repr, values.tolist()))
 
 
 def save_curves(curves: list, path) -> None:
@@ -67,6 +67,10 @@ def load_curves(path) -> list:
 
 
 def _parse_row(path, cells: list, row: int) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        pass  # the per-cell loop names the first bad cell
     values = np.empty(len(cells))
     for c, cell in enumerate(cells, start=1):
         try:

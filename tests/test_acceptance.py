@@ -1,11 +1,9 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them as
-they complete). The heavy simulation studies share module-scoped fixtures;
-the whole module runs in a few minutes at the default grid resolution.
+Each test writes one PASS/FAIL line to the terminal as it completes. The
+heavy simulation studies share module-scoped fixtures; the whole module runs
+in a few minutes at the default grid resolution.
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -30,13 +28,22 @@ MASTER_SEED = 7
 pytestmark = pytest.mark.acceptance
 
 
-def report(number, label, ok, detail):
-    line = (f"[acceptance] criterion {number} ({label}): "
-            f"{'PASS' if ok else 'FAIL'} -- {detail}")
-    print(line)
-    if sys.stdout is not sys.__stdout__:  # also bypass pytest's capture
-        print(line, file=sys.__stdout__)
-    return ok
+@pytest.fixture
+def report(pytestconfig):
+    """Writes one PASS/FAIL line to the terminal as the test completes, with
+    or without ``-s``: pytest's capture holds the test's own output."""
+    capture = pytestconfig.pluginmanager.getplugin("capturemanager")
+    terminal = pytestconfig.pluginmanager.getplugin("terminalreporter")
+
+    def write(number, label, ok, detail):
+        line = (f"[acceptance] criterion {number} ({label}): "
+                f"{'PASS' if ok else 'FAIL'} -- {detail}")
+        with capture.global_and_fixture_disabled():
+            terminal.write("\n")
+            terminal.write_line(line)
+        return ok
+
+    return write
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +89,7 @@ def var_250():
 # ---------------------------------------------------------------------------
 # criteria
 
-def test_criterion_1_table_coverage(coverage_boot_200, coverage_gauss_400):
+def test_criterion_1_table_coverage(coverage_boot_200, coverage_gauss_400, report):
     boot = coverage_boot_200.summary["coverage_boot"]
     gauss = coverage_gauss_400.summary["coverage_gauss"]
     ok_boot = abs(boot - 0.913) <= 0.03
@@ -93,14 +100,14 @@ def test_criterion_1_table_coverage(coverage_boot_200, coverage_gauss_400):
     assert ok
 
 
-def test_criterion_2_method_ordering(meta_runs_100):
+def test_criterion_2_method_ordering(meta_runs_100, report):
     wins = sum(r["coverage_gauss"] > r["coverage_boot"] for r in meta_runs_100)
     ok = report(2, "gauss beats boot at n=100", wins >= 16,
                 f"gauss coverage higher in {wins}/20 meta-runs (need >= 16)")
     assert ok
 
 
-def test_criterion_3_rmse_decreases_in_n(rmse_by_n):
+def test_criterion_3_rmse_decreases_in_n(rmse_by_n, report):
     medians = [rmse_by_n[n].summary["median_rmse_boot"] for n in (50, 100, 250)]
     ok = report(3, "level-set RMSE consistency", medians[0] > medians[1] > medians[2],
                 "median boot RMSE at n=50/100/250: "
@@ -108,7 +115,7 @@ def test_criterion_3_rmse_decreases_in_n(rmse_by_n):
     assert ok
 
 
-def test_criterion_4_extreme_quantile_advantage(var_250):
+def test_criterion_4_extreme_quantile_advantage(var_250, report):
     frac = var_250.summary["gauss_better_fraction"]
     boot_med = var_250.summary["median_rmse_boot"]
     gauss_med = var_250.summary["median_rmse_gauss"]
@@ -118,7 +125,7 @@ def test_criterion_4_extreme_quantile_advantage(var_250):
     assert ok
 
 
-def test_criterion_5_estimator_axioms():
+def test_criterion_5_estimator_axioms(report):
     grid = Grid(16)
     t = grid.points
     source = np.sin(2 * np.pi * t)
@@ -169,7 +176,7 @@ def test_criterion_5_estimator_axioms():
     assert ok
 
 
-def test_criterion_6_sampler_fidelity():
+def test_criterion_6_sampler_fidelity(report):
     # noise spectrum from a realistic fit
     grid = Grid(40)
     spec = synthetic_dgp(grid, seed=5)
@@ -195,7 +202,7 @@ def test_criterion_6_sampler_fidelity():
     assert ok
 
 
-def test_criterion_7_exact_recovery():
+def test_criterion_7_exact_recovery(report):
     grid = Grid(100)
     rng = substream(70)
     t = grid.points
@@ -213,7 +220,7 @@ def test_criterion_7_exact_recovery():
     assert ok
 
 
-def test_criterion_8_cli_reproducibility(tmp_path):
+def test_criterion_8_cli_reproducibility(tmp_path, report):
     outputs = []
     for tag in ("first", "second"):
         cov = tmp_path / f"cov_{tag}.csv"
@@ -235,7 +242,7 @@ def test_criterion_8_cli_reproducibility(tmp_path):
     assert ok
 
 
-def test_criterion_9_baseline_sanity(rmse_by_n):
+def test_criterion_9_baseline_sanity(rmse_by_n, report):
     checks = []
     # kernel-estimator basics
     xs = [[float(k)] for k in range(5)]

@@ -15,6 +15,8 @@ from curveprob.harness.dgp import simulate_far, synthetic_dgp
 from curveprob.harness.experiments import run_var_experiment
 from curveprob.harness.io import load_curves, save_curves, save_report
 
+from model_doc import set_cell
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -47,7 +49,7 @@ class TestWorkflow:
     def test_fit_writes_versioned_model(self, model_json):
         doc = json.loads(model_json.read_text())
         assert doc["format"] == "curveprob-flm"
-        assert doc["version"] == 2
+        assert doc["version"] == 3
 
     def test_estimate_boot_and_gauss(self, tmp_path, model_json, x_csv):
         out = tmp_path / "est.json"
@@ -204,6 +206,12 @@ class TestDeterminism:
                        "--grid-d", 16, "--seed", 123, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_fit_rerun_is_byte_identical(self, tmp_path, series_csv):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for out in (a, b):
+            assert run("fit", "--series", series_csv, "--ar-order", 2, "--out", out) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_far_synthetic_burn_in(self, tmp_path):
         grid_d, n, seed = 16, 12, 5
         outputs = {}
@@ -260,14 +268,10 @@ def broken_inputs(tmp_path, model_json, x_csv):
     doy.write_text("\n".join(str(k) for k in range(n_days)))
     dow = tmp_path / "dow.csv"
     dow.write_text("\n".join(str(k % 7) for k in range(n_days)))
-    doc = json.loads(model_json.read_text())
-    doc["noise_eigenvectors"][0][0] = float("nan")
     nan_model = tmp_path / "nan_model.json"
-    nan_model.write_text(json.dumps(doc))
-    doc = json.loads(model_json.read_text())
-    doc["noise_eigenvalues"][0] = -1.0
+    nan_model.write_text(set_cell(model_json.read_text(), "noise_eigenvectors", 0, np.nan))
     negative_model = tmp_path / "negative_model.json"
-    negative_model.write_text(json.dumps(doc))
+    negative_model.write_text(set_cell(model_json.read_text(), "noise_eigenvalues", 0, -1.0))
     huge_models = {}
     for field in ("grid_d", "n_curve_parts", "n_components"):
         doc = json.loads(model_json.read_text())
@@ -502,6 +506,13 @@ EXIT_CASES = [
      ["coverage-exp", "--n", "20", "--reps", "1", "--grid-d", "16", "--mc", "50",
       "--b", "1e308", "--out", "{missing}"],
      2, "curve values must be finite"),
+    ("series whose distances overflow, kernel baseline",
+     ["baseline", "nw", "--train-series", "{huge}", "--x", "{x}", "--event", "extremal:d=0.0"],
+     3, "distance matrix has non-finite cells"),
+    ("series whose distances overflow, kernel baseline with a bandwidth",
+     ["baseline", "nw", "--train-series", "{huge}", "--x", "{x}", "--event", "extremal:d=0.0",
+      "--bandwidth", "1"],
+     3, "distance matrix has non-finite cells"),
     ("binomial baseline without components",
      ["baseline", "glm", "--train-series", "{series}", "--x", "{x}",
       "--event", "extremal:d=0.0", "--components", "0"],

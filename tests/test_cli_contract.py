@@ -2,7 +2,8 @@
 
 Each subcommand declares exactly the options its handler reads. Every
 option that ``build_parser()`` declares is given bad and edge values,
-and model files, CSV cells and index lines are mutated. Whatever the input,
+and model files, CSV cells and index lines are mutated, and whole curve
+files are scaled until their squares overflow. Whatever the input,
 ``main`` must exit 0, 2 or 3 and never let an exception escape (which the
 installed command would print as a traceback). Size options only get values
 up to 3, so no case allocates much memory.
@@ -16,9 +17,12 @@ import random
 
 import pytest
 
+from curveprob.curves import Curve
 from curveprob.harness import cli
 from curveprob.harness.cli import build_parser, main
 from curveprob.harness.io import load_curves, save_curves
+
+from model_doc import MATRICES, decode, set_cell
 
 FLOATS = ["-1", "0", "0.5", "nan", "inf", "-inf", "1e308", "1e400", "abc"]
 SIZES = ["-1", "0", "1", "2", "3", "abc"]
@@ -181,18 +185,25 @@ def test_every_option_keeps_the_exit_contract(command, contract_files, tmp_path,
 
 
 def mutate_file(path, rng, value):
-    """Replace one cell (CSV or index file) or one field or matrix cell
-    (model file) with ``value``."""
+    """Replace one cell (CSV or index file), or one field, one matrix cell,
+    one character of a matrix's base64 text or one entry of its shape (model
+    file) with ``value``."""
     text = path.read_text()
     if path.suffix == ".json":
         doc = json.loads(text)
         key = rng.choice(sorted(doc))
-        if isinstance(doc[key], list) and doc[key]:
-            row = rng.randrange(len(doc[key]))
-            if isinstance(doc[key][row], list) and doc[key][row]:
-                doc[key][row][rng.randrange(len(doc[key][row]))] = "@@"
+        if key in MATRICES:
+            target = rng.choice(["cell", "f8le", "shape"])
+            if target == "cell" and value != "abc":
+                size = len(decode(doc[key]).flat)
+                return set_cell(text, key, rng.randrange(size), float(value))
+            if target == "shape":
+                shape = doc[key]["shape"]
+                shape[rng.randrange(len(shape))] = "@@"
             else:
-                doc[key][row] = "@@"
+                encoded = doc[key]["f8le"]
+                at = rng.randrange(len(encoded))
+                doc[key]["f8le"] = encoded[:at] + value + encoded[at + 1:]
         else:
             doc[key] = "@@"
         token = value if value != "abc" else '"abc"'
@@ -224,4 +235,26 @@ def test_a_mutated_input_file_keeps_the_exit_contract(name, command, contract_fi
         mutated.write_text(mutate_file(original, rng, rng.choice(FLOATS + SIZES)))
         paths = {**contract_files, name: mutated, "out": tmp_path / "out.csv"}
         cases.append([a.format(**paths) for a in command])
+    check(cases, capsys)
+
+
+OVERFLOW_SCALE = 1e200  # curve values stay finite, their squares and products do not
+
+
+def test_curve_files_scaled_to_overflow_keep_the_exit_contract(contract_files, tmp_path,
+                                                               capsys):
+    scaled = {}
+    for name in ("series", "x"):
+        scaled[name] = tmp_path / f"scaled_{name}.csv"
+        save_curves([Curve(c.grid, OVERFLOW_SCALE * c.values)
+                     for c in load_curves(contract_files[name])], scaled[name])
+    cases = []
+    for files in ({**contract_files, "series": scaled["series"]},
+                  {**contract_files, "x": scaled["x"]}, {**contract_files, **scaled}):
+        for command, args in base_args(files, tmp_path).items():
+            if not {str(path) for path in scaled.values()} & {str(v) for v in args.values()}:
+                continue
+            cases.append([command, *flatten(dict(args))])
+            if command == "baseline":
+                cases.append([command, *flatten({**args, "estimator": "glm"})])
     check(cases, capsys)

@@ -454,6 +454,17 @@ class TestSampleNoise:
         pointwise_sd = np.sqrt(np.sum(lam[:, None] * funcs**2, axis=0) / m)
         assert np.max(np.abs(mean)) <= 4 * np.max(pointwise_sd)
 
+    @pytest.mark.parametrize("count, rank", [(1, 1), (7, 3), (2000, GRID.size)])
+    def test_draws_equal_the_out_of_place_formula_bitwise(self, count, rank):
+        rng = np.random.default_rng(count)
+        vecs, _ = np.linalg.qr(rng.normal(size=(GRID.size, GRID.size)))
+        lam = np.sort(rng.exponential(size=GRID.size))[::-1]
+        lam[rank:] = 0.0
+        sampler = GaussSampler.from_spectrum(GRID, SpectralPair(lam, vecs), rng_seed=5)
+        z = substream(5).standard_normal((count, rank))
+        expected = (z * np.sqrt(lam[:rank])) @ vecs[:, :rank].T / GRID.quad_weights_sqrt()
+        assert np.array_equal(sampler.draw_matrix(count), expected)
+
     def test_count_validation(self):
         sampler = GaussSampler.from_spectrum(GRID, SpectralPair(np.ones(1), np.ones((GRID.size, 1))), 0)
         with pytest.raises(UsageError):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -15,6 +16,8 @@ from curveprob.flm import (
     to_json,
 )
 from curveprob.spectral import CovarianceOperator, eigendecompose
+
+from model_doc import MATRICES, decimal_document, decode, edit_matrix, encode, set_cell
 
 GRID = Grid(40)
 
@@ -334,6 +337,16 @@ class TestFarDesign:
             build_far_design([Curve.constant(g, 1.0)], order=1)
 
 
+def matrices(model) -> dict:
+    """The eight arrays a model document stores, by field name."""
+    return {"coef_w": model.coef_w, "x_mean_coords": model.x_mean_coords,
+            "y_mean": model.y_mean, "residual_matrix": model.residual_matrix,
+            "covariate_eigenvalues": model.covariate_spectrum.eigenvalues,
+            "covariate_eigenvectors": model.covariate_spectrum.eigenvectors,
+            "noise_eigenvalues": model.noise_spectrum.eigenvalues,
+            "noise_eigenvectors": model.noise_spectrum.eigenvectors}
+
+
 class TestSerialization:
     def test_round_trip_preserves_predictions(self):
         ys, xs = rank_two_pairs(n=15, noise=0.3, seed=8)
@@ -347,12 +360,30 @@ class TestSerialization:
         )
         assert clone.truncation.kind == "pve"
 
+    def test_round_trip_keeps_every_bit(self):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        special = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, np.nextafter(1.0, 2.0)]
+        coef_w = model.coef_w.copy()
+        coef_w.flat[:len(special)] = special
+        residuals = model.residual_matrix.copy()
+        residuals[0, :len(special)] = special[::-1]
+        model = dataclasses.replace(model, coef_w=coef_w, residual_matrix=residuals)
+        text = to_json(model)
+        clone = from_json(text)
+        doc = json.loads(text)
+        for key, value in matrices(model).items():
+            got = matrices(clone)[key]
+            assert got.dtype == np.float64 and got.flags.writeable, key
+            assert got.shape == value.shape and got.tobytes() == value.tobytes(), key
+            assert decode(doc[key]).tobytes() == value.tobytes(), key
+        assert to_json(clone) == text
+
     def test_keeps_only_leading_covariate_pairs(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         doc = json.loads(to_json(model))
-        assert doc["version"] == 2
-        assert np.shape(doc["covariate_eigenvalues"]) == (2,)
-        assert np.shape(doc["covariate_eigenvectors"]) == (GRID.size, 2)
+        assert doc["version"] == 3
+        assert decode(doc["covariate_eigenvalues"]).shape == (2,)
+        assert decode(doc["covariate_eigenvectors"]).shape == (GRID.size, 2)
 
     def test_reads_version_one_bitwise(self):
         # a version 1 document stores the whole covariate spectrum
@@ -361,8 +392,8 @@ class TestSerialization:
         model = fit(sample, TruncationRule.fixed(2))
         xc = sample.x - sample.x.mean(axis=0)
         full = eigendecompose(CovarianceOperator(xc.T @ xc / len(sample)))
-        doc = json.loads(to_json(model))
-        doc.update(version=1, covariate_eigenvalues=full.eigenvalues.tolist(),
+        doc = decimal_document(to_json(model), version=1)
+        doc.update(covariate_eigenvalues=full.eigenvalues.tolist(),
                    covariate_eigenvectors=full.eigenvectors.tolist())
         old = from_json(json.dumps(doc))
         for x in xs:
@@ -372,16 +403,23 @@ class TestSerialization:
         np.testing.assert_array_equal(old.covariate_spectrum.eigenvectors,
                                       model.covariate_spectrum.eigenvectors)
 
-    @pytest.mark.parametrize("key", ["coef_w", "x_mean_coords", "y_mean", "residual_matrix",
-                                     "covariate_eigenvalues", "covariate_eigenvectors",
-                                     "noise_eigenvalues", "noise_eigenvectors"])
+    def test_reads_version_two_bitwise(self):
+        # a version 2 document stores its matrices as decimal lists
+        ys, xs = rank_two_pairs(n=15, noise=0.3, seed=8)
+        model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(2))
+        old = from_json(json.dumps(decimal_document(to_json(model), version=2)))
+        for x in xs:
+            np.testing.assert_array_equal(predict(old, x).values, predict(model, x).values)
+        for key, value in matrices(model).items():
+            np.testing.assert_array_equal(matrices(old)[key], value)
+
+    @pytest.mark.parametrize("key", MATRICES)
     def test_rejects_corrupted_shape(self, key):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
-        doc = json.loads(to_json(model))
-        value = np.asarray(doc[key])
-        doc[key] = (value[:-1] if value.ndim == 1 else value[:, :-1]).tolist()
+        text = edit_matrix(to_json(model), key,
+                           lambda value: value[:-1] if value.ndim == 1 else value[:, :-1])
         with pytest.raises(StructureError):
-            from_json(json.dumps(doc))
+            from_json(text)
 
     @pytest.mark.parametrize("change", [{"grid_d": GRID.resolution + 1}, {"n_scalars": 1},
                                         {"n_components": 0}, {"n_components": 3},
@@ -393,26 +431,49 @@ class TestSerialization:
         with pytest.raises(StructureError):
             from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", ["coef_w", "x_mean_coords", "y_mean", "residual_matrix",
-                                     "covariate_eigenvalues", "covariate_eigenvectors",
-                                     "noise_eigenvalues", "noise_eigenvectors"])
+    @pytest.mark.parametrize("field", [
+        {"f8le": "@@@@"}, {"f8le": "AAAAA"}, {"f8le": "AAAA\nAAAA"}, {"f8le": 12},
+        {"f8le": None}, {"shape": [-1, 41]}, {"shape": [1.0, 41]}, {"shape": [True, 41]},
+        {"shape": ["1", 41]}, {"shape": "1,41"}, {"shape": None}, {"shape": [0, 41]},
+        {"shape": [0, 41], "f8le": ""}, {"shape": [10**30, 41]}, {"shape": [0] * 70},
+        {"shape": [0] * 70, "f8le": ""}, {"extra": 1},
+    ])
+    def test_rejects_a_bad_encoded_matrix(self, field):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        doc["residual_matrix"].update(field)
+        with pytest.raises(StructureError):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", MATRICES)
+    def test_rejects_a_byte_count_that_disagrees_with_the_shape(self, key):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        doc[key]["f8le"] = encode(decode(doc[key]).ravel()[:-1])["f8le"]
+        with pytest.raises(StructureError, match="bytes"):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_each_version_reads_only_its_own_matrix_form(self, version):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        with pytest.raises(StructureError):
+            from_json(json.dumps(dict(doc, version=version)))
+        with pytest.raises(StructureError):
+            from_json(json.dumps(dict(decimal_document(to_json(model), version), version=3)))
+
+    @pytest.mark.parametrize("key", MATRICES)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_a_non_finite_cell(self, key, bad):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
-        doc = json.loads(to_json(model))
-        value = np.asarray(doc[key])
-        value.flat[-1] = bad
-        doc[key] = value.tolist()
         with pytest.raises(StructureError, match="non-finite"):
-            from_json(json.dumps(doc))
+            from_json(set_cell(to_json(model), key, -1, bad))
 
     @pytest.mark.parametrize("key", ["covariate_eigenvalues", "noise_eigenvalues"])
     def test_rejects_a_negative_eigenvalue(self, key):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
-        doc = json.loads(to_json(model))
-        doc[key][-1] = -1e-300
         with pytest.raises(StructureError, match="negative"):
-            from_json(json.dumps(doc))
+            from_json(set_cell(to_json(model), key, -1, -1e-300))
 
     def test_rejects_a_non_finite_truncation_parameter(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))

@@ -113,13 +113,13 @@ def nw_select_bandwidth(dist: np.ndarray, label_sets, grid: np.ndarray = None) -
     return best_h
 
 
-def nw_fit(coords, labels, bandwidth: float = None, grid: np.ndarray = None) -> NWEstimator:
+def nw_fit(coords, labels, bandwidth: float = None) -> NWEstimator:
     coords = np.asarray(coords, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if len(coords) == 0:
         raise UsageError("kernel regression needs at least one training point")
     if bandwidth is None:
-        bandwidth = nw_select_bandwidth(pairwise_distances(coords), [labels], grid)[0]
+        bandwidth = nw_select_bandwidth(pairwise_distances(coords), [labels])[0]
     return NWEstimator(bandwidth=bandwidth, train_coords=coords, labels=labels)
 
 
@@ -135,19 +135,10 @@ def cross_distances(train_coords: np.ndarray, queries) -> np.ndarray:
                       2.0 * products)
 
 
-def query_distances(train_coords: np.ndarray, x_coords) -> np.ndarray:
-    """Euclidean distances from one query row to every training row."""
-    return cross_distances(train_coords, [x_coords])[0]
-
-
 def nw_prob(est: NWEstimator, x_coords) -> float:
     """Kernel-weighted mean of training indicators at the query point."""
-    return nw_prob_from_distances(est, query_distances(est.train_coords, x_coords))
-
-
-def nw_prob_from_distances(est: NWEstimator, dist: np.ndarray) -> float:
-    """:func:`nw_prob` at a query given by its :func:`query_distances` row."""
-    return float(nw_probs_from_distances(est, [dist])[0])
+    dist = cross_distances(est.train_coords, [x_coords])
+    return float(nw_probs_from_distances(est, dist)[0])
 
 
 def nw_probs_from_distances(est: NWEstimator, dist) -> np.ndarray:

@@ -81,19 +81,6 @@ class Curve:
     def constant(grid: Grid, value: float) -> "Curve":
         return Curve(grid, np.full(grid.size, float(value)))
 
-    def __add__(self, other: "Curve") -> "Curve":
-        _check_same_grid(self, other)
-        return Curve(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "Curve") -> "Curve":
-        _check_same_grid(self, other)
-        return Curve(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "Curve":
-        return Curve(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class Covariate:
@@ -157,16 +144,12 @@ def curve_matrix(series) -> tuple[np.ndarray, Grid]:
     return np.asarray([c.values for c in series]), grid
 
 
-def _check_same_grid(a: Curve, b: Curve) -> None:
+def inner_product(a: Curve, b: Curve) -> float:
+    """Trapezoid approximation of the L2 inner product of two curves."""
     if a.grid.resolution != b.grid.resolution:
         raise StructureError(
             f"grid mismatch: D={a.grid.resolution} vs D={b.grid.resolution}"
         )
-
-
-def inner_product(a: Curve, b: Curve) -> float:
-    """Trapezoid approximation of the L2 inner product of two curves."""
-    _check_same_grid(a, b)
     return float(np.sum(a.grid.quad_weights() * a.values * b.values))
 
 

@@ -95,7 +95,8 @@ class TruncationRule:
     @staticmethod
     def parse(text: str) -> "TruncationRule":
         """Parse CLI forms like 'pve:0.85', 'threshold:mn=12', 'threshold:auto',
-        'threshold:mn=12,absolute', 'fixed:3'."""
+        'threshold:mn=12,absolute', 'fixed:3'. A threshold takes at most one
+        of mn=/auto and at most one of relative/absolute."""
         kind, _, rest = text.partition(":")
         kind = kind.strip().lower()
         try:
@@ -104,18 +105,17 @@ class TruncationRule:
             if kind == "fixed":
                 return TruncationRule.fixed(int(rest))
             if kind == "threshold":
-                m_n, relative = None, True
+                m_n, relative, given = None, True, set()
                 for piece in filter(None, (p.strip() for p in rest.split(","))):
-                    if piece == "auto":
-                        m_n = None
-                    elif piece == "absolute":
-                        relative = False
-                    elif piece == "relative":
-                        relative = True
-                    elif piece.startswith("mn="):
-                        m_n = float(piece[3:])
+                    if piece in ("relative", "absolute"):
+                        option, relative = "relative/absolute", piece == "relative"
+                    elif piece == "auto" or piece.startswith("mn="):
+                        option, m_n = "mn/auto", None if piece == "auto" else float(piece[3:])
                     else:
                         raise UsageError(f"unknown threshold option {piece!r}")
+                    if option in given:
+                        raise UsageError(f"threshold option {option} is given twice")
+                    given.add(option)
                 return TruncationRule.threshold(m_n, relative=relative)
         except ValueError as exc:
             raise UsageError(f"bad truncation rule {text!r}: {exc}") from None

@@ -16,6 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from ..baselines import fglm_fit, fglm_prob, nw_fit, nw_prob
 from ..conddist import (
     boot_prob,
@@ -27,8 +29,9 @@ from ..curves import Covariate, Curve, Grid
 from ..errors import DegenerateInputError, RangeExhaustedError, StructureError, UsageError
 from ..events import contains_batch, parse_event, parse_family
 from ..flm import TruncationRule, build_far_design, fit, from_json, to_json
+from ..rng import substream
 from . import io
-from .dgp import paparoditis_dgp, simulate_brownian, simulate_far, synthetic_dgp
+from .dgp import brownian_matrix, paparoditis_dgp, simulate_far_values, synthetic_dgp
 from .experiments import (
     run_coverage_experiment,
     run_entropy_eval,
@@ -50,7 +53,8 @@ def _parse_floats(text: str, option: str) -> tuple:
 
 
 def _load_covariate(args) -> Covariate:
-    parts = tuple(io.load_curves(args.x))
+    values = io.load_curves(args.x)
+    parts = tuple(Curve(Grid(values.shape[1] - 1), row) for row in values)
     scalars = _parse_floats(args.x_scalars, "--x-scalars") if args.x_scalars else ()
     if not parts and not scalars:
         raise UsageError(f"covariate file {args.x} holds no curves and no scalars given")
@@ -83,7 +87,10 @@ def _cmd_simulate(args) -> None:
     if args.dgp == "brownian":
         if args.burn_in is not None:
             raise UsageError("--burn-in does not apply to independent brownian paths")
-        curves = [simulate_brownian(grid, seed=args.seed + i) for i in range(args.n)]
+        if args.n < 1:
+            raise UsageError(f"series length must be >= 1, got {args.n}")
+        series = np.concatenate([brownian_matrix(grid, 1, substream(args.seed + i))
+                                 for i in range(args.n)])
     else:
         if args.dgp == "far_paparoditis":
             spec = paparoditis_dgp(grid, b=args.b, seed=args.seed)
@@ -91,8 +98,8 @@ def _cmd_simulate(args) -> None:
             spec = synthetic_dgp(grid, seed=args.seed)
         if args.burn_in is not None:
             spec = replace(spec, burn_in=args.burn_in)
-        curves = simulate_far(spec, args.n)
-    io.save_curves(curves, args.out or "series.csv")
+        series = simulate_far_values(spec, args.n)
+    io.save_curves(series, args.out or "series.csv")
 
 
 def _cmd_fit(args) -> None:
@@ -130,9 +137,9 @@ def _cmd_band(args) -> None:
                                        mc_size=args.mc, seed=args.seed,
                                        literal_abs=args.literal_abs)
     out = args.out or "band.csv"
-    floor = band.center - band.lower
-    ceil = band.center + band.upper
-    io.save_curves([band.center, floor, ceil], out)
+    center = band.center.values
+    io.save_curves(np.stack([center, center - band.lower.values,
+                             center + band.upper.values]), out)
     _write_json({"lower_quantile": cal.lower_quantile,
                  "upper_quantile": cal.upper_quantile,
                  "nominal": cal.nominal, "method": cal.method,
@@ -191,8 +198,7 @@ def _cmd_deseasonalize(args) -> None:
     dow = io.load_index(args.dow) if args.dow else None
     result = deseasonalize(series, doy, dow, window=args.window,
                            weekly=not args.no_weekly)
-    grid = series[0].grid
-    io.save_curves([Curve(grid, row) for row in result.adjusted], args.out or "adjusted.csv")
+    io.save_curves(result.adjusted, args.out or "adjusted.csv")
 
 
 def _cmd_baseline(args) -> None:

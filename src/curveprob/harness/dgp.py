@@ -84,11 +84,6 @@ def brownian_matrix(grid: Grid, count: int, rng: np.random.Generator) -> np.ndar
     return paths
 
 
-def simulate_brownian(grid: Grid, seed: int = 0) -> Curve:
-    """One standard Brownian motion path on the grid."""
-    return Curve(grid, brownian_matrix(grid, 1, substream(seed))[0])
-
-
 def mean_values(spec: DGPSpec) -> np.ndarray:
     """Process mean on the grid (zero for the Brownian-driven recursion)."""
     if spec.kind == "far_paparoditis":
@@ -174,30 +169,26 @@ def simulate_far(spec: DGPSpec, n: int, seed: int | None = None, rng=None) -> li
     return [Curve(spec.grid, row) for row in simulate_far_values(spec, n, seed, rng)]
 
 
-def conditional_mean(spec: DGPSpec, previous: Curve) -> Curve:
-    """True one-step conditional mean given the previous curve.
+def conditional_mean(spec: DGPSpec, previous: np.ndarray) -> np.ndarray:
+    """True one-step conditional mean given the previous curve's values.
 
     Only defined for first-order recursions; the two-lag process would need
     both preceding curves."""
     if spec.kind == "far_paparoditis" and spec.b != 0.0:
         raise UsageError("conditional mean given one lag is undefined when b != 0")
     mu = mean_values(spec)
-    centered = previous.values - mu
-    return Curve(spec.grid, mu + _step_matrix(spec) @ centered)
+    return mu + _step_matrix(spec) @ (previous - mu)
 
 
 def conditional_draws(
-    spec: DGPSpec, previous: Curve, count: int, seed: int
+    spec: DGPSpec, previous: np.ndarray, count: int, seed: int
 ) -> np.ndarray:
-    """Independent draws of the next curve given the previous one."""
-    mean = conditional_mean(spec, previous).values
-    return mean + noise_matrix(spec, count, substream(seed))
+    """Independent draws of the next curve given the previous curve's values."""
+    return conditional_mean(spec, previous) + noise_matrix(spec, count, substream(seed))
 
 
-def stationary_predictors(spec: DGPSpec, count: int, seed: int) -> list:
-    """Independent draws from (approximately) the stationary distribution,
-    one short burned-in chain per draw."""
-    return [
-        simulate_far(spec, 1, rng=substream(seed, i))[0]
-        for i in range(count)
-    ]
+def stationary_predictors(spec: DGPSpec, count: int, seed: int) -> np.ndarray:
+    """(count, D+1) independent draws from (approximately) the stationary
+    distribution, one short burned-in chain per draw."""
+    return np.concatenate([simulate_far_values(spec, 1, rng=substream(seed, i))
+                           for i in range(count)])

@@ -36,7 +36,6 @@ from ..curves import Covariate, Curve, Grid, curve_matrix
 from ..errors import RangeExhaustedError, UsageError
 from ..events import (
     EventSet,
-    contains,
     contains_batch,
     family_level_in_alpha,
     family_level_in_z,
@@ -145,11 +144,6 @@ def _ensemble_methods(methods) -> tuple:
     return tuple(m for m in ENSEMBLE_METHODS if m in methods)
 
 
-def _predictor_coords(predictors, grid: Grid) -> np.ndarray:
-    """Weighted coordinates of the one-curve covariates (y0,), one row each."""
-    return np.asarray([y0.values for y0 in predictors]) * grid.quad_weights_sqrt()
-
-
 def _glm_probs(coords, labels, regression, queries, scores: list) -> np.ndarray:
     """Binomial-baseline probabilities at the query rows. No binomial
     regression fits labels of one class; every query then gets the
@@ -195,7 +189,6 @@ def run_coverage_experiment(
     for rep in range(reps):
         series = simulate_far_values(spec, n + 1, rng=substream(seed, _SIM, rep))
         x_query = Covariate((Curve(grid, series[n - 1]),))
-        truth = Curve(grid, series[n])
         sample, _ = build_far_design(series[:n], order=1)
         model = fit(sample, TruncationRule.pve(pve), center=True)
         for m in methods:
@@ -203,7 +196,7 @@ def run_coverage_experiment(
                 model, x_query, nominal, method=m, mc_size=mc_size,
                 seed=_int_seed(seed, _MC, rep),
             )
-            hits[m] += int(contains(band, truth))
+            hits[m] += int(contains_batch(band, series[n:], grid)[0])
 
     columns = ("method", "coverage", "se", "reps")
     rows = []
@@ -234,9 +227,10 @@ def _int_seed(seed: int, *indices: int) -> int:
 # probability RMSE against a Monte-Carlo oracle
 
 def oracle_event_probability(
-    spec: DGPSpec, previous: Curve, event: EventSet, n_mc: int, seed: int
+    spec: DGPSpec, previous: np.ndarray, event: EventSet, n_mc: int, seed: int
 ) -> float:
-    """Ground truth by simulating the next curve from the true process."""
+    """Ground truth by simulating the next curve from the true process,
+    given the previous curve's values."""
     draws = conditional_draws(spec, previous, n_mc, seed)
     return float(np.count_nonzero(contains_batch(event, draws, spec.grid))) / n_mc
 
@@ -275,7 +269,7 @@ def run_rmse_experiment(
         oracle_event_probability(spec, y0, event, oracle_size, _int_seed(seed, _ORACLE, j))
         for j, y0 in enumerate(predictors)
     ])
-    queries = _predictor_coords(predictors, grid)
+    queries = predictors * grid.quad_weights_sqrt()
 
     estimates = {m: np.empty((reps, n_predictors)) for m in methods}
     for rep in range(reps):
@@ -331,7 +325,7 @@ def _check_level_quantile(p: float, z: float) -> None:
 
 
 def oracle_level_quantile(
-    spec: DGPSpec, previous: Curve, p: float, z: float, n_mc: int, seed: int
+    spec: DGPSpec, previous: np.ndarray, p: float, z: float, n_mc: int, seed: int
 ) -> float:
     """Ground-truth p-quantile of the level-family parameter, computed on
     oracle draws with the estimator's own kernels: each draw's critical
@@ -376,7 +370,7 @@ def run_var_experiment(
         for j, y0 in enumerate(predictors)
     ])
 
-    queries = _predictor_coords(predictors, grid)
+    queries = predictors * grid.quad_weights_sqrt()
     estimates = {m: np.empty((reps, n_predictors)) for m in methods}
     for rep in range(reps):
         series = simulate_far_values(spec, n, rng=substream(seed, _SIM, rep))

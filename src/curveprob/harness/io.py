@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..curves import Curve, Grid
+from ..curves import Curve, Grid, curve_matrix
 from ..errors import ParseError, UsageError
 
 
@@ -23,25 +23,28 @@ def _format_row(values: np.ndarray) -> str:
     return ",".join(map(repr, values.tolist()))
 
 
-def save_curves(curves: list, path) -> None:
-    if not curves:
+def save_curves(series, path) -> None:
+    """Write a curve series, as :func:`~curveprob.curves.curve_matrix`
+    accepts it; an empty series gives an empty file."""
+    if len(series) == 0:
         Path(path).write_text("", encoding="utf-8")
         return
-    grid = curves[0].grid
+    values, grid = curve_matrix(series)
     lines = [_format_row(grid.points)]
-    lines.extend(_format_row(c.values) for c in curves)
+    lines.extend(map(_format_row, values))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_curves(path) -> list:
-    """Read a curve-per-row CSV; an empty file gives an empty list.
+def load_curves(path) -> np.ndarray:
+    """Read a curve-per-row CSV as its ``(n, D+1)`` value matrix. An empty
+    file gives shape ``(0, 0)`` and a header-only file ``(0, D+1)``.
 
     The header must list the uniform grid points i/D, each within
     HEADER_ATOL."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        return []
+        return np.empty((0, 0))
     header = lines[0].split(",")
     if len(header) < 3:
         raise ParseError(f"{path}: header must list at least 3 grid points", row=1)
@@ -55,15 +58,15 @@ def load_curves(path) -> list:
             f"{float(expected[c])!r}", row=1, column=c + 1,
         )
 
-    curves = []
+    values = np.empty((len(lines) - 1, grid.size))
     for r, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != grid.size:
             raise ParseError(
                 f"{path}: expected {grid.size} columns, found {len(cells)}", row=r
             )
-        curves.append(Curve(grid, _parse_row(path, cells, r)))
-    return curves
+        values[r - 2] = _parse_row(path, cells, r)
+    return curve_matrix(values)[0]
 
 
 def _parse_row(path, cells: list, row: int) -> np.ndarray:
@@ -81,10 +84,10 @@ def _parse_row(path, cells: list, row: int) -> np.ndarray:
 
 
 def load_single_curve(path) -> Curve:
-    curves = load_curves(path)
-    if len(curves) != 1:
-        raise UsageError(f"{path}: expected exactly one curve, found {len(curves)}")
-    return curves[0]
+    values = load_curves(path)
+    if len(values) != 1:
+        raise UsageError(f"{path}: expected exactly one curve, found {len(values)}")
+    return Curve(Grid(values.shape[1] - 1), values[0])
 
 
 def load_index(path) -> np.ndarray:

@@ -15,11 +15,9 @@ from curveprob.baselines import (
     fglm_score,
     nw_fit,
     nw_prob,
-    nw_prob_from_distances,
     nw_probs_from_distances,
     nw_select_bandwidth,
     pairwise_distances,
-    query_distances,
 )
 from curveprob.curves import Curve, Grid
 from curveprob.errors import DegenerateInputError
@@ -132,7 +130,7 @@ class TestKernels:
             est = nw_fit(coords, (rng.uniform(size=15) < 0.5).astype(float),
                          bandwidth=rng.uniform(0.2, 3.0))
             x = rng.normal(size=4)
-            assert nw_prob(est, x) == nw_prob_from_distances(est, query_distances(coords, x))
+            assert nw_prob(est, x) == nw_probs_from_distances(est, cross_distances(coords, [x]))[0]
 
     def test_fglm_prob_reads_the_score(self):
         rng = np.random.default_rng(24)

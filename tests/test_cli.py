@@ -41,7 +41,7 @@ def model_json(tmp_path, series_csv):
 @pytest.fixture
 def x_csv(tmp_path, series_csv):
     path = tmp_path / "x.csv"
-    save_curves([load_curves(series_csv)[-1]], path)
+    save_curves(load_curves(series_csv)[-1:], path)
     return path
 
 
@@ -80,7 +80,7 @@ class TestWorkflow:
         payload = json.loads(capsys.readouterr().out)
         assert payload["lower_quantile"] <= payload["upper_quantile"]
         center, floor, ceil = load_curves(out)
-        assert np.all(floor.values <= ceil.values)
+        assert np.all(floor <= ceil)
 
     def test_baseline_commands(self, tmp_path, series_csv, x_csv):
         out = tmp_path / "b.json"
@@ -92,7 +92,8 @@ class TestWorkflow:
         assert 0.0 < json.loads(out.read_text())["value"] < 1.0
 
     def test_covariate_with_a_scalar_part(self, tmp_path, series_csv, x_csv):
-        series = load_curves(series_csv)
+        values = load_curves(series_csv)
+        series = [Curve(Grid(values.shape[1] - 1), row) for row in values]
         scalars = np.random.default_rng(4).normal(size=len(series) - 1)
         sample = RegressionSample.from_pairs(
             series[1:], [Covariate((c,), (s,)) for c, s in zip(series[:-1], scalars)])
@@ -116,8 +117,8 @@ class TestWorkflow:
         assert run("deseasonalize", "--series", series_path,
                    "--doy", tmp_path / "doy.csv", "--dow", tmp_path / "dow.csv",
                    "--out", out) == 0
-        for c in load_curves(out):
-            assert np.max(np.abs(c.values)) <= 1e-8
+        for row in load_curves(out):
+            assert np.max(np.abs(row)) <= 1e-8
 
 
 class TestExperimentCommands:
@@ -227,6 +228,51 @@ class TestDeterminism:
         assert outputs[0] != outputs[None] and outputs[200] != outputs[None]
 
 
+class TestSeriesStayMatrices:
+    """The commands read, write and pass curve series as value matrices: a
+    Curve is built only for a covariate's parts and a band's members."""
+
+    @staticmethod
+    def count_curves(monkeypatch) -> list:
+        calls = []
+        original = Curve.__post_init__
+        monkeypatch.setattr(Curve, "__post_init__",
+                            lambda self: calls.append(1) or original(self))
+        return calls
+
+    @pytest.mark.parametrize("dgp", ["far_paparoditis", "far_synthetic", "brownian"])
+    def test_simulate(self, monkeypatch, tmp_path, dgp):
+        calls = self.count_curves(monkeypatch)
+        assert run("simulate", "--dgp", dgp, "--n", 30, "--grid-d", 8,
+                   "--out", tmp_path / "sim.csv") == 0
+        assert calls == []
+
+    def test_fit_with_an_exogenous_series(self, monkeypatch, tmp_path, series_csv):
+        exog = tmp_path / "exog.csv"
+        assert run("simulate", "--n", 40, "--grid-d", 20, "--seed", 4, "--out", exog) == 0
+        calls = self.count_curves(monkeypatch)
+        assert run("fit", "--series", series_csv, "--exog", exog,
+                   "--out", tmp_path / "model.json") == 0
+        assert calls == []
+
+    def test_deseasonalize_and_entropy_eval(self, monkeypatch, tmp_path, entropy_inputs):
+        given = dict(zip(entropy_inputs[::2], entropy_inputs[1::2]))
+        calls = self.count_curves(monkeypatch)
+        assert run("deseasonalize", "--series", given["--response"], "--doy", given["--doy"],
+                   "--dow", given["--dow"], "--out", tmp_path / "adjusted.csv") == 0
+        assert run("entropy-eval", *entropy_inputs, "--methods", "boot,gauss,glm,nw",
+                   "--out", tmp_path / "entropy.csv") == 0
+        assert calls == []
+
+    def test_band_builds_the_covariate_parts_and_its_members(self, monkeypatch, tmp_path,
+                                                             model_json, x_csv):
+        calls = self.count_curves(monkeypatch)
+        assert run("band", "--model", model_json, "--x", x_csv, "--mc", 50,
+                   "--out", tmp_path / "band.csv") == 0
+        # the center, sigma and the two offsets
+        assert len(calls) == len(load_curves(x_csv)) + 4
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, tmp_path, model_json, x_csv):
         assert run("estimate", "--model", model_json, "--x", x_csv,
@@ -282,7 +328,7 @@ def broken_inputs(tmp_path, model_json, x_csv):
     empty.write_text("")
     # products of these values overflow: x.T @ x holds inf
     huge = tmp_path / "huge.csv"
-    save_curves([Curve(c.grid, 1e200 * c.values) for c in load_curves(series)], huge)
+    save_curves(1e200 * load_curves(series), huge)
     # finite values whose seasonal means overflow
     overflow = tmp_path / "overflow.csv"
     save_curves([Curve.constant(Grid(size - 1), 1e308)] * n_days, overflow)
@@ -343,6 +389,12 @@ EXIT_CASES = [
     ("burn-in for independent paths",
      ["simulate", "--dgp", "brownian", "--n", "3", "--burn-in", "10", "--out", "{missing}"],
      2, "--burn-in"),
+    ("no independent paths",
+     ["simulate", "--dgp", "brownian", "--n", "0", "--out", "{missing}"],
+     2, "series length must be >= 1, got 0"),
+    ("a negative number of independent paths",
+     ["simulate", "--dgp", "brownian", "--n", "-1", "--out", "{missing}"],
+     2, "series length must be >= 1, got -1"),
     ("level threshold that is not a number",
      ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
       "--alphas", "x", "--out", "{missing}"],
@@ -432,6 +484,16 @@ EXIT_CASES = [
     ("threshold m_n that is infinite",
      ["fit", "--series", "{series}", "--truncation", "threshold:mn=inf", "--out", "{missing}"],
      2, "m_n must be finite, got inf"),
+    ("threshold m_n given twice",
+     ["fit", "--series", "{series}", "--truncation", "threshold:mn=12,mn=13", "--out", "{missing}"],
+     2, "threshold option mn/auto is given twice"),
+    ("threshold both relative and absolute",
+     ["fit", "--series", "{series}", "--truncation", "threshold:relative,absolute",
+      "--out", "{missing}"],
+     2, "threshold option relative/absolute is given twice"),
+    ("threshold m_n both automatic and given",
+     ["fit", "--series", "{series}", "--truncation", "threshold:auto,mn=12", "--out", "{missing}"],
+     2, "threshold option mn/auto is given twice"),
     ("model with a NaN noise eigenvector cell",
      ["estimate", "--model", "{nan_model}", "--x", "{x}", "--event", "extremal:d=0",
       "--method", "gauss"],

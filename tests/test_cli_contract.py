@@ -17,7 +17,6 @@ import random
 
 import pytest
 
-from curveprob.curves import Curve
 from curveprob.harness import cli
 from curveprob.harness.cli import build_parser, main
 from curveprob.harness.io import load_curves, save_curves
@@ -246,8 +245,7 @@ def test_curve_files_scaled_to_overflow_keep_the_exit_contract(contract_files, t
     scaled = {}
     for name in ("series", "x"):
         scaled[name] = tmp_path / f"scaled_{name}.csv"
-        save_curves([Curve(c.grid, OVERFLOW_SCALE * c.values)
-                     for c in load_curves(contract_files[name])], scaled[name])
+        save_curves(OVERFLOW_SCALE * load_curves(contract_files[name]), scaled[name])
     cases = []
     for files in ({**contract_files, "series": scaled["series"]},
                   {**contract_files, "x": scaled["x"]}, {**contract_files, **scaled}):

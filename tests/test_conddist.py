@@ -705,7 +705,7 @@ class TestUniformConvergenceSurrogate:
         predictor = simulate_far(spec, 1, seed=77)[0]
         x = Covariate((predictor,))
         thresholds = np.linspace(4.0, 11.0, 25)
-        oracle_draws = conditional_draws(spec, predictor, 10_000, seed=555)
+        oracle_draws = conditional_draws(spec, predictor.values, 10_000, seed=555)
         truth = np.asarray([
             np.mean(np.count_nonzero(oracle_draws > a, axis=1) / grid.size <= 0.5)
             for a in thresholds

@@ -203,7 +203,7 @@ class TestSupNorm:
             a = Curve(g, rng.normal(size=g.size))
             b = Curve(g, rng.normal(size=g.size))
             r = np.max(np.abs(a.values)) + np.max(np.abs(b.values)) + 1e-12
-            assert inside(boundary_set(-r, r), a + b)[0]
+            assert inside(boundary_set(-r, r), Curve(g, a.values + b.values))[0]
 
 
 class TestExceedance:

@@ -144,7 +144,8 @@ class TestPredict:
         a = Covariate((Curve(GRID, rng.normal(size=GRID.size)),))
         b = Covariate((Curve(GRID, rng.normal(size=GRID.size)),))
         zero = Covariate((Curve.constant(GRID, 0.0),))
-        lhs = predict(model, Covariate((a.curve_parts[0] + b.curve_parts[0],))).values \
+        a_plus_b = Curve(GRID, a.curve_parts[0].values + b.curve_parts[0].values)
+        lhs = predict(model, Covariate((a_plus_b,))).values \
             - predict(model, zero).values
         rhs = (predict(model, a).values - predict(model, zero).values) \
             + (predict(model, b).values - predict(model, zero).values)

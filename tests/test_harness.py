@@ -23,7 +23,6 @@ from curveprob.harness.dgp import (
     kernel_matrix,
     mean_values,
     paparoditis_dgp,
-    simulate_brownian,
     simulate_far,
     simulate_far_values,
     synthetic_dgp,
@@ -55,7 +54,7 @@ from curveprob.spectral import SpectralPair
 class TestBrownian:
     def test_starts_at_zero(self):
         for seed in range(5):
-            assert simulate_brownian(Grid(50), seed=seed).values[0] == 0.0
+            assert brownian_matrix(Grid(50), 1, substream(seed))[0, 0] == 0.0
 
     def test_terminal_variance(self):
         grid = Grid(100)
@@ -152,19 +151,19 @@ class TestConditionalOracle:
         mu = mean_values(spec)
         step_input = prev.values - mu
         manual = mu + (kernel_matrix(silent) * grid.quad_weights()) @ step_input
-        np.testing.assert_allclose(conditional_mean(spec, prev).values, manual, atol=1e-12)
+        np.testing.assert_allclose(conditional_mean(spec, prev.values), manual, atol=1e-12)
 
     def test_two_lag_conditional_mean_is_refused(self):
         spec = paparoditis_dgp(Grid(20), b=0.4)
         with pytest.raises(UsageError):
-            conditional_mean(spec, Curve.constant(Grid(20), 0.0))
+            conditional_mean(spec, Curve.constant(Grid(20), 0.0).values)
 
     def test_conditional_draws_center_on_conditional_mean(self):
         spec = synthetic_dgp(Grid(30), seed=6)
         prev = simulate_far(spec, 1, seed=13)[0]
-        draws = conditional_draws(spec, prev, 4000, seed=17)
+        draws = conditional_draws(spec, prev.values, 4000, seed=17)
         np.testing.assert_allclose(
-            draws.mean(axis=0), conditional_mean(spec, prev).values, atol=0.1
+            draws.mean(axis=0), conditional_mean(spec, prev.values), atol=0.1
         )
 
 
@@ -176,8 +175,8 @@ class TestConditionalOracle:
         # floor(0.57 * 100) is 56)
         spec = synthetic_dgp(Grid(grid_d), seed=2)
         prev = simulate_far(spec, 1, seed=5)[0]
-        draws = conditional_draws(spec, prev, 1000, seed=9)
-        xi = oracle_level_quantile(spec, prev, p, z, 1000, seed=9)
+        draws = conditional_draws(spec, prev.values, 1000, seed=9)
+        xi = oracle_level_quantile(spec, prev.values, p, z, 1000, seed=9)
 
         def fraction(alpha):
             return np.mean(contains_batch(level_set(alpha, z), draws, spec.grid))
@@ -203,7 +202,7 @@ class TestConditionalOracle:
         monkeypatch.setattr(experiments, "stationary_predictors", no_draws)
         if "p" in bad:
             with pytest.raises(UsageError, match=message):
-                oracle_level_quantile(spec, prev, bad["p"], 0.5, 100, seed=9)
+                oracle_level_quantile(spec, prev.values, bad["p"], 0.5, 100, seed=9)
         with pytest.raises(UsageError, match=message):
             run_var_experiment(n=30, n_predictors=2, reps=1, grid_d=16, oracle_size=100,
                                mc_size=100, **bad)
@@ -232,7 +231,7 @@ class TestDriversShareTheEstimator:
             glm = fglm_fit(sample.x, labels, model)
             nw = nw_fit(sample.x, labels)
             for j, y0 in enumerate(predictors):
-                x = Covariate((y0,))
+                x = Covariate((Curve(spec.grid, y0),))
                 want[0, j, rep] = gauss_prob(model, x, event, mc_size=mc,
                                              seed=_int_seed(seed, _MC, rep)).value
                 want[1, j, rep] = boot_prob(model, x, event).value
@@ -260,7 +259,8 @@ class TestDriversShareTheEstimator:
                 for k, m in enumerate(("boot", "gauss")):
                     try:
                         want[k, j, rep] = quantile_over_family(
-                            model, Covariate((y0,)), family, 1.0 - 1.0 / n, method=m,
+                            model, Covariate((Curve(spec.grid, y0),)), family, 1.0 - 1.0 / n,
+                            method=m,
                             mc_size=mc, seed=_int_seed(seed, _MC, rep))
                     except RangeExhaustedError:
                         want[k, j, rep] = 8.0
@@ -303,7 +303,8 @@ class TestDriversShareTheEstimator:
             else:
                 glm = fglm_fit(sample.x, labels, fit(sample, TruncationRule.threshold(),
                                                      center=True))
-                want[:, rep] = [fglm_prob(glm, Covariate((y0,)).coords()) for y0 in predictors]
+                want[:, rep] = [fglm_prob(glm, Covariate((Curve(spec.grid, y0),)).coords())
+                                for y0 in predictors]
         assert single_class == [False, True, False, True]
         np.testing.assert_array_equal(np.reshape(seen, want.shape), want)
 
@@ -322,7 +323,7 @@ class TestDriversShareTheEstimator:
             calls.append(len(queries))
             return build(train, queries)
 
-        # the baselines' own name covers per-query nw_prob / query_distances calls
+        # the baselines' own name covers per-query nw_prob calls
         monkeypatch.setattr(baselines, "cross_distances", counted)
         monkeypatch.setattr(experiments, "cross_distances", counted)
         response, wind, doy, dow = entropy_series()
@@ -585,7 +586,7 @@ class TestCurveIO:
         loaded = load_curves(path)
         assert len(loaded) == 10
         for a, b in zip(curves, loaded):
-            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a.values, b)
 
     def test_ragged_row_names_location(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -604,7 +605,7 @@ class TestCurveIO:
         path.write_text("0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1\n" + ",".join(["2.5"] * 11)
                         + "\n", encoding="utf-8")
         (curve,) = load_curves(path)
-        assert curve.grid == Grid(10)
+        assert curve.shape == (Grid(10).size,)
 
     @pytest.mark.parametrize("header, column", [
         ("0.0,t,1.0", 2),
@@ -618,10 +619,31 @@ class TestCurveIO:
         with pytest.raises(ParseError, match=rf"row 1, column {column}\)"):
             load_curves(path)
 
-    def test_empty_file_is_empty_list(self, tmp_path):
+    def test_empty_file_is_an_empty_matrix(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")
-        assert load_curves(path) == []
+        assert load_curves(path).shape == (0, 0)
+
+    def test_header_only_file_is_a_matrix_without_rows(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("0.0,0.25,0.5,0.75,1.0\n", encoding="utf-8")
+        assert load_curves(path).shape == (0, 5)
+
+    def test_a_nan_cell_is_not_a_finite_curve(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("0.0,0.5,1.0\n1.0,2.0,3.0\n1.0,nan,3.0\n", encoding="utf-8")
+        with pytest.raises(StructureError, match="curve values must be finite"):
+            load_curves(path)
+
+    def test_a_curve_list_and_its_matrix_save_the_same_bytes(self, tmp_path):
+        g = Grid(6)
+        rng = np.random.default_rng(12)
+        curves = [Curve(g, rng.normal(size=g.size) * 1e-5) for _ in range(4)]
+        listed, stacked = tmp_path / "listed.csv", tmp_path / "stacked.csv"
+        save_curves(curves, listed)
+        save_curves(np.asarray([c.values for c in curves]), stacked)
+        assert listed.read_bytes() == stacked.read_bytes()
+        np.testing.assert_array_equal(load_curves(stacked), [c.values for c in curves])
 
     def test_index_loading(self, tmp_path):
         path = tmp_path / "idx.csv"

@@ -22,7 +22,7 @@ import numpy as np
 from .curves import Curve, Covariate, Grid
 from .errors import DegenerateInputError, RangeExhaustedError, UsageError
 from .events import EventSet, MonotoneFamily, contains_batch, uniform_band
-from .flm import FittedFLM, predict, predict_coords
+from .flm import FittedFLM, _read_only, predict, predict_coords
 from .rng import substream
 from .spectral import SpectralPair
 
@@ -97,11 +97,6 @@ def _keep_on_repeat(memo: dict, slot: str, key, build):
         value = build()
         memo[slot] = (key, value if held == key else None)
     return value
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
 
 
 def _check_noise(model: FittedFLM, method: str, mc_size: int) -> bool:

@@ -155,11 +155,6 @@ def level_shares(columns: SortedColumns, centers: np.ndarray, offsets: np.ndarra
     return counts / size
 
 
-def contains(event: EventSet, y: Curve) -> bool:
-    """Deterministic membership test."""
-    return bool(contains_batch(event, y.values[np.newaxis, :], y.grid)[0])
-
-
 def contains_batch(event: EventSet, values: np.ndarray, grid) -> np.ndarray:
     """Vectorized membership for a (m, D+1) matrix of curve samples."""
     values = np.atleast_2d(np.asarray(values, dtype=float))

@@ -234,6 +234,11 @@ class FittedFLM:
             raise StructureError(f"covariate structure {got} does not match model {want}")
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 def fit(
     sample: RegressionSample,
     truncation: TruncationRule | None = None,
@@ -247,6 +252,7 @@ def fit(
     computed with the operations of ``predict``, one matrix-vector product
     per row, and therefore satisfy residual_k = y_k - predict(x_k) bit for
     bit. Only the leading ``n_components`` covariate eigenpairs are kept.
+    Every matrix of the model is read-only, so its memo cannot go stale.
     """
     truncation = truncation or TruncationRule.threshold()
     n = len(sample)
@@ -282,18 +288,21 @@ def fit(
     scale = _noise_scale(n, k, dof_correction)
     centered_res = residuals - residuals.mean(axis=0)
     gamma = CovarianceOperator((centered_res * sw).T @ (centered_res * sw) * scale)
+    noise = eigendecompose(gamma)
 
     return FittedFLM(
         grid=grid,
         n_curve_parts=n_parts,
         n_scalars=n_scalars,
-        coef_w=coef_w,
+        coef_w=_read_only(coef_w),
         n_components=k,
-        covariate_spectrum=SpectralPair(lam.copy(), vecs.copy(), spectrum.clamped_mass),
-        residual_matrix=residuals,
-        noise_spectrum=eigendecompose(gamma),
-        x_mean_coords=x_mean,
-        y_mean=y_mean,
+        covariate_spectrum=SpectralPair(_read_only(lam.copy()), _read_only(vecs.copy()),
+                                        spectrum.clamped_mass),
+        residual_matrix=_read_only(residuals),
+        noise_spectrum=SpectralPair(_read_only(noise.eigenvalues),
+                                    _read_only(noise.eigenvectors), noise.clamped_mass),
+        x_mean_coords=_read_only(x_mean),
+        y_mean=_read_only(y_mean),
         centered=center,
         dof_correction=dof_correction,
         truncation=truncation,
@@ -367,11 +376,11 @@ def _encode_matrix(values: np.ndarray) -> dict:
 
 
 def _decode_matrix(field, version: int) -> np.ndarray:
-    """A native, writeable float64 array from a document's matrix field: the
+    """A native, read-only float64 array from a document's matrix field: the
     encoded form of :func:`_encode_matrix` in the current version, a decimal
     list in versions 1 and 2."""
     if version != MODEL_VERSION:
-        return np.asarray(field, dtype=float)
+        return _read_only(np.asarray(field, dtype=float))
     if not isinstance(field, dict) or set(field) != {"shape", "f8le"}:
         raise StructureError("a matrix field must hold exactly 'shape' and 'f8le'")
     shape = field["shape"]
@@ -381,7 +390,7 @@ def _decode_matrix(field, version: int) -> np.ndarray:
     if len(data) != 8 * math.prod(shape):
         raise StructureError(f"matrix of shape {shape} needs {8 * math.prod(shape)} bytes, "
                              f"got {len(data)}")
-    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(float)
+    return _read_only(np.frombuffer(data, dtype="<f8").reshape(shape).astype(float))
 
 
 def to_json(model: FittedFLM) -> str:
@@ -460,7 +469,7 @@ def from_json(text: str) -> FittedFLM:
         n_components=k,
         covariate_spectrum=SpectralPair(
             m["covariate_eigenvalues"][:k],
-            np.ascontiguousarray(m["covariate_eigenvectors"][:, :k]),
+            _read_only(np.ascontiguousarray(m["covariate_eigenvectors"][:, :k])),
         ),
         residual_matrix=m["residual_matrix"],
         noise_spectrum=SpectralPair(m["noise_eigenvalues"], m["noise_eigenvectors"]),

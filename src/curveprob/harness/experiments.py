@@ -119,13 +119,13 @@ def _dgp_by_kind(kind: str, grid: Grid, b: float = 0.0) -> DGPSpec:
     raise UsageError(f"unknown DGP kind {kind!r}")
 
 
-def _parse_methods(methods) -> tuple:
+def _parse_methods(methods, allowed=METHODS) -> tuple:
     if isinstance(methods, str):
         methods = tuple(m.strip() for m in methods.split(",") if m.strip())
     methods = tuple(methods)
     for k, m in enumerate(methods):
-        if m not in METHODS:
-            raise UsageError(f"unknown method {m!r}; choose from {METHODS}")
+        if m not in allowed:
+            raise UsageError(f"unknown method {m!r}; choose from {allowed}")
         if m in methods[:k]:
             raise UsageError(f"method {m!r} is given twice")
     if not methods:
@@ -157,6 +157,54 @@ def _glm_probs(coords, labels, regression, queries, scores: list) -> np.ndarray:
     return fglm_probs_from_scores(glm, scores)
 
 
+def _int_seed(seed: int, *indices: int) -> int:
+    """Fold an index path into a fresh 63-bit integer seed."""
+    return int(seed_sequence(seed, *indices).generate_state(1, dtype=np.uint64)[0] >> 1)
+
+
+def _report(kind, spec, columns, rows, summary, reps, started) -> ExperimentReport:
+    return ExperimentReport(kind=kind, spec=spec, columns=columns, rows=tuple(rows),
+                            summary=summary, n_replications=reps,
+                            runtime_seconds=time.perf_counter() - started)
+
+
+def _replicates(spec: DGPSpec, n: int, truncation: TruncationRule, seed: int, reps: int,
+                held_out: int = 0):
+    """Yield (rep, series, sample, model, mc_seed) per replicate: n + held_out
+    curves from the replicate's own substream, and the first-order fit on the first n."""
+    for rep in range(reps):
+        series = simulate_far_values(spec, n + held_out, rng=substream(seed, _SIM, rep))
+        sample, _ = build_far_design(series[:n], order=1)
+        yield rep, series, sample, fit(sample, truncation, center=True), _int_seed(seed, _MC, rep)
+
+
+def _oracle_truths(spec: DGPSpec, n_predictors: int, seed: int, oracle) -> tuple:
+    """(query coordinates, truths) at stationary predictors; ``oracle(y0, seed)`` gives a truth."""
+    predictors = stationary_predictors(spec, n_predictors, _int_seed(seed, _PREDICTORS))
+    truths = np.asarray([oracle(y0, _int_seed(seed, _ORACLE, j))
+                         for j, y0 in enumerate(predictors)])
+    return predictors * spec.grid.quad_weights_sqrt(), truths
+
+
+def _ensembles(model, queries, methods, mc_size: int, mc_seed: int):
+    """Yield (method, j, ensemble) per requested ensemble method and query row: one noise
+    draw per (fit, method), plus each query's predict_coords, the sum conddist.ensemble forms."""
+    for m in _ensemble_methods(methods):
+        rows, _ = ensemble_noise(model, m, mc_size, mc_seed)
+        for j, q in enumerate(queries):
+            yield m, j, predict_coords(model, q) + rows
+
+
+def _rmse_table(estimates: dict, truths) -> tuple:
+    """(rows, summary, per-predictor RMSEs) of each method's (reps, predictors) estimates."""
+    rows, summary, per_pred = [], {}, {}
+    for m, est in estimates.items():
+        per_pred[m] = [rmse(est[:, j], truth) for j, truth in enumerate(truths)]
+        rows.extend((m, j + 1, truths[j], per_pred[m][j]) for j in range(len(truths)))
+        summary[f"median_rmse_{m}"] = float(np.median(per_pred[m]))
+    return rows, summary, per_pred
+
+
 # ---------------------------------------------------------------------------
 # band coverage (first-order autoregression, possibly misspecified)
 
@@ -179,48 +227,29 @@ def run_coverage_experiment(
     held-out true next curve lies inside. Both estimation methods see the
     same simulated series within a replicate.
     """
-    _check_counts(reps=reps)
-    methods = ("boot", "gauss") if method == "both" else _parse_methods(method)
+    methods = _parse_methods("boot,gauss" if method == "both" else method, ENSEMBLE_METHODS)
+    _check_counts(n=n, reps=reps, mc_size=mc_size)
     started = time.perf_counter()
     grid = Grid(grid_d)
     spec = _dgp_by_kind("far_paparoditis", grid, b=b)
 
     hits = {m: 0 for m in methods}
-    for rep in range(reps):
-        series = simulate_far_values(spec, n + 1, rng=substream(seed, _SIM, rep))
+    for _, series, _, model, mc_seed in _replicates(spec, n, TruncationRule.pve(pve), seed,
+                                                    reps, held_out=1):
         x_query = Covariate((Curve(grid, series[n - 1]),))
-        sample, _ = build_far_design(series[:n], order=1)
-        model = fit(sample, TruncationRule.pve(pve), center=True)
         for m in methods:
-            _, band = calibrate_uniform_band(
-                model, x_query, nominal, method=m, mc_size=mc_size,
-                seed=_int_seed(seed, _MC, rep),
-            )
+            _, band = calibrate_uniform_band(model, x_query, nominal, method=m,
+                                             mc_size=mc_size, seed=mc_seed)
             hits[m] += int(contains_batch(band, series[n:], grid)[0])
 
-    columns = ("method", "coverage", "se", "reps")
-    rows = []
-    summary = {}
-    for m in methods:
-        cov = hits[m] / reps
-        rows.append((m, cov, binomial_se(cov, reps), reps))
-        summary[f"coverage_{m}"] = cov
-    return ExperimentReport(
-        kind="coverage",
-        spec={"n": n, "b": b, "nominal": nominal, "reps": reps, "seed": seed,
-              "grid_d": grid_d, "pve": pve, "mc_size": mc_size,
-              "methods": ",".join(methods)},
-        columns=columns,
-        rows=tuple(rows),
-        summary=summary,
-        n_replications=reps,
-        runtime_seconds=time.perf_counter() - started,
-    )
-
-
-def _int_seed(seed: int, *indices: int) -> int:
-    """Fold an index path into a fresh 63-bit integer seed."""
-    return int(seed_sequence(seed, *indices).generate_state(1, dtype=np.uint64)[0] >> 1)
+    coverage = {m: hits[m] / reps for m in methods}
+    rows = [(m, cov, binomial_se(cov, reps), reps) for m, cov in coverage.items()]
+    summary = {f"coverage_{m}": cov for m, cov in coverage.items()}
+    return _report(
+        "coverage",
+        {"n": n, "b": b, "nominal": nominal, "reps": reps, "seed": seed,
+         "grid_d": grid_d, "pve": pve, "mc_size": mc_size, "methods": ",".join(methods)},
+        ("method", "coverage", "se", "reps"), rows, summary, reps, started)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +275,6 @@ def run_rmse_experiment(
     grid_d: int = DEFAULT_GRID_D,
     oracle_size: int = 10_000,
     mc_size: int = 2000,
-    truncation: TruncationRule = None,
 ) -> ExperimentReport:
     """Per-predictor RMSE of conditional event-probability estimates.
 
@@ -257,62 +285,36 @@ def run_rmse_experiment(
     requested method. The event is fixed across methods.
     """
     methods = _parse_methods(methods)
-    _check_counts(n=n, reps=reps, n_predictors=n_predictors, oracle_size=oracle_size)
+    _check_counts(n=n, reps=reps, n_predictors=n_predictors, oracle_size=oracle_size,
+                  mc_size=mc_size)
     event = event if event is not None else level_set(np.sqrt(50.0), 0.5)
-    truncation = truncation or TruncationRule.threshold()
     started = time.perf_counter()
     grid = Grid(grid_d)
     spec = _dgp_by_kind(dgp, grid)
-
-    predictors = stationary_predictors(spec, n_predictors, _int_seed(seed, _PREDICTORS))
-    truths = np.asarray([
-        oracle_event_probability(spec, y0, event, oracle_size, _int_seed(seed, _ORACLE, j))
-        for j, y0 in enumerate(predictors)
-    ])
-    queries = predictors * grid.quad_weights_sqrt()
+    queries, truths = _oracle_truths(spec, n_predictors, seed, lambda y0, s: (
+        oracle_event_probability(spec, y0, event, oracle_size, s)))
 
     estimates = {m: np.empty((reps, n_predictors)) for m in methods}
-    for rep in range(reps):
-        series = simulate_far_values(spec, n, rng=substream(seed, _SIM, rep))
-        sample, _ = build_far_design(series, order=1)
-        model = fit(sample, truncation, center=True)
-        mc_seed = _int_seed(seed, _MC, rep)
-
-        # one noise draw per (fit, method); each predictor's ensemble is the
-        # sum conddist.ensemble forms, predict_coords + noise rows
-        for m in _ensemble_methods(methods):
-            rows, _ = ensemble_noise(model, m, mc_size, mc_seed)
-            for j, q in enumerate(queries):
-                inside = contains_batch(event, predict_coords(model, q) + rows, grid)
-                estimates[m][rep, j] = np.count_nonzero(inside) / len(rows)
+    for rep, _, sample, model, mc_seed in _replicates(spec, n, TruncationRule.threshold(),
+                                                      seed, reps):
+        for m, j, values in _ensembles(model, queries, methods, mc_size, mc_seed):
+            inside = contains_batch(event, values, grid)
+            estimates[m][rep, j] = np.count_nonzero(inside) / len(inside)
         if "glm" in methods or "nw" in methods:
             labels = contains_batch(event, sample.y, grid).astype(float)
             if "glm" in methods:
                 estimates["glm"][rep] = _glm_probs(sample.x, labels, model, queries, [])
             if "nw" in methods:
-                est = nw_fit(sample.x, labels)
                 estimates["nw"][rep] = nw_probs_from_distances(
-                    est, cross_distances(sample.x, queries))
+                    nw_fit(sample.x, labels), cross_distances(sample.x, queries))
 
-    columns = ("method", "predictor", "truth", "rmse")
-    rows = []
-    summary = {}
-    for m in methods:
-        per_pred = [rmse(estimates[m][:, j], truths[j]) for j in range(n_predictors)]
-        rows.extend((m, j + 1, truths[j], per_pred[j]) for j in range(n_predictors))
-        summary[f"median_rmse_{m}"] = float(np.median(per_pred))
-    return ExperimentReport(
-        kind="rmse",
-        spec={"dgp": dgp, "n": n, "n_predictors": n_predictors,
-              "event": format_event(event), "methods": ",".join(methods),
-              "reps": reps, "seed": seed, "grid_d": grid_d,
-              "oracle_size": oracle_size, "mc_size": mc_size},
-        columns=columns,
-        rows=tuple(rows),
-        summary=summary,
-        n_replications=reps,
-        runtime_seconds=time.perf_counter() - started,
-    )
+    rows, summary, _ = _rmse_table(estimates, truths)
+    return _report(
+        "rmse",
+        {"dgp": dgp, "n": n, "n_predictors": n_predictors, "event": format_event(event),
+         "methods": ",".join(methods), "reps": reps, "seed": seed, "grid_d": grid_d,
+         "oracle_size": oracle_size, "mc_size": mc_size},
+        ("method", "predictor", "truth", "rmse"), rows, summary, reps, started)
 
 
 # ---------------------------------------------------------------------------
@@ -349,67 +351,38 @@ def run_var_experiment(
     grid_d: int = DEFAULT_GRID_D,
     oracle_size: int = 10_000,
     mc_size: int = 2000,
-    truncation: TruncationRule = None,
     p: float = None,
 ) -> ExperimentReport:
     """RMSE of extreme-quantile estimates (level-family parameter at
     p = 1 - 1/n unless given) for the bootstrap and Gaussian methods."""
-    truncation = truncation or TruncationRule.threshold()
-    _check_counts(n=n, reps=reps, n_predictors=n_predictors, oracle_size=oracle_size)
+    _check_counts(n=n, reps=reps, n_predictors=n_predictors, oracle_size=oracle_size,
+                  mc_size=mc_size)
     p = p if p is not None else 1.0 - 1.0 / n
     _check_level_quantile(p, z)
     family = family_level_in_alpha(z, search_lo, search_hi)
     started = time.perf_counter()
     grid = Grid(grid_d)
     spec = _dgp_by_kind(dgp, grid)
-    methods = ("boot", "gauss")
+    queries, truths = _oracle_truths(spec, n_predictors, seed, lambda y0, s: (
+        oracle_level_quantile(spec, y0, p, z, oracle_size, s)))
 
-    predictors = stationary_predictors(spec, n_predictors, _int_seed(seed, _PREDICTORS))
-    truths = np.asarray([
-        oracle_level_quantile(spec, y0, p, z, oracle_size, _int_seed(seed, _ORACLE, j))
-        for j, y0 in enumerate(predictors)
-    ])
+    estimates = {m: np.empty((reps, n_predictors)) for m in ENSEMBLE_METHODS}
+    for rep, _, _, model, mc_seed in _replicates(spec, n, TruncationRule.threshold(), seed,
+                                                 reps):
+        for m, j, values in _ensembles(model, queries, ENSEMBLE_METHODS, mc_size, mc_seed):
+            try:  # the search quantile_over_family runs on its ensemble
+                estimates[m][rep, j] = ensemble_quantile(values, grid, family, p)
+            except RangeExhaustedError:
+                estimates[m][rep, j] = search_hi
 
-    queries = predictors * grid.quad_weights_sqrt()
-    estimates = {m: np.empty((reps, n_predictors)) for m in methods}
-    for rep in range(reps):
-        series = simulate_far_values(spec, n, rng=substream(seed, _SIM, rep))
-        sample, _ = build_far_design(series, order=1)
-        model = fit(sample, truncation, center=True)
-        mc_seed = _int_seed(seed, _MC, rep)
-        for m in methods:  # the ensembles of quantile_over_family, one noise draw per fit
-            rows, _ = ensemble_noise(model, m, mc_size, mc_seed)
-            for j, q in enumerate(queries):
-                try:
-                    xi = ensemble_quantile(predict_coords(model, q) + rows, grid, family, p)
-                except RangeExhaustedError:
-                    xi = search_hi
-                estimates[m][rep, j] = xi
-
-    columns = ("method", "predictor", "truth", "rmse")
-    rows = []
-    summary = {}
-    per_pred = {}
-    for m in methods:
-        per_pred[m] = np.asarray([rmse(estimates[m][:, j], truths[j])
-                                  for j in range(n_predictors)])
-        rows.extend((m, j + 1, truths[j], per_pred[m][j]) for j in range(n_predictors))
-        summary[f"median_rmse_{m}"] = float(np.median(per_pred[m]))
-    summary["gauss_better_fraction"] = float(
-        np.mean(per_pred["gauss"] < per_pred["boot"])
-    )
-    return ExperimentReport(
-        kind="quantile_rmse",
-        spec={"dgp": dgp, "n": n, "n_predictors": n_predictors, "p": p, "z": z,
-              "reps": reps, "seed": seed, "grid_d": grid_d,
-              "search_lo": search_lo, "search_hi": search_hi,
-              "oracle_size": oracle_size, "mc_size": mc_size},
-        columns=columns,
-        rows=tuple(rows),
-        summary=summary,
-        n_replications=reps,
-        runtime_seconds=time.perf_counter() - started,
-    )
+    rows, summary, per_pred = _rmse_table(estimates, truths)
+    summary["gauss_better_fraction"] = float(np.mean(np.less(per_pred["gauss"], per_pred["boot"])))
+    return _report(
+        "quantile_rmse",
+        {"dgp": dgp, "n": n, "n_predictors": n_predictors, "p": p, "z": z, "reps": reps,
+         "seed": seed, "grid_d": grid_d, "search_lo": search_lo, "search_hi": search_hi,
+         "oracle_size": oracle_size, "mc_size": mc_size},
+        ("method", "predictor", "truth", "rmse"), rows, summary, reps, started)
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +413,7 @@ def run_entropy_eval(
     seasonal component is added back to the predictive ensembles.
     """
     methods = _parse_methods(methods)
+    _check_counts(mc_size=mc_size)
     if day_of_year is None:
         raise UsageError("the cross-entropy pipeline needs a day-of-year index")
     if not 0.0 < test_fraction < 1.0:
@@ -497,7 +471,6 @@ def run_entropy_eval(
         test_centers = np.asarray([predict_coords(model, x) for x in test_x])
         test_seasonal = adj_response.seasonal_values(day_of_pair[test_ids])
 
-    columns = ("alpha", "z", "method", "cross_entropy", "n_test")
     rows = []
     summary = {}
     best_counts = {m: 0 for m in methods}
@@ -539,16 +512,9 @@ def run_entropy_eval(
     for m in methods:
         summary[f"best_cells_{m}"] = best_counts[m]
         summary[f"monotonicity_violations_{m}"] = monotonicity_violations[m]
-    return ExperimentReport(
-        kind="entropy_eval",
-        spec={"n_days": n_days, "ar_order": ar_order, "pve": pve,
-              "test_fraction": test_fraction, "methods": ",".join(methods),
-              "seed": seed, "mc_size": mc_size,
-              "alphas": ",".join(str(a) for a in alphas),
-              "zs": ",".join(str(z) for z in zs)},
-        columns=columns,
-        rows=tuple(rows),
-        summary=summary,
-        n_replications=1,
-        runtime_seconds=time.perf_counter() - started,
-    )
+    return _report(
+        "entropy_eval",
+        {"n_days": n_days, "ar_order": ar_order, "pve": pve, "test_fraction": test_fraction,
+         "methods": ",".join(methods), "seed": seed, "mc_size": mc_size,
+         "alphas": ",".join(str(a) for a in alphas), "zs": ",".join(str(z) for z in zs)},
+        ("alpha", "z", "method", "cross_entropy", "n_test"), rows, summary, 1, started)

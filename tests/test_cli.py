@@ -430,6 +430,9 @@ EXIT_CASES = [
     ("no replicates",
      ["rmse-exp", *RMSE_SMALL, "--reps", "0"],
      2, "reps must be >= 1"),
+    ("Monte-Carlo size below one without an ensemble method",
+     ["rmse-exp", *RMSE_SMALL, "--methods", "glm", "--mc", "-5"],
+     2, "mc_size must be >= 1, got -5"),
     ("repeated ensemble method",
      ["rmse-exp", *RMSE_SMALL, "--methods", "boot,boot"],
      2, "method 'boot' is given twice"),

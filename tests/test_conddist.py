@@ -20,7 +20,7 @@ from curveprob.errors import RangeExhaustedError, UsageError
 from curveprob.events import (
     boundary_set,
     complement,
-    contains,
+    contains_batch,
     extremal_set,
     family_level_in_alpha,
     family_level_in_z,
@@ -44,6 +44,10 @@ from curveprob.spectral import CovarianceOperator, SpectralPair, eigendecompose
 
 GRID = Grid(10)
 FULL_SPACE = complement(extremal_set(np.inf))
+
+
+def contains(event, y):
+    return bool(contains_batch(event, y.values[np.newaxis, :], y.grid)[0])
 
 
 def toy_model(grid, residual_rows, coef=None):
@@ -266,6 +270,17 @@ class TestEnsembleMemo:
         np.testing.assert_array_equal(hit, fresh)
         with pytest.raises(ValueError):
             hit[0, 0] = 1.0
+
+    def test_a_kept_model_cannot_change_under_its_memo(self):
+        series = simulate_far(synthetic_dgp(Grid(100)), 120, seed=1)
+        model = fit(build_far_design(series, order=1)[0])
+        x, event = Covariate((series[-1],)), level_set(np.sqrt(50.0), 0.5)
+        kept = [gauss_prob(model, x, event, seed=3).value for _ in range(2)]
+        assert kept == [0.981, 0.981] and held(model) == ["ensemble/gauss", "noise"]
+        with pytest.raises(ValueError, match="read-only"):
+            model.y_mean[:] += 100
+        model.memo.clear()
+        assert gauss_prob(model, x, event, seed=3).value == 0.981
 
     def test_equal_covariate_objects_hit(self):
         model, xs = fitted_model()

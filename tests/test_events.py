@@ -7,7 +7,6 @@ from curveprob.events import (
     _longest_run_lengths,
     boundary_set,
     complement,
-    contains,
     contains_batch,
     contrast_set,
     excursion_set,
@@ -27,6 +26,10 @@ from curveprob.events import (
 
 GRID = Grid(100)
 LINE = Curve(GRID, GRID.points.copy())
+
+
+def contains(event, y):
+    return bool(contains_batch(event, y.values[np.newaxis, :], y.grid)[0])
 
 
 def random_curves(grid, count, seed, scale=1.0, shift=0.0):

@@ -374,10 +374,19 @@ class TestSerialization:
         doc = json.loads(text)
         for key, value in matrices(model).items():
             got = matrices(clone)[key]
-            assert got.dtype == np.float64 and got.flags.writeable, key
+            assert got.dtype == np.float64 and not got.flags.writeable, key
             assert got.shape == value.shape and got.tobytes() == value.tobytes(), key
             assert decode(doc[key]).tobytes() == value.tobytes(), key
         assert to_json(clone) == text
+
+    def test_every_matrix_is_read_only(self):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        text = to_json(model)
+        for loaded in (model, from_json(text),
+                       from_json(json.dumps(decimal_document(text, version=2)))):
+            for values in matrices(loaded).values():
+                with pytest.raises(ValueError, match="read-only"):
+                    values[...] = 0.0
 
     def test_keeps_only_leading_covariate_pairs(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
@@ -403,6 +412,7 @@ class TestSerialization:
                                       model.covariate_spectrum.eigenvalues)
         np.testing.assert_array_equal(old.covariate_spectrum.eigenvectors,
                                       model.covariate_spectrum.eigenvectors)
+        assert not any(values.flags.writeable for values in matrices(old).values())
 
     def test_reads_version_two_bitwise(self):
         # a version 2 document stores its matrices as decimal lists

@@ -8,6 +8,7 @@ from curveprob.baselines import fglm_fit, fglm_prob, nw_fit, nw_prob
 from curveprob.conddist import (
     GaussSampler,
     boot_prob,
+    calibrate_uniform_band,
     gauss_prob,
     noise_sampler,
     quantile_over_family,
@@ -207,6 +208,38 @@ class TestConditionalOracle:
             run_var_experiment(n=30, n_predictors=2, reps=1, grid_d=16, oracle_size=100,
                                mc_size=100, **bad)
 
+    @pytest.mark.parametrize("driver, bad, message", [
+        ("coverage", {"mc_size": 0}, "mc_size must be >= 1, got 0"),
+        ("coverage", {"method": "boot", "mc_size": 0}, "mc_size must be >= 1, got 0"),
+        ("coverage", {"method": "glm"}, "unknown method 'glm'"),
+        ("coverage", {"n": 0}, "n must be >= 1, got 0"),
+        ("rmse", {"mc_size": 0}, "mc_size must be >= 1, got 0"),
+        ("rmse", {"methods": "glm", "mc_size": -5}, "mc_size must be >= 1, got -5"),
+        ("quantile", {"mc_size": 0}, "mc_size must be >= 1, got 0"),
+        ("entropy", {"mc_size": 0}, "mc_size must be >= 1, got 0"),
+    ])
+    def test_a_bad_mc_size_or_coverage_method_is_rejected_before_any_draw(
+            self, monkeypatch, driver, bad, message):
+        response, wind, doy, dow = entropy_series()
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking the arguments")
+
+        for name in ("stationary_predictors", "conditional_draws", "simulate_far_values",
+                     "deseasonalize"):
+            monkeypatch.setattr(experiments, name, no_draws)
+        oracle = dict(n=30, n_predictors=2, reps=1, grid_d=16, oracle_size=100)
+        run, args = {
+            "coverage": (run_coverage_experiment,
+                         dict(n=30, b=0.0, nominal=0.9, reps=1, grid_d=16)),
+            "rmse": (run_rmse_experiment, oracle),
+            "quantile": (run_var_experiment, oracle),
+            "entropy": (run_entropy_eval, dict(response=response, exog=[(wind, False)],
+                                               day_of_year=doy, day_of_week=dow)),
+        }[driver]
+        with pytest.raises(UsageError, match=message):
+            run(**{**args, **bad})
+
 
 class TestDriversShareTheEstimator:
     """The drivers' ensemble and binomial-baseline probabilities are the
@@ -278,6 +311,31 @@ class TestDriversShareTheEstimator:
                             lambda sampler, count: calls.append(count) or draw(sampler, count))
         driver(n=40, n_predictors=3, reps=2, seed=2, grid_d=16, oracle_size=50, mc_size=60)
         assert calls == [60, 60]
+
+    def test_coverage_hits_equal_bands_on_the_public_path(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(experiments, "contains_batch",
+                            lambda *args: seen.append(contains_batch(*args)) or seen[-1])
+        seed, n, b, nominal, reps, mc = 2, 40, 0.3, 0.8, 12, 150
+        report = run_coverage_experiment(n=n, b=b, nominal=nominal, reps=reps, seed=seed,
+                                         grid_d=16, mc_size=mc)
+
+        spec = paparoditis_dgp(Grid(16), b=b)
+        want = []  # per replicate, boot then gauss
+        for rep in range(reps):
+            series = simulate_far(spec, n + 1, rng=substream(seed, _SIM, rep))
+            model = fit(build_far_design(series[:n], order=1)[0], TruncationRule.pve(0.85),
+                        center=True)
+            for m in ("boot", "gauss"):
+                _, band = calibrate_uniform_band(model, Covariate((series[n - 1],)), nominal,
+                                                 method=m, mc_size=mc,
+                                                 seed=_int_seed(seed, _MC, rep))
+                want.append(bool(contains_batch(band, [c.values for c in series[n:]],
+                                                spec.grid)[0]))
+        assert 0 < sum(want) < len(want)  # some replicates miss
+        assert [bool(hit[0]) for hit in seen] == want
+        assert report.summary == {"coverage_boot": sum(want[0::2]) / reps,
+                                  "coverage_gauss": sum(want[1::2]) / reps}
 
     def test_rmse_glm_on_a_single_class_replicate_is_the_label_mean(self, monkeypatch):
         # every response curve of replicates 1 and 3 peaks above 6, so no

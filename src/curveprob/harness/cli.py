@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +30,7 @@ from ..events import contains_batch, parse_event, parse_family
 from ..flm import TruncationRule, build_far_design, fit, from_json, to_json
 from ..rng import substream
 from . import io
-from .dgp import brownian_matrix, paparoditis_dgp, simulate_far_values, synthetic_dgp
+from .dgp import DGPSpec, brownian_matrix, simulate_far_values
 from .experiments import (
     run_coverage_experiment,
     run_entropy_eval,
@@ -92,13 +91,8 @@ def _cmd_simulate(args) -> None:
         series = np.concatenate([brownian_matrix(grid, 1, substream(args.seed + i))
                                  for i in range(args.n)])
     else:
-        if args.dgp == "far_paparoditis":
-            spec = paparoditis_dgp(grid, b=args.b, seed=args.seed)
-        else:
-            spec = synthetic_dgp(grid, seed=args.seed)
-        if args.burn_in is not None:
-            spec = replace(spec, burn_in=args.burn_in)
-        series = simulate_far_values(spec, args.n)
+        spec = DGPSpec(args.dgp, grid, b=args.b, burn_in=args.burn_in)
+        series = simulate_far_values(spec, args.n, substream(args.seed))
     io.save_curves(series, args.out or "series.csv")
 
 

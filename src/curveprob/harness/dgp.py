@@ -14,7 +14,7 @@ Three process kinds are provided:
 * ``gaussian_iid`` -- independent draws of mean plus the same smooth
   noise, for estimator sanity checks.
 
-Every simulation is a pure function of (spec, n, seed).
+Every simulation is a pure function of (spec, n, generator state).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from ..rng import substream
 
 PAPARODITIS_SCALE = 0.34
 SYNTHETIC_BURN_IN = 30
+_BURN_IN = {"far_paparoditis": 50, "far_synthetic": SYNTHETIC_BURN_IN, "gaussian_iid": 0}
 
 # frozen synthetic process: mean level, daily shape, kernel and noise scales
 _SYN_MEAN_BASE = 6.6
@@ -41,8 +42,10 @@ _SYN_NOISE_WEIGHTS = (0.50, 0.28, 0.18, 0.10, 0.05, 0.025)
 
 @dataclass(frozen=True)
 class DGPSpec:
-    """Parameters that pin down one simulated process.
+    """Parameters that pin down one simulated process; the caller picks the draw.
 
+    ``burn_in=None`` takes the kind's own burn-in. Only ``far_paparoditis``
+    has a second lag, so any other kind rejects ``b != 0``.
     ``kernel_scale`` and ``noise_scale`` multiply the autoregression kernel
     and the noise draws; zeroing them collapses the recursion to pure noise
     or to the deterministic part, which the tests exploit.
@@ -51,28 +54,32 @@ class DGPSpec:
     kind: str
     grid: Grid
     b: float = 0.0
-    burn_in: int = 50
-    seed: int = 0
+    burn_in: int | None = None
     kernel_scale: float = 1.0
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("far_paparoditis", "far_synthetic", "gaussian_iid"):
+        if self.kind not in _BURN_IN:
             raise UsageError(f"unknown DGP kind {self.kind!r}")
+        if self.b != 0.0 and self.kind != "far_paparoditis":
+            raise UsageError(f"second-lag weight b applies to far_paparoditis only, "
+                             f"not {self.kind}")
+        if self.burn_in is None:
+            object.__setattr__(self, "burn_in", _BURN_IN[self.kind])
         if self.burn_in < 0:
             raise UsageError(f"burn_in must be >= 0, got {self.burn_in}")
 
 
-def paparoditis_dgp(grid: Grid, b: float = 0.0, burn_in: int = 50, seed: int = 0) -> DGPSpec:
-    return DGPSpec(kind="far_paparoditis", grid=grid, b=b, burn_in=burn_in, seed=seed)
+def paparoditis_dgp(grid: Grid, b: float = 0.0, burn_in: int | None = None) -> DGPSpec:
+    return DGPSpec("far_paparoditis", grid, b=b, burn_in=burn_in)
 
 
-def synthetic_dgp(grid: Grid, burn_in: int = SYNTHETIC_BURN_IN, seed: int = 0) -> DGPSpec:
-    return DGPSpec(kind="far_synthetic", grid=grid, b=0.0, burn_in=burn_in, seed=seed)
+def synthetic_dgp(grid: Grid, burn_in: int | None = None) -> DGPSpec:
+    return DGPSpec("far_synthetic", grid, burn_in=burn_in)
 
 
-def gaussian_iid_dgp(grid: Grid, seed: int = 0) -> DGPSpec:
-    return DGPSpec(kind="gaussian_iid", grid=grid, b=0.0, burn_in=0, seed=seed)
+def gaussian_iid_dgp(grid: Grid) -> DGPSpec:
+    return DGPSpec("gaussian_iid", grid)
 
 
 def brownian_matrix(grid: Grid, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,12 +150,10 @@ def _step_matrix(spec: DGPSpec) -> np.ndarray:
     return spec.kernel_scale * kernel * spec.grid.quad_weights()
 
 
-def simulate_far_values(spec: DGPSpec, n: int, seed: int | None = None, rng=None) -> np.ndarray:
+def simulate_far_values(spec: DGPSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, D+1) curves from the recursion, zero-initialized with burn-in dropped."""
     if n < 1:
         raise UsageError(f"series length must be >= 1, got {n}")
-    if rng is None:
-        rng = substream(spec.seed if seed is None else seed)
     step = _step_matrix(spec)
     total = spec.burn_in + n
     noise = noise_matrix(spec, total, rng)
@@ -164,9 +169,10 @@ def simulate_far_values(spec: DGPSpec, n: int, seed: int | None = None, rng=None
     return mean_values(spec) + out[spec.burn_in:]
 
 
-def simulate_far(spec: DGPSpec, n: int, seed: int | None = None, rng=None) -> list:
-    """:func:`simulate_far_values` as a list of curves."""
-    return [Curve(spec.grid, row) for row in simulate_far_values(spec, n, seed, rng)]
+def simulate_far(spec: DGPSpec, n: int, seed: int = 0, rng=None) -> list:
+    """:func:`simulate_far_values` as curves, drawn from ``rng``, else ``substream(seed)``."""
+    rng = substream(seed) if rng is None else rng
+    return [Curve(spec.grid, row) for row in simulate_far_values(spec, n, rng)]
 
 
 def conditional_mean(spec: DGPSpec, previous: np.ndarray) -> np.ndarray:
@@ -174,7 +180,7 @@ def conditional_mean(spec: DGPSpec, previous: np.ndarray) -> np.ndarray:
 
     Only defined for first-order recursions; the two-lag process would need
     both preceding curves."""
-    if spec.kind == "far_paparoditis" and spec.b != 0.0:
+    if spec.b != 0.0:
         raise UsageError("conditional mean given one lag is undefined when b != 0")
     mu = mean_values(spec)
     return mu + _step_matrix(spec) @ (previous - mu)
@@ -190,5 +196,5 @@ def conditional_draws(
 def stationary_predictors(spec: DGPSpec, count: int, seed: int) -> np.ndarray:
     """(count, D+1) independent draws from (approximately) the stationary
     distribution, one short burned-in chain per draw."""
-    return np.concatenate([simulate_far_values(spec, 1, rng=substream(seed, i))
+    return np.concatenate([simulate_far_values(spec, 1, substream(seed, i))
                            for i in range(count)])

@@ -47,15 +47,7 @@ from ..events import (
 )
 from ..flm import TruncationRule, build_far_design, fit, predict_coords
 from ..rng import seed_sequence, substream
-from .dgp import (
-    DGPSpec,
-    conditional_draws,
-    gaussian_iid_dgp,
-    paparoditis_dgp,
-    simulate_far_values,
-    stationary_predictors,
-    synthetic_dgp,
-)
+from .dgp import DGPSpec, conditional_draws, simulate_far_values, stationary_predictors
 from .metrics import binomial_se, cross_entropy, rmse
 from .seasonal import deseasonalize
 
@@ -109,16 +101,6 @@ def _fmt(value):
     return repr(float(value)) if isinstance(value, (float, np.floating)) else value
 
 
-def _dgp_by_kind(kind: str, grid: Grid, b: float = 0.0) -> DGPSpec:
-    if kind == "far_paparoditis":
-        return paparoditis_dgp(grid, b=b)
-    if kind == "far_synthetic":
-        return synthetic_dgp(grid)
-    if kind == "gaussian_iid":
-        return gaussian_iid_dgp(grid)
-    raise UsageError(f"unknown DGP kind {kind!r}")
-
-
 def _parse_methods(methods, allowed=METHODS) -> tuple:
     if isinstance(methods, str):
         methods = tuple(m.strip() for m in methods.split(",") if m.strip())
@@ -137,6 +119,8 @@ def _check_counts(**counts) -> None:
     for name, value in counts.items():
         if value < 1:
             raise UsageError(f"{name} must be >= 1, got {value}")
+    if counts.get("n", 3) < 3:  # a simulated series of length n gives n - 1 lagged pairs
+        raise UsageError(f"n must be >= 3, got {counts['n']}: the order-1 fit needs 2 lagged pairs")
 
 
 def _ensemble_methods(methods) -> tuple:
@@ -173,7 +157,7 @@ def _replicates(spec: DGPSpec, n: int, truncation: TruncationRule, seed: int, re
     """Yield (rep, series, sample, model, mc_seed) per replicate: n + held_out
     curves from the replicate's own substream, and the first-order fit on the first n."""
     for rep in range(reps):
-        series = simulate_far_values(spec, n + held_out, rng=substream(seed, _SIM, rep))
+        series = simulate_far_values(spec, n + held_out, substream(seed, _SIM, rep))
         sample, _ = build_far_design(series[:n], order=1)
         yield rep, series, sample, fit(sample, truncation, center=True), _int_seed(seed, _MC, rep)
 
@@ -231,7 +215,7 @@ def run_coverage_experiment(
     _check_counts(n=n, reps=reps, mc_size=mc_size)
     started = time.perf_counter()
     grid = Grid(grid_d)
-    spec = _dgp_by_kind("far_paparoditis", grid, b=b)
+    spec = DGPSpec("far_paparoditis", grid, b=b)
 
     hits = {m: 0 for m in methods}
     for _, series, _, model, mc_seed in _replicates(spec, n, TruncationRule.pve(pve), seed,
@@ -290,7 +274,7 @@ def run_rmse_experiment(
     event = event if event is not None else level_set(np.sqrt(50.0), 0.5)
     started = time.perf_counter()
     grid = Grid(grid_d)
-    spec = _dgp_by_kind(dgp, grid)
+    spec = DGPSpec(dgp, grid)
     queries, truths = _oracle_truths(spec, n_predictors, seed, lambda y0, s: (
         oracle_event_probability(spec, y0, event, oracle_size, s)))
 
@@ -362,7 +346,7 @@ def run_var_experiment(
     family = family_level_in_alpha(z, search_lo, search_hi)
     started = time.perf_counter()
     grid = Grid(grid_d)
-    spec = _dgp_by_kind(dgp, grid)
+    spec = DGPSpec(dgp, grid)
     queries, truths = _oracle_truths(spec, n_predictors, seed, lambda y0, s: (
         oracle_level_quantile(spec, y0, p, z, oracle_size, s)))
 

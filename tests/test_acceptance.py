@@ -179,8 +179,7 @@ def test_criterion_5_estimator_axioms(report):
 def test_criterion_6_sampler_fidelity(report):
     # noise spectrum from a realistic fit
     grid = Grid(40)
-    spec = synthetic_dgp(grid, seed=5)
-    series = simulate_far(spec, 150)
+    series = simulate_far(synthetic_dgp(grid), 150, seed=5)
     sample, _ = build_far_design(series, order=1)
     model = fit(sample, TruncationRule.threshold())
     sampler = GaussSampler.from_spectrum(grid, model.noise_spectrum, rng_seed=40)

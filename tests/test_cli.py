@@ -223,7 +223,7 @@ class TestDeterminism:
                        "--seed", seed, "--out", out, *option) == 0
             outputs[burn_in] = out.read_bytes()
         reference = tmp_path / "reference.csv"
-        save_curves(simulate_far(synthetic_dgp(Grid(grid_d), seed=seed), n), reference)
+        save_curves(simulate_far(synthetic_dgp(Grid(grid_d)), n, seed=seed), reference)
         assert outputs[None] == reference.read_bytes()
         assert outputs[0] != outputs[None] and outputs[200] != outputs[None]
 
@@ -427,6 +427,12 @@ EXIT_CASES = [
     ("empty series for the quantile experiment",
      ["quantile-exp", *RMSE_SMALL, "--n", "0"],
      2, "n must be >= 1"),
+    ("series too short for one lagged pair, quantile experiment",
+     ["quantile-exp", *RMSE_SMALL, "--n", "1"],
+     2, "n must be >= 3, got 1: the order-1 fit needs 2 lagged pairs"),
+    ("series too short for two lagged pairs, rmse experiment",
+     ["rmse-exp", *RMSE_SMALL, "--n", "2"],
+     2, "n must be >= 3, got 2: the order-1 fit needs 2 lagged pairs"),
     ("no replicates",
      ["rmse-exp", *RMSE_SMALL, "--reps", "0"],
      2, "reps must be >= 1"),

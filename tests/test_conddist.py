@@ -716,7 +716,7 @@ class TestMonteCarloRate:
 class TestUniformConvergenceSurrogate:
     def test_sup_error_over_family_shrinks_with_n(self):
         grid = Grid(30)
-        spec = synthetic_dgp(grid, seed=31)
+        spec = synthetic_dgp(grid)
         predictor = simulate_far(spec, 1, seed=77)[0]
         x = Covariate((predictor,))
         thresholds = np.linspace(4.0, 11.0, 25)

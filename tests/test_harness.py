@@ -16,6 +16,7 @@ from curveprob.conddist import (
 from curveprob.curves import Covariate, Curve, Grid
 from curveprob.errors import ParseError, RangeExhaustedError, StructureError, UsageError
 from curveprob.harness.dgp import (
+    SYNTHETIC_BURN_IN,
     DGPSpec,
     brownian_matrix,
     conditional_draws,
@@ -88,8 +89,8 @@ class TestSimulateFar:
 
     def test_lag_one_dependence_is_positive(self):
         grid = Grid(60)
-        spec = paparoditis_dgp(grid, b=0.0, burn_in=50, seed=5)
-        series = simulate_far(spec, 200)
+        spec = paparoditis_dgp(grid, b=0.0, burn_in=50)
+        series = simulate_far(spec, 200, seed=5)
         vals = np.asarray([c.values for c in series])
         w = grid.quad_weights()
         inner = (vals[:-1] * w) @ vals[1:].T
@@ -101,37 +102,38 @@ class TestSimulateFar:
         assert lag1 > null
 
     def test_deterministic_per_seed(self):
-        spec = paparoditis_dgp(Grid(30), b=0.4, seed=9)
-        a = simulate_far(spec, 10)
-        b = simulate_far(spec, 10)
+        spec = paparoditis_dgp(Grid(30), b=0.4)
+        a = simulate_far(spec, 10, seed=9)
+        b = simulate_far(spec, 10, seed=9)
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(ca.values, cb.values)
 
     def test_second_lag_changes_the_path(self):
         grid = Grid(30)
-        a = simulate_far(paparoditis_dgp(grid, b=0.0, seed=2), 10)
-        b = simulate_far(paparoditis_dgp(grid, b=0.4, seed=2), 10)
+        a = simulate_far(paparoditis_dgp(grid, b=0.0), 10, seed=2)
+        b = simulate_far(paparoditis_dgp(grid, b=0.4), 10, seed=2)
         assert any(np.max(np.abs(x.values - y.values)) > 1e-8 for x, y in zip(a, b))
 
     def test_synthetic_mean_level(self):
-        spec = synthetic_dgp(Grid(50), seed=21)
-        series = simulate_far(spec, 400)
+        spec = synthetic_dgp(Grid(50))
+        series = simulate_far(spec, 400, seed=21)
         grand_mean = np.mean([c.values for c in series], axis=0)
         np.testing.assert_allclose(grand_mean, mean_values(spec), atol=0.5)
 
-    @pytest.mark.parametrize("make", [
-        lambda g: paparoditis_dgp(g, b=0.4, seed=4),
-        lambda g: synthetic_dgp(g, seed=5),
-        lambda g: gaussian_iid_dgp(g, seed=6),
+    @pytest.mark.parametrize("make, seed", [
+        (lambda g: paparoditis_dgp(g, b=0.4), 4),
+        (synthetic_dgp, 5),
+        (gaussian_iid_dgp, 6),
     ], ids=["far_paparoditis", "far_synthetic", "gaussian_iid"])
-    def test_curves_are_the_rows_of_simulate_far_values(self, make):
+    def test_curves_are_the_rows_of_simulate_far_values(self, make, seed):
         spec = make(Grid(20))
-        values = simulate_far_values(spec, 12)
+        values = simulate_far_values(spec, 12, substream(seed))
         assert values.shape == (12, 21)
-        np.testing.assert_array_equal([c.values for c in simulate_far(spec, 12)], values)
+        np.testing.assert_array_equal([c.values for c in simulate_far(spec, 12, seed=seed)],
+                                      values)
         np.testing.assert_array_equal(
             [c.values for c in simulate_far(spec, 3, rng=substream(7, 1))],
-            simulate_far_values(spec, 3, rng=substream(7, 1)))
+            simulate_far_values(spec, 3, substream(7, 1)))
 
     def test_kernel_is_asymmetric_for_synthetic(self):
         k = kernel_matrix(synthetic_dgp(Grid(20)))
@@ -141,11 +143,26 @@ class TestSimulateFar:
         with pytest.raises(UsageError):
             DGPSpec(kind="nope", grid=Grid(10))
 
+    @pytest.mark.parametrize("kind", ["far_synthetic", "gaussian_iid"])
+    def test_a_second_lag_weight_is_rejected_for_a_first_order_kind(self, kind):
+        with pytest.raises(UsageError, match="applies to far_paparoditis only, not " + kind):
+            DGPSpec(kind, Grid(20), b=0.4)
+        assert DGPSpec("far_paparoditis", Grid(20), b=0.4).b == 0.4
+
+    @pytest.mark.parametrize("kind, make, burn_in", [
+        ("far_paparoditis", paparoditis_dgp, 50),
+        ("far_synthetic", synthetic_dgp, SYNTHETIC_BURN_IN),
+        ("gaussian_iid", gaussian_iid_dgp, 0),
+    ])
+    def test_a_spec_without_burn_in_takes_its_kind_default(self, kind, make, burn_in):
+        assert DGPSpec(kind, Grid(20)).burn_in == make(Grid(20)).burn_in == burn_in
+        assert DGPSpec(kind, Grid(20), burn_in=7).burn_in == 7
+
 
 class TestConditionalOracle:
     def test_conditional_mean_matches_recursion_without_noise(self):
         grid = Grid(30)
-        spec = synthetic_dgp(grid, seed=4)
+        spec = synthetic_dgp(grid)
         prev = simulate_far(spec, 1, seed=11)[0]
         silent = DGPSpec(kind="far_synthetic", grid=grid, burn_in=0, noise_scale=0.0)
         # one recursion step from prev with no noise equals the conditional mean
@@ -160,7 +177,7 @@ class TestConditionalOracle:
             conditional_mean(spec, Curve.constant(Grid(20), 0.0).values)
 
     def test_conditional_draws_center_on_conditional_mean(self):
-        spec = synthetic_dgp(Grid(30), seed=6)
+        spec = synthetic_dgp(Grid(30))
         prev = simulate_far(spec, 1, seed=13)[0]
         draws = conditional_draws(spec, prev.values, 4000, seed=17)
         np.testing.assert_allclose(
@@ -174,7 +191,7 @@ class TestConditionalOracle:
         # event reaches p at the oracle quantile and not one double below it
         # (at 100 points and z=0.57 the event admits 57 exceedances, while
         # floor(0.57 * 100) is 56)
-        spec = synthetic_dgp(Grid(grid_d), seed=2)
+        spec = synthetic_dgp(Grid(grid_d))
         prev = simulate_far(spec, 1, seed=5)[0]
         draws = conditional_draws(spec, prev.values, 1000, seed=9)
         xi = oracle_level_quantile(spec, prev.values, p, z, 1000, seed=9)
@@ -193,7 +210,7 @@ class TestConditionalOracle:
     ])
     def test_a_bad_level_or_search_range_is_rejected_before_any_draw(
             self, monkeypatch, bad, message):
-        spec = synthetic_dgp(Grid(16), seed=2)
+        spec = synthetic_dgp(Grid(16))
         prev = simulate_far(spec, 1, seed=5)[0]
 
         def no_draws(*args, **kwargs):
@@ -213,6 +230,12 @@ class TestConditionalOracle:
         ("coverage", {"method": "boot", "mc_size": 0}, "mc_size must be >= 1, got 0"),
         ("coverage", {"method": "glm"}, "unknown method 'glm'"),
         ("coverage", {"n": 0}, "n must be >= 1, got 0"),
+        ("coverage", {"n": 1}, "n must be >= 3, got 1: the order-1 fit needs 2 lagged pairs"),
+        ("coverage", {"n": 2}, "n must be >= 3, got 2: the order-1 fit needs 2 lagged pairs"),
+        ("rmse", {"n": 1}, "n must be >= 3, got 1: the order-1 fit needs 2 lagged pairs"),
+        ("rmse", {"n": 2}, "n must be >= 3, got 2: the order-1 fit needs 2 lagged pairs"),
+        ("quantile", {"n": 1}, "n must be >= 3, got 1: the order-1 fit needs 2 lagged pairs"),
+        ("quantile", {"n": 2}, "n must be >= 3, got 2: the order-1 fit needs 2 lagged pairs"),
         ("rmse", {"mc_size": 0}, "mc_size must be >= 1, got 0"),
         ("rmse", {"methods": "glm", "mc_size": -5}, "mc_size must be >= 1, got -5"),
         ("quantile", {"mc_size": 0}, "mc_size must be >= 1, got 0"),

@@ -8,8 +8,18 @@ calibrated uniform prediction bands, kernel and binomial-regression
 baselines, and a simulation harness.
 """
 
-from .curves import Covariate, Curve, Grid  # noqa: F401
-from .conddist import (  # noqa: F401
+import os
+
+# Results are bit-identical only at one BLAS thread count: a GEMM can round
+# differently when its work is split, and a model file rebuilds coef_w with
+# one. The BLAS libraries read these once, when numpy loads, so they are set
+# before the first import of numpy; a value the user set wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
+from .curves import Covariate, Curve, Grid  # noqa: E402,F401
+from .conddist import (  # noqa: E402,F401
     BandCalibration,
     CondProbEstimate,
     GaussSampler,
@@ -18,7 +28,7 @@ from .conddist import (  # noqa: F401
     gauss_prob,
     quantile_over_family,
 )
-from .events import EventSet, MonotoneFamily  # noqa: F401
-from .flm import FittedFLM, RegressionSample, TruncationRule, build_far_design, fit, predict  # noqa: F401
+from .events import EventSet, MonotoneFamily  # noqa: E402,F401
+from .flm import FittedFLM, RegressionSample, TruncationRule, build_far_design, fit, predict  # noqa: E402,F401
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ from .rng import substream
 from .spectral import SpectralPair
 
 DEFAULT_MC_SIZE = 2000
-RELATIVE_RANK_FLOOR = 1e-12  # keep noise eigenvalues above this fraction of the top one
 SIGMA_FLOOR = 1e-8           # flood pointwise noise sd at this fraction of its maximum
 
 
@@ -59,10 +58,8 @@ class GaussSampler:
 
     @staticmethod
     def from_spectrum(grid: Grid, spectrum: SpectralPair, rng_seed: int) -> "GaussSampler":
-        lam = spectrum.eigenvalues
-        top = float(lam[0]) if lam.size else 0.0
-        rank = int(np.count_nonzero(lam > RELATIVE_RANK_FLOOR * top)) if top > 0 else 0
-        return GaussSampler(grid=grid, spectrum=spectrum, rank=rank, rng_seed=int(rng_seed))
+        return GaussSampler(grid=grid, spectrum=spectrum, rank=spectrum.sampler_rank(),
+                            rng_seed=int(rng_seed))
 
     def draw_matrix(self, count: int) -> np.ndarray:
         """(count, D+1) matrix of noise curves as raw samples."""
@@ -109,8 +106,7 @@ def _check_noise(model: FittedFLM, method: str, mc_size: int) -> bool:
         raise UsageError(f"method must be 'boot' or 'gauss', got {method!r}")
     if mc_size < 1:
         raise UsageError(f"mc_size must be >= 1, got {mc_size}")
-    lam = model.noise_spectrum.eigenvalues
-    degenerate = not (lam.size and lam[0] > 0)  # where GaussSampler.from_spectrum gives rank 0
+    degenerate = model.noise_spectrum.sampler_rank() == 0
     if degenerate:
         warnings.warn(
             "noise covariance has rank zero; the Gaussian estimate degenerates "

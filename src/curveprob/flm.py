@@ -28,8 +28,9 @@ from .spectral import (
 
 MODEL_FORMAT = "curveprob-flm"
 # versions 1 and 2 stored matrices as decimal lists, and version 1 also
-# stored the trailing covariate eigenpairs
-MODEL_VERSION = 3
+# stored the trailing covariate eigenpairs; versions 1 to 3 stored the dense
+# coef_w and every noise eigenpair
+MODEL_VERSION = 4
 
 
 def default_m_n(n: int) -> float:
@@ -184,9 +185,13 @@ class FittedFLM:
     """Everything the conditional-distribution estimators need.
 
     ``coef_w`` maps weighted covariate coordinates to weighted response
-    coordinates. ``residual_matrix`` holds the raw residual curves row-wise;
-    ``noise_spectrum`` is the eigendecomposition of their (mean-centered)
-    covariance operator.
+    coordinates. It has rank ``n_components``: ``factor`` @ the transposed
+    covariate eigenvectors, where ``factor`` holds the cross-covariance on each
+    retained direction divided by its eigenvalue. ``factor`` is None in a model
+    read from a version 1 to 3 file. ``residual_matrix`` holds the raw residual
+    curves row-wise; ``noise_spectrum`` holds the leading eigenpairs of their
+    (mean-centered) covariance operator, those the Gaussian sampler draws from
+    (all of them in a version 1 to 3 file).
 
     ``memo`` holds what :mod:`curveprob.conddist` derives from the model for
     one request and may reuse for the next, one ``(key, value)`` pair per
@@ -203,6 +208,7 @@ class FittedFLM:
     n_curve_parts: int
     n_scalars: int
     coef_w: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False, default=None)
     n_components: int = 0
     covariate_spectrum: SpectralPair = None
     residual_matrix: np.ndarray = field(repr=False, default=None)
@@ -239,6 +245,15 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _rank_k_operator(factor: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``coef_w`` from its factor and the retained covariate eigenvectors.
+
+    ``fit`` and ``from_json`` both build it here, with the basis in the
+    Fortran order that ``eigendecompose`` returns, so a model read from its
+    file holds the fit's ``coef_w`` bit for bit at one BLAS thread count."""
+    return factor @ np.asfortranarray(basis).T
+
+
 def fit(
     sample: RegressionSample,
     truncation: TruncationRule | None = None,
@@ -251,8 +266,9 @@ def fit(
     estimation and stores them, so predictions are affine. The residuals are
     computed with the operations of ``predict``, one matrix-vector product
     per row, and therefore satisfy residual_k = y_k - predict(x_k) bit for
-    bit. Only the leading ``n_components`` covariate eigenpairs are kept.
-    Every matrix of the model is read-only, so its memo cannot go stale.
+    bit. Only the leading ``n_components`` covariate eigenpairs are kept, and
+    only the noise eigenpairs the Gaussian sampler reads. Every matrix of the
+    model is read-only, so its memo cannot go stale.
     """
     truncation = truncation or TruncationRule.threshold()
     n = len(sample)
@@ -277,7 +293,8 @@ def fit(
     sw = grid.quad_weights_sqrt()
     cross = (yc * sw).T @ xc / n
     lam, vecs = spectrum.leading(k)
-    coef_w = (cross @ vecs / lam) @ vecs.T
+    factor = cross @ vecs / lam
+    coef_w = _rank_k_operator(factor, vecs)
 
     # a batched product would round differently from predict's per-row one
     products = np.empty_like(y)
@@ -289,18 +306,20 @@ def fit(
     centered_res = residuals - residuals.mean(axis=0)
     gamma = CovarianceOperator((centered_res * sw).T @ (centered_res * sw) * scale)
     noise = eigendecompose(gamma)
+    noise_lam, noise_vecs = noise.leading(noise.sampler_rank())
 
     return FittedFLM(
         grid=grid,
         n_curve_parts=n_parts,
         n_scalars=n_scalars,
         coef_w=_read_only(coef_w),
+        factor=_read_only(factor),
         n_components=k,
         covariate_spectrum=SpectralPair(_read_only(lam.copy()), _read_only(vecs.copy()),
                                         spectrum.clamped_mass),
         residual_matrix=_read_only(residuals),
-        noise_spectrum=SpectralPair(_read_only(noise.eigenvalues),
-                                    _read_only(noise.eigenvectors), noise.clamped_mass),
+        noise_spectrum=SpectralPair(_read_only(noise_lam), _read_only(noise_vecs),
+                                    noise.clamped_mass),
         x_mean_coords=_read_only(x_mean),
         y_mean=_read_only(y_mean),
         centered=center,
@@ -377,9 +396,9 @@ def _encode_matrix(values: np.ndarray) -> dict:
 
 def _decode_matrix(field, version: int) -> np.ndarray:
     """A native, read-only float64 array from a document's matrix field: the
-    encoded form of :func:`_encode_matrix` in the current version, a decimal
-    list in versions 1 and 2."""
-    if version != MODEL_VERSION:
+    encoded form of :func:`_encode_matrix` from version 3 on, a decimal list
+    in versions 1 and 2."""
+    if version < 3:
         return _read_only(np.asarray(field, dtype=float))
     if not isinstance(field, dict) or set(field) != {"shape", "f8le"}:
         raise StructureError("a matrix field must hold exactly 'shape' and 'f8le'")
@@ -394,7 +413,20 @@ def _decode_matrix(field, version: int) -> np.ndarray:
 
 
 def to_json(model: FittedFLM) -> str:
-    """Serialize a fitted model to a versioned JSON document."""
+    """Serialize a fitted model to a versioned JSON document.
+
+    ``coef_w`` is stored as its factor, and the noise spectrum as the pairs
+    the model holds. A model without a factor (read from a version 1 to 3
+    file, or built by hand), or whose ``coef_w`` is not the product of its
+    factor, is refused: its file would not read back its ``coef_w``."""
+    if model.factor is None:
+        raise UsageError(f"model format {MODEL_VERSION} stores coef_w as its rank-k factor, "
+                         "and this model has none (it was read from a version 1 to 3 file "
+                         "or built by hand); refit it to save it")
+    rebuilt = _rank_k_operator(model.factor, model.covariate_spectrum.eigenvectors)
+    if rebuilt.shape != model.coef_w.shape or rebuilt.tobytes() != model.coef_w.tobytes():
+        raise UsageError("coef_w is not the product of the model's factor and covariate "
+                         "eigenvectors, so its file would not read it back")
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -405,7 +437,7 @@ def to_json(model: FittedFLM) -> str:
         "centered": model.centered,
         "dof_correction": model.dof_correction,
         "truncation": model.truncation.to_dict() if model.truncation else None,
-        "coef_w": _encode_matrix(model.coef_w),
+        "factor": _encode_matrix(model.factor),
         "x_mean_coords": _encode_matrix(model.x_mean_coords),
         "y_mean": _encode_matrix(model.y_mean),
         "residual_matrix": _encode_matrix(model.residual_matrix),
@@ -420,40 +452,52 @@ def to_json(model: FittedFLM) -> str:
 def from_json(text: str) -> FittedFLM:
     """Read a model document and check every matrix shape against the grid,
     the part counts, ``n_components`` and the residual count, every cell for
-    finiteness and every eigenvalue for sign. Versions 1 and 2 store the
-    matrices as decimal lists; version 1 also holds the whole covariate
-    spectrum, whose leading pairs are kept."""
+    finiteness and every eigenvalue for sign.
+
+    Version 4 stores ``coef_w`` as its factor, rebuilt here as ``fit`` builds
+    it, and only the noise eigenpairs the Gaussian sampler reads. Versions 1
+    to 3 store ``coef_w`` itself and every noise eigenpair; versions 1 and 2
+    store the matrices as decimal lists, and version 1 also holds the whole
+    covariate spectrum, whose leading pairs are kept."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise UsageError(f"not a {MODEL_FORMAT} document")
     version = doc.get("version")
-    if version not in (1, 2, MODEL_VERSION):
+    if version not in (1, 2, 3, MODEL_VERSION):
         raise UsageError(f"unsupported model version {version}")
+    operator = "factor" if version == MODEL_VERSION else "coef_w"
     try:
         grid = Grid(int(doc["grid_d"]))
         n_parts, n_scalars, k = (int(doc[key]) for key in
                                  ("n_curve_parts", "n_scalars", "n_components"))
         size, p = grid.size, n_parts * grid.size + n_scalars
         kept = p if version == 1 else k
-        fields = ("coef_w", "x_mean_coords", "y_mean", "residual_matrix",
+        fields = (operator, "x_mean_coords", "y_mean", "residual_matrix",
                   "covariate_eigenvalues", "covariate_eigenvectors",
                   "noise_eigenvalues", "noise_eigenvectors")
         m = {key: _decode_matrix(doc[key], version) for key in fields}
         n = len(m["residual_matrix"])
+        noise_pairs = len(m["noise_eigenvalues"]) if version == MODEL_VERSION else size
         truncation = TruncationRule.from_dict(doc["truncation"]) if doc["truncation"] else None
         centered, dof_correction = bool(doc["centered"]), bool(doc["dof_correction"])
     except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise StructureError(f"malformed model document: {exc!r}") from None
     want = {
-        "coef_w": (size, p), "x_mean_coords": (p,), "y_mean": (size,),
-        "residual_matrix": (n, size),
+        operator: (size, k if operator == "factor" else p),
+        "x_mean_coords": (p,), "y_mean": (size,), "residual_matrix": (n, size),
         "covariate_eigenvalues": (kept,), "covariate_eigenvectors": (p, kept),
-        "noise_eigenvalues": (size,), "noise_eigenvectors": (size, size),
+        "noise_eigenvalues": (noise_pairs,), "noise_eigenvectors": (size, noise_pairs),
     }
     bad = [key for key, shape in want.items() if m[key].shape != shape]
-    if bad or n < 1 or not 1 <= k <= p:
+    if bad or n < 1 or not 1 <= k <= p or noise_pairs > size:
         raise StructureError(f"model fields {bad} do not match grid_d={grid.resolution}, "
-                             f"p={p}, n_components={k}, residual rows={n}")
+                             f"p={p}, n_components={k}, residual rows={n}, "
+                             f"noise pairs={noise_pairs}")
+    basis = _read_only(np.ascontiguousarray(m["covariate_eigenvectors"][:, :k]))
+    if operator == "factor":
+        with np.errstate(over="ignore", invalid="ignore"):
+            m["coef_w"] = _read_only(_rank_k_operator(m["factor"], basis))
+        want["coef_w"] = (size, p)
     bad = [key for key in want if not np.all(np.isfinite(m[key]))]
     if bad:
         raise StructureError(f"model fields {bad} hold non-finite cells")
@@ -466,11 +510,9 @@ def from_json(text: str) -> FittedFLM:
         n_curve_parts=n_parts,
         n_scalars=n_scalars,
         coef_w=m["coef_w"],
+        factor=m.get("factor"),
         n_components=k,
-        covariate_spectrum=SpectralPair(
-            m["covariate_eigenvalues"][:k],
-            _read_only(np.ascontiguousarray(m["covariate_eigenvectors"][:, :k])),
-        ),
+        covariate_spectrum=SpectralPair(m["covariate_eigenvalues"][:k], basis),
         residual_matrix=m["residual_matrix"],
         noise_spectrum=SpectralPair(m["noise_eigenvalues"], m["noise_eigenvectors"]),
         x_mean_coords=m["x_mean_coords"],

@@ -115,12 +115,15 @@ def _parse_methods(methods, allowed=METHODS) -> tuple:
     return methods
 
 
-def _check_counts(**counts) -> None:
+def _check_counts(methods=(), **counts) -> None:
     for name, value in counts.items():
         if value < 1:
             raise UsageError(f"{name} must be >= 1, got {value}")
-    if counts.get("n", 3) < 3:  # a simulated series of length n gives n - 1 lagged pairs
-        raise UsageError(f"n must be >= 3, got {counts['n']}: the order-1 fit needs 2 lagged pairs")
+    # a simulated series of length n gives n - 1 lagged pairs
+    least, why = ((4, "the kernel baseline's bandwidth selection needs 3 lagged pairs")
+                  if "nw" in methods else (3, "the order-1 fit needs 2 lagged pairs"))
+    if counts.get("n", least) < least:
+        raise UsageError(f"n must be >= {least}, got {counts['n']}: {why}")
 
 
 def _ensemble_methods(methods) -> tuple:
@@ -269,8 +272,8 @@ def run_rmse_experiment(
     requested method. The event is fixed across methods.
     """
     methods = _parse_methods(methods)
-    _check_counts(n=n, reps=reps, n_predictors=n_predictors, oracle_size=oracle_size,
-                  mc_size=mc_size)
+    _check_counts(methods, n=n, reps=reps, n_predictors=n_predictors,
+                  oracle_size=oracle_size, mc_size=mc_size)
     event = event if event is not None else level_set(np.sqrt(50.0), 0.5)
     started = time.perf_counter()
     grid = Grid(grid_d)

@@ -16,6 +16,7 @@ from .errors import DegenerateInputError, StructureError, UsageError
 
 SYMMETRY_RTOL = 1e-12
 CLAMP_BUDGET = 1e-8  # total negative eigenvalue mass allowed, relative to the top eigenvalue
+RELATIVE_RANK_FLOOR = 1e-12  # the sampler keeps eigenvalues above this fraction of the top one
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,14 @@ class SpectralPair:
 
     def leading(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         return self.eigenvalues[:k], self.eigenvectors[:, :k]
+
+    def sampler_rank(self) -> int:
+        """Number of eigenvalues above ``RELATIVE_RANK_FLOOR`` times the top
+        one, the leading pairs a Karhunen-Loeve sampler draws from; zero for
+        an empty or all-zero spectrum."""
+        lam = self.eigenvalues
+        top = float(lam[0]) if lam.size else 0.0
+        return int(np.count_nonzero(lam > RELATIVE_RANK_FLOOR * top)) if top > 0 else 0
 
 
 def empirical_covariance(coords: np.ndarray, center: bool = True) -> CovarianceOperator:

@@ -11,9 +11,11 @@ import json
 
 import numpy as np
 
-MATRICES = ("coef_w", "x_mean_coords", "y_mean", "residual_matrix",
+MATRICES = ("factor", "x_mean_coords", "y_mean", "residual_matrix",
             "covariate_eigenvalues", "covariate_eigenvectors",
             "noise_eigenvalues", "noise_eigenvectors")
+# versions 1 to 3 store the dense coef_w in place of its factor
+OLD_MATRICES = ("coef_w", *MATRICES[1:])
 
 
 def decode(field) -> np.ndarray:
@@ -47,8 +49,8 @@ def set_cell(text: str, key: str, index: int, value: float) -> str:
 
 
 def decimal_document(text: str, version: int) -> dict:
-    """The document ``text`` as an older ``version`` stores it: every matrix
-    a (nested) list of decimals."""
+    """The version 3 document ``text`` as version 1 or 2 stores it: every
+    matrix a (nested) list of decimals."""
     doc = json.loads(text)
-    doc.update({key: decode(doc[key]).tolist() for key in MATRICES}, version=version)
+    doc.update({key: decode(doc[key]).tolist() for key in OLD_MATRICES}, version=version)
     return doc

@@ -49,7 +49,7 @@ class TestWorkflow:
     def test_fit_writes_versioned_model(self, model_json):
         doc = json.loads(model_json.read_text())
         assert doc["format"] == "curveprob-flm"
-        assert doc["version"] == 3
+        assert doc["version"] == 4
 
     def test_estimate_boot_and_gauss(self, tmp_path, model_json, x_csv):
         out = tmp_path / "est.json"
@@ -433,6 +433,9 @@ EXIT_CASES = [
     ("series too short for two lagged pairs, rmse experiment",
      ["rmse-exp", *RMSE_SMALL, "--n", "2"],
      2, "n must be >= 3, got 2: the order-1 fit needs 2 lagged pairs"),
+    ("series too short for the kernel baseline, rmse experiment",
+     ["rmse-exp", *RMSE_SMALL, "--n", "3", "--methods", "boot,gauss,glm,nw"],
+     2, "n must be >= 4, got 3: the kernel baseline's bandwidth selection needs 3 lagged pairs"),
     ("no replicates",
      ["rmse-exp", *RMSE_SMALL, "--reps", "0"],
      2, "reps must be >= 1"),
@@ -605,3 +608,45 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = "import sys, curveprob.harness.cli; sys.exit('scipy.stats' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_fresh(cwd, *argv, **env):
+    """``curveprob`` in a fresh interpreter run in ``cwd``, with no BLAS
+    thread variable set but those in ``env``."""
+    src = str(Path(curveprob.__file__).resolve().parents[1])
+    env = {**{k: v for k, v in os.environ.items() if k not in BLAS_THREADS}, **env,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "curveprob.harness.cli", *map(str, argv)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_an_unset_blas_thread_count_runs_as_one_thread(tmp_path):
+    # on a multi-core host an unpinned BLAS splits each product over its cores
+    # and can round it differently
+    one = dict.fromkeys(BLAS_THREADS, "1")
+    assert run_fresh(tmp_path, "simulate", "--dgp", "far_synthetic", "--n", 120, "--seed", 3,
+                     "--out", "series.csv").returncode == 0
+    for out, env in (("unset.json", {}), ("one.json", one)):
+        assert run_fresh(tmp_path, "fit", "--series", "series.csv", "--out", out,
+                         **env).returncode == 0
+    assert (tmp_path / "unset.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+    save_curves(load_curves(tmp_path / "series.csv")[-1:], tmp_path / "x.csv")
+    estimates = [run_fresh(tmp_path, "estimate", "--model", "one.json", "--x", "x.csv",
+                           "--event", "level:alpha=7,z=0.5", "--method", "boot", **env)
+                 for env in ({}, one)]
+    assert all(e.returncode == 0 for e in estimates)
+    assert estimates[0].stdout == estimates[1].stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage-exp", "--n", "20", "--reps", "1", "--grid-d", "16", "--mc", "50",
+     "--b", "1e308", "--out", "bad.csv"],
+    ["simulate", "--dgp", "far_paparoditis", "--n", "20", "--b", "1e308", "--out", "bad.csv"],
+])
+def test_an_overflowing_recursion_prints_only_its_error(tmp_path, argv):
+    result = run_fresh(tmp_path, *argv)
+    assert result.returncode == 2
+    assert result.stderr == "error: curve values must be finite\n"

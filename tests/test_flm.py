@@ -1,23 +1,27 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from curveprob.curves import Covariate, Curve, Grid
 from curveprob.errors import DegenerateInputError, StructureError, UsageError
+from curveprob.conddist import ensemble_noise, noise_sampler
 from curveprob.flm import (
     RegressionSample,
     TruncationRule,
+    _rank_k_operator,
     build_far_design,
     fit,
     from_json,
     predict,
+    predict_coords,
     to_json,
 )
-from curveprob.spectral import CovarianceOperator, eigendecompose
+from curveprob.harness.dgp import simulate_far, synthetic_dgp
 
-from model_doc import MATRICES, decimal_document, decode, edit_matrix, encode, set_cell
+from model_doc import MATRICES, OLD_MATRICES, decimal_document, decode, edit_matrix, encode, set_cell
 
 GRID = Grid(40)
 
@@ -339,13 +343,22 @@ class TestFarDesign:
 
 
 def matrices(model) -> dict:
-    """The eight arrays a model document stores, by field name."""
-    return {"coef_w": model.coef_w, "x_mean_coords": model.x_mean_coords,
+    """The arrays a model holds, by the field name of its document; a model
+    read from a version 1 to 3 file holds no factor."""
+    held = {"coef_w": model.coef_w, "factor": model.factor,
+            "x_mean_coords": model.x_mean_coords,
             "y_mean": model.y_mean, "residual_matrix": model.residual_matrix,
             "covariate_eigenvalues": model.covariate_spectrum.eigenvalues,
             "covariate_eigenvectors": model.covariate_spectrum.eigenvectors,
             "noise_eigenvalues": model.noise_spectrum.eigenvalues,
             "noise_eigenvectors": model.noise_spectrum.eigenvectors}
+    return {key: value for key, value in held.items() if value is not None}
+
+
+# written by the version 3 writer (`simulate --dgp far_synthetic --n 12
+# --grid-d 6 --seed 3`, then `fit --truncation fixed:2`); it stores all seven
+# noise eigenpairs, of which the Gaussian sampler reads six
+VERSION_3 = Path(__file__).parent / "data" / "model_v3.json"
 
 
 class TestSerialization:
@@ -361,29 +374,54 @@ class TestSerialization:
         )
         assert clone.truncation.kind == "pve"
 
+    @pytest.mark.parametrize("grid_d, order, n, rule, k", [
+        (4, 1, 60, "fixed:1", 1),
+        (4, 1, 60, "fixed:5", 5),     # k = p
+        (6, 2, 60, "fixed:3", 3),
+        (16, 2, 60, "threshold:auto", None),
+        (30, 3, 60, "pve:0.9", None),
+        (40, 1, 30, "fixed:1", 1),
+        (100, 7, 400, "threshold:auto", None),  # the query workload's shape
+    ])
+    def test_a_loaded_model_predicts_and_draws_like_its_fit(self, grid_d, order, n, rule, k):
+        series = simulate_far(synthetic_dgp(Grid(grid_d)), n + order, seed=grid_d + order)
+        sample, _ = build_far_design(series, order)
+        model = fit(sample, TruncationRule.parse(rule))
+        assert k is None or model.n_components == k
+        clone = from_json(to_json(model))
+        assert clone.coef_w.tobytes() == model.coef_w.tobytes()
+        for row in sample.x:
+            assert predict_coords(clone, row).tobytes() == predict_coords(model, row).tobytes()
+        draws = [noise_sampler(m, 5).draw_matrix(2000) for m in (model, clone)]
+        assert draws[0].tobytes() == draws[1].tobytes()
+
     def test_round_trip_keeps_every_bit(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         special = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, np.nextafter(1.0, 2.0)]
-        coef_w = model.coef_w.copy()
-        coef_w.flat[:len(special)] = special
+        factor = model.factor.copy()
+        factor.flat[:len(special)] = special
         residuals = model.residual_matrix.copy()
         residuals[0, :len(special)] = special[::-1]
-        model = dataclasses.replace(model, coef_w=coef_w, residual_matrix=residuals)
+        coef_w = _rank_k_operator(factor, model.covariate_spectrum.eigenvectors)
+        model = dataclasses.replace(model, coef_w=coef_w, factor=factor,
+                                    residual_matrix=residuals)
         text = to_json(model)
         clone = from_json(text)
         doc = json.loads(text)
+        assert "coef_w" not in doc
         for key, value in matrices(model).items():
             got = matrices(clone)[key]
             assert got.dtype == np.float64 and not got.flags.writeable, key
             assert got.shape == value.shape and got.tobytes() == value.tobytes(), key
-            assert decode(doc[key]).tobytes() == value.tobytes(), key
+            if key != "coef_w":
+                assert decode(doc[key]).tobytes() == value.tobytes(), key
         assert to_json(clone) == text
 
     def test_every_matrix_is_read_only(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
-        text = to_json(model)
-        for loaded in (model, from_json(text),
-                       from_json(json.dumps(decimal_document(text, version=2)))):
+        old = VERSION_3.read_text()
+        for loaded in (model, from_json(to_json(model)), from_json(old),
+                       from_json(json.dumps(decimal_document(old, version=2)))):
             for values in matrices(loaded).values():
                 with pytest.raises(ValueError, match="read-only"):
                     values[...] = 0.0
@@ -391,38 +429,81 @@ class TestSerialization:
     def test_keeps_only_leading_covariate_pairs(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         doc = json.loads(to_json(model))
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         assert decode(doc["covariate_eigenvalues"]).shape == (2,)
         assert decode(doc["covariate_eigenvectors"]).shape == (GRID.size, 2)
+        assert decode(doc["factor"]).shape == (GRID.size, 2)
+
+    def test_keeps_only_the_noise_pairs_the_sampler_reads(self):
+        # 15 residual curves span at most 14 of the 41 noise directions
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        rank = len(model.noise_spectrum.eigenvalues)
+        assert 1 <= rank <= 14 and model.noise_spectrum.sampler_rank() == rank
+        doc = json.loads(to_json(model))
+        assert decode(doc["noise_eigenvalues"]).shape == (rank,)
+        assert decode(doc["noise_eigenvectors"]).shape == (GRID.size, rank)
+
+    def test_a_model_with_rank_zero_noise_stores_no_noise_pair(self):
+        # identical responses leave all-zero residuals, so the sampler reads no pair
+        x = np.random.default_rng(0).normal(size=(20, GRID.size))
+        y = np.tile(np.linspace(0.0, 1.0, GRID.size), (20, 1))
+        model = fit(RegressionSample(y=y, x=x, grid=GRID, structure=(1, GRID.resolution, 0)))
+        clone = from_json(to_json(model))
+        for m in (model, clone):
+            assert m.noise_spectrum.eigenvalues.shape == (0,)
+            assert m.noise_spectrum.eigenvectors.shape == (GRID.size, 0)
+        with pytest.warns(UserWarning, match="rank zero"):
+            rows, degenerate = ensemble_noise(clone, "gauss", 10, 0)
+        assert degenerate and rows.shape == (10, GRID.size) and not rows.any()
+
+    def test_reads_version_three_bitwise(self):
+        text = VERSION_3.read_text()
+        doc = json.loads(text)
+        old = from_json(text)
+        assert doc["version"] == 3 and old.factor is None
+        for key in OLD_MATRICES:
+            assert matrices(old)[key].tobytes() == decode(doc[key]).tobytes(), key
+        assert old.noise_spectrum.sampler_rank() == 6
+        stored = {key: decode(doc[key]) for key in ("coef_w", "x_mean_coords", "y_mean")}
+        sw = old.grid.quad_weights_sqrt()
+        for row in np.random.default_rng(4).normal(size=(5, old.grid.size)):
+            want = stored["y_mean"] + (stored["coef_w"] @ (row - stored["x_mean_coords"])) / sw
+            assert predict_coords(old, row).tobytes() == want.tobytes()
 
     def test_reads_version_one_bitwise(self):
         # a version 1 document stores the whole covariate spectrum
-        ys, xs = rank_two_pairs(n=15, noise=0.3, seed=8)
-        sample = RegressionSample.from_pairs(ys, xs)
-        model = fit(sample, TruncationRule.fixed(2))
-        xc = sample.x - sample.x.mean(axis=0)
-        full = eigendecompose(CovarianceOperator(xc.T @ xc / len(sample)))
-        doc = decimal_document(to_json(model), version=1)
-        doc.update(covariate_eigenvalues=full.eigenvalues.tolist(),
-                   covariate_eigenvectors=full.eigenvectors.tolist())
+        text = VERSION_3.read_text()
+        model = from_json(text)
+        lam, vecs = model.covariate_spectrum.eigenvalues, model.covariate_spectrum.eigenvectors
+        p, k = vecs.shape
+        basis, _ = np.linalg.qr(np.hstack([vecs, np.eye(p)]))
+        doc = decimal_document(text, version=1)
+        doc.update(covariate_eigenvalues=[*lam, *(lam[-1] / 2.0 ** np.arange(1, p - k + 1))],
+                   covariate_eigenvectors=np.hstack([vecs, basis[:, k:]]).tolist())
         old = from_json(json.dumps(doc))
-        for x in xs:
-            np.testing.assert_array_equal(predict(old, x).values, predict(model, x).values)
-        np.testing.assert_array_equal(old.covariate_spectrum.eigenvalues,
-                                      model.covariate_spectrum.eigenvalues)
-        np.testing.assert_array_equal(old.covariate_spectrum.eigenvectors,
-                                      model.covariate_spectrum.eigenvectors)
+        for row in np.random.default_rng(4).normal(size=(5, p)):
+            np.testing.assert_array_equal(predict_coords(old, row), predict_coords(model, row))
+        for key, value in matrices(model).items():
+            np.testing.assert_array_equal(matrices(old)[key], value)
         assert not any(values.flags.writeable for values in matrices(old).values())
 
     def test_reads_version_two_bitwise(self):
         # a version 2 document stores its matrices as decimal lists
-        ys, xs = rank_two_pairs(n=15, noise=0.3, seed=8)
-        model = fit(RegressionSample.from_pairs(ys, xs), TruncationRule.fixed(2))
-        old = from_json(json.dumps(decimal_document(to_json(model), version=2)))
-        for x in xs:
-            np.testing.assert_array_equal(predict(old, x).values, predict(model, x).values)
+        text = VERSION_3.read_text()
+        model = from_json(text)
+        old = from_json(json.dumps(decimal_document(text, version=2)))
+        for row in np.random.default_rng(4).normal(size=(5, model.grid.size)):
+            np.testing.assert_array_equal(predict_coords(old, row), predict_coords(model, row))
         for key, value in matrices(model).items():
             np.testing.assert_array_equal(matrices(old)[key], value)
+
+    def test_refuses_to_save_a_model_without_its_factor(self):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        for old in (from_json(VERSION_3.read_text()), dataclasses.replace(model, factor=None)):
+            with pytest.raises(UsageError, match="has none"):
+                to_json(old)
+        with pytest.raises(UsageError, match="not the product"):
+            to_json(dataclasses.replace(model, coef_w=model.coef_w + 1e-9))
 
     @pytest.mark.parametrize("key", MATRICES)
     def test_rejects_corrupted_shape(self, key):
@@ -434,7 +515,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("change", [{"grid_d": GRID.resolution + 1}, {"n_scalars": 1},
                                         {"n_components": 0}, {"n_components": 3},
-                                        {"coef_w": "oops"}])
+                                        {"factor": "oops"}])
     def test_rejects_inconsistent_header(self, change):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         doc = json.loads(to_json(model))
@@ -470,8 +551,11 @@ class TestSerialization:
         doc = json.loads(to_json(model))
         with pytest.raises(StructureError):
             from_json(json.dumps(dict(doc, version=version)))
+        old = VERSION_3.read_text()
         with pytest.raises(StructureError):
-            from_json(json.dumps(dict(decimal_document(to_json(model), version), version=3)))
+            from_json(json.dumps(dict(decimal_document(old, version), version=3)))
+        with pytest.raises(StructureError):
+            from_json(json.dumps(dict(json.loads(old), version=4)))
 
     @pytest.mark.parametrize("key", MATRICES)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -479,6 +563,13 @@ class TestSerialization:
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         with pytest.raises(StructureError, match="non-finite"):
             from_json(set_cell(to_json(model), key, -1, bad))
+
+    def test_rejects_a_finite_factor_whose_coef_w_overflows(self):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        text = edit_matrix(to_json(model), "factor", lambda f: np.full_like(f, 1e308))
+        text = edit_matrix(text, "covariate_eigenvectors", np.ones_like)
+        with pytest.raises(StructureError, match=r"\['coef_w'\] hold non-finite cells"):
+            from_json(text)
 
     @pytest.mark.parametrize("key", ["covariate_eigenvalues", "noise_eigenvalues"])
     def test_rejects_a_negative_eigenvalue(self, key):

@@ -234,6 +234,8 @@ class TestConditionalOracle:
         ("coverage", {"n": 2}, "n must be >= 3, got 2: the order-1 fit needs 2 lagged pairs"),
         ("rmse", {"n": 1}, "n must be >= 3, got 1: the order-1 fit needs 2 lagged pairs"),
         ("rmse", {"n": 2}, "n must be >= 3, got 2: the order-1 fit needs 2 lagged pairs"),
+        ("rmse", {"n": 3, "methods": "boot,gauss,glm,nw"},
+         "n must be >= 4, got 3: the kernel baseline's bandwidth selection needs 3 lagged pairs"),
         ("quantile", {"n": 1}, "n must be >= 3, got 1: the order-1 fit needs 2 lagged pairs"),
         ("quantile", {"n": 2}, "n must be >= 3, got 2: the order-1 fit needs 2 lagged pairs"),
         ("rmse", {"mc_size": 0}, "mc_size must be >= 1, got 0"),

@@ -10,10 +10,13 @@ commands at tiny sizes in this tree and in DIR. Each command is a fresh
 own, so each tree chains its own ``simulate`` -> ``fit`` -> query outputs.
 
 It compares CSV outputs byte for byte; JSON outputs and JSON on stdout with
-``runtime_seconds`` left out; model files matrix by matrix after decoding
-(whatever the format version); and, for a few single bad inputs, the exit
-code and the last line of stderr, the message. It prints one line per output and exits 1 on any
-difference or on a valid command that fails.
+``runtime_seconds`` left out; model files by what each tree's own
+``from_json`` reads from its file, in a fresh one-thread interpreter (so
+whatever the format version): ``coef_w``, the means, the residuals, the
+covariate eigenpairs, the noise eigenpairs up to the Gaussian sampler's rank
+and the header scalars; and, for a few single bad inputs, the exit code and
+the last line of stderr, the message. It prints one line per output and
+exits 1 on any difference or on a valid command that fails.
 """
 
 from __future__ import annotations
@@ -86,6 +89,29 @@ VALID = [
                               "--grid-d", "20", "--seed", "13", "--out", "sim8.csv"]),
 ]
 
+# prints, as JSON, what a tree's from_json reads from the model file argv[1];
+# it uses only names that every format version's reader has
+_READ_MODEL = """
+import base64, json, sys
+from curveprob.conddist import GaussSampler
+from curveprob.flm import from_json
+
+m = from_json(open(sys.argv[1], encoding="utf-8").read())
+rank = GaussSampler.from_spectrum(m.grid, m.noise_spectrum, 0).rank
+lam, vecs = m.noise_spectrum.leading(rank)
+arrays = {"coef_w": m.coef_w, "x_mean_coords": m.x_mean_coords, "y_mean": m.y_mean,
+          "residual_matrix": m.residual_matrix,
+          "covariate_eigenvalues": m.covariate_spectrum.eigenvalues,
+          "covariate_eigenvectors": m.covariate_spectrum.eigenvectors,
+          "noise_eigenvalues": lam, "noise_eigenvectors": vecs}
+doc = {key: {"shape": list(a.shape), "f8le": base64.b64encode(a.astype("<f8").tobytes()).decode()}
+       for key, a in arrays.items()}
+doc.update(grid_d=m.grid.resolution, n_curve_parts=m.n_curve_parts, n_scalars=m.n_scalars,
+           n_components=m.n_components, centered=m.centered, dof_correction=m.dof_correction,
+           truncation=m.truncation.to_dict() if m.truncation else None)
+print(json.dumps(doc))
+"""
+
 # (name, argv) of single bad inputs: the exit code and the message are compared
 BAD = [
     ("simulate --b on a first-order process", ["simulate", "--dgp", "far_synthetic",
@@ -116,7 +142,9 @@ def _write_covariates(work: Path) -> None:
 
 
 def _run_tree(tree: Path, work: Path) -> dict:
-    """{name: (exit code, stdout, stderr)} of every command, run in ``work``."""
+    """{name: (exit code, stdout, stderr)} of every command, run in ``work``,
+    and of reading each model file that ``fit`` writes, under the name of its
+    output file."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p))
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -127,6 +155,11 @@ def _run_tree(tree: Path, work: Path) -> dict:
         proc = subprocess.run([sys.executable, "-m", "curveprob.harness.cli", *argv], cwd=work,
                               env=env, capture_output=True, text=True, timeout=300)
         results[name] = (proc.returncode, proc.stdout, proc.stderr)
+        if argv[0] == "fit" and not proc.returncode:
+            out = argv[argv.index("--out") + 1]
+            read = subprocess.run([sys.executable, "-c", _READ_MODEL, out], cwd=work, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            results[out] = (read.returncode, read.stdout, read.stderr)
         if name == "simulate brownian" and (work / "synthetic.csv").exists() and not proc.returncode:
             _write_covariates(work)
     return results
@@ -134,12 +167,12 @@ def _run_tree(tree: Path, work: Path) -> dict:
 
 def _decode(node):
     """JSON with each stored matrix as an array: base64 float64 matrices and
-    lists of numbers alike; the format version and runtimes are left out."""
+    lists of numbers alike; runtimes are left out."""
     if isinstance(node, dict):
         if set(node) == {"shape", "f8le"}:
             raw = np.frombuffer(base64.b64decode(node["f8le"]), dtype="<f8")
             return raw.reshape(node["shape"])
-        return {k: _decode(v) for k, v in node.items() if k not in ("version", "runtime_seconds")}
+        return {k: _decode(v) for k, v in node.items() if k != "runtime_seconds"}
     if isinstance(node, list):
         if node and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node):
             return np.asarray(node, dtype=float)
@@ -184,7 +217,13 @@ def compare(here: dict, there: dict, work_here: Path, work_there: Path) -> list:
         if code_a or code_b:
             lines.append((name, [f"exit codes {code_a} and {code_b}"]))
             continue
-        if "--out" in argv:
+        if argv[0] == "fit":
+            out = argv[argv.index("--out") + 1]
+            (read_a, model_a, _), (read_b, model_b, _) = here[out], there[out]
+            diff = ([f"reading it exits {read_a} and {read_b}"]
+                    if read_a or read_b else _compare_json(model_a, model_b))
+            lines.append((f"{name}: {out} as read", diff))
+        elif "--out" in argv:
             out = argv[argv.index("--out") + 1]
             lines.append((f"{name}: {out}", _compare_file(work_here / out, work_there / out)))
         if out_a or out_b:

@@ -22,7 +22,7 @@ import numpy as np
 from .curves import Curve, Covariate, Grid
 from .errors import DegenerateInputError, RangeExhaustedError, UsageError
 from .events import EventSet, MonotoneFamily, contains_batch, uniform_band
-from .flm import FittedFLM, _read_only, predict, predict_coords
+from .flm import FittedFLM, predict, predict_coords
 from .rng import substream
 from .spectral import SpectralPair
 
@@ -74,6 +74,11 @@ class GaussSampler:
         weighted = z @ vecs.T
         weighted /= self.grid.quad_weights_sqrt()
         return weighted
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def noise_sampler(model: FittedFLM, seed: int) -> GaussSampler:
@@ -167,12 +172,19 @@ def _coords(model: FittedFLM, x: Covariate) -> np.ndarray:
     return x.coords()
 
 
+def _prob(model: FittedFLM, x: Covariate, event: EventSet, method: str, mc_size: int,
+          seed: int) -> CondProbEstimate:
+    """Fraction of the method's :func:`ensemble` at ``x`` that falls in the event."""
+    values, degenerate = ensemble(model, _coords(model, x), method, mc_size, seed)
+    count = int(np.count_nonzero(contains_batch(event, values, model.grid)))
+    return CondProbEstimate(value=count / len(values), method=method, n_used=len(values),
+                            count=count, seed=int(seed) if method == "gauss" else None,
+                            status="degenerate" if degenerate else "ok")
+
+
 def boot_prob(model: FittedFLM, x: Covariate, event: EventSet) -> CondProbEstimate:
     """Fraction of residual-shifted fitted means that fall in the event."""
-    values, _ = ensemble(model, _coords(model, x), "boot", DEFAULT_MC_SIZE, 0)
-    count = int(np.count_nonzero(contains_batch(event, values, model.grid)))
-    return CondProbEstimate(value=count / len(values), method="boot", n_used=len(values),
-                            count=count)
+    return _prob(model, x, event, "boot", DEFAULT_MC_SIZE, 0)
 
 
 def gauss_prob(
@@ -183,16 +195,7 @@ def gauss_prob(
     seed: int = 0,
 ) -> CondProbEstimate:
     """Monte-Carlo fraction of Gaussian-noise-shifted fitted means in the event."""
-    values, degenerate = ensemble(model, _coords(model, x), "gauss", mc_size, seed)
-    count = int(np.count_nonzero(contains_batch(event, values, model.grid)))
-    return CondProbEstimate(
-        value=count / len(values),
-        method="gauss",
-        n_used=len(values),
-        count=count,
-        seed=int(seed),
-        status="degenerate" if degenerate else "ok",
-    )
+    return _prob(model, x, event, "gauss", mc_size, seed)
 
 
 def order_statistic_quantile(critical: np.ndarray, p: float) -> float:

@@ -143,22 +143,3 @@ def curve_matrix(series) -> tuple[np.ndarray, Grid]:
         raise StructureError("all curves of a series must share one grid")
     return np.asarray([c.values for c in series]), grid
 
-
-def inner_product(a: Curve, b: Curve) -> float:
-    """Trapezoid approximation of the L2 inner product of two curves."""
-    if a.grid.resolution != b.grid.resolution:
-        raise StructureError(
-            f"grid mismatch: D={a.grid.resolution} vs D={b.grid.resolution}"
-        )
-    return float(np.sum(a.grid.quad_weights() * a.values * b.values))
-
-
-def covariate_inner_product(a: Covariate, b: Covariate) -> float:
-    """Direct-sum inner product: curve-part L2 inner products plus scalar dot."""
-    if a.structure() != b.structure():
-        raise StructureError(
-            f"covariate structure mismatch: {a.structure()} vs {b.structure()}"
-        )
-    total = sum(inner_product(p, q) for p, q in zip(a.curve_parts, b.curve_parts))
-    total += float(np.dot(a.scalar_parts, b.scalar_parts)) if a.scalar_parts else 0.0
-    return float(total)

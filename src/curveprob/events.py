@@ -12,7 +12,6 @@ Built-in kinds:
 * ``extremal``    maximum exceeds ``d`` (strict)
 * ``excursion``   stays above ``d`` for an unbroken span of at least ``c``
 * ``boundary``    all values inside [``lo``, ``hi``] (inclusive; infinite bounds allowed)
-* ``point_band``  value at the grid point nearest ``s`` inside a band around ``center``
 * ``uniform_band``all values inside the band around ``center``
 * ``complement``  negation of an inner event
 """
@@ -27,10 +26,8 @@ import numpy as np
 from .curves import Curve
 from .errors import UsageError
 
-KINDS = (
-    "level", "contrast", "extremal", "excursion", "boundary",
-    "point_band", "uniform_band", "complement",
-)
+KINDS = ("level", "contrast", "extremal", "excursion", "boundary", "uniform_band",
+         "complement")
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,6 @@ class EventSet:
     center: Curve = None     # band center
     lower: Curve = None      # band lower offset (band floor = center - lower)
     upper: Curve = None      # band ceiling offset
-    s: float = None          # point_band location
     inner: "EventSet" = None
 
     def __post_init__(self):
@@ -73,10 +69,6 @@ def excursion_set(d: float, c: float) -> EventSet:
 
 def boundary_set(lo: float, hi: float) -> EventSet:
     return EventSet("boundary", lo=float(lo), hi=float(hi))
-
-
-def point_band(center: Curve, lower: Curve, upper: Curve, s: float) -> EventSet:
-    return EventSet("point_band", center=center, lower=lower, upper=upper, s=float(s))
 
 
 def uniform_band(center: Curve, lower: Curve, upper: Curve) -> EventSet:
@@ -177,12 +169,6 @@ def contains_batch(event: EventSet, values: np.ndarray, grid) -> np.ndarray:
         if np.isfinite(event.hi):
             ok &= np.all(values <= event.hi, axis=1)
         return ok
-    if k == "point_band":
-        i = int(round(event.s * grid.resolution))
-        i = min(max(i, 0), grid.resolution)
-        floor = event.center.values[i] - event.lower.values[i]
-        ceil = event.center.values[i] + event.upper.values[i]
-        return (values[:, i] >= floor) & (values[:, i] <= ceil)
     if k == "uniform_band":
         floor = event.center.values - event.lower.values
         ceil = event.center.values + event.upper.values

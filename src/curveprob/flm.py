@@ -191,7 +191,8 @@ class FittedFLM:
     read from a version 1 to 3 file. ``residual_matrix`` holds the raw residual
     curves row-wise; ``noise_spectrum`` holds the leading eigenpairs of their
     (mean-centered) covariance operator, those the Gaussian sampler draws from
-    (all of them in a version 1 to 3 file).
+    (all of them in a version 1 to 3 file). Neither spectrum carries the
+    ``clamped_mass`` of its eigendecomposition, which no model file stores.
 
     ``memo`` holds what :mod:`curveprob.conddist` derives from the model for
     one request and may reuse for the next, one ``(key, value)`` pair per
@@ -201,7 +202,8 @@ class FittedFLM:
     only when its key is asked for twice in a row, and one key replaces the
     last, so each slot holds at most one read-only value and a model asked
     once holds none. Serialization, comparison, ``repr`` and
-    :func:`dataclasses.replace` ignore the memo.
+    :func:`dataclasses.replace` ignore the memo. However a model is built,
+    every matrix is read-only, so a write raises instead of leaving the memo stale.
     """
 
     grid: Grid
@@ -219,6 +221,15 @@ class FittedFLM:
     dof_correction: bool = False
     truncation: TruncationRule = None
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        arrays = [self.coef_w, self.factor, self.residual_matrix, self.x_mean_coords, self.y_mean]
+        for spectrum in (self.covariate_spectrum, self.noise_spectrum):
+            if spectrum is not None:
+                arrays += [spectrum.eigenvalues, spectrum.eigenvectors]
+        for values in arrays:
+            if values is not None:
+                values.flags.writeable = False
 
     @property
     def n_observations(self) -> int:
@@ -238,11 +249,6 @@ class FittedFLM:
                 self.n_scalars)
         if got != want:
             raise StructureError(f"covariate structure {got} does not match model {want}")
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
 
 
 def _rank_k_operator(factor: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -267,8 +273,7 @@ def fit(
     computed with the operations of ``predict``, one matrix-vector product
     per row, and therefore satisfy residual_k = y_k - predict(x_k) bit for
     bit. Only the leading ``n_components`` covariate eigenpairs are kept, and
-    only the noise eigenpairs the Gaussian sampler reads. Every matrix of the
-    model is read-only, so its memo cannot go stale.
+    only the noise eigenpairs the Gaussian sampler reads.
     """
     truncation = truncation or TruncationRule.threshold()
     n = len(sample)
@@ -281,7 +286,7 @@ def fit(
     xc = x - x_mean
     yc = y - y_mean
 
-    spectrum = eigendecompose(empirical_covariance(xc, center=False))
+    spectrum = eigendecompose(empirical_covariance(xc))
     # "zero spectrum" up to round-off: compare against the raw coordinate scale,
     # so a centered constant sample (eigenvalue dust ~ eps^2) is caught
     raw_scale = float(np.mean(x**2))
@@ -312,16 +317,14 @@ def fit(
         grid=grid,
         n_curve_parts=n_parts,
         n_scalars=n_scalars,
-        coef_w=_read_only(coef_w),
-        factor=_read_only(factor),
+        coef_w=coef_w,
+        factor=factor,
         n_components=k,
-        covariate_spectrum=SpectralPair(_read_only(lam.copy()), _read_only(vecs.copy()),
-                                        spectrum.clamped_mass),
-        residual_matrix=_read_only(residuals),
-        noise_spectrum=SpectralPair(_read_only(noise_lam), _read_only(noise_vecs),
-                                    noise.clamped_mass),
-        x_mean_coords=_read_only(x_mean),
-        y_mean=_read_only(y_mean),
+        covariate_spectrum=SpectralPair(lam.copy(), vecs.copy()),
+        residual_matrix=residuals,
+        noise_spectrum=SpectralPair(noise_lam, noise_vecs),
+        x_mean_coords=x_mean,
+        y_mean=y_mean,
         centered=center,
         dof_correction=dof_correction,
         truncation=truncation,
@@ -395,11 +398,11 @@ def _encode_matrix(values: np.ndarray) -> dict:
 
 
 def _decode_matrix(field, version: int) -> np.ndarray:
-    """A native, read-only float64 array from a document's matrix field: the
+    """A native float64 array from a document's matrix field: the
     encoded form of :func:`_encode_matrix` from version 3 on, a decimal list
     in versions 1 and 2."""
     if version < 3:
-        return _read_only(np.asarray(field, dtype=float))
+        return np.asarray(field, dtype=float)
     if not isinstance(field, dict) or set(field) != {"shape", "f8le"}:
         raise StructureError("a matrix field must hold exactly 'shape' and 'f8le'")
     shape = field["shape"]
@@ -409,7 +412,7 @@ def _decode_matrix(field, version: int) -> np.ndarray:
     if len(data) != 8 * math.prod(shape):
         raise StructureError(f"matrix of shape {shape} needs {8 * math.prod(shape)} bytes, "
                              f"got {len(data)}")
-    return _read_only(np.frombuffer(data, dtype="<f8").reshape(shape).astype(float))
+    return np.frombuffer(data, dtype="<f8").reshape(shape).astype(float)
 
 
 def to_json(model: FittedFLM) -> str:
@@ -493,10 +496,10 @@ def from_json(text: str) -> FittedFLM:
         raise StructureError(f"model fields {bad} do not match grid_d={grid.resolution}, "
                              f"p={p}, n_components={k}, residual rows={n}, "
                              f"noise pairs={noise_pairs}")
-    basis = _read_only(np.ascontiguousarray(m["covariate_eigenvectors"][:, :k]))
+    basis = np.ascontiguousarray(m["covariate_eigenvectors"][:, :k])
     if operator == "factor":
         with np.errstate(over="ignore", invalid="ignore"):
-            m["coef_w"] = _read_only(_rank_k_operator(m["factor"], basis))
+            m["coef_w"] = _rank_k_operator(m["factor"], basis)
         want["coef_w"] = (size, p)
     bad = [key for key in want if not np.all(np.isfinite(m[key]))]
     if bad:

@@ -46,17 +46,12 @@ class DGPSpec:
 
     ``burn_in=None`` takes the kind's own burn-in. Only ``far_paparoditis``
     has a second lag, so any other kind rejects ``b != 0``.
-    ``kernel_scale`` and ``noise_scale`` multiply the autoregression kernel
-    and the noise draws; zeroing them collapses the recursion to pure noise
-    or to the deterministic part, which the tests exploit.
     """
 
     kind: str
     grid: Grid
     b: float = 0.0
     burn_in: int | None = None
-    kernel_scale: float = 1.0
-    noise_scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _BURN_IN:
@@ -70,16 +65,8 @@ class DGPSpec:
             raise UsageError(f"burn_in must be >= 0, got {self.burn_in}")
 
 
-def paparoditis_dgp(grid: Grid, b: float = 0.0, burn_in: int | None = None) -> DGPSpec:
-    return DGPSpec("far_paparoditis", grid, b=b, burn_in=burn_in)
-
-
 def synthetic_dgp(grid: Grid, burn_in: int | None = None) -> DGPSpec:
     return DGPSpec("far_synthetic", grid, burn_in=burn_in)
-
-
-def gaussian_iid_dgp(grid: Grid) -> DGPSpec:
-    return DGPSpec("gaussian_iid", grid)
 
 
 def brownian_matrix(grid: Grid, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,12 +121,10 @@ def synthetic_noise_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 def noise_matrix(spec: DGPSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, D+1) draws of the model error process."""
     if spec.kind == "far_paparoditis":
-        draws = brownian_matrix(spec.grid, count, rng)
-    else:
-        weights, basis = synthetic_noise_basis(spec.grid)
-        z = rng.standard_normal((count, len(weights)))
-        draws = (z * np.sqrt(weights)) @ basis
-    return spec.noise_scale * draws
+        return brownian_matrix(spec.grid, count, rng)
+    weights, basis = synthetic_noise_basis(spec.grid)
+    z = rng.standard_normal((count, len(weights)))
+    return (z * np.sqrt(weights)) @ basis
 
 
 def _step_matrix(spec: DGPSpec) -> np.ndarray:
@@ -147,7 +132,7 @@ def _step_matrix(spec: DGPSpec) -> np.ndarray:
     kernel = kernel_matrix(spec)
     if kernel is None:
         return np.zeros((spec.grid.size, spec.grid.size))
-    return spec.kernel_scale * kernel * spec.grid.quad_weights()
+    return kernel * spec.grid.quad_weights()
 
 
 def simulate_far_values(spec: DGPSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -172,10 +157,9 @@ def simulate_far_values(spec: DGPSpec, n: int, rng: np.random.Generator) -> np.n
         return mean_values(spec) + out[spec.burn_in:]
 
 
-def simulate_far(spec: DGPSpec, n: int, seed: int = 0, rng=None) -> list:
-    """:func:`simulate_far_values` as curves, drawn from ``rng``, else ``substream(seed)``."""
-    rng = substream(seed) if rng is None else rng
-    return [Curve(spec.grid, row) for row in simulate_far_values(spec, n, rng)]
+def simulate_far(spec: DGPSpec, n: int, seed: int = 0) -> list:
+    """:func:`simulate_far_values` as curves, drawn from ``substream(seed)``."""
+    return [Curve(spec.grid, row) for row in simulate_far_values(spec, n, substream(seed))]
 
 
 def conditional_mean(spec: DGPSpec, previous: np.ndarray) -> np.ndarray:

@@ -338,13 +338,12 @@ def run_var_experiment(
     grid_d: int = DEFAULT_GRID_D,
     oracle_size: int = 10_000,
     mc_size: int = 2000,
-    p: float = None,
 ) -> ExperimentReport:
     """RMSE of extreme-quantile estimates (level-family parameter at
-    p = 1 - 1/n unless given) for the bootstrap and Gaussian methods."""
+    p = 1 - 1/n) for the bootstrap and Gaussian methods."""
     _check_counts(n=n, reps=reps, n_predictors=n_predictors, oracle_size=oracle_size,
                   mc_size=mc_size)
-    p = p if p is not None else 1.0 - 1.0 / n
+    p = 1.0 - 1.0 / n
     _check_level_quantile(p, z)
     family = family_level_in_alpha(z, search_lo, search_hi)
     started = time.perf_counter()

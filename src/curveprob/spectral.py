@@ -72,14 +72,13 @@ class SpectralPair:
         return int(np.count_nonzero(lam > RELATIVE_RANK_FLOOR * top)) if top > 0 else 0
 
 
-def empirical_covariance(coords: np.ndarray, center: bool = True) -> CovarianceOperator:
-    """(1/n) sum of (x - mean) outer (x - mean) over the rows x of an (n, p)
-    weighted-coordinate matrix, or the raw second moment."""
+def empirical_covariance(coords: np.ndarray) -> CovarianceOperator:
+    """(1/n) sum of x outer x over the rows x of an (n, p) weighted-coordinate
+    matrix: the raw second moment, the covariance once the caller has
+    centered the rows."""
     x = np.asarray(coords, dtype=float)
     if len(x) == 0:
         raise UsageError("empirical_covariance needs a nonempty sample")
-    if center:
-        x = x - x.mean(axis=0)
     return CovarianceOperator(x.T @ x / len(x))
 
 
@@ -109,11 +108,6 @@ def eigendecompose(op: CovarianceOperator) -> SpectralPair:
         flip = vecs[lead, np.arange(vecs.shape[1])] < 0
         vecs[:, flip] = -vecs[:, flip]
     return SpectralPair(vals, vecs, clamped_mass)
-
-
-def reconstruct(spec: SpectralPair) -> np.ndarray:
-    """Sum of eigenvalue-weighted outer products; inverse of eigendecompose."""
-    return (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.T
 
 
 def truncation_threshold(

@@ -21,7 +21,9 @@ from curveprob.harness.experiments import (
     run_var_experiment,
 )
 from curveprob.rng import substream
-from curveprob.spectral import empirical_covariance, reconstruct
+from curveprob.spectral import empirical_covariance
+
+from reference import reconstruct
 
 MASTER_SEED = 7
 
@@ -185,7 +187,7 @@ def test_criterion_6_sampler_fidelity(report):
     sampler = GaussSampler.from_spectrum(grid, model.noise_spectrum, rng_seed=40)
     m = 5000
     draws = sampler.draw_matrix(m)
-    emp = empirical_covariance(draws * grid.quad_weights_sqrt(), center=False)
+    emp = empirical_covariance(draws * grid.quad_weights_sqrt())
     target = reconstruct(model.noise_spectrum)
     top = model.noise_spectrum.eigenvalues[0]
     cov_err = float(np.max(np.abs(emp.matrix - target)))

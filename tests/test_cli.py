@@ -641,6 +641,17 @@ def test_an_unset_blas_thread_count_runs_as_one_thread(tmp_path):
     assert estimates[0].stdout == estimates[1].stdout
 
 
+def test_an_unset_blas_thread_count_writes_the_one_thread_glm_rows(tmp_path):
+    # the binomial baseline's rows are the experiment rows that move with the
+    # BLAS thread count
+    one = dict.fromkeys(BLAS_THREADS, "1")
+    for out, env in (("unset.csv", {}), ("one.csv", one)):
+        assert run_fresh(tmp_path, "rmse-exp", "--methods", "glm", "--n", 100, "--predictors", 6,
+                         "--reps", 6, "--oracle-size", 500, "--seed", 1, "--out", out,
+                         **env).returncode == 0
+    assert (tmp_path / "unset.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ["coverage-exp", "--n", "20", "--reps", "1", "--grid-d", "16", "--mc", "50",
      "--b", "1e308", "--out", "bad.csv"],

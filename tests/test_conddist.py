@@ -38,7 +38,12 @@ from curveprob.flm import (
     predict_coords,
     to_json,
 )
-from curveprob.harness.dgp import conditional_draws, simulate_far, synthetic_dgp
+from curveprob.harness.dgp import (
+    conditional_draws,
+    simulate_far,
+    simulate_far_values,
+    synthetic_dgp,
+)
 from curveprob.rng import substream
 from curveprob.spectral import CovarianceOperator, SpectralPair, eigendecompose
 
@@ -727,7 +732,7 @@ class TestUniformConvergenceSurrogate:
         ])
 
         def sup_error(n, rep):
-            series = simulate_far(spec, n, rng=substream(900 + rep, n))
+            series = simulate_far_values(spec, n, substream(900 + rep, n))
             sample, _ = build_far_design(series, order=1)
             model = fit(sample, TruncationRule.threshold())
             center = predict(model, x).values

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from curveprob.curves import (
-    Covariate,
-    Curve,
-    Grid,
-    covariate_inner_product,
-    curve_matrix,
-    inner_product,
-)
+from curveprob.curves import Covariate, Curve, Grid, curve_matrix
 from curveprob.errors import StructureError, UsageError
 from curveprob.events import (
     boundary_set,
@@ -17,6 +10,8 @@ from curveprob.events import (
     extremal_set,
     level_set,
 )
+
+from reference import covariate_inner, l2_inner
 
 
 def line(grid):
@@ -97,66 +92,58 @@ class TestCurveMatrix:
 
 
 class TestInnerProduct:
+    """The trapezoid weights behind every L2 inner product."""
+
     def test_constant_one(self):
-        g = Grid(100)
-        assert inner_product(Curve.constant(g, 1.0), Curve.constant(g, 1.0)) == pytest.approx(1.0)
+        assert np.sum(Grid(100).quad_weights()) == pytest.approx(1.0)
 
     def test_linear_integrand_is_exact(self):
         g = Grid(100)
-        assert inner_product(line(g), Curve.constant(g, 1.0)) == pytest.approx(0.5)
+        assert g.quad_weights() @ g.points == pytest.approx(0.5)
 
     def test_sine_against_constant_vanishes(self):
         g = Grid(200)
-        s = Curve(g, np.sin(2 * np.pi * g.points))
-        assert abs(inner_product(s, Curve.constant(g, 1.0))) < 1e-10
-
-    def test_grid_mismatch_raises(self):
-        with pytest.raises(StructureError):
-            inner_product(Curve.constant(Grid(4), 1.0), Curve.constant(Grid(8), 1.0))
+        assert abs(l2_inner(g, np.sin(2 * np.pi * g.points), np.ones(g.size))) < 1e-10
 
     def test_positive_definite_up_to_zero_curve(self):
         g = Grid(25)
         rng = np.random.default_rng(5)
         for _ in range(20):
-            c = Curve(g, rng.normal(size=g.size))
-            assert inner_product(c, c) > 0.0
-        assert inner_product(Curve.constant(g, 0.0), Curve.constant(g, 0.0)) == 0.0
+            c = rng.normal(size=g.size)
+            assert l2_inner(g, c, c) > 0.0
+        assert l2_inner(g, np.zeros(g.size), np.zeros(g.size)) == 0.0
 
     def test_cauchy_schwarz(self):
         g = Grid(50)
         rng = np.random.default_rng(11)
         for _ in range(50):
-            a = Curve(g, rng.normal(size=g.size))
-            b = Curve(g, rng.normal(size=g.size))
-            lhs = inner_product(a, b) ** 2
-            rhs = inner_product(a, a) * inner_product(b, b)
+            a, b = rng.normal(size=g.size), rng.normal(size=g.size)
+            lhs = l2_inner(g, a, b) ** 2
+            rhs = l2_inner(g, a, a) * l2_inner(g, b, b)
             assert lhs <= rhs * (1 + 1e-12)
 
 
 class TestCovariateInnerProduct:
+    """Weighted coordinates turn the covariate inner product into a dot product."""
+
     def test_zero_parts(self):
         g = Grid(10)
-        a = Covariate((Curve.constant(g, 0.0),), (0.0,))
-        assert covariate_inner_product(a, a) == 0.0
+        a = Covariate((Curve.constant(g, 0.0),), (0.0,)).coords()
+        assert a @ a == 0.0
 
     def test_reduces_to_curve_inner_product(self):
         g = Grid(60)
         rng = np.random.default_rng(2)
         u = Curve(g, rng.normal(size=g.size))
         v = Curve(g, rng.normal(size=g.size))
-        assert covariate_inner_product(Covariate((u,)), Covariate((v,))) == pytest.approx(
-            inner_product(u, v)
+        assert Covariate((u,)).coords() @ Covariate((v,)).coords() == pytest.approx(
+            l2_inner(g, u.values, v.values)
         )
 
     def test_scalar_only(self):
         a = Covariate((), (1.0, 2.0))
         b = Covariate((), (3.0, 4.0))
-        assert covariate_inner_product(a, b) == pytest.approx(11.0)
-
-    def test_structure_mismatch_raises(self):
-        g = Grid(10)
-        with pytest.raises(StructureError):
-            covariate_inner_product(Covariate((Curve.constant(g, 1.0),)), Covariate((), (1.0,)))
+        assert a.coords() @ b.coords() == pytest.approx(11.0)
 
     def test_coords_dot_matches_inner_product(self):
         g = Grid(30)
@@ -164,9 +151,7 @@ class TestCovariateInnerProduct:
         for _ in range(10):
             a = Covariate((Curve(g, rng.normal(size=g.size)),), (rng.normal(),))
             b = Covariate((Curve(g, rng.normal(size=g.size)),), (rng.normal(),))
-            assert float(a.coords() @ b.coords()) == pytest.approx(
-                covariate_inner_product(a, b)
-            )
+            assert float(a.coords() @ b.coords()) == pytest.approx(covariate_inner(a, b))
 
 
 class TestSupNorm:
@@ -193,7 +178,7 @@ class TestSupNorm:
         rng = np.random.default_rng(3)
         curves = [Curve(g, rng.normal(size=g.size)) for _ in range(20)]
         for c in curves:
-            r = below(np.sqrt(inner_product(c, c)) - 1e-12)
+            r = below(np.sqrt(l2_inner(g, c.values, c.values)) - 1e-12)
             assert not inside(boundary_set(-r, r), c)[0]
 
     def test_triangle_inequality(self):

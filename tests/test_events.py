@@ -19,7 +19,6 @@ from curveprob.events import (
     level_shares,
     parse_event,
     parse_family,
-    point_band,
     sorted_columns,
     uniform_band,
 )
@@ -68,11 +67,8 @@ class TestContains:
         one = Curve.constant(GRID, 1.0)
         y = Curve(GRID, 0.5 * np.sin(2 * np.pi * GRID.points))
         assert contains(uniform_band(center, one, one), y)
-        assert contains(point_band(center, one, one, s=0.25), y)
         narrow = Curve.constant(GRID, 0.1)
         assert not contains(uniform_band(center, narrow, narrow), y)
-        # point membership only looks at the nearest grid point
-        assert contains(point_band(center, narrow, narrow, s=0.5), y)
 
 
 class TestComplement:
@@ -240,18 +236,6 @@ class TestMonotoneFamilies:
     def test_invalid_direction(self):
         with pytest.raises(UsageError):
             family_max_below(2.0, -2.0)
-
-
-class TestBandNesting:
-    def test_uniform_band_implies_point_band_everywhere(self):
-        center = Curve(GRID, np.sin(2 * np.pi * GRID.points))
-        lower = Curve.constant(GRID, 0.8)
-        upper = Curve.constant(GRID, 0.9)
-        uni = uniform_band(center, lower, upper)
-        for y in random_curves(GRID, 40, seed=6, scale=0.8):
-            if contains(uni, y):
-                for s in np.linspace(0, 1, 11):
-                    assert contains(point_band(center, lower, upper, s), y)
 
 
 class TestGridRefinement:

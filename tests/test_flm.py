@@ -9,6 +9,7 @@ from curveprob.curves import Covariate, Curve, Grid
 from curveprob.errors import DegenerateInputError, StructureError, UsageError
 from curveprob.conddist import ensemble_noise, noise_sampler
 from curveprob.flm import (
+    FittedFLM,
     RegressionSample,
     TruncationRule,
     _rank_k_operator,
@@ -20,6 +21,7 @@ from curveprob.flm import (
     to_json,
 )
 from curveprob.harness.dgp import simulate_far, synthetic_dgp
+from curveprob.spectral import SpectralPair
 
 from model_doc import MATRICES, OLD_MATRICES, decimal_document, decode, edit_matrix, encode, set_cell
 
@@ -418,13 +420,43 @@ class TestSerialization:
         assert to_json(clone) == text
 
     def test_every_matrix_is_read_only(self):
+        # a model built by dataclasses.replace or by hand from writable arrays
+        # is read-only too, so a write cannot leave its memo stale
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         old = VERSION_3.read_text()
+        cov, noise = model.covariate_spectrum, model.noise_spectrum
+        by_hand = dataclasses.replace(
+            model, coef_w=model.coef_w.copy(), factor=model.factor.copy(),
+            residual_matrix=model.residual_matrix.copy(),
+            x_mean_coords=model.x_mean_coords.copy(), y_mean=model.y_mean.copy(),
+            covariate_spectrum=SpectralPair(cov.eigenvalues.copy(), cov.eigenvectors.copy()),
+            noise_spectrum=SpectralPair(noise.eigenvalues.copy(), noise.eigenvectors.copy()))
         for loaded in (model, from_json(to_json(model)), from_json(old),
-                       from_json(json.dumps(decimal_document(old, version=2)))):
+                       from_json(json.dumps(decimal_document(old, version=2))),
+                       dataclasses.replace(model, y_mean=np.array(model.y_mean)), by_hand):
             for values in matrices(loaded).values():
                 with pytest.raises(ValueError, match="read-only"):
                     values[...] = 0.0
+
+    def test_a_loaded_model_equals_its_fit_in_every_field(self):
+        # this fit's noise and covariate spectra clamp a little negative mass,
+        # which no model file stores; the model does not carry it either
+        series = simulate_far(synthetic_dgp(Grid(40)), 16, seed=2)
+        model = fit(build_far_design(series, 1)[0])
+        clone = from_json(to_json(model))
+
+        def same(a, b):
+            if isinstance(a, np.ndarray):
+                return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            if dataclasses.is_dataclass(a):
+                return type(a) is type(b) and all(
+                    same(getattr(a, f.name), getattr(b, f.name))
+                    for f in dataclasses.fields(a) if f.compare)
+            return a == b
+
+        for f in dataclasses.fields(FittedFLM):
+            if f.compare:
+                assert same(getattr(model, f.name), getattr(clone, f.name)), f.name
 
     def test_keeps_only_leading_covariate_pairs(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))

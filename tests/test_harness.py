@@ -21,10 +21,9 @@ from curveprob.harness.dgp import (
     brownian_matrix,
     conditional_draws,
     conditional_mean,
-    gaussian_iid_dgp,
     kernel_matrix,
     mean_values,
-    paparoditis_dgp,
+    noise_matrix,
     simulate_far,
     simulate_far_values,
     synthetic_dgp,
@@ -73,23 +72,15 @@ class TestBrownian:
 
 class TestSimulateFar:
     def test_zero_kernel_collapses_to_noise(self):
-        grid = Grid(40)
-        spec = DGPSpec(kind="far_paparoditis", grid=grid, burn_in=0, kernel_scale=0.0)
-        series = simulate_far(spec, 5, seed=3)
-        reference = brownian_matrix(grid, 5, substream(3))
-        for curve, row in zip(series, reference):
-            np.testing.assert_array_equal(curve.values, row)
-
-    def test_zero_kernel_zero_noise_is_flat(self):
-        grid = Grid(40)
-        spec = DGPSpec(kind="far_paparoditis", grid=grid, burn_in=2,
-                       kernel_scale=0.0, noise_scale=0.0)
-        for curve in simulate_far(spec, 4, seed=1):
-            np.testing.assert_array_equal(curve.values, 0.0)
+        # gaussian_iid has no kernel, so each curve is the mean plus one draw
+        spec = DGPSpec("gaussian_iid", Grid(40))
+        values = simulate_far_values(spec, 5, substream(3))
+        want = mean_values(spec) + noise_matrix(spec, 5, substream(3))
+        assert values.tobytes() == want.tobytes()
 
     def test_lag_one_dependence_is_positive(self):
         grid = Grid(60)
-        spec = paparoditis_dgp(grid, b=0.0, burn_in=50)
+        spec = DGPSpec("far_paparoditis", grid, burn_in=50)
         series = simulate_far(spec, 200, seed=5)
         vals = np.asarray([c.values for c in series])
         w = grid.quad_weights()
@@ -102,7 +93,7 @@ class TestSimulateFar:
         assert lag1 > null
 
     def test_deterministic_per_seed(self):
-        spec = paparoditis_dgp(Grid(30), b=0.4)
+        spec = DGPSpec("far_paparoditis", Grid(30), b=0.4)
         a = simulate_far(spec, 10, seed=9)
         b = simulate_far(spec, 10, seed=9)
         for ca, cb in zip(a, b):
@@ -110,8 +101,8 @@ class TestSimulateFar:
 
     def test_second_lag_changes_the_path(self):
         grid = Grid(30)
-        a = simulate_far(paparoditis_dgp(grid, b=0.0), 10, seed=2)
-        b = simulate_far(paparoditis_dgp(grid, b=0.4), 10, seed=2)
+        a = simulate_far(DGPSpec("far_paparoditis", grid), 10, seed=2)
+        b = simulate_far(DGPSpec("far_paparoditis", grid, b=0.4), 10, seed=2)
         assert any(np.max(np.abs(x.values - y.values)) > 1e-8 for x, y in zip(a, b))
 
     def test_synthetic_mean_level(self):
@@ -121,9 +112,9 @@ class TestSimulateFar:
         np.testing.assert_allclose(grand_mean, mean_values(spec), atol=0.5)
 
     @pytest.mark.parametrize("make, seed", [
-        (lambda g: paparoditis_dgp(g, b=0.4), 4),
+        (lambda g: DGPSpec("far_paparoditis", g, b=0.4), 4),
         (synthetic_dgp, 5),
-        (gaussian_iid_dgp, 6),
+        (lambda g: DGPSpec("gaussian_iid", g), 6),
     ], ids=["far_paparoditis", "far_synthetic", "gaussian_iid"])
     def test_curves_are_the_rows_of_simulate_far_values(self, make, seed):
         spec = make(Grid(20))
@@ -131,9 +122,6 @@ class TestSimulateFar:
         assert values.shape == (12, 21)
         np.testing.assert_array_equal([c.values for c in simulate_far(spec, 12, seed=seed)],
                                       values)
-        np.testing.assert_array_equal(
-            [c.values for c in simulate_far(spec, 3, rng=substream(7, 1))],
-            simulate_far_values(spec, 3, substream(7, 1)))
 
     def test_kernel_is_asymmetric_for_synthetic(self):
         k = kernel_matrix(synthetic_dgp(Grid(20)))
@@ -149,14 +137,15 @@ class TestSimulateFar:
             DGPSpec(kind, Grid(20), b=0.4)
         assert DGPSpec("far_paparoditis", Grid(20), b=0.4).b == 0.4
 
-    @pytest.mark.parametrize("kind, make, burn_in", [
-        ("far_paparoditis", paparoditis_dgp, 50),
-        ("far_synthetic", synthetic_dgp, SYNTHETIC_BURN_IN),
-        ("gaussian_iid", gaussian_iid_dgp, 0),
+    @pytest.mark.parametrize("kind, burn_in", [
+        ("far_paparoditis", 50),
+        ("far_synthetic", SYNTHETIC_BURN_IN),
+        ("gaussian_iid", 0),
     ])
-    def test_a_spec_without_burn_in_takes_its_kind_default(self, kind, make, burn_in):
-        assert DGPSpec(kind, Grid(20)).burn_in == make(Grid(20)).burn_in == burn_in
+    def test_a_spec_without_burn_in_takes_its_kind_default(self, kind, burn_in):
+        assert DGPSpec(kind, Grid(20)).burn_in == burn_in
         assert DGPSpec(kind, Grid(20), burn_in=7).burn_in == 7
+        assert synthetic_dgp(Grid(20)).burn_in == SYNTHETIC_BURN_IN
 
 
 class TestConditionalOracle:
@@ -164,15 +153,14 @@ class TestConditionalOracle:
         grid = Grid(30)
         spec = synthetic_dgp(grid)
         prev = simulate_far(spec, 1, seed=11)[0]
-        silent = DGPSpec(kind="far_synthetic", grid=grid, burn_in=0, noise_scale=0.0)
         # one recursion step from prev with no noise equals the conditional mean
         mu = mean_values(spec)
         step_input = prev.values - mu
-        manual = mu + (kernel_matrix(silent) * grid.quad_weights()) @ step_input
+        manual = mu + (kernel_matrix(spec) * grid.quad_weights()) @ step_input
         np.testing.assert_allclose(conditional_mean(spec, prev.values), manual, atol=1e-12)
 
     def test_two_lag_conditional_mean_is_refused(self):
-        spec = paparoditis_dgp(Grid(20), b=0.4)
+        spec = DGPSpec("far_paparoditis", Grid(20), b=0.4)
         with pytest.raises(UsageError):
             conditional_mean(spec, Curve.constant(Grid(20), 0.0).values)
 
@@ -221,9 +209,10 @@ class TestConditionalOracle:
         if "p" in bad:
             with pytest.raises(UsageError, match=message):
                 oracle_level_quantile(spec, prev.values, bad["p"], 0.5, 100, seed=9)
-        with pytest.raises(UsageError, match=message):
-            run_var_experiment(n=30, n_predictors=2, reps=1, grid_d=16, oracle_size=100,
-                               mc_size=100, **bad)
+        else:
+            with pytest.raises(UsageError, match=message):
+                run_var_experiment(n=30, n_predictors=2, reps=1, grid_d=16, oracle_size=100,
+                                   mc_size=100, **bad)
 
     @pytest.mark.parametrize("driver, bad, message", [
         ("coverage", {"mc_size": 0}, "mc_size must be >= 1, got 0"),
@@ -282,7 +271,7 @@ class TestDriversShareTheEstimator:
         predictors = stationary_predictors(spec, n_pred, _int_seed(seed, _PREDICTORS))
         want = np.empty((4, n_pred, reps))  # methods in the order given: gauss, boot, glm, nw
         for rep in range(reps):
-            series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
+            series = simulate_far_values(spec, n, substream(seed, _SIM, rep))
             sample = build_far_design(series, order=1)[0]
             model = fit(sample, TruncationRule.threshold(), center=True)
             labels = contains_batch(event, sample.y, spec.grid).astype(float)
@@ -310,7 +299,7 @@ class TestDriversShareTheEstimator:
         family = family_level_in_alpha(0.5, 0.0, 8.0)
         want = np.empty((2, n_pred, reps))  # boot, gauss
         for rep in range(reps):
-            series = simulate_far(spec, n, rng=substream(seed, _SIM, rep))
+            series = simulate_far_values(spec, n, substream(seed, _SIM, rep))
             model = fit(build_far_design(series, order=1)[0], TruncationRule.threshold(),
                         center=True)
             for j, y0 in enumerate(predictors):
@@ -345,18 +334,18 @@ class TestDriversShareTheEstimator:
         report = run_coverage_experiment(n=n, b=b, nominal=nominal, reps=reps, seed=seed,
                                          grid_d=16, mc_size=mc)
 
-        spec = paparoditis_dgp(Grid(16), b=b)
+        spec = DGPSpec("far_paparoditis", Grid(16), b=b)
         want = []  # per replicate, boot then gauss
         for rep in range(reps):
-            series = simulate_far(spec, n + 1, rng=substream(seed, _SIM, rep))
+            series = simulate_far_values(spec, n + 1, substream(seed, _SIM, rep))
             model = fit(build_far_design(series[:n], order=1)[0], TruncationRule.pve(0.85),
                         center=True)
             for m in ("boot", "gauss"):
-                _, band = calibrate_uniform_band(model, Covariate((series[n - 1],)), nominal,
+                x = Covariate((Curve(spec.grid, series[n - 1]),))
+                _, band = calibrate_uniform_band(model, x, nominal,
                                                  method=m, mc_size=mc,
                                                  seed=_int_seed(seed, _MC, rep))
-                want.append(bool(contains_batch(band, [c.values for c in series[n:]],
-                                                spec.grid)[0]))
+                want.append(bool(contains_batch(band, series[n:], spec.grid)[0]))
         assert 0 < sum(want) < len(want)  # some replicates miss
         assert [bool(hit[0]) for hit in seen] == want
         assert report.summary == {"coverage_boot": sum(want[0::2]) / reps,
@@ -377,7 +366,7 @@ class TestDriversShareTheEstimator:
         want = np.empty((n_pred, reps))
         single_class = []
         for rep in range(reps):
-            sample = build_far_design(simulate_far(spec, n, rng=substream(seed, _SIM, rep)),
+            sample = build_far_design(simulate_far_values(spec, n, substream(seed, _SIM, rep)),
                                       order=1)[0]
             labels = contains_batch(event, sample.y, spec.grid).astype(float)
             single_class.append(labels.min() == labels.max())

@@ -25,3 +25,11 @@ def covariate_inner(a, b) -> float:
 def reconstruct(spectrum) -> np.ndarray:
     """Sum of the eigenvalue-weighted outer products of a spectral pair."""
     return (spectrum.eigenvectors * spectrum.eigenvalues) @ spectrum.eigenvectors.T
+
+
+def in_point_band(center, lower, upper, s, y) -> bool:
+    """Whether ``y`` at the grid point nearest ``s`` lies in the band
+    ``[center - lower, center + upper]`` there."""
+    i = min(max(int(round(s * y.grid.resolution)), 0), y.grid.resolution)
+    return bool(center.values[i] - lower.values[i] <= y.values[i]
+                <= center.values[i] + upper.values[i])

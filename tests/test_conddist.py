@@ -16,7 +16,7 @@ from curveprob.conddist import (
     quantile_over_family,
 )
 from curveprob.curves import Covariate, Curve, Grid
-from curveprob.errors import RangeExhaustedError, UsageError
+from curveprob.errors import RangeExhaustedError, StructureError, UsageError
 from curveprob.events import (
     boundary_set,
     complement,
@@ -151,6 +151,18 @@ class TestGaussProb:
         c = gauss_prob(model, xs[1], ev, mc_size=300, seed=10)
         assert a.value == b.value
         assert a.value != c.value or a.count != c.count
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda model, x: boot_prob(model, x, FULL_SPACE),
+    lambda model, x: gauss_prob(model, x, FULL_SPACE, mc_size=5, seed=1),
+], ids=["boot", "gauss"])
+def test_both_estimators_refuse_a_covariate_of_another_structure(estimate):
+    model, xs = fitted_model()
+    for bad in (Covariate((), (1.0,)), zero_covariate(Grid(8)),
+                Covariate(xs[0].curve_parts, (1.0,))):
+        with pytest.raises(StructureError, match="does not match model"):
+            estimate(model, bad)
 
 
 class TestEnsembleNoise:

@@ -23,6 +23,8 @@ from curveprob.events import (
     uniform_band,
 )
 
+from reference import in_point_band
+
 GRID = Grid(100)
 LINE = Curve(GRID, GRID.points.copy())
 
@@ -236,6 +238,23 @@ class TestMonotoneFamilies:
     def test_invalid_direction(self):
         with pytest.raises(UsageError):
             family_max_below(2.0, -2.0)
+
+
+class TestBandNesting:
+    def test_uniform_band_implies_point_band_everywhere(self):
+        # the uniform band is the intersection of the pointwise bands at the grid points
+        center = Curve(GRID, np.sin(2 * np.pi * GRID.points))
+        lower = Curve.constant(GRID, 0.8)
+        upper = Curve.constant(GRID, 0.9)
+        uni = uniform_band(center, lower, upper)
+        shifted = [Curve(GRID, center.values + t) for t in np.linspace(-1.2, 1.2, 25)]
+        spiked = [Curve(GRID, center.values + 1.5 * (np.arange(GRID.size) == j))
+                  for j in (0, 37, GRID.resolution)]
+        for y in shifted + spiked + random_curves(GRID, 40, seed=6, scale=0.8):
+            pointwise = [in_point_band(center, lower, upper, s, y) for s in GRID.points]
+            assert contains(uni, y) == all(pointwise)
+        assert any(contains(uni, y) for y in shifted)
+        assert not any(contains(uni, y) for y in spiked)
 
 
 class TestGridRefinement:

@@ -14,6 +14,7 @@ the calibration of uniform prediction bands.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -101,10 +102,12 @@ def _keep_on_repeat(memo: dict, slot: str, key, build):
     return value
 
 
-def _check_noise(model: FittedFLM, method: str, mc_size: int) -> bool:
+def _check_noise(model: FittedFLM, method: str, mc_size: int, stacklevel: int) -> bool:
     """Validate a noise request and say whether it is degenerate: a rank-zero
     noise covariance draws zero rows, so every Gaussian estimate is the
-    indicator of the fitted mean; that case warns."""
+    indicator of the fitted mean; that case warns, naming the frame
+    ``stacklevel`` levels up from here (as :func:`warnings.warn` counts), the
+    caller of the public function that asked."""
     if method == "boot":
         return False
     if method != "gauss":
@@ -116,7 +119,7 @@ def _check_noise(model: FittedFLM, method: str, mc_size: int) -> bool:
         warnings.warn(
             "noise covariance has rank zero; the Gaussian estimate degenerates "
             "to an indicator of the fitted mean",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return degenerate
 
@@ -136,12 +139,12 @@ def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> tu
     read-only and kept in the model's ``noise`` memo slot. A rank-zero noise
     covariance draws zero rows; that case warns and is flagged.
     """
-    degenerate = _check_noise(model, method, mc_size)
+    degenerate = _check_noise(model, method, mc_size, stacklevel=3)
     return _noise_rows(model, method, mc_size, seed), degenerate
 
 
 def ensemble(model: FittedFLM, x_coords: np.ndarray, method: str, mc_size: int,
-             seed: int) -> tuple:
+             seed: int, stacklevel: int = 2) -> tuple:
     """(ensemble, degenerate flag): the read-only (rows, D+1) matrix
     ``predict_coords(model, x_coords) + rows`` of response curves at the
     weighted covariate coordinates ``x_coords``, for the noise rows of
@@ -153,9 +156,10 @@ def ensemble(model: FittedFLM, x_coords: np.ndarray, method: str, mc_size: int,
     ``predict_coords`` themselves (the same sum), so they keep no ensemble
     in the memo. The matrix is kept in the model's ``ensemble/<method>``
     memo slot, keyed on the covariate's value (and on ``mc_size`` and
-    ``seed`` for 'gauss').
+    ``seed`` for 'gauss'). The rank-zero warning names the frame
+    ``stacklevel`` levels up from this function, by default its caller.
     """
-    degenerate = _check_noise(model, method, mc_size)
+    degenerate = _check_noise(model, method, mc_size, stacklevel + 1)
     key = (np.asarray(x_coords, dtype=float).tobytes(),)
     if method == "gauss":
         key += (mc_size, int(seed))
@@ -175,7 +179,8 @@ def _coords(model: FittedFLM, x: Covariate) -> np.ndarray:
 def _prob(model: FittedFLM, x: Covariate, event: EventSet, method: str, mc_size: int,
           seed: int) -> CondProbEstimate:
     """Fraction of the method's :func:`ensemble` at ``x`` that falls in the event."""
-    values, degenerate = ensemble(model, _coords(model, x), method, mc_size, seed)
+    values, degenerate = ensemble(model, _coords(model, x), method, mc_size, seed,
+                                  stacklevel=4)  # the caller of boot_prob or gauss_prob
     count = int(np.count_nonzero(contains_batch(event, values, model.grid)))
     return CondProbEstimate(value=count / len(values), method=method, n_used=len(values),
                             count=count, seed=int(seed) if method == "gauss" else None,
@@ -211,6 +216,34 @@ def order_statistic_quantile(critical: np.ndarray, p: float) -> float:
     return float(np.partition(critical, need - 1)[need - 1])
 
 
+def linear_quantiles(values: np.ndarray, levels) -> list:
+    """``np.quantile(values, q)`` for each level q of ``levels``, bit for bit,
+    from one ``np.partition`` of the 1-D sample ``values``.
+
+    numpy's default 'linear' rule reads the order statistics a and b at
+    ``floor((m - 1) * q)`` and the next index (both the largest when
+    ``(m - 1) * q`` reaches ``m - 1``) and returns ``b - (b - a) * (1 - t)``
+    when its weight t is at least 0.5, else ``a + (b - a) * t``; the same
+    float operations run here.
+    """
+    m = values.shape[0]
+    picks = []  # (index of a, index of b, t) per level
+    for q in levels:
+        virtual = (m - 1) * q
+        if virtual >= m - 1:  # numpy's index -1, so t = virtual + 1
+            picks.append((m - 1, m - 1, virtual + 1))
+        else:
+            below = math.floor(virtual)
+            picks.append((below, below + 1, virtual - below))
+    ordered = np.partition(values, sorted({i for a, b, _ in picks for i in (a, b)}))
+    out = []
+    for a, b, t in picks:
+        lo, hi = float(ordered[a]), float(ordered[b])
+        d = hi - lo
+        out.append(hi - d * (1 - t) if t >= 0.5 else lo + d * t)
+    return out
+
+
 def quantile_over_family(
     model: FittedFLM,
     x: Covariate,
@@ -223,7 +256,7 @@ def quantile_over_family(
 ) -> float:
     """Smallest family parameter whose estimated probability reaches p:
     :func:`ensemble_quantile` of the method's :func:`ensemble` at ``x``."""
-    values, _ = ensemble(model, _coords(model, x), method, mc_size, seed)
+    values, _ = ensemble(model, _coords(model, x), method, mc_size, seed, stacklevel=3)
     return ensemble_quantile(values, model.grid, family, p, tol)
 
 
@@ -328,7 +361,7 @@ def calibrate_uniform_band(
     """
     if not 0.0 < nominal < 1.0:
         raise UsageError(f"nominal coverage must lie in (0, 1), got {nominal}")
-    _check_noise(model, method, mc_size)
+    _check_noise(model, method, mc_size, stacklevel=3)
     cal, lower, upper = _keep_on_repeat(
         model.memo, "band", (method, mc_size, int(seed), nominal, literal_abs),
         lambda: _band_scale(model, nominal, method, mc_size, seed, literal_abs),
@@ -358,11 +391,10 @@ def _band_scale(model: FittedFLM, nominal: float, method: str, mc_size: int, see
     ratios = draws / sigma
     if literal_abs:
         stat = np.max(np.abs(ratios), axis=1)
-        lo_q = float(np.quantile(stat, alpha / 2))
-        hi_q = float(np.quantile(stat, 1 - alpha / 2))
+        lo_q, hi_q = linear_quantiles(stat, (alpha / 2, 1 - alpha / 2))
     else:
-        lo_q = float(np.quantile(np.min(ratios, axis=1), alpha / 2))
-        hi_q = float(np.quantile(np.max(ratios, axis=1), 1 - alpha / 2))
+        (lo_q,) = linear_quantiles(np.min(ratios, axis=1), (alpha / 2,))
+        (hi_q,) = linear_quantiles(np.max(ratios, axis=1), (1 - alpha / 2,))
 
     cal = BandCalibration(sigma=Curve(model.grid, _read_only(sigma)), lower_quantile=lo_q,
                           upper_quantile=hi_q, nominal=nominal, method=method)

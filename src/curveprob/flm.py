@@ -29,8 +29,9 @@ from .spectral import (
 MODEL_FORMAT = "curveprob-flm"
 # versions 1 and 2 stored matrices as decimal lists, and version 1 also
 # stored the trailing covariate eigenpairs; versions 1 to 3 stored the dense
-# coef_w and every noise eigenpair
-MODEL_VERSION = 4
+# coef_w and every noise eigenpair, and version 4 the noise eigenpairs the
+# Gaussian sampler reads
+MODEL_VERSION = 5
 
 
 def default_m_n(n: int) -> float:
@@ -190,9 +191,12 @@ class FittedFLM:
     retained direction divided by its eigenvalue. ``factor`` is None in a model
     read from a version 1 to 3 file. ``residual_matrix`` holds the raw residual
     curves row-wise; ``noise_spectrum`` holds the leading eigenpairs of their
-    (mean-centered) covariance operator, those the Gaussian sampler draws from
-    (all of them in a version 1 to 3 file). Neither spectrum carries the
-    ``clamped_mass`` of its eigendecomposition, which no model file stores.
+    (mean-centered) covariance operator, those the Gaussian sampler draws from.
+    ``fit`` and the version 5 reader compute them from ``residual_matrix`` with
+    one function, so a version 5 file stores none; a model read from a version
+    1 to 4 file holds the pairs its file stores (all of them up to version 3).
+    Neither spectrum carries the ``clamped_mass`` of its eigendecomposition,
+    which no model file stores.
 
     ``memo`` holds what :mod:`curveprob.conddist` derives from the model for
     one request and may reuse for the next, one ``(key, value)`` pair per
@@ -260,6 +264,24 @@ def _rank_k_operator(factor: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return factor @ np.asfortranarray(basis).T
 
 
+def _noise_pairs(residuals: np.ndarray, grid: Grid, k: int,
+                 dof_correction: bool) -> SpectralPair:
+    """The eigenpairs of the residuals' (mean-centered) covariance operator
+    that the Gaussian sampler reads.
+
+    ``fit`` and ``from_json`` both compute them here, so a model read from
+    its file holds the fit's pairs bit for bit at one BLAS thread count."""
+    sw = grid.quad_weights_sqrt()
+    scale = _noise_scale(len(residuals), k, dof_correction)
+    centered = residuals - residuals.mean(axis=0)
+    noise = eigendecompose(CovarianceOperator((centered * sw).T @ (centered * sw) * scale))
+    return SpectralPair(*noise.leading(noise.sampler_rank()))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def fit(
     sample: RegressionSample,
     truncation: TruncationRule | None = None,
@@ -307,12 +329,6 @@ def fit(
         products[i] = coef_w @ xc[i]
     residuals = y - (y_mean + products / sw)
 
-    scale = _noise_scale(n, k, dof_correction)
-    centered_res = residuals - residuals.mean(axis=0)
-    gamma = CovarianceOperator((centered_res * sw).T @ (centered_res * sw) * scale)
-    noise = eigendecompose(gamma)
-    noise_lam, noise_vecs = noise.leading(noise.sampler_rank())
-
     return FittedFLM(
         grid=grid,
         n_curve_parts=n_parts,
@@ -322,7 +338,7 @@ def fit(
         n_components=k,
         covariate_spectrum=SpectralPair(lam.copy(), vecs.copy()),
         residual_matrix=residuals,
-        noise_spectrum=SpectralPair(noise_lam, noise_vecs),
+        noise_spectrum=_noise_pairs(residuals, grid, k, dof_correction),
         x_mean_coords=x_mean,
         y_mean=y_mean,
         centered=center,
@@ -418,18 +434,27 @@ def _decode_matrix(field, version: int) -> np.ndarray:
 def to_json(model: FittedFLM) -> str:
     """Serialize a fitted model to a versioned JSON document.
 
-    ``coef_w`` is stored as its factor, and the noise spectrum as the pairs
-    the model holds. A model without a factor (read from a version 1 to 3
-    file, or built by hand), or whose ``coef_w`` is not the product of its
-    factor, is refused: its file would not read back its ``coef_w``."""
+    ``coef_w`` is stored as its factor, and the noise spectrum not at all:
+    ``from_json`` rebuilds both as ``fit`` builds them. A model without a
+    factor (read from a version 1 to 3 file, or built by hand), whose
+    ``coef_w`` is not the product of its factor, or whose noise spectrum is
+    not the one its residuals give, is refused: its file would not read it
+    back."""
     if model.factor is None:
         raise UsageError(f"model format {MODEL_VERSION} stores coef_w as its rank-k factor, "
                          "and this model has none (it was read from a version 1 to 3 file "
                          "or built by hand); refit it to save it")
     rebuilt = _rank_k_operator(model.factor, model.covariate_spectrum.eigenvectors)
-    if rebuilt.shape != model.coef_w.shape or rebuilt.tobytes() != model.coef_w.tobytes():
+    if not _same_bits(rebuilt, model.coef_w):
         raise UsageError("coef_w is not the product of the model's factor and covariate "
                          "eigenvectors, so its file would not read it back")
+    noise = _noise_pairs(model.residual_matrix, model.grid, model.n_components,
+                         model.dof_correction)
+    if not (_same_bits(noise.eigenvalues, model.noise_spectrum.eigenvalues)
+            and _same_bits(noise.eigenvectors, model.noise_spectrum.eigenvectors)):
+        raise UsageError(f"model format {MODEL_VERSION} rebuilds the noise spectrum from the "
+                         "residuals, and this model's noise spectrum is not theirs, so its "
+                         "file would not read it back")
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -446,8 +471,6 @@ def to_json(model: FittedFLM) -> str:
         "residual_matrix": _encode_matrix(model.residual_matrix),
         "covariate_eigenvalues": _encode_matrix(model.covariate_spectrum.eigenvalues),
         "covariate_eigenvectors": _encode_matrix(model.covariate_spectrum.eigenvectors),
-        "noise_eigenvalues": _encode_matrix(model.noise_spectrum.eigenvalues),
-        "noise_eigenvectors": _encode_matrix(model.noise_spectrum.eigenvectors),
     }
     return json.dumps(doc)
 
@@ -457,18 +480,21 @@ def from_json(text: str) -> FittedFLM:
     the part counts, ``n_components`` and the residual count, every cell for
     finiteness and every eigenvalue for sign.
 
-    Version 4 stores ``coef_w`` as its factor, rebuilt here as ``fit`` builds
-    it, and only the noise eigenpairs the Gaussian sampler reads. Versions 1
-    to 3 store ``coef_w`` itself and every noise eigenpair; versions 1 and 2
-    store the matrices as decimal lists, and version 1 also holds the whole
-    covariate spectrum, whose leading pairs are kept."""
+    Version 5 stores ``coef_w`` as its factor and no noise spectrum; both are
+    rebuilt here as ``fit`` builds them, the noise eigenpairs from the
+    residuals. Version 4 stores the factor and the noise eigenpairs the
+    Gaussian sampler reads, versions 1 to 3 ``coef_w`` itself and every noise
+    eigenpair; versions 1 and 2 store the matrices as decimal lists, and
+    version 1 also holds the whole covariate spectrum, whose leading pairs
+    are kept. Stored noise eigenpairs are read as they are."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise UsageError(f"not a {MODEL_FORMAT} document")
     version = doc.get("version")
-    if version not in (1, 2, 3, MODEL_VERSION):
+    if version not in (1, 2, 3, 4, MODEL_VERSION):
         raise UsageError(f"unsupported model version {version}")
-    operator = "factor" if version == MODEL_VERSION else "coef_w"
+    operator = "factor" if version >= 4 else "coef_w"
+    stored_noise = ("noise_eigenvalues", "noise_eigenvectors") if version < 5 else ()
     try:
         grid = Grid(int(doc["grid_d"]))
         n_parts, n_scalars, k = (int(doc[key]) for key in
@@ -476,11 +502,10 @@ def from_json(text: str) -> FittedFLM:
         size, p = grid.size, n_parts * grid.size + n_scalars
         kept = p if version == 1 else k
         fields = (operator, "x_mean_coords", "y_mean", "residual_matrix",
-                  "covariate_eigenvalues", "covariate_eigenvectors",
-                  "noise_eigenvalues", "noise_eigenvectors")
+                  "covariate_eigenvalues", "covariate_eigenvectors", *stored_noise)
         m = {key: _decode_matrix(doc[key], version) for key in fields}
         n = len(m["residual_matrix"])
-        noise_pairs = len(m["noise_eigenvalues"]) if version == MODEL_VERSION else size
+        noise_pairs = len(m["noise_eigenvalues"]) if version == 4 else size
         truncation = TruncationRule.from_dict(doc["truncation"]) if doc["truncation"] else None
         centered, dof_correction = bool(doc["centered"]), bool(doc["dof_correction"])
     except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
@@ -489,8 +514,9 @@ def from_json(text: str) -> FittedFLM:
         operator: (size, k if operator == "factor" else p),
         "x_mean_coords": (p,), "y_mean": (size,), "residual_matrix": (n, size),
         "covariate_eigenvalues": (kept,), "covariate_eigenvectors": (p, kept),
-        "noise_eigenvalues": (noise_pairs,), "noise_eigenvectors": (size, noise_pairs),
     }
+    if stored_noise:
+        want.update(noise_eigenvalues=(noise_pairs,), noise_eigenvectors=(size, noise_pairs))
     bad = [key for key, shape in want.items() if m[key].shape != shape]
     if bad or n < 1 or not 1 <= k <= p or noise_pairs > size:
         raise StructureError(f"model fields {bad} do not match grid_d={grid.resolution}, "
@@ -504,9 +530,19 @@ def from_json(text: str) -> FittedFLM:
     bad = [key for key in want if not np.all(np.isfinite(m[key]))]
     if bad:
         raise StructureError(f"model fields {bad} hold non-finite cells")
-    bad = [key for key in ("covariate_eigenvalues", "noise_eigenvalues") if np.any(m[key] < 0)]
+    bad = [key for key in ("covariate_eigenvalues", "noise_eigenvalues")
+           if key in m and np.any(m[key] < 0)]
     if bad:
         raise StructureError(f"model fields {bad} hold negative eigenvalues")
+    if stored_noise:
+        noise = SpectralPair(m["noise_eigenvalues"], m["noise_eigenvectors"])
+    else:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                noise = _noise_pairs(m["residual_matrix"], grid, k, dof_correction)
+        except (DegenerateInputError, StructureError) as exc:
+            raise StructureError(f"malformed model document: its residuals give no noise "
+                                 f"spectrum ({exc})") from None
 
     return FittedFLM(
         grid=grid,
@@ -517,7 +553,7 @@ def from_json(text: str) -> FittedFLM:
         n_components=k,
         covariate_spectrum=SpectralPair(m["covariate_eigenvalues"][:k], basis),
         residual_matrix=m["residual_matrix"],
-        noise_spectrum=SpectralPair(m["noise_eigenvalues"], m["noise_eigenvectors"]),
+        noise_spectrum=noise,
         x_mean_coords=m["x_mean_coords"],
         y_mean=m["y_mean"],
         centered=centered,

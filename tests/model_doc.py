@@ -12,10 +12,12 @@ import json
 import numpy as np
 
 MATRICES = ("factor", "x_mean_coords", "y_mean", "residual_matrix",
-            "covariate_eigenvalues", "covariate_eigenvectors",
-            "noise_eigenvalues", "noise_eigenvectors")
+            "covariate_eigenvalues", "covariate_eigenvectors")
+# versions 1 to 4 also store noise eigenpairs, which version 5 rebuilds
+NOISE = ("noise_eigenvalues", "noise_eigenvectors")
+VERSION_4_MATRICES = (*MATRICES, *NOISE)
 # versions 1 to 3 store the dense coef_w in place of its factor
-OLD_MATRICES = ("coef_w", *MATRICES[1:])
+OLD_MATRICES = ("coef_w", *VERSION_4_MATRICES[1:])
 
 
 def decode(field) -> np.ndarray:
@@ -46,6 +48,15 @@ def set_cell(text: str, key: str, index: int, value: float) -> str:
         return values
 
     return edit_matrix(text, key, put)
+
+
+def version_4_document(text: str, noise) -> str:
+    """The version 5 document ``text`` as version 4 stores it: with the
+    noise eigenpairs ``noise`` (a spectral pair) that its model holds."""
+    doc = json.loads(text)
+    doc.update(version=4, noise_eigenvalues=encode(noise.eigenvalues),
+               noise_eigenvectors=encode(noise.eigenvectors))
+    return json.dumps(doc)
 
 
 def decimal_document(text: str, version: int) -> dict:

@@ -9,13 +9,13 @@ import pytest
 
 import curveprob
 from curveprob.curves import Covariate, Curve, Grid
-from curveprob.flm import RegressionSample, TruncationRule, fit, to_json
+from curveprob.flm import RegressionSample, TruncationRule, fit, from_json, to_json
 from curveprob.harness.cli import main
 from curveprob.harness.dgp import simulate_far, synthetic_dgp
 from curveprob.harness.experiments import run_var_experiment
 from curveprob.harness.io import load_curves, save_curves, save_report
 
-from model_doc import set_cell
+from model_doc import set_cell, version_4_document
 
 
 def run(*argv):
@@ -49,7 +49,7 @@ class TestWorkflow:
     def test_fit_writes_versioned_model(self, model_json):
         doc = json.loads(model_json.read_text())
         assert doc["format"] == "curveprob-flm"
-        assert doc["version"] == 4
+        assert doc["version"] == 5
 
     def test_estimate_boot_and_gauss(self, tmp_path, model_json, x_csv):
         out = tmp_path / "est.json"
@@ -314,10 +314,15 @@ def broken_inputs(tmp_path, model_json, x_csv):
     doy.write_text("\n".join(str(k) for k in range(n_days)))
     dow = tmp_path / "dow.csv"
     dow.write_text("\n".join(str(k % 7) for k in range(n_days)))
+    # version 5 stores no noise eigenpairs, and version 4 files still load
+    version_4 = version_4_document(model_json.read_text(),
+                                   from_json(model_json.read_text()).noise_spectrum)
     nan_model = tmp_path / "nan_model.json"
-    nan_model.write_text(set_cell(model_json.read_text(), "noise_eigenvectors", 0, np.nan))
+    nan_model.write_text(set_cell(version_4, "noise_eigenvectors", 0, np.nan))
     negative_model = tmp_path / "negative_model.json"
-    negative_model.write_text(set_cell(model_json.read_text(), "noise_eigenvalues", 0, -1.0))
+    negative_model.write_text(set_cell(version_4, "noise_eigenvalues", 0, -1.0))
+    overflowing_model = tmp_path / "overflowing_model.json"
+    overflowing_model.write_text(set_cell(model_json.read_text(), "residual_matrix", 0, 1e308))
     huge_models = {}
     for field in ("grid_d", "n_curve_parts", "n_components"):
         doc = json.loads(model_json.read_text())
@@ -340,6 +345,7 @@ def broken_inputs(tmp_path, model_json, x_csv):
             "nan_cell": nan_cell, "truncated": truncated, "series": series,
             "letters": letters, "squared": squared, "doy": doy, "dow": dow,
             "nan_model": nan_model, "negative_model": negative_model,
+            "overflowing_model": overflowing_model,
             "missing": tmp_path / "missing.csv", "empty": empty, "huge": huge,
             "overflow": overflow, **huge_models, **labels}
 
@@ -516,6 +522,9 @@ EXIT_CASES = [
     ("model with a negative noise eigenvalue, band",
      ["band", "--model", "{negative_model}", "--x", "{x}", "--out", "{missing}"],
      2, "['noise_eigenvalues'] hold negative eigenvalues"),
+    ("model whose residual covariance overflows",
+     ["estimate", "--model", "{overflowing_model}", "--x", "{x}", "--event", "extremal:d=0"],
+     2, "its residuals give no noise spectrum"),
     ("family parameter no family kind reads",
      ["quantile", "--model", "{model}", "--x", "{x}", "--family", "max-below:lo=0,hi=25,typo=1",
       "--p", "0.5"],
@@ -610,6 +619,20 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
+def test_band_leaves_numpy_ma_unloaded(tmp_path, model_json, x_csv):
+    # np.quantile imports numpy.ma on its first call; the band's order
+    # statistics come from np.partition, which imports nothing
+    src = str(Path(curveprob.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys; from curveprob.harness.cli import main\n"
+             "for extra in ([], ['--literal-abs'], ['--method', 'gauss', '--mc', '50']):\n"
+             f"    assert main(['band', '--model', {str(model_json)!r}, '--x', {str(x_csv)!r},\n"
+             f"                 '--out', {str(tmp_path / 'band.csv')!r}, *extra]) == 0\n"
+             "sys.exit('numpy.ma' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -661,3 +684,16 @@ def test_an_overflowing_recursion_prints_only_its_error(tmp_path, argv):
     result = run_fresh(tmp_path, *argv)
     assert result.returncode == 2
     assert result.stderr == "error: curve values must be finite\n"
+
+
+def test_a_model_whose_residual_covariance_overflows_exits_2_with_one_line(tmp_path, model_json,
+                                                                           x_csv):
+    # the version 5 reader rebuilds the noise spectrum from the residuals;
+    # one finite residual cell of 1e308 overflows it
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(set_cell(model_json.read_text(), "residual_matrix", 0, 1e308))
+    proc = run_fresh(tmp_path, "estimate", "--model", bad, "--x", x_csv,
+                     "--event", "extremal:d=0", "--method", "gauss")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed model document"), lines

@@ -11,6 +11,7 @@ from curveprob.conddist import (
     ensemble,
     ensemble_noise,
     gauss_prob,
+    linear_quantiles,
     noise_sampler,
     order_statistic_quantile,
     quantile_over_family,
@@ -194,6 +195,22 @@ class TestEnsembleNoise:
             warnings.simplefilter("ignore")
             _, degenerate = ensemble_noise(model, "gauss", 3, 0)
         assert degenerate == (noise_sampler(model, 0).rank == 0)
+
+    @pytest.mark.parametrize("ask", [
+        lambda model, x: gauss_prob(model, x, FULL_SPACE, mc_size=5, seed=1),
+        lambda model, x: quantile_over_family(model, x, family_max_below(-2.0, 2.0), 0.5,
+                                              method="gauss", mc_size=5),
+        lambda model, x: calibrate_uniform_band(model, x, 0.9, method="gauss", mc_size=5),
+        lambda model, x: ensemble_noise(model, "gauss", 5, 1),
+        lambda model, x: ensemble(model, x.coords(), "gauss", 5, 1),
+    ], ids=["gauss_prob", "quantile_over_family", "calibrate_uniform_band", "ensemble_noise",
+            "ensemble"])
+    def test_rank_zero_warning_names_the_callers_line(self, ask):
+        model = toy_model(GRID, np.zeros((4, GRID.size)))
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            ask(model, zero_covariate(GRID))
+        assert [r.filename for r in records if "rank zero" in str(r.message)] == [__file__]
 
     @pytest.mark.parametrize("method, mc_size", [("bogus", 10), ("Boot", 10), ("gauss", 0)])
     def test_rejects_unknown_method_and_empty_draw(self, method, mc_size):
@@ -560,6 +577,37 @@ class TestQuantileOverFamily:
                     got = quantile_over_family(model, x, family, p, method="gauss", mc_size=30)
                 assert got == quantile_over_family(model, x, family, p, method="boot")
         assert peak <= quantile_over_family(model, x, self.family, 0.5, method="boot") <= peak + self.tol
+
+
+class TestLinearQuantiles:
+    SIZES = [*range(1, 60), 100, 1000, 2000, 2001]
+    LEVELS = [0.025, 0.975, 0.005, 0.995]
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "constant"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e5])
+    def test_equals_np_quantile_bitwise(self, kind, scale):
+        rng = np.random.default_rng(["random", "tied", "constant"].index(kind))
+        for m in self.SIZES:
+            if kind == "random":
+                values = scale * rng.normal(size=m)
+            elif kind == "tied":
+                values = scale * rng.integers(-3, 4, size=m).astype(float)
+            else:
+                values = np.full(m, -1.7 * scale)
+            levels = [*self.LEVELS, *rng.uniform(size=4), 0.0, 0.5, 1.0]
+            before = values.copy()
+            got = linear_quantiles(values, levels)
+            want = [np.quantile(values, q) for q in levels]
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (m, levels)
+            assert values.tobytes() == before.tobytes()
+
+    def test_reads_both_band_levels_from_one_partition(self, monkeypatch):
+        calls = []
+        partition = np.partition
+        monkeypatch.setattr(np, "partition", lambda *a, **k: calls.append(1) or partition(*a, **k))
+        values = np.random.default_rng(3).normal(size=2000)
+        lo, hi = linear_quantiles(values, (0.025, 0.975))
+        assert len(calls) == 1 and lo < hi
 
 
 class TestCriticalValueQuantile:

@@ -12,6 +12,7 @@ from curveprob.flm import (
     FittedFLM,
     RegressionSample,
     TruncationRule,
+    _noise_pairs,
     _rank_k_operator,
     build_far_design,
     fit,
@@ -23,7 +24,18 @@ from curveprob.flm import (
 from curveprob.harness.dgp import simulate_far, synthetic_dgp
 from curveprob.spectral import SpectralPair
 
-from model_doc import MATRICES, OLD_MATRICES, decimal_document, decode, edit_matrix, encode, set_cell
+from model_doc import (
+    MATRICES,
+    NOISE,
+    OLD_MATRICES,
+    VERSION_4_MATRICES,
+    decimal_document,
+    decode,
+    edit_matrix,
+    encode,
+    set_cell,
+    version_4_document,
+)
 
 GRID = Grid(40)
 
@@ -361,6 +373,15 @@ def matrices(model) -> dict:
 # --grid-d 6 --seed 3`, then `fit --truncation fixed:2`); it stores all seven
 # noise eigenpairs, of which the Gaussian sampler reads six
 VERSION_3 = Path(__file__).parent / "data" / "model_v3.json"
+# written by the version 4 writer with the same recipe; it stores the six
+# noise eigenpairs the Gaussian sampler reads
+VERSION_4 = Path(__file__).parent / "data" / "model_v4.json"
+
+
+def document(model, key: str) -> str:
+    """The model's document in the latest version that stores ``key``."""
+    text = to_json(model)
+    return version_4_document(text, model.noise_spectrum) if key in NOISE else text
 
 
 class TestSerialization:
@@ -384,38 +405,59 @@ class TestSerialization:
         (30, 3, 60, "pve:0.9", None),
         (40, 1, 30, "fixed:1", 1),
         (100, 7, 400, "threshold:auto", None),  # the query workload's shape
+        (100, 1, 100, "threshold:auto", None),  # full-rank noise, as in coverage
     ])
-    def test_a_loaded_model_predicts_and_draws_like_its_fit(self, grid_d, order, n, rule, k):
+    def test_a_loaded_model_predicts_and_draws_like_its_fit(self, grid_d, order, n, rule, k,
+                                                            dof=False):
         series = simulate_far(synthetic_dgp(Grid(grid_d)), n + order, seed=grid_d + order)
         sample, _ = build_far_design(series, order)
-        model = fit(sample, TruncationRule.parse(rule))
+        model = fit(sample, TruncationRule.parse(rule), dof_correction=dof)
         assert k is None or model.n_components == k
-        clone = from_json(to_json(model))
+        text = to_json(model)
+        assert json.loads(text)["version"] == 5 and not set(NOISE) & set(json.loads(text))
+        clone = from_json(text)
         assert clone.coef_w.tobytes() == model.coef_w.tobytes()
+        for key in NOISE:
+            got, want = matrices(clone)[key], matrices(model)[key]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
         for row in sample.x:
             assert predict_coords(clone, row).tobytes() == predict_coords(model, row).tobytes()
         draws = [noise_sampler(m, 5).draw_matrix(2000) for m in (model, clone)]
         assert draws[0].tobytes() == draws[1].tobytes()
+
+    @pytest.mark.parametrize("grid_d, order, n, rule", [
+        (2, 1, 60, "fixed:1"), (24, 2, 60, "pve:0.9"), (60, 3, 90, "threshold:auto")])
+    def test_a_loaded_dof_corrected_model_predicts_and_draws_like_its_fit(self, grid_d, order,
+                                                                          n, rule):
+        self.test_a_loaded_model_predicts_and_draws_like_its_fit(grid_d, order, n, rule, None,
+                                                                 dof=True)
 
     def test_round_trip_keeps_every_bit(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         special = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, np.nextafter(1.0, 2.0)]
         factor = model.factor.copy()
         factor.flat[:len(special)] = special
+        x_mean, y_mean = model.x_mean_coords.copy(), model.y_mean.copy()
+        x_mean[:len(special)] = special
+        y_mean[:len(special)] = special[::-1]
+        # the residuals keep the specials whose covariance does not overflow,
+        # and the noise spectrum is rebuilt from them, as fit builds it
         residuals = model.residual_matrix.copy()
-        residuals[0, :len(special)] = special[::-1]
+        residuals[0, :4] = [np.nextafter(1.0, 2.0), -2.5e-310, 5e-324, -0.0]
         coef_w = _rank_k_operator(factor, model.covariate_spectrum.eigenvectors)
-        model = dataclasses.replace(model, coef_w=coef_w, factor=factor,
-                                    residual_matrix=residuals)
+        noise = _noise_pairs(residuals, model.grid, model.n_components, model.dof_correction)
+        model = dataclasses.replace(model, coef_w=coef_w, factor=factor, x_mean_coords=x_mean,
+                                    y_mean=y_mean, residual_matrix=residuals,
+                                    noise_spectrum=noise)
         text = to_json(model)
         clone = from_json(text)
         doc = json.loads(text)
-        assert "coef_w" not in doc
+        assert "coef_w" not in doc and not set(NOISE) & set(doc)
         for key, value in matrices(model).items():
             got = matrices(clone)[key]
             assert got.dtype == np.float64 and not got.flags.writeable, key
             assert got.shape == value.shape and got.tobytes() == value.tobytes(), key
-            if key != "coef_w":
+            if key in MATRICES:
                 assert decode(doc[key]).tobytes() == value.tobytes(), key
         assert to_json(clone) == text
 
@@ -461,19 +503,22 @@ class TestSerialization:
     def test_keeps_only_leading_covariate_pairs(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         doc = json.loads(to_json(model))
-        assert doc["version"] == 4
+        assert doc["version"] == 5
         assert decode(doc["covariate_eigenvalues"]).shape == (2,)
         assert decode(doc["covariate_eigenvectors"]).shape == (GRID.size, 2)
         assert decode(doc["factor"]).shape == (GRID.size, 2)
 
     def test_keeps_only_the_noise_pairs_the_sampler_reads(self):
-        # 15 residual curves span at most 14 of the 41 noise directions
+        # 15 residual curves span at most 14 of the 41 noise directions; the
+        # file stores none of them, and reading it rebuilds the same ones
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         rank = len(model.noise_spectrum.eigenvalues)
         assert 1 <= rank <= 14 and model.noise_spectrum.sampler_rank() == rank
-        doc = json.loads(to_json(model))
-        assert decode(doc["noise_eigenvalues"]).shape == (rank,)
-        assert decode(doc["noise_eigenvectors"]).shape == (GRID.size, rank)
+        text = to_json(model)
+        assert not set(NOISE) & set(json.loads(text))
+        clone = from_json(text)
+        assert clone.noise_spectrum.eigenvalues.shape == (rank,)
+        assert clone.noise_spectrum.eigenvectors.shape == (GRID.size, rank)
 
     def test_a_model_with_rank_zero_noise_stores_no_noise_pair(self):
         # identical responses leave all-zero residuals, so the sampler reads no pair
@@ -529,6 +574,48 @@ class TestSerialization:
         for key, value in matrices(model).items():
             np.testing.assert_array_equal(matrices(old)[key], value)
 
+    def test_reads_version_four_with_its_stored_noise_pairs(self):
+        text = VERSION_4.read_text()
+        doc = json.loads(text)
+        old = from_json(text)
+        assert doc["version"] == 4
+        for key in VERSION_4_MATRICES:
+            assert matrices(old)[key].tobytes() == decode(doc[key]).tobytes(), key
+        assert old.noise_spectrum.sampler_rank() == 6
+        # the version 5 reader's rebuild gives the pairs that this file stores
+        rebuilt = _noise_pairs(old.residual_matrix, old.grid, old.n_components,
+                               old.dof_correction)
+        assert rebuilt.eigenvalues.tobytes() == old.noise_spectrum.eigenvalues.tobytes()
+        assert rebuilt.eigenvectors.shape == old.noise_spectrum.eigenvectors.shape
+        assert rebuilt.eigenvectors.tobytes() == old.noise_spectrum.eigenvectors.tobytes()
+        # the same fit as the version 3 file, which stores coef_w itself
+        v3 = from_json(VERSION_3.read_text())
+        for row in np.random.default_rng(4).normal(size=(5, old.grid.size)):
+            assert predict_coords(old, row).tobytes() == predict_coords(v3, row).tobytes()
+        resaved = from_json(to_json(old))
+        for key, value in matrices(old).items():
+            assert matrices(resaved)[key].tobytes() == value.tobytes(), key
+
+    def test_refuses_to_save_a_model_whose_noise_is_not_its_residuals(self):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        lam, vecs = model.noise_spectrum.eigenvalues, model.noise_spectrum.eigenvectors
+        residuals = model.residual_matrix.copy()
+        residuals[0, 0] += 1e-9
+        for other in (dataclasses.replace(model, residual_matrix=residuals),
+                      dataclasses.replace(model, noise_spectrum=SpectralPair(lam * 2, vecs)),
+                      dataclasses.replace(model, noise_spectrum=SpectralPair(lam[:-1],
+                                                                             vecs[:, :-1])),
+                      dataclasses.replace(model, dof_correction=True)):
+            with pytest.raises(UsageError, match="noise spectrum"):
+                to_json(other)
+
+    def test_rejects_residuals_whose_covariance_overflows(self):
+        # each cell is finite, but the noise covariance it rebuilds is not
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        text = set_cell(to_json(model), "residual_matrix", 0, 1e308)
+        with pytest.raises(StructureError, match="malformed model document"):
+            from_json(text)
+
     def test_refuses_to_save_a_model_without_its_factor(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         for old in (from_json(VERSION_3.read_text()), dataclasses.replace(model, factor=None)):
@@ -537,10 +624,10 @@ class TestSerialization:
         with pytest.raises(UsageError, match="not the product"):
             to_json(dataclasses.replace(model, coef_w=model.coef_w + 1e-9))
 
-    @pytest.mark.parametrize("key", MATRICES)
+    @pytest.mark.parametrize("key", VERSION_4_MATRICES)
     def test_rejects_corrupted_shape(self, key):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
-        text = edit_matrix(to_json(model), key,
+        text = edit_matrix(document(model, key), key,
                            lambda value: value[:-1] if value.ndim == 1 else value[:, :-1])
         with pytest.raises(StructureError):
             from_json(text)
@@ -569,10 +656,10 @@ class TestSerialization:
         with pytest.raises(StructureError):
             from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", MATRICES)
+    @pytest.mark.parametrize("key", VERSION_4_MATRICES)
     def test_rejects_a_byte_count_that_disagrees_with_the_shape(self, key):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
-        doc = json.loads(to_json(model))
+        doc = json.loads(document(model, key))
         doc[key]["f8le"] = encode(decode(doc[key]).ravel()[:-1])["f8le"]
         with pytest.raises(StructureError, match="bytes"):
             from_json(json.dumps(doc))
@@ -588,13 +675,15 @@ class TestSerialization:
             from_json(json.dumps(dict(decimal_document(old, version), version=3)))
         with pytest.raises(StructureError):
             from_json(json.dumps(dict(json.loads(old), version=4)))
+        with pytest.raises(StructureError):
+            from_json(json.dumps(dict(doc, version=4)))
 
-    @pytest.mark.parametrize("key", MATRICES)
+    @pytest.mark.parametrize("key", VERSION_4_MATRICES)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_a_non_finite_cell(self, key, bad):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         with pytest.raises(StructureError, match="non-finite"):
-            from_json(set_cell(to_json(model), key, -1, bad))
+            from_json(set_cell(document(model, key), key, -1, bad))
 
     def test_rejects_a_finite_factor_whose_coef_w_overflows(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
@@ -607,7 +696,7 @@ class TestSerialization:
     def test_rejects_a_negative_eigenvalue(self, key):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         with pytest.raises(StructureError, match="negative"):
-            from_json(set_cell(to_json(model), key, -1, -1e-300))
+            from_json(set_cell(document(model, key), key, -1, -1e-300))
 
     def test_rejects_a_non_finite_truncation_parameter(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))

@@ -1,6 +1,7 @@
 """Check that two source trees give the same outputs for every subcommand.
 
     python3 tools/parity.py --against DIR
+    python3 tools/parity.py --against DIR --acceptance
 
 DIR is another checkout of the repository, for example a ``git archive`` of
 the parent commit. The script runs one fixed, seeded list of ``curveprob``
@@ -17,6 +18,11 @@ covariate eigenpairs, the noise eigenpairs up to the Gaussian sampler's rank
 and the header scalars; and, for a few single bad inputs, the exit code and
 the last line of stderr, the message. It prints one line per output and
 exits 1 on any difference or on a valid command that fails.
+
+With ``--acceptance`` it runs ``pytest -m acceptance`` instead, in each tree
+in turn (a few minutes each), at one BLAS thread, and compares the
+``[acceptance]`` lines the two runs print, one by one: one line each, and
+exit 1 on any difference or on a run that prints none.
 """
 
 from __future__ import annotations
@@ -141,13 +147,19 @@ def _write_covariates(work: Path) -> None:
     (work / "x2.csv").write_text(f"{header}\n{rows[-1]}\n{last_brownian}\n", encoding="utf-8")
 
 
+def _tree_env(tree: Path) -> dict:
+    """The environment that runs ``tree``'s package at one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return env
+
+
 def _run_tree(tree: Path, work: Path) -> dict:
     """{name: (exit code, stdout, stderr)} of every command, run in ``work``,
     and of reading each model file that ``fit`` writes, under the name of its
     output file."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p))
-    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = _tree_env(tree)
     (work / "doy.txt").write_text("".join(f"{d % 365}\n" for d in range(90)), encoding="utf-8")
     (work / "dow.txt").write_text("".join(f"{d % 7}\n" for d in range(90)), encoding="utf-8")
     results = {}
@@ -239,14 +251,54 @@ def compare(here: dict, there: dict, work_here: Path, work_there: Path) -> list:
     return lines
 
 
+def acceptance_lines(output: str) -> list:
+    """The ``[acceptance]`` lines of a pytest run's terminal output, in order."""
+    return [line[line.index("[acceptance]"):].rstrip()
+            for line in output.splitlines() if "[acceptance]" in line]
+
+
+def _run_acceptance(tree: Path) -> list:
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-m", "acceptance", "-q",
+                           "-p", "no:cacheprovider", "tests"], cwd=tree, env=_tree_env(tree),
+                          capture_output=True, text=True, timeout=3600)
+    return acceptance_lines(proc.stdout)
+
+
+def compare_acceptance(here: list, there: list) -> list:
+    """(label, differences) per ``[acceptance]`` line, paired in order; a run
+    that prints no line is a difference."""
+    if not here or not there:
+        return [("[acceptance] lines", [f"{len(here)} and {len(there)} lines printed"])]
+    lines = []
+    for i in range(max(len(here), len(there))):
+        a, b = (run[i] if i < len(run) else None for run in (here, there))
+        label = (a or b).split(":", 1)[0].removeprefix("[acceptance] ")
+        lines.append((label, [] if a == b else [f"{a!r} and {b!r}"]))
+    return lines
+
+
+def report(lines: list, here: Path, other: Path) -> int:
+    """Print one line per output and a summary; 1 on any difference."""
+    for label, diff in lines:
+        print(f"DIFF  {label}  ({'; '.join(diff[:5])})" if diff else f"same  {label}")
+    bad = sum(bool(diff) for _, diff in lines)
+    print(f"{len(lines) - bad} of {len(lines)} outputs are the same in {here} and {other}")
+    return 1 if bad else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, type=Path,
                         help="the other source tree (holding src/curveprob)")
+    parser.add_argument("--acceptance", action="store_true",
+                        help="compare the [acceptance] lines of each tree's acceptance suite")
     args = parser.parse_args(argv)
     other = args.against.resolve()
     if not (other / "src" / "curveprob").is_dir():
         parser.error(f"{other} holds no src/curveprob")
+    if args.acceptance:
+        return report(compare_acceptance(_run_acceptance(HERE), _run_acceptance(other)),
+                      HERE, other)
     with tempfile.TemporaryDirectory(prefix="curveprob-parity-") as scratch:
         work_here, work_there = Path(scratch, "here"), Path(scratch, "there")
         work_here.mkdir()
@@ -255,11 +307,7 @@ def main(argv=None) -> int:
             here = pool.submit(_run_tree, HERE, work_here)
             there = pool.submit(_run_tree, other, work_there)
             lines = compare(here.result(), there.result(), work_here, work_there)
-    for label, diff in lines:
-        print(f"DIFF  {label}  ({'; '.join(diff[:5])})" if diff else f"same  {label}")
-    bad = sum(bool(diff) for _, diff in lines)
-    print(f"{len(lines) - bad} of {len(lines)} outputs are the same in {HERE} and {other}")
-    return 1 if bad else 0
+    return report(lines, HERE, other)
 
 
 if __name__ == "__main__":

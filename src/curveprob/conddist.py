@@ -144,7 +144,7 @@ def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> tu
 
 
 def ensemble(model: FittedFLM, x_coords: np.ndarray, method: str, mc_size: int,
-             seed: int, stacklevel: int = 2) -> tuple:
+             seed: int) -> tuple:
     """(ensemble, degenerate flag): the read-only (rows, D+1) matrix
     ``predict_coords(model, x_coords) + rows`` of response curves at the
     weighted covariate coordinates ``x_coords``, for the noise rows of
@@ -156,19 +156,23 @@ def ensemble(model: FittedFLM, x_coords: np.ndarray, method: str, mc_size: int,
     ``predict_coords`` themselves (the same sum), so they keep no ensemble
     in the memo. The matrix is kept in the model's ``ensemble/<method>``
     memo slot, keyed on the covariate's value (and on ``mc_size`` and
-    ``seed`` for 'gauss'). The rank-zero warning names the frame
-    ``stacklevel`` levels up from this function, by default its caller.
+    ``seed`` for 'gauss').
     """
-    degenerate = _check_noise(model, method, mc_size, stacklevel + 1)
+    degenerate = _check_noise(model, method, mc_size, stacklevel=3)
+    return _ensemble(model, x_coords, method, mc_size, seed), degenerate
+
+
+def _ensemble(model: FittedFLM, x_coords: np.ndarray, method: str, mc_size: int,
+              seed: int) -> np.ndarray:
+    """The matrix of :func:`ensemble`, for a request already checked."""
     key = (np.asarray(x_coords, dtype=float).tobytes(),)
     if method == "gauss":
         key += (mc_size, int(seed))
-    values = _keep_on_repeat(
+    return _keep_on_repeat(
         model.memo, f"ensemble/{method}", key,
         lambda: _read_only(predict_coords(model, x_coords)
                            + _noise_rows(model, method, mc_size, seed)),
     )
-    return values, degenerate
 
 
 def _coords(model: FittedFLM, x: Covariate) -> np.ndarray:
@@ -179,8 +183,10 @@ def _coords(model: FittedFLM, x: Covariate) -> np.ndarray:
 def _prob(model: FittedFLM, x: Covariate, event: EventSet, method: str, mc_size: int,
           seed: int) -> CondProbEstimate:
     """Fraction of the method's :func:`ensemble` at ``x`` that falls in the event."""
-    values, degenerate = ensemble(model, _coords(model, x), method, mc_size, seed,
-                                  stacklevel=4)  # the caller of boot_prob or gauss_prob
+    coords = _coords(model, x)
+    # the warning names the caller of boot_prob or gauss_prob
+    degenerate = _check_noise(model, method, mc_size, stacklevel=4)
+    values = _ensemble(model, coords, method, mc_size, seed)
     count = int(np.count_nonzero(contains_batch(event, values, model.grid)))
     return CondProbEstimate(value=count / len(values), method=method, n_used=len(values),
                             count=count, seed=int(seed) if method == "gauss" else None,
@@ -256,7 +262,9 @@ def quantile_over_family(
 ) -> float:
     """Smallest family parameter whose estimated probability reaches p:
     :func:`ensemble_quantile` of the method's :func:`ensemble` at ``x``."""
-    values, _ = ensemble(model, _coords(model, x), method, mc_size, seed, stacklevel=3)
+    coords = _coords(model, x)
+    _check_noise(model, method, mc_size, stacklevel=3)
+    values = _ensemble(model, coords, method, mc_size, seed)
     return ensemble_quantile(values, model.grid, family, p, tol)
 
 

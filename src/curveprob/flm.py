@@ -193,8 +193,9 @@ class FittedFLM:
     curves row-wise; ``noise_spectrum`` holds the leading eigenpairs of their
     (mean-centered) covariance operator, those the Gaussian sampler draws from.
     ``fit`` and the version 5 reader compute them from ``residual_matrix`` with
-    one function, so a version 5 file stores none; a model read from a version
-    1 to 4 file holds the pairs its file stores (all of them up to version 3).
+    one function, so a version 5 file stores only their number; a model read
+    from a version 1 to 4 file holds the pairs its file stores (all of them up
+    to version 3).
     Neither spectrum carries the ``clamped_mass`` of its eigendecomposition,
     which no model file stores.
 
@@ -264,18 +265,28 @@ def _rank_k_operator(factor: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return factor @ np.asfortranarray(basis).T
 
 
-def _noise_pairs(residuals: np.ndarray, grid: Grid, k: int,
-                 dof_correction: bool) -> SpectralPair:
-    """The eigenpairs of the residuals' (mean-centered) covariance operator
-    that the Gaussian sampler reads.
+def _noise_pairs(residuals: np.ndarray, grid: Grid, k: int, dof_correction: bool,
+                 rank: int | None = None) -> SpectralPair:
+    """The leading ``rank`` eigenpairs of the residuals' (mean-centered)
+    covariance operator; by default the sampler's rank, the pairs the
+    Gaussian sampler reads.
 
-    ``fit`` and ``from_json`` both compute them here, so a model read from
-    its file holds the fit's pairs bit for bit at one BLAS thread count."""
+    ``fit`` computes them here and ``from_json`` rebuilds them here at the
+    rank the file stores, so a model read from its file holds the fit's
+    pairs bit for bit at the fit's BLAS build and thread count. A ``rank``
+    above the sampler's rank of this spectrum raises ``StructureError``:
+    the sampler would not draw from all of those pairs."""
     sw = grid.quad_weights_sqrt()
     scale = _noise_scale(len(residuals), k, dof_correction)
     centered = residuals - residuals.mean(axis=0)
     noise = eigendecompose(CovarianceOperator((centered * sw).T @ (centered * sw) * scale))
-    return SpectralPair(*noise.leading(noise.sampler_rank()))
+    available = noise.sampler_rank()
+    if rank is None:
+        rank = available
+    elif rank > available:
+        raise StructureError(f"the noise spectrum has {available} eigenpairs above the "
+                             f"sampler's floor, fewer than {rank}")
+    return SpectralPair(*noise.leading(rank))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -434,12 +445,12 @@ def _decode_matrix(field, version: int) -> np.ndarray:
 def to_json(model: FittedFLM) -> str:
     """Serialize a fitted model to a versioned JSON document.
 
-    ``coef_w`` is stored as its factor, and the noise spectrum not at all:
-    ``from_json`` rebuilds both as ``fit`` builds them. A model without a
-    factor (read from a version 1 to 3 file, or built by hand), whose
-    ``coef_w`` is not the product of its factor, or whose noise spectrum is
-    not the one its residuals give, is refused: its file would not read it
-    back."""
+    ``coef_w`` is stored as its factor, and the noise spectrum as its
+    number of eigenpairs only: ``from_json`` rebuilds both as ``fit`` builds
+    them. A model without a factor (read from a version 1 to 3 file, or
+    built by hand), whose ``coef_w`` is not the product of its factor, or
+    whose noise spectrum is not the leading pairs its residuals give, is
+    refused: its file would not read it back."""
     if model.factor is None:
         raise UsageError(f"model format {MODEL_VERSION} stores coef_w as its rank-k factor, "
                          "and this model has none (it was read from a version 1 to 3 file "
@@ -448,10 +459,15 @@ def to_json(model: FittedFLM) -> str:
     if not _same_bits(rebuilt, model.coef_w):
         raise UsageError("coef_w is not the product of the model's factor and covariate "
                          "eigenvectors, so its file would not read it back")
-    noise = _noise_pairs(model.residual_matrix, model.grid, model.n_components,
-                         model.dof_correction)
-    if not (_same_bits(noise.eigenvalues, model.noise_spectrum.eigenvalues)
-            and _same_bits(noise.eigenvectors, model.noise_spectrum.eigenvectors)):
+    noise_rank = len(model.noise_spectrum.eigenvalues)
+    try:
+        noise = _noise_pairs(model.residual_matrix, model.grid, model.n_components,
+                             model.dof_correction, noise_rank)
+        same = (_same_bits(noise.eigenvalues, model.noise_spectrum.eigenvalues)
+                and _same_bits(noise.eigenvectors, model.noise_spectrum.eigenvectors))
+    except (DegenerateInputError, StructureError):
+        same = False
+    if not same:
         raise UsageError(f"model format {MODEL_VERSION} rebuilds the noise spectrum from the "
                          "residuals, and this model's noise spectrum is not theirs, so its "
                          "file would not read it back")
@@ -465,6 +481,7 @@ def to_json(model: FittedFLM) -> str:
         "centered": model.centered,
         "dof_correction": model.dof_correction,
         "truncation": model.truncation.to_dict() if model.truncation else None,
+        "noise_rank": noise_rank,
         "factor": _encode_matrix(model.factor),
         "x_mean_coords": _encode_matrix(model.x_mean_coords),
         "y_mean": _encode_matrix(model.y_mean),
@@ -480,9 +497,11 @@ def from_json(text: str) -> FittedFLM:
     the part counts, ``n_components`` and the residual count, every cell for
     finiteness and every eigenvalue for sign.
 
-    Version 5 stores ``coef_w`` as its factor and no noise spectrum; both are
-    rebuilt here as ``fit`` builds them, the noise eigenpairs from the
-    residuals. Version 4 stores the factor and the noise eigenpairs the
+    Version 5 stores ``coef_w`` as its factor and of the noise spectrum only
+    its number of eigenpairs, ``noise_rank``; both are rebuilt here as
+    ``fit`` builds them, the noise eigenpairs from the residuals, and a file
+    whose residuals give fewer than ``noise_rank`` pairs above the sampler's
+    floor is refused. Version 4 stores the factor and the noise eigenpairs the
     Gaussian sampler reads, versions 1 to 3 ``coef_w`` itself and every noise
     eigenpair; versions 1 and 2 store the matrices as decimal lists, and
     version 1 also holds the whole covariate spectrum, whose leading pairs
@@ -505,7 +524,8 @@ def from_json(text: str) -> FittedFLM:
                   "covariate_eigenvalues", "covariate_eigenvectors", *stored_noise)
         m = {key: _decode_matrix(doc[key], version) for key in fields}
         n = len(m["residual_matrix"])
-        noise_pairs = len(m["noise_eigenvalues"]) if version == 4 else size
+        noise_pairs = (size if version < 4 else len(m["noise_eigenvalues"]) if version == 4
+                       else int(doc["noise_rank"]))
         truncation = TruncationRule.from_dict(doc["truncation"]) if doc["truncation"] else None
         centered, dof_correction = bool(doc["centered"]), bool(doc["dof_correction"])
     except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
@@ -518,7 +538,7 @@ def from_json(text: str) -> FittedFLM:
     if stored_noise:
         want.update(noise_eigenvalues=(noise_pairs,), noise_eigenvectors=(size, noise_pairs))
     bad = [key for key, shape in want.items() if m[key].shape != shape]
-    if bad or n < 1 or not 1 <= k <= p or noise_pairs > size:
+    if bad or n < 1 or not 1 <= k <= p or not 0 <= noise_pairs <= size:
         raise StructureError(f"model fields {bad} do not match grid_d={grid.resolution}, "
                              f"p={p}, n_components={k}, residual rows={n}, "
                              f"noise pairs={noise_pairs}")
@@ -539,10 +559,10 @@ def from_json(text: str) -> FittedFLM:
     else:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                noise = _noise_pairs(m["residual_matrix"], grid, k, dof_correction)
+                noise = _noise_pairs(m["residual_matrix"], grid, k, dof_correction, noise_pairs)
         except (DegenerateInputError, StructureError) as exc:
             raise StructureError(f"malformed model document: its residuals give no noise "
-                                 f"spectrum ({exc})") from None
+                                 f"spectrum of rank {noise_pairs} ({exc})") from None
 
     return FittedFLM(
         grid=grid,

@@ -52,8 +52,10 @@ def set_cell(text: str, key: str, index: int, value: float) -> str:
 
 def version_4_document(text: str, noise) -> str:
     """The version 5 document ``text`` as version 4 stores it: with the
-    noise eigenpairs ``noise`` (a spectral pair) that its model holds."""
+    noise eigenpairs ``noise`` (a spectral pair) that its model holds in
+    place of their number."""
     doc = json.loads(text)
+    del doc["noise_rank"]
     doc.update(version=4, noise_eigenvalues=encode(noise.eigenvalues),
                noise_eigenvectors=encode(noise.eigenvectors))
     return json.dumps(doc)

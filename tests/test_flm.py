@@ -414,7 +414,9 @@ class TestSerialization:
         model = fit(sample, TruncationRule.parse(rule), dof_correction=dof)
         assert k is None or model.n_components == k
         text = to_json(model)
-        assert json.loads(text)["version"] == 5 and not set(NOISE) & set(json.loads(text))
+        doc = json.loads(text)
+        assert doc["version"] == 5 and not set(NOISE) & set(doc)
+        assert doc["noise_rank"] == len(model.noise_spectrum.eigenvalues)
         clone = from_json(text)
         assert clone.coef_w.tobytes() == model.coef_w.tobytes()
         for key in NOISE:
@@ -603,11 +605,33 @@ class TestSerialization:
         residuals[0, 0] += 1e-9
         for other in (dataclasses.replace(model, residual_matrix=residuals),
                       dataclasses.replace(model, noise_spectrum=SpectralPair(lam * 2, vecs)),
-                      dataclasses.replace(model, noise_spectrum=SpectralPair(lam[:-1],
-                                                                             vecs[:, :-1])),
+                      # one pair more than the sampler reads
+                      dataclasses.replace(model, noise_spectrum=SpectralPair(
+                          np.append(lam, 0.0), np.column_stack([vecs, vecs[:, -1]]))),
                       dataclasses.replace(model, dof_correction=True)):
             with pytest.raises(UsageError, match="noise spectrum"):
                 to_json(other)
+
+    def test_stores_the_noise_rank_and_reads_back_that_many_pairs(self):
+        # the file fixes the rank, so the reader does not recount the
+        # sampler's floor; a leading part of the pairs round-trips too
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        lam, vecs = model.noise_spectrum.eigenvalues, model.noise_spectrum.eigenvectors
+        for rank in (len(lam), len(lam) - 1, 0):
+            part = dataclasses.replace(model, noise_spectrum=SpectralPair(lam[:rank],
+                                                                          vecs[:, :rank]))
+            text = to_json(part)
+            assert json.loads(text)["noise_rank"] == rank
+            clone = from_json(text)
+            assert clone.noise_spectrum.eigenvalues.tobytes() == lam[:rank].tobytes()
+            assert clone.noise_spectrum.eigenvectors.tobytes() == vecs[:, :rank].tobytes()
+
+    def test_rejects_a_noise_rank_its_residuals_cannot_give(self):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        doc["noise_rank"] += 1
+        with pytest.raises(StructureError, match="no noise spectrum of rank"):
+            from_json(json.dumps(doc))
 
     def test_rejects_residuals_whose_covariance_overflows(self):
         # each cell is finite, but the noise covariance it rebuilds is not
@@ -634,7 +658,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize("change", [{"grid_d": GRID.resolution + 1}, {"n_scalars": 1},
                                         {"n_components": 0}, {"n_components": 3},
-                                        {"factor": "oops"}])
+                                        {"factor": "oops"}, {"noise_rank": -1},
+                                        {"noise_rank": GRID.size + 1}, {"noise_rank": "oops"},
+                                        {"noise_rank": None}])
     def test_rejects_inconsistent_header(self, change):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         doc = json.loads(to_json(model))

@@ -54,23 +54,23 @@ class GaussSampler:
 
     grid: Grid
     spectrum: SpectralPair
-    rank: int
     rng_seed: int
 
-    @staticmethod
-    def from_spectrum(grid: Grid, spectrum: SpectralPair, rng_seed: int) -> "GaussSampler":
-        return GaussSampler(grid=grid, spectrum=spectrum, rank=spectrum.sampler_rank(),
-                            rng_seed=int(rng_seed))
+    @property
+    def rank(self) -> int:
+        """Number of leading eigenpairs the draws read."""
+        return self.spectrum.sampler_rank()
 
     def draw_matrix(self, count: int) -> np.ndarray:
         """(count, D+1) matrix of noise curves as raw samples."""
         if count < 1:
             raise UsageError(f"count must be >= 1, got {count}")
         rng = substream(self.rng_seed)  # validates the seed even when rank zero leaves it unused
-        if self.rank == 0:
+        rank = self.rank
+        if rank == 0:
             return np.zeros((count, self.grid.size))
-        lam, vecs = self.spectrum.leading(self.rank)
-        z = rng.standard_normal((count, self.rank))
+        lam, vecs = self.spectrum.leading(rank)
+        z = rng.standard_normal((count, rank))
         z *= np.sqrt(lam)
         weighted = z @ vecs.T
         weighted /= self.grid.quad_weights_sqrt()
@@ -83,7 +83,7 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 
 def noise_sampler(model: FittedFLM, seed: int) -> GaussSampler:
-    return GaussSampler.from_spectrum(model.grid, model.noise_spectrum, seed)
+    return GaussSampler(model.grid, model.noise_spectrum, seed)
 
 
 def _keep_on_repeat(memo: dict, slot: str, key, build):
@@ -102,12 +102,12 @@ def _keep_on_repeat(memo: dict, slot: str, key, build):
     return value
 
 
-def _check_noise(model: FittedFLM, method: str, mc_size: int, stacklevel: int) -> bool:
+def _check_noise(model: FittedFLM, method: str, mc_size: int, stacklevel: int = 3) -> bool:
     """Validate a noise request and say whether it is degenerate: a rank-zero
     noise covariance draws zero rows, so every Gaussian estimate is the
     indicator of the fitted mean; that case warns, naming the frame
-    ``stacklevel`` levels up from here (as :func:`warnings.warn` counts), the
-    caller of the public function that asked."""
+    ``stacklevel`` levels up from here (as :func:`warnings.warn` counts), by
+    default the caller of this function's caller."""
     if method == "boot":
         return False
     if method != "gauss":
@@ -131,62 +131,46 @@ def _noise_rows(model: FittedFLM, method: str, mc_size: int, seed: int) -> np.nd
                            lambda: _read_only(noise_sampler(model, seed).draw_matrix(mc_size)))
 
 
-def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> tuple:
-    """(noise rows, degenerate flag) that a method adds to the fitted mean.
+def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> np.ndarray:
+    """The noise rows that a method adds to the fitted mean.
 
     'boot' gives the in-sample residual curves (``mc_size`` and ``seed`` are
     unused); 'gauss' gives ``mc_size`` Karhunen-Loeve draws from ``seed``,
     read-only and kept in the model's ``noise`` memo slot. A rank-zero noise
-    covariance draws zero rows; that case warns and is flagged.
+    covariance draws zero rows, and that case warns. The experiment drivers
+    read these rows once per fit and add each covariate's ``predict_coords``
+    themselves, so they keep no ensemble in the memo.
     """
-    degenerate = _check_noise(model, method, mc_size, stacklevel=3)
-    return _noise_rows(model, method, mc_size, seed), degenerate
+    _check_noise(model, method, mc_size)
+    return _noise_rows(model, method, mc_size, seed)
 
 
-def ensemble(model: FittedFLM, x_coords: np.ndarray, method: str, mc_size: int,
-             seed: int) -> tuple:
-    """(ensemble, degenerate flag): the read-only (rows, D+1) matrix
-    ``predict_coords(model, x_coords) + rows`` of response curves at the
-    weighted covariate coordinates ``x_coords``, for the noise rows of
-    :func:`ensemble_noise`.
-
-    Every probability and quantile estimate counts curves of this matrix.
-    The experiment drivers, which query one fit at many covariates, read
-    :func:`ensemble_noise` once per fit and add each covariate's
-    ``predict_coords`` themselves (the same sum), so they keep no ensemble
-    in the memo. The matrix is kept in the model's ``ensemble/<method>``
-    memo slot, keyed on the covariate's value (and on ``mc_size`` and
-    ``seed`` for 'gauss').
+def _ensemble(model: FittedFLM, x: Covariate, method: str, mc_size: int, seed: int) -> tuple:
+    """(values, degenerate flag) of the estimate that calls this: the
+    read-only (rows, D+1) matrix of response curves that every probability
+    and quantile estimate counts, ``predict_coords`` at ``x`` plus the rows of
+    :func:`ensemble_noise`. It is kept in the model's ``ensemble/<method>``
+    memo slot, keyed on the covariate's coordinates (and on ``mc_size`` and
+    ``seed`` for 'gauss'); a rank-zero warning names the estimate's caller.
     """
-    degenerate = _check_noise(model, method, mc_size, stacklevel=3)
-    return _ensemble(model, x_coords, method, mc_size, seed), degenerate
-
-
-def _ensemble(model: FittedFLM, x_coords: np.ndarray, method: str, mc_size: int,
-              seed: int) -> np.ndarray:
-    """The matrix of :func:`ensemble`, for a request already checked."""
-    key = (np.asarray(x_coords, dtype=float).tobytes(),)
+    model.check_structure(x)
+    coords = x.coords()
+    degenerate = _check_noise(model, method, mc_size, stacklevel=4)
+    key = (coords.tobytes(),)
     if method == "gauss":
         key += (mc_size, int(seed))
-    return _keep_on_repeat(
+    values = _keep_on_repeat(
         model.memo, f"ensemble/{method}", key,
-        lambda: _read_only(predict_coords(model, x_coords)
+        lambda: _read_only(predict_coords(model, coords)
                            + _noise_rows(model, method, mc_size, seed)),
     )
+    return values, degenerate
 
 
-def _coords(model: FittedFLM, x: Covariate) -> np.ndarray:
-    model.check_structure(x)
-    return x.coords()
-
-
-def _prob(model: FittedFLM, x: Covariate, event: EventSet, method: str, mc_size: int,
-          seed: int) -> CondProbEstimate:
-    """Fraction of the method's :func:`ensemble` at ``x`` that falls in the event."""
-    coords = _coords(model, x)
-    # the warning names the caller of boot_prob or gauss_prob
-    degenerate = _check_noise(model, method, mc_size, stacklevel=4)
-    values = _ensemble(model, coords, method, mc_size, seed)
+def _prob(model: FittedFLM, event: EventSet, method: str, seed: int,
+          ensemble: tuple) -> CondProbEstimate:
+    """Fraction of the :func:`_ensemble` ``(values, degenerate)`` in the event."""
+    values, degenerate = ensemble
     count = int(np.count_nonzero(contains_batch(event, values, model.grid)))
     return CondProbEstimate(value=count / len(values), method=method, n_used=len(values),
                             count=count, seed=int(seed) if method == "gauss" else None,
@@ -195,7 +179,7 @@ def _prob(model: FittedFLM, x: Covariate, event: EventSet, method: str, mc_size:
 
 def boot_prob(model: FittedFLM, x: Covariate, event: EventSet) -> CondProbEstimate:
     """Fraction of residual-shifted fitted means that fall in the event."""
-    return _prob(model, x, event, "boot", DEFAULT_MC_SIZE, 0)
+    return _prob(model, event, "boot", 0, _ensemble(model, x, "boot", DEFAULT_MC_SIZE, 0))
 
 
 def gauss_prob(
@@ -206,7 +190,7 @@ def gauss_prob(
     seed: int = 0,
 ) -> CondProbEstimate:
     """Monte-Carlo fraction of Gaussian-noise-shifted fitted means in the event."""
-    return _prob(model, x, event, "gauss", mc_size, seed)
+    return _prob(model, event, "gauss", seed, _ensemble(model, x, "gauss", mc_size, seed))
 
 
 def order_statistic_quantile(critical: np.ndarray, p: float) -> float:
@@ -258,14 +242,12 @@ def quantile_over_family(
     method: str = "boot",
     mc_size: int = DEFAULT_MC_SIZE,
     seed: int = 0,
-    tol: float = None,
 ) -> float:
     """Smallest family parameter whose estimated probability reaches p:
-    :func:`ensemble_quantile` of the method's :func:`ensemble` at ``x``."""
-    coords = _coords(model, x)
-    _check_noise(model, method, mc_size, stacklevel=3)
-    values = _ensemble(model, coords, method, mc_size, seed)
-    return ensemble_quantile(values, model.grid, family, p, tol)
+    :func:`ensemble_quantile` of the method's ensemble at ``x``, the one
+    the probability estimates count."""
+    values, _ = _ensemble(model, x, method, mc_size, seed)
+    return ensemble_quantile(values, model.grid, family, p)
 
 
 def ensemble_quantile(
@@ -369,7 +351,7 @@ def calibrate_uniform_band(
     """
     if not 0.0 < nominal < 1.0:
         raise UsageError(f"nominal coverage must lie in (0, 1), got {nominal}")
-    _check_noise(model, method, mc_size, stacklevel=3)
+    _check_noise(model, method, mc_size)
     cal, lower, upper = _keep_on_repeat(
         model.memo, "band", (method, mc_size, int(seed), nominal, literal_abs),
         lambda: _band_scale(model, nominal, method, mc_size, seed, literal_abs),

@@ -492,6 +492,15 @@ def to_json(model: FittedFLM) -> str:
     return json.dumps(doc)
 
 
+def _header(doc: dict, key: str, kind: type):
+    """``doc[key]``, which must be exactly of type ``kind`` (so no bool is
+    read as a count and no count or string as a flag)."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def from_json(text: str) -> FittedFLM:
     """Read a model document and check every matrix shape against the grid,
     the part counts, ``n_components`` and the residual count, every cell for
@@ -515,8 +524,8 @@ def from_json(text: str) -> FittedFLM:
     operator = "factor" if version >= 4 else "coef_w"
     stored_noise = ("noise_eigenvalues", "noise_eigenvectors") if version < 5 else ()
     try:
-        grid = Grid(int(doc["grid_d"]))
-        n_parts, n_scalars, k = (int(doc[key]) for key in
+        grid = Grid(_header(doc, "grid_d", int))
+        n_parts, n_scalars, k = (_header(doc, key, int) for key in
                                  ("n_curve_parts", "n_scalars", "n_components"))
         size, p = grid.size, n_parts * grid.size + n_scalars
         kept = p if version == 1 else k
@@ -525,9 +534,10 @@ def from_json(text: str) -> FittedFLM:
         m = {key: _decode_matrix(doc[key], version) for key in fields}
         n = len(m["residual_matrix"])
         noise_pairs = (size if version < 4 else len(m["noise_eigenvalues"]) if version == 4
-                       else int(doc["noise_rank"]))
+                       else _header(doc, "noise_rank", int))
         truncation = TruncationRule.from_dict(doc["truncation"]) if doc["truncation"] else None
-        centered, dof_correction = bool(doc["centered"]), bool(doc["dof_correction"])
+        centered, dof_correction = (_header(doc, key, bool)
+                                    for key in ("centered", "dof_correction"))
     except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise StructureError(f"malformed model document: {exc!r}") from None
     want = {

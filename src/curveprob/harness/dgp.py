@@ -65,8 +65,8 @@ class DGPSpec:
             raise UsageError(f"burn_in must be >= 0, got {self.burn_in}")
 
 
-def synthetic_dgp(grid: Grid, burn_in: int | None = None) -> DGPSpec:
-    return DGPSpec("far_synthetic", grid, burn_in=burn_in)
+def synthetic_dgp(grid: Grid) -> DGPSpec:
+    return DGPSpec("far_synthetic", grid)
 
 
 def brownian_matrix(grid: Grid, count: int, rng: np.random.Generator) -> np.ndarray:

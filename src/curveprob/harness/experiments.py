@@ -175,9 +175,9 @@ def _oracle_truths(spec: DGPSpec, n_predictors: int, seed: int, oracle) -> tuple
 
 def _ensembles(model, queries, methods, mc_size: int, mc_seed: int):
     """Yield (method, j, ensemble) per requested ensemble method and query row: one noise
-    draw per (fit, method), plus each query's predict_coords, the sum conddist.ensemble forms."""
+    draw per (fit, method), plus each query's predict_coords, the sum the estimates count."""
     for m in _ensemble_methods(methods):
-        rows, _ = ensemble_noise(model, m, mc_size, mc_seed)
+        rows = ensemble_noise(model, m, mc_size, mc_seed)
         for j, q in enumerate(queries):
             yield m, j, predict_coords(model, q) + rows
 
@@ -451,7 +451,7 @@ def run_entropy_eval(
     # each test day's ensemble is center + noise row + seasonal component;
     # one noise draw and one column sort per method serve every alpha
     mc_seed = _int_seed(seed, _MC)
-    noise_columns = {m: sorted_columns(ensemble_noise(model, m, mc_size, mc_seed)[0])
+    noise_columns = {m: sorted_columns(ensemble_noise(model, m, mc_size, mc_seed))
                      for m in _ensemble_methods(methods)}
     if noise_columns:
         test_centers = np.asarray([predict_coords(model, x) for x in test_x])

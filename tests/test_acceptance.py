@@ -184,7 +184,7 @@ def test_criterion_6_sampler_fidelity(report):
     series = simulate_far(synthetic_dgp(grid), 150, seed=5)
     sample, _ = build_far_design(series, order=1)
     model = fit(sample, TruncationRule.threshold())
-    sampler = GaussSampler.from_spectrum(grid, model.noise_spectrum, rng_seed=40)
+    sampler = GaussSampler(grid, model.noise_spectrum, rng_seed=40)
     m = 5000
     draws = sampler.draw_matrix(m)
     emp = empirical_covariance(draws * grid.quad_weights_sqrt())

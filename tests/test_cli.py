@@ -611,6 +611,23 @@ def test_exit_code_contract(broken_inputs, capsys, case, argv, code, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, mistype", [
+    ("n_components", lambda k: k + 0.9), ("grid_d", str), ("n_curve_parts", lambda n: True),
+    ("n_scalars", lambda n: False), ("noise_rank", float), ("dof_correction", lambda b: "no"),
+    ("centered", lambda b: "false"),
+], ids=["n_components", "grid_d", "n_curve_parts", "n_scalars", "noise_rank",
+        "dof_correction", "centered"])
+def test_a_mistyped_model_header_exits_2(tmp_path, model_json, x_csv, capsys, key, mistype):
+    # each value reads as the fitted one under int() or bool()
+    doc = json.loads(model_json.read_text())
+    doc[key] = mistype(doc[key])
+    bad = tmp_path / "mistyped.json"
+    bad.write_text(json.dumps(doc))
+    assert run("estimate", "--model", bad, "--x", x_csv, "--event", "extremal:d=0") == 2
+    err = capsys.readouterr().err
+    assert "malformed model document" in err and "Traceback" not in err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     src = str(Path(curveprob.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

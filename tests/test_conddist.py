@@ -8,8 +8,8 @@ from curveprob.conddist import (
     GaussSampler,
     boot_prob,
     calibrate_uniform_band,
-    ensemble,
     ensemble_noise,
+    ensemble_quantile,
     gauss_prob,
     linear_quantiles,
     noise_sampler,
@@ -168,22 +168,25 @@ def test_both_estimators_refuse_a_covariate_of_another_structure(estimate):
 
 class TestEnsembleNoise:
     def test_boot_rows_are_the_residuals(self):
-        model, _ = fitted_model()
-        rows, degenerate = ensemble_noise(model, "boot", 5, 1)
-        assert rows is model.residual_matrix and not degenerate
+        model, xs = fitted_model()
+        assert ensemble_noise(model, "boot", 5, 1) is model.residual_matrix
+        assert boot_prob(model, xs[0], FULL_SPACE).status == "ok"
 
     def test_gauss_rows_are_the_sampler_draws(self):
-        model, _ = fitted_model()
-        rows, degenerate = ensemble_noise(model, "gauss", 40, 12)
-        expected = GaussSampler.from_spectrum(model.grid, model.noise_spectrum, 12).draw_matrix(40)
+        model, xs = fitted_model()
+        rows = ensemble_noise(model, "gauss", 40, 12)
+        expected = GaussSampler(model.grid, model.noise_spectrum, 12).draw_matrix(40)
         np.testing.assert_array_equal(rows, expected)
-        assert not degenerate
+        assert gauss_prob(model, xs[0], FULL_SPACE, mc_size=40, seed=12).status == "ok"
 
     def test_rank_zero_warns_and_draws_zeros(self):
         model = toy_model(GRID, np.zeros((4, GRID.size)))
         with pytest.warns(UserWarning, match="rank zero"):
-            rows, degenerate = ensemble_noise(model, "gauss", 7, 0)
-        assert degenerate and rows.shape == (7, GRID.size) and np.all(rows == 0.0)
+            rows = ensemble_noise(model, "gauss", 7, 0)
+        assert rows.shape == (7, GRID.size) and np.all(rows == 0.0)
+        with pytest.warns(UserWarning, match="rank zero"):
+            est = gauss_prob(model, zero_covariate(GRID), FULL_SPACE, mc_size=7, seed=0)
+        assert est.status == "degenerate"
 
     @pytest.mark.parametrize("lam", [[0.0, 0.0], [2.0, 0.0], [1e-300, 0.0], [0.0, 1.0], [], [np.nan, 1.0]])
     def test_degenerate_exactly_when_the_sampler_has_rank_zero(self, lam):
@@ -193,8 +196,8 @@ class TestEnsembleNoise:
                            SpectralPair(lam, np.eye(GRID.size, lam.size)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, degenerate = ensemble_noise(model, "gauss", 3, 0)
-        assert degenerate == (noise_sampler(model, 0).rank == 0)
+            est = gauss_prob(model, zero_covariate(GRID), FULL_SPACE, mc_size=3, seed=0)
+        assert (est.status == "degenerate") == (noise_sampler(model, 0).rank == 0)
 
     @pytest.mark.parametrize("ask", [
         lambda model, x: gauss_prob(model, x, FULL_SPACE, mc_size=5, seed=1),
@@ -202,9 +205,7 @@ class TestEnsembleNoise:
                                               method="gauss", mc_size=5),
         lambda model, x: calibrate_uniform_band(model, x, 0.9, method="gauss", mc_size=5),
         lambda model, x: ensemble_noise(model, "gauss", 5, 1),
-        lambda model, x: ensemble(model, x.coords(), "gauss", 5, 1),
-    ], ids=["gauss_prob", "quantile_over_family", "calibrate_uniform_band", "ensemble_noise",
-            "ensemble"])
+    ], ids=["gauss_prob", "quantile_over_family", "calibrate_uniform_band", "ensemble_noise"])
     def test_rank_zero_warning_names_the_callers_line(self, ask):
         model = toy_model(GRID, np.zeros((4, GRID.size)))
         with warnings.catch_warnings(record=True) as records:
@@ -225,8 +226,8 @@ class TestNoiseMemo:
     def test_memo_rows_match_a_fresh_sampler(self):
         model, _ = fitted_model()
         ensemble_noise(model, "gauss", 40, 12)
-        kept, _ = ensemble_noise(model, "gauss", 40, 12)
-        reused, _ = ensemble_noise(model, "gauss", 40, 12)
+        kept = ensemble_noise(model, "gauss", 40, 12)
+        reused = ensemble_noise(model, "gauss", 40, 12)
         assert reused is kept
         np.testing.assert_array_equal(reused, noise_sampler(model, 12).draw_matrix(40))
 
@@ -234,15 +235,15 @@ class TestNoiseMemo:
     def test_another_seed_or_size_gives_other_rows(self, other):
         model, _ = fitted_model()
         for _ in range(2):
-            kept, _ = ensemble_noise(model, "gauss", 40, 12)
-        rows, _ = ensemble_noise(model, "gauss", *other)
+            kept = ensemble_noise(model, "gauss", 40, 12)
+        rows = ensemble_noise(model, "gauss", *other)
         assert rows.shape != kept.shape or not np.array_equal(rows, kept)
         np.testing.assert_array_equal(rows, noise_sampler(model, other[1]).draw_matrix(other[0]))
 
     def test_rows_are_read_only(self):
         model, _ = fitted_model()
         for _ in range(3):
-            rows, _ = ensemble_noise(model, "gauss", 30, 4)
+            rows = ensemble_noise(model, "gauss", 30, 4)
             with pytest.raises(ValueError):
                 rows[0, 0] = 1.0
 
@@ -288,22 +289,29 @@ def held(model):
     return sorted(slot for slot, (_, value) in model.memo.items() if value is not None)
 
 
+def full_space_prob(model, x, method, mc_size, seed):
+    """The method's probability of the full space at ``x``."""
+    if method == "boot":
+        return boot_prob(model, x, FULL_SPACE)
+    return gauss_prob(model, x, FULL_SPACE, mc_size=mc_size, seed=seed)
+
+
 class TestEnsembleMemo:
-    """ensemble keeps the fitted mean plus noise once a covariate value repeats,
-    and calibrate_uniform_band keeps a band's covariate-free part."""
+    """The estimates keep the fitted mean plus noise once a covariate value
+    repeats, and calibrate_uniform_band keeps a band's covariate-free part."""
 
     @pytest.mark.parametrize("method", ["boot", "gauss"])
     def test_hit_equals_a_fresh_ensemble_and_is_read_only(self, method):
         model, xs = fitted_model()
-        coords = xs[0].coords()
-        fresh = predict_coords(model, coords) + ensemble_noise(model, method, 40, 12)[0]
+        fresh = predict_coords(model, xs[0].coords()) + ensemble_noise(model, method, 40, 12)
         for _ in range(2):
-            kept, _ = ensemble(model, coords, method, 40, 12)
-        hit, degenerate = ensemble(model, coords, method, 40, 12)
-        assert hit is kept and not degenerate
-        np.testing.assert_array_equal(hit, fresh)
+            full_space_prob(model, xs[0], method, 40, 12)
+        kept = model.memo[f"ensemble/{method}"][1]
+        assert full_space_prob(model, xs[0], method, 40, 12).status == "ok"
+        assert model.memo[f"ensemble/{method}"][1] is kept
+        np.testing.assert_array_equal(kept, fresh)
         with pytest.raises(ValueError):
-            hit[0, 0] = 1.0
+            kept[0, 0] = 1.0
 
     def test_a_kept_model_cannot_change_under_its_memo(self):
         series = simulate_far(synthetic_dgp(Grid(100)), 120, seed=1)
@@ -323,28 +331,34 @@ class TestEnsembleMemo:
         gauss_prob(model, copy_of(xs[0]), ev, mc_size=40, seed=1)
         kept = model.memo["ensemble/gauss"][1]
         assert kept is not None
-        assert ensemble(model, copy_of(xs[0]).coords(), "gauss", 40, 1)[0] is kept
+        gauss_prob(model, copy_of(xs[0]), ev, mc_size=40, seed=1)
+        assert model.memo["ensemble/gauss"][1] is kept
 
     def test_changing_one_cell_misses(self):
         model, xs = fitted_model()
-        coords = xs[0].coords()
         for _ in range(2):
-            kept, _ = ensemble(model, coords, "boot", 0, 0)
-        changed = coords.copy()
-        changed[3] = np.nextafter(changed[3], np.inf)
-        got, _ = ensemble(model, changed, "boot", 0, 0)
-        assert got is not kept
-        np.testing.assert_array_equal(got, predict_coords(model, changed) + model.residual_matrix)
+            boot_prob(model, xs[0], FULL_SPACE)
+        kept = model.memo["ensemble/boot"][1]
+        values = xs[0].curve_parts[0].values.copy()
+        values[3] = np.nextafter(values[3], np.inf)
+        changed = Covariate((Curve(model.grid, values),))
+        coords = changed.coords()
+        assert np.count_nonzero(coords != xs[0].coords()) == 1
+        boot_prob(model, changed, FULL_SPACE)
         assert held(model) == []
+        boot_prob(model, changed, FULL_SPACE)
+        got = model.memo["ensemble/boot"][1]
+        assert got is not kept
+        np.testing.assert_array_equal(got, predict_coords(model, coords) + model.residual_matrix)
 
     def test_gauss_key_holds_size_and_seed(self):
         model, xs = fitted_model()
-        coords = xs[0].coords()
         for _ in range(2):
-            kept, _ = ensemble(model, coords, "gauss", 40, 12)
-        for other in [(40, 13), (41, 12)]:
-            got, _ = ensemble(model, coords, "gauss", *other)
-            assert got is not kept and got.shape[0] == other[0]
+            gauss_prob(model, xs[0], FULL_SPACE, mc_size=40, seed=12)
+        assert model.memo["ensemble/gauss"][1] is not None
+        for mc_size, seed in [(40, 13), (41, 12)]:
+            est = gauss_prob(model, xs[0], FULL_SPACE, mc_size=mc_size, seed=seed)
+            assert model.memo["ensemble/gauss"][1] is None and est.n_used == mc_size
 
     def test_boot_and_gauss_slots_do_not_evict_each_other(self):
         model, xs = fitted_model()
@@ -459,13 +473,13 @@ def test_memo_sweep_is_bit_identical_to_fresh_models():
 
 class TestSampleNoise:
     def test_rank_zero_gives_zero_curves(self):
-        sampler = GaussSampler.from_spectrum(GRID, SpectralPair(np.zeros(2), np.eye(GRID.size, 2)), 0)
+        sampler = GaussSampler(GRID, SpectralPair(np.zeros(2), np.eye(GRID.size, 2)), 0)
         draws = sampler.draw_matrix(5)
         assert draws.shape == (5, GRID.size) and np.all(draws == 0.0)
 
     @pytest.mark.parametrize("lam", [np.zeros(2), np.ones(2)])
     def test_negative_seed_is_a_usage_error_at_any_rank(self, lam):
-        sampler = GaussSampler.from_spectrum(GRID, SpectralPair(lam, np.eye(GRID.size, 2)), -1)
+        sampler = GaussSampler(GRID, SpectralPair(lam, np.eye(GRID.size, 2)), -1)
         with pytest.raises(UsageError, match="non-negative"):
             sampler.draw_matrix(5)
         with pytest.raises(UsageError, match="non-negative"):
@@ -478,7 +492,7 @@ class TestSampleNoise:
         funcs = np.asarray([np.ones_like(t), np.sqrt(2) * np.sin(2 * np.pi * t)])
         lam = np.array([0.8, 0.3])
         vectors = (funcs * sw).T
-        sampler = GaussSampler.from_spectrum(grid, SpectralPair(lam, vectors), rng_seed=21)
+        sampler = GaussSampler(grid, SpectralPair(lam, vectors), rng_seed=21)
         m = 5000
         draws = sampler.draw_matrix(m)
         # operator entries (weighted coordinates) obey the top-eigenvalue bound
@@ -497,7 +511,7 @@ class TestSampleNoise:
         t = grid.points
         funcs = np.asarray([np.ones_like(t), np.sqrt(2) * np.cos(2 * np.pi * t)])
         lam = np.array([0.6, 0.2])
-        sampler = GaussSampler.from_spectrum(grid, SpectralPair(lam, (funcs * sw).T), rng_seed=8)
+        sampler = GaussSampler(grid, SpectralPair(lam, (funcs * sw).T), rng_seed=8)
         m = 5000
         mean = sampler.draw_matrix(m).mean(axis=0)
         pointwise_sd = np.sqrt(np.sum(lam[:, None] * funcs**2, axis=0) / m)
@@ -509,13 +523,13 @@ class TestSampleNoise:
         vecs, _ = np.linalg.qr(rng.normal(size=(GRID.size, GRID.size)))
         lam = np.sort(rng.exponential(size=GRID.size))[::-1]
         lam[rank:] = 0.0
-        sampler = GaussSampler.from_spectrum(GRID, SpectralPair(lam, vecs), rng_seed=5)
+        sampler = GaussSampler(GRID, SpectralPair(lam, vecs), rng_seed=5)
         z = substream(5).standard_normal((count, rank))
         expected = (z * np.sqrt(lam[:rank])) @ vecs[:, :rank].T / GRID.quad_weights_sqrt()
         assert np.array_equal(sampler.draw_matrix(count), expected)
 
     def test_count_validation(self):
-        sampler = GaussSampler.from_spectrum(GRID, SpectralPair(np.ones(1), np.ones((GRID.size, 1))), 0)
+        sampler = GaussSampler(GRID, SpectralPair(np.ones(1), np.ones((GRID.size, 1))), 0)
         with pytest.raises(UsageError):
             sampler.draw_matrix(0)
 
@@ -635,15 +649,15 @@ class TestCriticalValueQuantile:
                 lo = float(rng.uniform(-2.0, 2.0))
                 family = family_max_below(lo, lo + float(rng.uniform(0.2, 4.0)))
             p = float(rng.choice([0.05, 0.5, 0.9, 0.975, 1 - 1 / 41]))
-            kwargs = {"method": "boot"} if case % 2 else {
-                "method": "gauss", "mc_size": int(rng.integers(50, 400)),
-                "seed": int(rng.integers(1000))}
-            if case % 5 == 0:
-                kwargs["tol"] = float(rng.uniform(1e-3, 0.2))
+            noise = ("boot", 0, 0) if case % 2 else (
+                "gauss", int(rng.integers(50, 400)), int(rng.integers(1000)))
+            tol = float(rng.uniform(1e-3, 0.2)) if case % 5 == 0 else None
+            # the ensemble quantile_over_family searches
+            values = predict_coords(model, x.coords()) + ensemble_noise(model, *noise)
             results = []
             for fam in (family, dataclasses.replace(family, critical=None)):
                 try:
-                    results.append(repr(quantile_over_family(model, x, fam, p, **kwargs)))
+                    results.append(repr(ensemble_quantile(values, model.grid, fam, p, tol)))
                 except RangeExhaustedError as err:
                     results.append(("exhausted", repr(err.boundary_estimate)))
             assert results[0] == results[1], (case, results)
@@ -661,7 +675,8 @@ class TestCriticalValueQuantile:
             p = float(rng.choice([0.25, 0.5, 0.75, 11 / 12]))
             for family in (family_max_below(-4.0, 4.0),
                            family_level_in_alpha(float(rng.choice([0.0, 0.3, 0.5])), -4.0, 4.0)):
-                results = [quantile_over_family(model, x, fam, p, tol=tol) for fam in
+                values = predict_coords(model, x.coords()) + ensemble_noise(model, "boot", 0, 0)
+                results = [ensemble_quantile(values, GRID, fam, p, tol) for fam in
                            (family, dataclasses.replace(family, critical=None))]
                 assert results[0] == results[1], (case, results)
 

@@ -7,7 +7,8 @@ import pytest
 
 from curveprob.curves import Covariate, Curve, Grid
 from curveprob.errors import DegenerateInputError, StructureError, UsageError
-from curveprob.conddist import ensemble_noise, noise_sampler
+from curveprob.conddist import ensemble_noise, gauss_prob, noise_sampler
+from curveprob.events import extremal_set
 from curveprob.flm import (
     FittedFLM,
     RegressionSample,
@@ -532,8 +533,12 @@ class TestSerialization:
             assert m.noise_spectrum.eigenvalues.shape == (0,)
             assert m.noise_spectrum.eigenvectors.shape == (GRID.size, 0)
         with pytest.warns(UserWarning, match="rank zero"):
-            rows, degenerate = ensemble_noise(clone, "gauss", 10, 0)
-        assert degenerate and rows.shape == (10, GRID.size) and not rows.any()
+            rows = ensemble_noise(clone, "gauss", 10, 0)
+        assert rows.shape == (10, GRID.size) and not rows.any()
+        with pytest.warns(UserWarning, match="rank zero"):
+            est = gauss_prob(clone, Covariate((Curve.constant(GRID, 0.0),)), extremal_set(0.0),
+                             mc_size=10)
+        assert est.status == "degenerate"
 
     def test_reads_version_three_bitwise(self):
         text = VERSION_3.read_text()
@@ -660,12 +665,26 @@ class TestSerialization:
                                         {"n_components": 0}, {"n_components": 3},
                                         {"factor": "oops"}, {"noise_rank": -1},
                                         {"noise_rank": GRID.size + 1}, {"noise_rank": "oops"},
-                                        {"noise_rank": None}])
+                                        {"noise_rank": None}, {"noise_rank": 1.0},
+                                        {"noise_rank": True}])
     def test_rejects_inconsistent_header(self, change):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         doc = json.loads(to_json(model))
         doc.update(change)
         with pytest.raises(StructureError):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("change", [{"n_components": 2.9}, {"n_components": 2.0},
+                                        {"grid_d": 6.5}, {"grid_d": "6"},
+                                        {"n_curve_parts": True}, {"n_scalars": False},
+                                        {"dof_correction": "no"}, {"dof_correction": 0},
+                                        {"centered": "false"}, {"centered": 1}])
+    def test_rejects_a_mistyped_header_value(self, change):
+        # counts must be JSON integers and flags JSON booleans: no value is
+        # truncated, and no string or number is read as a flag
+        doc = json.loads(VERSION_4.read_text())
+        doc.update(change)
+        with pytest.raises(StructureError, match="malformed model document"):
             from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("field", [

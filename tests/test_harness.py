@@ -539,7 +539,7 @@ class TestSyntheticNoiseBasis:
         grid = Grid(25)
         lam, basis = synthetic_noise_basis(grid)
         spectrum = SpectralPair(lam, (basis * grid.quad_weights_sqrt()).T)
-        draws = GaussSampler.from_spectrum(grid, spectrum, 0).draw_matrix(3000)
+        draws = GaussSampler(grid, spectrum, 0).draw_matrix(3000)
         target = (basis.T * lam) @ basis
         emp = draws.T @ draws / len(draws)
         peak_var = float(np.max(np.diag(target)))

@@ -99,12 +99,10 @@ VALID = [
 # it uses only names that every format version's reader has
 _READ_MODEL = """
 import base64, json, sys
-from curveprob.conddist import GaussSampler
 from curveprob.flm import from_json
 
 m = from_json(open(sys.argv[1], encoding="utf-8").read())
-rank = GaussSampler.from_spectrum(m.grid, m.noise_spectrum, 0).rank
-lam, vecs = m.noise_spectrum.leading(rank)
+lam, vecs = m.noise_spectrum.leading(m.noise_spectrum.sampler_rank())
 arrays = {"coef_w": m.coef_w, "x_mean_coords": m.x_mean_coords, "y_mean": m.y_mean,
           "residual_matrix": m.residual_matrix,
           "covariate_eigenvalues": m.covariate_spectrum.eigenvalues,

@@ -24,7 +24,7 @@ from .curves import Curve, Covariate, Grid
 from .errors import DegenerateInputError, RangeExhaustedError, UsageError
 from .events import EventSet, MonotoneFamily, contains_batch, uniform_band
 from .flm import FittedFLM, predict, predict_coords
-from .rng import substream
+from .rng import check_draws, substream
 from .spectral import SpectralPair
 
 DEFAULT_MC_SIZE = 2000
@@ -65,6 +65,7 @@ class GaussSampler:
         """(count, D+1) matrix of noise curves as raw samples."""
         if count < 1:
             raise UsageError(f"count must be >= 1, got {count}")
+        check_draws(count, self.grid.size)
         rng = substream(self.rng_seed)  # validates the seed even when rank zero leaves it unused
         rank = self.rank
         if rank == 0:

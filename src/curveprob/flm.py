@@ -27,10 +27,6 @@ from .spectral import (
 )
 
 MODEL_FORMAT = "curveprob-flm"
-# versions 1 and 2 stored matrices as decimal lists, and version 1 also
-# stored the trailing covariate eigenpairs; versions 1 to 3 stored the dense
-# coef_w and every noise eigenpair, and version 4 the noise eigenpairs the
-# Gaussian sampler reads
 MODEL_VERSION = 5
 
 
@@ -90,9 +86,16 @@ class TruncationRule:
 
     @staticmethod
     def from_dict(d: dict) -> "TruncationRule":
-        return TruncationRule(kind=d["kind"], m_n=d.get("m_n"),
-                              relative=bool(d.get("relative", True)),
-                              v=d.get("v"), k=d.get("k"))
+        """The rule :meth:`to_dict` wrote. ``kind`` must name a rule,
+        ``relative`` be a JSON boolean, ``k`` null or a JSON integer, and
+        ``m_n`` and ``v`` null or a JSON number; anything else raises
+        ``TypeError``."""
+        kind, m_n, relative, v, k = (d[key] for key in ("kind", "m_n", "relative", "v", "k"))
+        if (kind not in ("threshold", "pve", "fixed") or type(relative) is not bool
+                or not (k is None or type(k) is int)
+                or not all(x is None or type(x) in (int, float) for x in (m_n, v))):
+            raise TypeError(f"malformed truncation rule {d!r}")
+        return TruncationRule(kind=kind, m_n=m_n, relative=relative, v=v, k=k)
 
     @staticmethod
     def parse(text: str) -> "TruncationRule":
@@ -188,16 +191,13 @@ class FittedFLM:
     ``coef_w`` maps weighted covariate coordinates to weighted response
     coordinates. It has rank ``n_components``: ``factor`` @ the transposed
     covariate eigenvectors, where ``factor`` holds the cross-covariance on each
-    retained direction divided by its eigenvalue. ``factor`` is None in a model
-    read from a version 1 to 3 file. ``residual_matrix`` holds the raw residual
-    curves row-wise; ``noise_spectrum`` holds the leading eigenpairs of their
-    (mean-centered) covariance operator, those the Gaussian sampler draws from.
-    ``fit`` and the version 5 reader compute them from ``residual_matrix`` with
-    one function, so a version 5 file stores only their number; a model read
-    from a version 1 to 4 file holds the pairs its file stores (all of them up
-    to version 3).
-    Neither spectrum carries the ``clamped_mass`` of its eigendecomposition,
-    which no model file stores.
+    retained direction divided by its eigenvalue. ``residual_matrix`` holds the
+    raw residual curves row-wise; ``noise_spectrum`` holds the leading
+    eigenpairs of their (mean-centered) covariance operator, those the
+    Gaussian sampler draws from. ``fit`` and ``from_json`` compute them from
+    ``residual_matrix`` with one function, so a model file stores only their
+    number. Neither spectrum carries the ``clamped_mass`` of its
+    eigendecomposition, which no model file stores.
 
     ``memo`` holds what :mod:`curveprob.conddist` derives from the model for
     one request and may reuse for the next, one ``(key, value)`` pair per
@@ -215,26 +215,24 @@ class FittedFLM:
     n_curve_parts: int
     n_scalars: int
     coef_w: np.ndarray = field(repr=False)
-    factor: np.ndarray = field(repr=False, default=None)
-    n_components: int = 0
-    covariate_spectrum: SpectralPair = None
-    residual_matrix: np.ndarray = field(repr=False, default=None)
-    noise_spectrum: SpectralPair = None
-    x_mean_coords: np.ndarray = field(repr=False, default=None)
-    y_mean: np.ndarray = field(repr=False, default=None)
-    centered: bool = True
-    dof_correction: bool = False
-    truncation: TruncationRule = None
+    factor: np.ndarray = field(repr=False)
+    n_components: int
+    covariate_spectrum: SpectralPair
+    residual_matrix: np.ndarray = field(repr=False)
+    noise_spectrum: SpectralPair
+    x_mean_coords: np.ndarray = field(repr=False)
+    y_mean: np.ndarray = field(repr=False)
+    centered: bool
+    dof_correction: bool
+    truncation: TruncationRule
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arrays = [self.coef_w, self.factor, self.residual_matrix, self.x_mean_coords, self.y_mean]
-        for spectrum in (self.covariate_spectrum, self.noise_spectrum):
-            if spectrum is not None:
-                arrays += [spectrum.eigenvalues, spectrum.eigenvectors]
-        for values in arrays:
-            if values is not None:
-                values.flags.writeable = False
+        for values in (self.coef_w, self.factor, self.residual_matrix, self.x_mean_coords,
+                       self.y_mean, self.covariate_spectrum.eigenvalues,
+                       self.covariate_spectrum.eigenvectors, self.noise_spectrum.eigenvalues,
+                       self.noise_spectrum.eigenvectors):
+            values.flags.writeable = False
 
     @property
     def n_observations(self) -> int:
@@ -424,12 +422,9 @@ def _encode_matrix(values: np.ndarray) -> dict:
     return {"shape": list(values.shape), "f8le": base64.b64encode(data).decode("ascii")}
 
 
-def _decode_matrix(field, version: int) -> np.ndarray:
-    """A native float64 array from a document's matrix field: the
-    encoded form of :func:`_encode_matrix` from version 3 on, a decimal list
-    in versions 1 and 2."""
-    if version < 3:
-        return np.asarray(field, dtype=float)
+def _decode_matrix(field) -> np.ndarray:
+    """A native float64 array from a document's matrix field, in the form
+    :func:`_encode_matrix` writes."""
     if not isinstance(field, dict) or set(field) != {"shape", "f8le"}:
         raise StructureError("a matrix field must hold exactly 'shape' and 'f8le'")
     shape = field["shape"]
@@ -447,14 +442,10 @@ def to_json(model: FittedFLM) -> str:
 
     ``coef_w`` is stored as its factor, and the noise spectrum as its
     number of eigenpairs only: ``from_json`` rebuilds both as ``fit`` builds
-    them. A model without a factor (read from a version 1 to 3 file, or
-    built by hand), whose ``coef_w`` is not the product of its factor, or
-    whose noise spectrum is not the leading pairs its residuals give, is
-    refused: its file would not read it back."""
-    if model.factor is None:
-        raise UsageError(f"model format {MODEL_VERSION} stores coef_w as its rank-k factor, "
-                         "and this model has none (it was read from a version 1 to 3 file "
-                         "or built by hand); refit it to save it")
+    them. A model whose ``coef_w`` is not the product of its factor, or whose
+    noise spectrum is not the leading pairs its residuals give (one built by
+    hand or edited through :func:`dataclasses.replace`), is refused: its file
+    would not read it back."""
     rebuilt = _rank_k_operator(model.factor, model.covariate_spectrum.eigenvectors)
     if not _same_bits(rebuilt, model.coef_w):
         raise UsageError("coef_w is not the product of the model's factor and covariate "
@@ -480,7 +471,7 @@ def to_json(model: FittedFLM) -> str:
         "n_components": model.n_components,
         "centered": model.centered,
         "dof_correction": model.dof_correction,
-        "truncation": model.truncation.to_dict() if model.truncation else None,
+        "truncation": model.truncation.to_dict(),
         "noise_rank": noise_rank,
         "factor": _encode_matrix(model.factor),
         "x_mean_coords": _encode_matrix(model.x_mean_coords),
@@ -504,84 +495,69 @@ def _header(doc: dict, key: str, kind: type):
 def from_json(text: str) -> FittedFLM:
     """Read a model document and check every matrix shape against the grid,
     the part counts, ``n_components`` and the residual count, every cell for
-    finiteness and every eigenvalue for sign.
+    finiteness and every covariate eigenvalue for sign.
 
-    Version 5 stores ``coef_w`` as its factor and of the noise spectrum only
-    its number of eigenpairs, ``noise_rank``; both are rebuilt here as
+    The document stores ``coef_w`` as its factor and of the noise spectrum
+    only its number of eigenpairs, ``noise_rank``; both are rebuilt here as
     ``fit`` builds them, the noise eigenpairs from the residuals, and a file
     whose residuals give fewer than ``noise_rank`` pairs above the sampler's
-    floor is refused. Version 4 stores the factor and the noise eigenpairs the
-    Gaussian sampler reads, versions 1 to 3 ``coef_w`` itself and every noise
-    eigenpair; versions 1 and 2 store the matrices as decimal lists, and
-    version 1 also holds the whole covariate spectrum, whose leading pairs
-    are kept. Stored noise eigenpairs are read as they are."""
+    floor is refused. Only format version 5 is read: a model saved in an
+    earlier version is refitted from its series with ``curveprob fit``."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise UsageError(f"not a {MODEL_FORMAT} document")
     version = doc.get("version")
-    if version not in (1, 2, 3, 4, MODEL_VERSION):
-        raise UsageError(f"unsupported model version {version}")
-    operator = "factor" if version >= 4 else "coef_w"
-    stored_noise = ("noise_eigenvalues", "noise_eigenvectors") if version < 5 else ()
+    if type(version) is not int or version != MODEL_VERSION:
+        raise UsageError(f"model format version {version!r} is not read, only version "
+                         f"{MODEL_VERSION}: refit the model with `curveprob fit`")
     try:
         grid = Grid(_header(doc, "grid_d", int))
-        n_parts, n_scalars, k = (_header(doc, key, int) for key in
-                                 ("n_curve_parts", "n_scalars", "n_components"))
+        n_parts, n_scalars, k, noise_rank = (
+            _header(doc, key, int)
+            for key in ("n_curve_parts", "n_scalars", "n_components", "noise_rank"))
         size, p = grid.size, n_parts * grid.size + n_scalars
-        kept = p if version == 1 else k
-        fields = (operator, "x_mean_coords", "y_mean", "residual_matrix",
-                  "covariate_eigenvalues", "covariate_eigenvectors", *stored_noise)
-        m = {key: _decode_matrix(doc[key], version) for key in fields}
+        m = {key: _decode_matrix(doc[key]) for key in
+             ("factor", "x_mean_coords", "y_mean", "residual_matrix",
+              "covariate_eigenvalues", "covariate_eigenvectors")}
         n = len(m["residual_matrix"])
-        noise_pairs = (size if version < 4 else len(m["noise_eigenvalues"]) if version == 4
-                       else _header(doc, "noise_rank", int))
-        truncation = TruncationRule.from_dict(doc["truncation"]) if doc["truncation"] else None
+        truncation = TruncationRule.from_dict(doc["truncation"])
         centered, dof_correction = (_header(doc, key, bool)
                                     for key in ("centered", "dof_correction"))
     except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise StructureError(f"malformed model document: {exc!r}") from None
     want = {
-        operator: (size, k if operator == "factor" else p),
-        "x_mean_coords": (p,), "y_mean": (size,), "residual_matrix": (n, size),
-        "covariate_eigenvalues": (kept,), "covariate_eigenvectors": (p, kept),
+        "factor": (size, k), "x_mean_coords": (p,), "y_mean": (size,),
+        "residual_matrix": (n, size), "covariate_eigenvalues": (k,),
+        "covariate_eigenvectors": (p, k),
     }
-    if stored_noise:
-        want.update(noise_eigenvalues=(noise_pairs,), noise_eigenvectors=(size, noise_pairs))
     bad = [key for key, shape in want.items() if m[key].shape != shape]
-    if bad or n < 1 or not 1 <= k <= p or not 0 <= noise_pairs <= size:
+    if bad or n < 1 or not 1 <= k <= p or not 0 <= noise_rank <= size:
         raise StructureError(f"model fields {bad} do not match grid_d={grid.resolution}, "
                              f"p={p}, n_components={k}, residual rows={n}, "
-                             f"noise pairs={noise_pairs}")
-    basis = np.ascontiguousarray(m["covariate_eigenvectors"][:, :k])
-    if operator == "factor":
-        with np.errstate(over="ignore", invalid="ignore"):
-            m["coef_w"] = _rank_k_operator(m["factor"], basis)
-        want["coef_w"] = (size, p)
-    bad = [key for key in want if not np.all(np.isfinite(m[key]))]
+                             f"noise pairs={noise_rank}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        m["coef_w"] = _rank_k_operator(m["factor"], m["covariate_eigenvectors"])
+    bad = [key for key, values in m.items() if not np.all(np.isfinite(values))]
     if bad:
         raise StructureError(f"model fields {bad} hold non-finite cells")
-    bad = [key for key in ("covariate_eigenvalues", "noise_eigenvalues")
-           if key in m and np.any(m[key] < 0)]
-    if bad:
-        raise StructureError(f"model fields {bad} hold negative eigenvalues")
-    if stored_noise:
-        noise = SpectralPair(m["noise_eigenvalues"], m["noise_eigenvectors"])
-    else:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                noise = _noise_pairs(m["residual_matrix"], grid, k, dof_correction, noise_pairs)
-        except (DegenerateInputError, StructureError) as exc:
-            raise StructureError(f"malformed model document: its residuals give no noise "
-                                 f"spectrum of rank {noise_pairs} ({exc})") from None
+    if np.any(m["covariate_eigenvalues"] < 0):
+        raise StructureError("model field covariate_eigenvalues holds negative eigenvalues")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            noise = _noise_pairs(m["residual_matrix"], grid, k, dof_correction, noise_rank)
+    except (DegenerateInputError, StructureError) as exc:
+        raise StructureError(f"malformed model document: its residuals give no noise "
+                             f"spectrum of rank {noise_rank} ({exc})") from None
 
     return FittedFLM(
         grid=grid,
         n_curve_parts=n_parts,
         n_scalars=n_scalars,
         coef_w=m["coef_w"],
-        factor=m.get("factor"),
+        factor=m["factor"],
         n_components=k,
-        covariate_spectrum=SpectralPair(m["covariate_eigenvalues"][:k], basis),
+        covariate_spectrum=SpectralPair(m["covariate_eigenvalues"],
+                                        m["covariate_eigenvectors"]),
         residual_matrix=m["residual_matrix"],
         noise_spectrum=noise,
         x_mean_coords=m["x_mean_coords"],

@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
-    except (UsageError, StructureError, json.JSONDecodeError, OSError) as exc:
+    except (UsageError, StructureError, json.JSONDecodeError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except RangeExhaustedError as exc:

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..curves import Curve, Grid
 from ..errors import UsageError
-from ..rng import substream
+from ..rng import check_draws, substream
 
 PAPARODITIS_SCALE = 0.34
 SYNTHETIC_BURN_IN = 30
@@ -120,6 +120,8 @@ def synthetic_noise_basis(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 def noise_matrix(spec: DGPSpec, count: int, rng: np.random.Generator) -> np.ndarray:
     """(count, D+1) draws of the model error process."""
+    # the widest matrix either kind builds on the way
+    check_draws(count, max(spec.grid.size, len(_SYN_NOISE_WEIGHTS)))
     if spec.kind == "far_paparoditis":
         return brownian_matrix(spec.grid, count, rng)
     weights, basis = synthetic_noise_basis(spec.grid)

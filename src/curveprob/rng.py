@@ -23,6 +23,14 @@ def seed_sequence(seed: int, *indices: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=key[0], spawn_key=key[1:])
 
 
+def check_draws(count: int, width: int) -> None:
+    """Raise ``MemoryError`` when ``count`` rows of ``width`` float64 values
+    are more than one numpy array can describe. numpy refuses such a shape
+    with ``ValueError``; this makes it fail as a too large allocation does."""
+    if count * width > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{count} draws of {width} values do not fit in one array")
+
+
 def substream(seed: int, *indices: int) -> np.random.Generator:
     """Return an independent generator for the given seed and index path."""
     return np.random.Generator(np.random.Philox(seed_sequence(seed, *indices)))

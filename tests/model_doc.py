@@ -13,11 +13,8 @@ import numpy as np
 
 MATRICES = ("factor", "x_mean_coords", "y_mean", "residual_matrix",
             "covariate_eigenvalues", "covariate_eigenvectors")
-# versions 1 to 4 also store noise eigenpairs, which version 5 rebuilds
+# the noise eigenpairs, which the reader rebuilds from the residuals
 NOISE = ("noise_eigenvalues", "noise_eigenvectors")
-VERSION_4_MATRICES = (*MATRICES, *NOISE)
-# versions 1 to 3 store the dense coef_w in place of its factor
-OLD_MATRICES = ("coef_w", *VERSION_4_MATRICES[1:])
 
 
 def decode(field) -> np.ndarray:
@@ -49,21 +46,3 @@ def set_cell(text: str, key: str, index: int, value: float) -> str:
 
     return edit_matrix(text, key, put)
 
-
-def version_4_document(text: str, noise) -> str:
-    """The version 5 document ``text`` as version 4 stores it: with the
-    noise eigenpairs ``noise`` (a spectral pair) that its model holds in
-    place of their number."""
-    doc = json.loads(text)
-    del doc["noise_rank"]
-    doc.update(version=4, noise_eigenvalues=encode(noise.eigenvalues),
-               noise_eigenvectors=encode(noise.eigenvectors))
-    return json.dumps(doc)
-
-
-def decimal_document(text: str, version: int) -> dict:
-    """The version 3 document ``text`` as version 1 or 2 stores it: every
-    matrix a (nested) list of decimals."""
-    doc = json.loads(text)
-    doc.update({key: decode(doc[key]).tolist() for key in OLD_MATRICES}, version=version)
-    return doc

@@ -9,13 +9,13 @@ import pytest
 
 import curveprob
 from curveprob.curves import Covariate, Curve, Grid
-from curveprob.flm import RegressionSample, TruncationRule, fit, from_json, to_json
+from curveprob.flm import RegressionSample, TruncationRule, fit, to_json
 from curveprob.harness.cli import main
 from curveprob.harness.dgp import simulate_far, synthetic_dgp
 from curveprob.harness.experiments import run_var_experiment
 from curveprob.harness.io import load_curves, save_curves, save_report
 
-from model_doc import set_cell, version_4_document
+from model_doc import set_cell
 
 
 def run(*argv):
@@ -314,13 +314,14 @@ def broken_inputs(tmp_path, model_json, x_csv):
     doy.write_text("\n".join(str(k) for k in range(n_days)))
     dow = tmp_path / "dow.csv"
     dow.write_text("\n".join(str(k % 7) for k in range(n_days)))
-    # version 5 stores no noise eigenpairs, and version 4 files still load
-    version_4 = version_4_document(model_json.read_text(),
-                                   from_json(model_json.read_text()).noise_spectrum)
     nan_model = tmp_path / "nan_model.json"
-    nan_model.write_text(set_cell(version_4, "noise_eigenvectors", 0, np.nan))
+    nan_model.write_text(set_cell(model_json.read_text(), "factor", 0, np.nan))
     negative_model = tmp_path / "negative_model.json"
-    negative_model.write_text(set_cell(version_4, "noise_eigenvalues", 0, -1.0))
+    negative_model.write_text(set_cell(model_json.read_text(), "covariate_eigenvalues", 0, -1.0))
+    mistyped_rule = tmp_path / "mistyped_rule.json"
+    doc = json.loads(model_json.read_text())
+    doc["truncation"]["relative"] = "false"
+    mistyped_rule.write_text(json.dumps(doc))
     overflowing_model = tmp_path / "overflowing_model.json"
     overflowing_model.write_text(set_cell(model_json.read_text(), "residual_matrix", 0, 1e308))
     huge_models = {}
@@ -345,6 +346,7 @@ def broken_inputs(tmp_path, model_json, x_csv):
             "nan_cell": nan_cell, "truncated": truncated, "series": series,
             "letters": letters, "squared": squared, "doy": doy, "dow": dow,
             "nan_model": nan_model, "negative_model": negative_model,
+            "mistyped_rule": mistyped_rule,
             "overflowing_model": overflowing_model,
             "missing": tmp_path / "missing.csv", "empty": empty, "huge": huge,
             "overflow": overflow, **huge_models, **labels}
@@ -512,16 +514,19 @@ EXIT_CASES = [
     ("threshold m_n both automatic and given",
      ["fit", "--series", "{series}", "--truncation", "threshold:auto,mn=12", "--out", "{missing}"],
      2, "threshold option mn/auto is given twice"),
-    ("model with a NaN noise eigenvector cell",
+    ("model with a NaN factor cell",
      ["estimate", "--model", "{nan_model}", "--x", "{x}", "--event", "extremal:d=0",
       "--method", "gauss"],
-     2, "['noise_eigenvectors'] hold non-finite cells"),
-    ("model with a negative noise eigenvalue, estimate",
+     2, "['factor', 'coef_w'] hold non-finite cells"),
+    ("model with a negative covariate eigenvalue, estimate",
      ["estimate", "--model", "{negative_model}", "--x", "{x}", "--event", "extremal:d=0"],
-     2, "['noise_eigenvalues'] hold negative eigenvalues"),
-    ("model with a negative noise eigenvalue, band",
+     2, "covariate_eigenvalues holds negative eigenvalues"),
+    ("model with a negative covariate eigenvalue, band",
      ["band", "--model", "{negative_model}", "--x", "{x}", "--out", "{missing}"],
-     2, "['noise_eigenvalues'] hold negative eigenvalues"),
+     2, "covariate_eigenvalues holds negative eigenvalues"),
+    ("model with a truncation flag that is a string",
+     ["estimate", "--model", "{mistyped_rule}", "--x", "{x}", "--event", "extremal:d=0"],
+     2, "malformed model document"),
     ("model whose residual covariance overflows",
      ["estimate", "--model", "{overflowing_model}", "--x", "{x}", "--event", "extremal:d=0"],
      2, "its residuals give no noise spectrum"),
@@ -609,6 +614,35 @@ def test_exit_code_contract(broken_inputs, capsys, case, argv, code, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+# Monte-Carlo sizes whose draws cannot be held: malloc refuses 10**15 rows
+# (petabytes) at once, and numpy refuses the shape of 2**62 rows before it
+# allocates, so neither case takes memory
+DRAWN_COMMANDS = [
+    ["estimate", "--model", "{model}", "--x", "{x}", "--event", "extremal:d=0",
+     "--method", "gauss", "--mc"],
+    ["quantile", "--model", "{model}", "--x", "{x}", "--family", "max-below:lo=-5,hi=5",
+     "--p", "0.5", "--method", "gauss", "--mc"],
+    ["band", "--model", "{model}", "--x", "{x}", "--method", "gauss", "--out", "{missing}",
+     "--mc"],
+    ["coverage-exp", "--n", "20", "--reps", "1", "--grid-d", "16", "--out", "{missing}", "--mc"],
+    ["rmse-exp", *RMSE_SMALL, "--mc"],
+    ["quantile-exp", *RMSE_SMALL, "--mc"],
+    ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+     "--ar-order", "1", "--methods", "gauss", "--out", "{missing}", "--mc"],
+    ["rmse-exp", *RMSE_SMALL, "--oracle-size"],
+    ["quantile-exp", *RMSE_SMALL, "--oracle-size"],
+]
+
+
+@pytest.mark.parametrize("count", [10**15, 2**62], ids=["malloc", "shape"])
+@pytest.mark.parametrize("argv", DRAWN_COMMANDS,
+                         ids=[f"{a[0]} {a[-1]}" for a in DRAWN_COMMANDS])
+def test_a_monte_carlo_size_that_cannot_be_allocated_exits_2(broken_inputs, capsys, argv, count):
+    assert run(*[a.format(**broken_inputs) for a in argv], count) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("key, mistype", [
@@ -701,6 +735,18 @@ def test_an_overflowing_recursion_prints_only_its_error(tmp_path, argv):
     result = run_fresh(tmp_path, *argv)
     assert result.returncode == 2
     assert result.stderr == "error: curve values must be finite\n"
+
+
+def test_a_model_of_an_older_format_version_exits_2_with_one_line(tmp_path, model_json, x_csv):
+    doc = json.loads(model_json.read_text())
+    doc["version"] = 4
+    old = tmp_path / "old_model.json"
+    old.write_text(json.dumps(doc))
+    proc = run_fresh(tmp_path, "estimate", "--model", old, "--x", x_csv,
+                     "--event", "extremal:d=0")
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "version 4" in lines[0] and "curveprob fit" in lines[0], lines
 
 
 def test_a_model_whose_residual_covariance_overflows_exits_2_with_one_line(tmp_path, model_json,

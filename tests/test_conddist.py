@@ -56,7 +56,7 @@ def contains(event, y):
     return bool(contains_batch(event, y.values[np.newaxis, :], y.grid)[0])
 
 
-def toy_model(grid, residual_rows, coef=None):
+def toy_model(grid, residual_rows):
     """Model with zero fitted mean and prescribed residual curves."""
     residuals = np.asarray(residual_rows, dtype=float)
     n, p = residuals.shape[0], grid.size
@@ -67,7 +67,8 @@ def toy_model(grid, residual_rows, coef=None):
         grid=grid,
         n_curve_parts=1,
         n_scalars=0,
-        coef_w=coef if coef is not None else np.zeros((p, p)),
+        coef_w=np.zeros((p, p)),
+        factor=np.zeros((p, 1)),
         n_components=1,
         covariate_spectrum=SpectralPair(np.ones(1), np.ones((p, 1)) / np.sqrt(p)),
         residual_matrix=residuals,

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,18 +24,7 @@ from curveprob.flm import (
 from curveprob.harness.dgp import simulate_far, synthetic_dgp
 from curveprob.spectral import SpectralPair
 
-from model_doc import (
-    MATRICES,
-    NOISE,
-    OLD_MATRICES,
-    VERSION_4_MATRICES,
-    decimal_document,
-    decode,
-    edit_matrix,
-    encode,
-    set_cell,
-    version_4_document,
-)
+from model_doc import MATRICES, NOISE, decode, edit_matrix, encode, set_cell
 
 GRID = Grid(40)
 
@@ -358,31 +346,14 @@ class TestFarDesign:
 
 
 def matrices(model) -> dict:
-    """The arrays a model holds, by the field name of its document; a model
-    read from a version 1 to 3 file holds no factor."""
-    held = {"coef_w": model.coef_w, "factor": model.factor,
+    """The arrays a model holds, by the field name of its document."""
+    return {"coef_w": model.coef_w, "factor": model.factor,
             "x_mean_coords": model.x_mean_coords,
             "y_mean": model.y_mean, "residual_matrix": model.residual_matrix,
             "covariate_eigenvalues": model.covariate_spectrum.eigenvalues,
             "covariate_eigenvectors": model.covariate_spectrum.eigenvectors,
             "noise_eigenvalues": model.noise_spectrum.eigenvalues,
             "noise_eigenvectors": model.noise_spectrum.eigenvectors}
-    return {key: value for key, value in held.items() if value is not None}
-
-
-# written by the version 3 writer (`simulate --dgp far_synthetic --n 12
-# --grid-d 6 --seed 3`, then `fit --truncation fixed:2`); it stores all seven
-# noise eigenpairs, of which the Gaussian sampler reads six
-VERSION_3 = Path(__file__).parent / "data" / "model_v3.json"
-# written by the version 4 writer with the same recipe; it stores the six
-# noise eigenpairs the Gaussian sampler reads
-VERSION_4 = Path(__file__).parent / "data" / "model_v4.json"
-
-
-def document(model, key: str) -> str:
-    """The model's document in the latest version that stores ``key``."""
-    text = to_json(model)
-    return version_4_document(text, model.noise_spectrum) if key in NOISE else text
 
 
 class TestSerialization:
@@ -468,7 +439,6 @@ class TestSerialization:
         # a model built by dataclasses.replace or by hand from writable arrays
         # is read-only too, so a write cannot leave its memo stale
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
-        old = VERSION_3.read_text()
         cov, noise = model.covariate_spectrum, model.noise_spectrum
         by_hand = dataclasses.replace(
             model, coef_w=model.coef_w.copy(), factor=model.factor.copy(),
@@ -476,8 +446,7 @@ class TestSerialization:
             x_mean_coords=model.x_mean_coords.copy(), y_mean=model.y_mean.copy(),
             covariate_spectrum=SpectralPair(cov.eigenvalues.copy(), cov.eigenvectors.copy()),
             noise_spectrum=SpectralPair(noise.eigenvalues.copy(), noise.eigenvectors.copy()))
-        for loaded in (model, from_json(to_json(model)), from_json(old),
-                       from_json(json.dumps(decimal_document(old, version=2))),
+        for loaded in (model, from_json(to_json(model)),
                        dataclasses.replace(model, y_mean=np.array(model.y_mean)), by_hand):
             for values in matrices(loaded).values():
                 with pytest.raises(ValueError, match="read-only"):
@@ -540,69 +509,6 @@ class TestSerialization:
                              mc_size=10)
         assert est.status == "degenerate"
 
-    def test_reads_version_three_bitwise(self):
-        text = VERSION_3.read_text()
-        doc = json.loads(text)
-        old = from_json(text)
-        assert doc["version"] == 3 and old.factor is None
-        for key in OLD_MATRICES:
-            assert matrices(old)[key].tobytes() == decode(doc[key]).tobytes(), key
-        assert old.noise_spectrum.sampler_rank() == 6
-        stored = {key: decode(doc[key]) for key in ("coef_w", "x_mean_coords", "y_mean")}
-        sw = old.grid.quad_weights_sqrt()
-        for row in np.random.default_rng(4).normal(size=(5, old.grid.size)):
-            want = stored["y_mean"] + (stored["coef_w"] @ (row - stored["x_mean_coords"])) / sw
-            assert predict_coords(old, row).tobytes() == want.tobytes()
-
-    def test_reads_version_one_bitwise(self):
-        # a version 1 document stores the whole covariate spectrum
-        text = VERSION_3.read_text()
-        model = from_json(text)
-        lam, vecs = model.covariate_spectrum.eigenvalues, model.covariate_spectrum.eigenvectors
-        p, k = vecs.shape
-        basis, _ = np.linalg.qr(np.hstack([vecs, np.eye(p)]))
-        doc = decimal_document(text, version=1)
-        doc.update(covariate_eigenvalues=[*lam, *(lam[-1] / 2.0 ** np.arange(1, p - k + 1))],
-                   covariate_eigenvectors=np.hstack([vecs, basis[:, k:]]).tolist())
-        old = from_json(json.dumps(doc))
-        for row in np.random.default_rng(4).normal(size=(5, p)):
-            np.testing.assert_array_equal(predict_coords(old, row), predict_coords(model, row))
-        for key, value in matrices(model).items():
-            np.testing.assert_array_equal(matrices(old)[key], value)
-        assert not any(values.flags.writeable for values in matrices(old).values())
-
-    def test_reads_version_two_bitwise(self):
-        # a version 2 document stores its matrices as decimal lists
-        text = VERSION_3.read_text()
-        model = from_json(text)
-        old = from_json(json.dumps(decimal_document(text, version=2)))
-        for row in np.random.default_rng(4).normal(size=(5, model.grid.size)):
-            np.testing.assert_array_equal(predict_coords(old, row), predict_coords(model, row))
-        for key, value in matrices(model).items():
-            np.testing.assert_array_equal(matrices(old)[key], value)
-
-    def test_reads_version_four_with_its_stored_noise_pairs(self):
-        text = VERSION_4.read_text()
-        doc = json.loads(text)
-        old = from_json(text)
-        assert doc["version"] == 4
-        for key in VERSION_4_MATRICES:
-            assert matrices(old)[key].tobytes() == decode(doc[key]).tobytes(), key
-        assert old.noise_spectrum.sampler_rank() == 6
-        # the version 5 reader's rebuild gives the pairs that this file stores
-        rebuilt = _noise_pairs(old.residual_matrix, old.grid, old.n_components,
-                               old.dof_correction)
-        assert rebuilt.eigenvalues.tobytes() == old.noise_spectrum.eigenvalues.tobytes()
-        assert rebuilt.eigenvectors.shape == old.noise_spectrum.eigenvectors.shape
-        assert rebuilt.eigenvectors.tobytes() == old.noise_spectrum.eigenvectors.tobytes()
-        # the same fit as the version 3 file, which stores coef_w itself
-        v3 = from_json(VERSION_3.read_text())
-        for row in np.random.default_rng(4).normal(size=(5, old.grid.size)):
-            assert predict_coords(old, row).tobytes() == predict_coords(v3, row).tobytes()
-        resaved = from_json(to_json(old))
-        for key, value in matrices(old).items():
-            assert matrices(resaved)[key].tobytes() == value.tobytes(), key
-
     def test_refuses_to_save_a_model_whose_noise_is_not_its_residuals(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         lam, vecs = model.noise_spectrum.eigenvalues, model.noise_spectrum.eigenvectors
@@ -645,18 +551,15 @@ class TestSerialization:
         with pytest.raises(StructureError, match="malformed model document"):
             from_json(text)
 
-    def test_refuses_to_save_a_model_without_its_factor(self):
+    def test_refuses_to_save_a_model_whose_coef_w_is_not_its_factor_product(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
-        for old in (from_json(VERSION_3.read_text()), dataclasses.replace(model, factor=None)):
-            with pytest.raises(UsageError, match="has none"):
-                to_json(old)
         with pytest.raises(UsageError, match="not the product"):
             to_json(dataclasses.replace(model, coef_w=model.coef_w + 1e-9))
 
-    @pytest.mark.parametrize("key", VERSION_4_MATRICES)
+    @pytest.mark.parametrize("key", MATRICES)
     def test_rejects_corrupted_shape(self, key):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
-        text = edit_matrix(document(model, key), key,
+        text = edit_matrix(to_json(model), key,
                            lambda value: value[:-1] if value.ndim == 1 else value[:, :-1])
         with pytest.raises(StructureError):
             from_json(text)
@@ -682,7 +585,8 @@ class TestSerialization:
     def test_rejects_a_mistyped_header_value(self, change):
         # counts must be JSON integers and flags JSON booleans: no value is
         # truncated, and no string or number is read as a flag
-        doc = json.loads(VERSION_4.read_text())
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
         doc.update(change)
         with pytest.raises(StructureError, match="malformed model document"):
             from_json(json.dumps(doc))
@@ -701,34 +605,34 @@ class TestSerialization:
         with pytest.raises(StructureError):
             from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", VERSION_4_MATRICES)
+    @pytest.mark.parametrize("key", MATRICES)
     def test_rejects_a_byte_count_that_disagrees_with_the_shape(self, key):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
-        doc = json.loads(document(model, key))
+        doc = json.loads(to_json(model))
         doc[key]["f8le"] = encode(decode(doc[key]).ravel()[:-1])["f8le"]
         with pytest.raises(StructureError, match="bytes"):
             from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_each_version_reads_only_its_own_matrix_form(self, version):
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 6, 5.0, "5", True, None],
+                             ids=["1", "2", "3", "4", "6", "5.0", "string", "true", "missing"])
+    def test_rejects_a_model_version_other_than_5(self, version):
+        # a model is a function of its series and fit options, so an older
+        # file is refitted rather than read
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         doc = json.loads(to_json(model))
-        with pytest.raises(StructureError):
-            from_json(json.dumps(dict(doc, version=version)))
-        old = VERSION_3.read_text()
-        with pytest.raises(StructureError):
-            from_json(json.dumps(dict(decimal_document(old, version), version=3)))
-        with pytest.raises(StructureError):
-            from_json(json.dumps(dict(json.loads(old), version=4)))
-        with pytest.raises(StructureError):
-            from_json(json.dumps(dict(doc, version=4)))
+        if version is None:
+            del doc["version"]
+        else:
+            doc["version"] = version
+        with pytest.raises(UsageError, match=r"version .* refit the model with `curveprob fit`"):
+            from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", VERSION_4_MATRICES)
+    @pytest.mark.parametrize("key", MATRICES)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_a_non_finite_cell(self, key, bad):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         with pytest.raises(StructureError, match="non-finite"):
-            from_json(set_cell(document(model, key), key, -1, bad))
+            from_json(set_cell(to_json(model), key, -1, bad))
 
     def test_rejects_a_finite_factor_whose_coef_w_overflows(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
@@ -737,11 +641,10 @@ class TestSerialization:
         with pytest.raises(StructureError, match=r"\['coef_w'\] hold non-finite cells"):
             from_json(text)
 
-    @pytest.mark.parametrize("key", ["covariate_eigenvalues", "noise_eigenvalues"])
-    def test_rejects_a_negative_eigenvalue(self, key):
+    def test_rejects_a_negative_eigenvalue(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         with pytest.raises(StructureError, match="negative"):
-            from_json(set_cell(document(model, key), key, -1, -1e-300))
+            from_json(set_cell(to_json(model), "covariate_eigenvalues", -1, -1e-300))
 
     def test_rejects_a_non_finite_truncation_parameter(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
@@ -749,6 +652,45 @@ class TestSerialization:
         doc["truncation"].update(kind="threshold", m_n=float("nan"))
         with pytest.raises(StructureError):
             from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("change", [
+        {"k": 2.5}, {"k": True}, {"k": "2"}, {"relative": "false"}, {"relative": 1},
+        {"relative": None}, {"v": "0.9"}, {"v": True}, {"m_n": True}, {"m_n": "12"},
+        {"kind": "bogus"}, {"kind": None},
+    ])
+    def test_rejects_a_mistyped_truncation_field(self, change):
+        # the rule is metadata after the fit, but to_json writes it back as read
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        doc["truncation"].update(change)
+        with pytest.raises(StructureError, match="malformed model document"):
+            from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("truncation", [None, "fixed:2", [], {"kind": "fixed", "k": 2}])
+    def test_rejects_a_truncation_header_that_is_not_a_whole_rule(self, truncation):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        doc = json.loads(to_json(model))
+        doc["truncation"] = truncation
+        with pytest.raises(StructureError, match="malformed model document"):
+            from_json(json.dumps(doc))
+
+    def test_reads_every_well_typed_truncation_rule(self):
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        for rule in (TruncationRule.threshold(), TruncationRule.threshold(12, relative=False),
+                     TruncationRule.pve(0.9), TruncationRule.fixed(2)):
+            text = to_json(dataclasses.replace(model, truncation=rule))
+            assert from_json(text).truncation == rule
+        doc = json.loads(to_json(model))
+        doc["truncation"].update(kind="threshold", m_n=12)  # a JSON integer is a number
+        assert from_json(json.dumps(doc)).truncation.m_n == 12
+
+    def test_stores_exactly_the_version_5_keys(self):
+        # the reader reads one format, so a change to what the writer stores
+        # must come with a new MODEL_VERSION
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        header = {"format", "version", "grid_d", "n_curve_parts", "n_scalars", "n_components",
+                  "centered", "dof_correction", "truncation", "noise_rank"}
+        assert set(json.loads(to_json(model))) == header | set(MATRICES)
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(UsageError):

@@ -87,19 +87,22 @@ def noise_sampler(model: FittedFLM, seed: int) -> GaussSampler:
     return GaussSampler(model.grid, model.noise_spectrum, seed)
 
 
-def _keep_on_repeat(memo: dict, slot: str, key, build):
-    """``build()``, kept in ``memo[slot]`` only when ``key`` is asked for twice
-    in a row.
+def _memo_slot(memo: dict, slot: str, key, build, on_repeat: bool):
+    """``build()``, kept in ``memo[slot]``, which holds one ``(key, value)``
+    pair, so a new key replaces the last and a slot holds at most one value.
 
-    A slot holds one ``(key, value)`` pair. A new key is recorded with no
-    value, a second request in a row keeps the value it builds, and later
-    requests reuse it; so a slot holds at most one value, and a key asked
-    for once holds none.
+    Without ``on_repeat`` the first request for a key keeps the value it
+    builds. With it, a new key is recorded with no value, a second request in
+    a row keeps the value it builds, and later requests reuse it; so a key
+    asked for once holds none. The ensemble slots keep their first build,
+    since estimates for one covariate come in bundles; the ``noise`` and
+    ``band`` slots keep on repeat, since an experiment replicate asks each of
+    them once per fit and a kept Gaussian draw would outlive that one use.
     """
     held, value = memo.get(slot, (None, None))
     if held != key or value is None:
         value = build()
-        memo[slot] = (key, value if held == key else None)
+        memo[slot] = (key, value if held == key or not on_repeat else None)
     return value
 
 
@@ -128,8 +131,9 @@ def _check_noise(model: FittedFLM, method: str, mc_size: int, stacklevel: int = 
 def _noise_rows(model: FittedFLM, method: str, mc_size: int, seed: int) -> np.ndarray:
     if method == "boot":
         return model.residual_matrix
-    return _keep_on_repeat(model.memo, "noise", (mc_size, int(seed)),
-                           lambda: _read_only(noise_sampler(model, seed).draw_matrix(mc_size)))
+    return _memo_slot(model.memo, "noise", (mc_size, int(seed)),
+                      lambda: _read_only(noise_sampler(model, seed).draw_matrix(mc_size)),
+                      on_repeat=True)
 
 
 def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> np.ndarray:
@@ -151,8 +155,9 @@ def _ensemble(model: FittedFLM, x: Covariate, method: str, mc_size: int, seed: i
     read-only (rows, D+1) matrix of response curves that every probability
     and quantile estimate counts, ``predict_coords`` at ``x`` plus the rows of
     :func:`ensemble_noise`. It is kept in the model's ``ensemble/<method>``
-    memo slot, keyed on the covariate's coordinates (and on ``mc_size`` and
-    ``seed`` for 'gauss'); a rank-zero warning names the estimate's caller.
+    memo slot from the first request for its key, the covariate's
+    coordinates (and ``mc_size`` and ``seed`` for 'gauss'); a rank-zero
+    warning names the estimate's caller.
     """
     model.check_structure(x)
     coords = x.coords()
@@ -160,10 +165,11 @@ def _ensemble(model: FittedFLM, x: Covariate, method: str, mc_size: int, seed: i
     key = (coords.tobytes(),)
     if method == "gauss":
         key += (mc_size, int(seed))
-    values = _keep_on_repeat(
+    values = _memo_slot(
         model.memo, f"ensemble/{method}", key,
         lambda: _read_only(predict_coords(model, coords)
                            + _noise_rows(model, method, mc_size, seed)),
+        on_repeat=False,
     )
     return values, degenerate
 
@@ -353,9 +359,10 @@ def calibrate_uniform_band(
     if not 0.0 < nominal < 1.0:
         raise UsageError(f"nominal coverage must lie in (0, 1), got {nominal}")
     _check_noise(model, method, mc_size)
-    cal, lower, upper = _keep_on_repeat(
+    cal, lower, upper = _memo_slot(
         model.memo, "band", (method, mc_size, int(seed), nominal, literal_abs),
         lambda: _band_scale(model, nominal, method, mc_size, seed, literal_abs),
+        on_repeat=True,
     )
     return cal, uniform_band(predict(model, x), lower, upper)
 

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .curves import Curve
-from .errors import UsageError
+from .errors import StructureError, UsageError
 
 KINDS = ("level", "contrast", "extremal", "excursion", "boundary", "uniform_band",
          "complement")
@@ -81,16 +81,28 @@ def complement(inner: EventSet) -> EventSet:
     return EventSet("complement", inner=inner)
 
 
-def _longest_run_lengths(mask: np.ndarray) -> np.ndarray:
-    """Row-wise longest run of True in a boolean matrix: one sweep over the
-    columns, each step vectorized over the rows."""
-    longest = np.zeros(mask.shape[0], dtype=np.intp)
-    run = np.zeros_like(longest)
-    for column in mask.T:
-        run += 1
-        run *= column
-        np.maximum(longest, run, out=longest)
-    return longest
+def _has_run(mask: np.ndarray, length: int) -> np.ndarray:
+    """Rows of a boolean matrix that hold an unbroken run of at least
+    ``length`` True cells (every row for ``length <= 0``).
+
+    ``run[:, j]`` says cells j .. j+span-1 are all True; ANDing it with
+    itself shifted by ``step <= span`` extends the span by ``step``, so the
+    span doubles each vectorized step until it reaches ``length``.
+    """
+    if length <= 0:
+        return np.ones(mask.shape[0], dtype=bool)
+    run, span = mask, 1
+    while span < length:
+        step = min(span, length - span)
+        run = run[:, :-step] & run[:, step:]
+        span += step
+    return run.any(axis=1)
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """True cells per row of a boolean matrix, in the narrowest unsigned
+    dtype that holds the row width."""
+    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.min_scalar_type(mask.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -150,29 +162,37 @@ def level_shares(columns: SortedColumns, centers: np.ndarray, offsets: np.ndarra
 def contains_batch(event: EventSet, values: np.ndarray, grid) -> np.ndarray:
     """Vectorized membership for a (m, D+1) matrix of curve samples."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
+    width = values.shape[1]
     k = event.kind
     if k == "level":
-        frac = np.count_nonzero(values > event.alpha, axis=1) / grid.size
-        return frac <= event.z
+        return _row_counts(values > event.alpha) / grid.size <= event.z
     if k == "contrast":
+        if event.gamma.grid != grid:
+            raise StructureError(f"contrast curve is on grid {event.gamma.grid.resolution}, "
+                                 f"the curves on grid {grid.resolution}")
         weighted = grid.quad_weights() * event.gamma.values
         return values @ weighted > event.a
     if k == "extremal":
         return np.max(values, axis=1) > event.d
     if k == "excursion":
-        runs = _longest_run_lengths(values > event.d)
-        return np.maximum(runs - 1, 0) / grid.resolution >= event.c
+        # the least run length r whose span (r - 1) / D reaches c; the test
+        # is monotone in r, so a row is inside exactly when it holds such a run
+        lengths = np.arange(grid.size + 1)
+        spans_reach = np.maximum(lengths - 1, 0) / grid.resolution >= event.c
+        if not spans_reach.any():
+            return np.zeros(values.shape[0], dtype=bool)
+        return _has_run(values > event.d, int(np.argmax(spans_reach)))
     if k == "boundary":
         ok = np.ones(values.shape[0], dtype=bool)
         if np.isfinite(event.lo):
-            ok &= np.all(values >= event.lo, axis=1)
+            ok &= _row_counts(values >= event.lo) == width
         if np.isfinite(event.hi):
-            ok &= np.all(values <= event.hi, axis=1)
+            ok &= _row_counts(values <= event.hi) == width
         return ok
     if k == "uniform_band":
         floor = event.center.values - event.lower.values
         ceil = event.center.values + event.upper.values
-        return np.all((values >= floor) & (values <= ceil), axis=1)
+        return _row_counts((values >= floor) & (values <= ceil)) == width
     if k == "complement":
         return ~contains_batch(event.inner, values, grid)
     raise UsageError(f"unknown event kind {k!r}")
@@ -228,7 +248,7 @@ def family_level_in_z(alpha: float, lo: float = 0.0, hi: float = 1.0) -> Monoton
     alpha = float(alpha)
     return MonotoneFamily(
         lambda z: level_set(alpha, z), lo, hi,
-        critical=lambda values, grid: np.count_nonzero(values > alpha, axis=1) / grid.size,
+        critical=lambda values, grid: _row_counts(values > alpha) / grid.size,
     )
 
 

@@ -278,6 +278,8 @@ def run_rmse_experiment(
     started = time.perf_counter()
     grid = Grid(grid_d)
     spec = DGPSpec(dgp, grid)
+    # an event curve on another grid raises here, before any oracle draw
+    contains_batch(event, np.empty((0, grid.size)), grid)
     queries, truths = _oracle_truths(spec, n_predictors, seed, lambda y0, s: (
         oracle_event_probability(spec, y0, event, oracle_size, s)))
 

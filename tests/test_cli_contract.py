@@ -15,9 +15,10 @@ import inspect
 import json
 import random
 
+import numpy as np
 import pytest
 
-from curveprob.harness import cli
+from curveprob.harness import cli, experiments
 from curveprob.harness.cli import build_parser, main
 from curveprob.harness.io import load_curves, save_curves
 
@@ -256,3 +257,23 @@ def test_curve_files_scaled_to_overflow_keep_the_exit_contract(contract_files, t
             if command == "baseline":
                 cases.append([command, *flatten({**args, "estimator": "glm"})])
     check(cases, capsys)
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", "--model", "{model}", "--x", "{x}"],
+    ["baseline", "nw", "--train-series", "{series}", "--x", "{x}"],
+    ["rmse-exp", "--n", "3", "--reps", "1", "--grid-d", "8", "--mc", "3", "--predictors", "1",
+     "--oracle-size", "3", "--out", "{out}"],
+])
+def test_a_contrast_curve_on_another_grid_is_a_usage_error(command, contract_files, tmp_path,
+                                                           capsys, monkeypatch):
+    # the contract files are on grid 8, the contrast curve on grid 10
+    gamma = tmp_path / "gamma.csv"
+    save_curves(np.ones((1, 11)), gamma)
+    monkeypatch.setattr(experiments, "oracle_event_probability",
+                        lambda *args: pytest.fail("an oracle truth was computed"))
+    paths = {**contract_files, "out": tmp_path / "out.csv"}
+    argv = [a.format(**paths) for a in command] + ["--event", f"contrast:gamma=@{gamma},a=0.5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: contrast curve is on grid 10")

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from curveprob import conddist
 from curveprob.conddist import (
     GaussSampler,
     boot_prob,
@@ -298,8 +299,9 @@ def full_space_prob(model, x, method, mc_size, seed):
 
 
 class TestEnsembleMemo:
-    """The estimates keep the fitted mean plus noise once a covariate value
-    repeats, and calibrate_uniform_band keeps a band's covariate-free part."""
+    """The estimates keep the fitted mean plus noise from the first request
+    for a covariate value, and calibrate_uniform_band keeps a band's
+    covariate-free part once it repeats."""
 
     @pytest.mark.parametrize("method", ["boot", "gauss"])
     def test_hit_equals_a_fresh_ensemble_and_is_read_only(self, method):
@@ -319,7 +321,7 @@ class TestEnsembleMemo:
         model = fit(build_far_design(series, order=1)[0])
         x, event = Covariate((series[-1],)), level_set(np.sqrt(50.0), 0.5)
         kept = [gauss_prob(model, x, event, seed=3).value for _ in range(2)]
-        assert kept == [0.981, 0.981] and held(model) == ["ensemble/gauss", "noise"]
+        assert kept == [0.981, 0.981] and held(model) == ["ensemble/gauss"]
         with pytest.raises(ValueError, match="read-only"):
             model.y_mean[:] += 100
         model.memo.clear()
@@ -346,28 +348,33 @@ class TestEnsembleMemo:
         coords = changed.coords()
         assert np.count_nonzero(coords != xs[0].coords()) == 1
         boot_prob(model, changed, FULL_SPACE)
-        assert held(model) == []
-        boot_prob(model, changed, FULL_SPACE)
         got = model.memo["ensemble/boot"][1]
-        assert got is not kept
+        assert held(model) == ["ensemble/boot"] and got is not kept
         np.testing.assert_array_equal(got, predict_coords(model, coords) + model.residual_matrix)
+        boot_prob(model, changed, FULL_SPACE)
+        assert model.memo["ensemble/boot"][1] is got
 
     def test_gauss_key_holds_size_and_seed(self):
         model, xs = fitted_model()
-        for _ in range(2):
-            gauss_prob(model, xs[0], FULL_SPACE, mc_size=40, seed=12)
-        assert model.memo["ensemble/gauss"][1] is not None
+        gauss_prob(model, xs[0], FULL_SPACE, mc_size=40, seed=12)
+        last = model.memo["ensemble/gauss"][1]
+        assert last is not None
         for mc_size, seed in [(40, 13), (41, 12)]:
             est = gauss_prob(model, xs[0], FULL_SPACE, mc_size=mc_size, seed=seed)
-            assert model.memo["ensemble/gauss"][1] is None and est.n_used == mc_size
+            key, kept = model.memo["ensemble/gauss"]
+            assert key[1:] == (mc_size, seed) and kept is not last
+            assert est.n_used == len(kept) == mc_size
+            np.testing.assert_array_equal(
+                kept, predict_coords(model, xs[0].coords())
+                + noise_sampler(model, seed).draw_matrix(mc_size))
+            last = kept
 
     def test_boot_and_gauss_slots_do_not_evict_each_other(self):
         model, xs = fitted_model()
         ev = extremal_set(0.3)
-        for _ in range(2):
-            boot_prob(model, xs[0], ev)
-            gauss_prob(model, xs[0], ev, mc_size=40, seed=2)
-        assert held(model) == ["ensemble/boot", "ensemble/gauss", "noise"]
+        boot_prob(model, xs[0], ev)
+        gauss_prob(model, xs[0], ev, mc_size=40, seed=2)
+        assert held(model) == ["ensemble/boot", "ensemble/gauss"]
         boot_kept, gauss_kept = model.memo["ensemble/boot"][1], model.memo["ensemble/gauss"][1]
         quantile_over_family(model, xs[0], family_max_below(-5.0, 5.0), 0.5)
         quantile_over_family(model, xs[0], family_max_below(-5.0, 5.0), 0.5,
@@ -400,17 +407,33 @@ class TestEnsembleMemo:
             with pytest.raises(ValueError):
                 curve.values[0] = 1.0
 
-    @pytest.mark.parametrize("query", [
-        lambda m, x: boot_prob(m, x, extremal_set(0.3)),
-        lambda m, x: gauss_prob(m, x, extremal_set(0.3), mc_size=40, seed=2),
-        lambda m, x: quantile_over_family(m, x, family_max_below(-5.0, 5.0), 0.5,
-                                          method="gauss", mc_size=40, seed=2),
-        lambda m, x: calibrate_uniform_band(m, x, 0.9, "gauss", mc_size=40, seed=2),
+    @pytest.mark.parametrize("query, slots", [
+        (lambda m, x: boot_prob(m, x, extremal_set(0.3)), ["ensemble/boot"]),
+        (lambda m, x: gauss_prob(m, x, extremal_set(0.3), mc_size=40, seed=2),
+         ["ensemble/gauss"]),
+        (lambda m, x: quantile_over_family(m, x, family_max_below(-5.0, 5.0), 0.5,
+                                           method="gauss", mc_size=40, seed=2),
+         ["ensemble/gauss"]),
+        (lambda m, x: calibrate_uniform_band(m, x, 0.9, "gauss", mc_size=40, seed=2), []),
     ])
-    def test_a_model_queried_once_holds_nothing(self, query):
+    def test_a_model_queried_once_holds_only_its_ensemble(self, query, slots):
+        # the noise and band slots hold nothing after one request, as in an
+        # experiment replicate
         model, xs = fitted_model()
         query(model, xs[0])
-        assert model.memo and held(model) == []
+        assert model.memo and held(model) == slots
+
+    def test_each_new_covariate_builds_its_ensemble_once(self, monkeypatch):
+        model, xs = fitted_model()
+        builds = []
+        monkeypatch.setattr(conddist, "predict_coords",
+                            lambda m, coords: builds.append(coords) or predict_coords(m, coords))
+        for x in xs[:3]:
+            for event in (extremal_set(0.3), level_set(0.0, 0.5)):
+                boot_prob(model, x, event)
+                gauss_prob(model, x, event, mc_size=40, seed=2)
+            quantile_over_family(model, x, family_max_below(-5.0, 5.0), 0.5)
+        assert len(builds) == 6
 
     def test_copies_start_empty_and_equality_and_repr_are_unchanged(self):
         model, xs = fitted_model()
@@ -418,7 +441,7 @@ class TestEnsembleMemo:
         for _ in range(2):
             boot_prob(model, xs[0], extremal_set(0.3))
             gauss_prob(model, xs[0], extremal_set(0.3), mc_size=40, seed=2)
-            calibrate_uniform_band(model, xs[0], 0.9, "boot")
+            calibrate_uniform_band(model, xs[0], 0.9, "gauss", mc_size=40, seed=2)
         assert held(model) == ["band", "ensemble/boot", "ensemble/gauss", "noise"]
         assert from_json(to_json(model)).memo == {}
         assert dataclasses.replace(model).memo == {}

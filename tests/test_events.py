@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from curveprob.curves import Curve, Grid
-from curveprob.errors import UsageError
+from curveprob.errors import StructureError, UsageError
 from curveprob.events import (
-    _longest_run_lengths,
+    _has_run,
     boundary_set,
     complement,
     contains_batch,
@@ -73,6 +73,14 @@ class TestContains:
         assert not contains(uniform_band(center, narrow, narrow), y)
 
 
+def test_a_contrast_curve_on_another_grid_is_a_structure_error():
+    gamma = Curve.constant(Grid(10), 1.0)
+    values = np.zeros((3, GRID.size))
+    for event in (contrast_set(gamma, 0.5), complement(contrast_set(gamma, 0.5))):
+        with pytest.raises(StructureError, match="grid 10.*grid 100"):
+            contains_batch(event, values, GRID)
+
+
 class TestComplement:
     @pytest.mark.parametrize("event", [
         level_set(0.0, 0.5),
@@ -119,15 +127,80 @@ def longest_run_reference(row) -> int:
 
 
 class TestLongestRun:
-    @pytest.mark.parametrize("shape", [(200, 101), (50, 1), (0, 101), (7, 0)])
+    @pytest.mark.parametrize("shape", [(200, 101), (50, 1), (0, 101), (7, 0), (9, 37)])
     def test_matches_a_plain_loop(self, shape):
         rng = np.random.default_rng(shape[0] + shape[1])
         mask = rng.uniform(size=shape) < rng.uniform(size=(shape[0], 1))
         if shape[0] >= 2:
             mask[0], mask[1] = True, False
-        runs = _longest_run_lengths(mask)
-        assert runs.shape == (shape[0],)
-        assert list(runs) == [longest_run_reference(row) for row in mask]
+        longest = [longest_run_reference(row) for row in mask]
+        for length in range(-1, shape[1] + 2):
+            runs = _has_run(mask, length)
+            assert runs.shape == (shape[0],) and runs.dtype == bool
+            assert list(runs) == [r >= length for r in longest], length
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 64])
+    def test_all_true_and_all_false_rows(self, width):
+        mask = np.array([[True] * width, [False] * width])
+        for length in range(width + 2):
+            assert list(_has_run(mask, length)) == [length <= width, length <= 0]
+
+
+def excursion_reference(values, grid, d, c) -> list:
+    """Excursion membership from the plain-loop longest run of each row."""
+    return [max(longest_run_reference(row > d) - 1, 0) / grid.resolution >= c
+            for row in values]
+
+
+class TestExcursionExact:
+    @pytest.mark.parametrize("resolution", [2, 7, 100])
+    def test_every_span_the_grid_can_take(self, resolution):
+        grid = Grid(resolution)
+        rng = np.random.default_rng(resolution)
+        walks = np.cumsum(rng.normal(size=(300, grid.size)), axis=1)
+        matrices = {"random": walks, "all above": np.ones((4, grid.size)),
+                    "all below": -np.ones((4, grid.size)), "no rows": np.empty((0, grid.size))}
+        spans = [k / resolution for k in range(resolution + 1)]
+        cs = (spans + [np.nextafter(c, np.inf) for c in spans]
+              + [0.0, -0.0, -0.5, -np.inf, np.nextafter(1.0, np.inf), 1.5, np.inf])
+        for name, values in matrices.items():
+            for c in cs:
+                got = contains_batch(excursion_set(0.0, c), values, grid)
+                assert got.shape == (len(values),) and got.dtype == bool
+                assert list(got) == excursion_reference(values, grid, 0.0, c), (name, c)
+        # the random walks reach every decision: some rows in and some out
+        inside = contains_batch(excursion_set(0.0, 0.5), walks, grid)
+        assert inside.any() and not inside.all()
+
+
+class TestRowCountWidths:
+    """All-True rows of 255, 256 and 1001 cells: a count kept in a dtype
+    narrower than the width would wrap and flip these memberships."""
+
+    @pytest.mark.parametrize("resolution", [254, 255, 1000])
+    def test_full_rows_count_to_the_width(self, resolution):
+        grid = Grid(resolution)
+        one_out = np.ones(grid.size)
+        one_out[resolution // 2] = -1.0
+        values = np.stack([np.ones(grid.size), -np.ones(grid.size), one_out])
+        width = grid.size
+        below_one = np.nextafter(1.0, -np.inf)
+        assert list(contains_batch(level_set(0.0, 1.0), values, grid)) == [True] * 3
+        assert list(contains_batch(level_set(0.0, below_one), values, grid)) == [
+            False, True, True]
+        assert list(contains_batch(level_set(0.0, (width - 1) / width), values, grid)) == [
+            False, True, True]
+        assert list(contains_batch(complement(level_set(0.0, below_one)), values, grid)) == [
+            True, False, False]
+        assert list(contains_batch(boundary_set(0.0, 2.0), values, grid)) == [
+            True, False, False]
+        assert list(contains_batch(boundary_set(-2.0, 0.0), values, grid)) == [
+            False, True, False]
+        zero = Curve.constant(grid, 0.0)
+        band = uniform_band(Curve.constant(grid, 1.0), zero, zero)
+        assert list(contains_batch(band, values, grid)) == [True, False, False]
+        assert list(family_level_in_z(0.0).critical(values, grid)) == [
+            1.0, 0.0, (width - 1) / width]
 
 
 def level_shares_reference(noise, centers, offsets, alpha):

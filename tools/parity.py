@@ -45,6 +45,10 @@ _SMALL = ["--grid-d", "16", "--mc", "60", "--seed", "1"]
 _ORACLE = [*_SMALL, "--n", "30", "--predictors", "2", "--reps", "2", "--oracle-size", "100"]
 _QUERY = ["--model", "model.json", "--x", "x.csv"]
 _LEVEL = "level:alpha=7,z=0.5"
+# one event of each kind that estimate reads besides level; the contrast
+# curve is the covariate's, on the model's grid
+_EVENTS = {"excursion": "excursion:d=7,c=0.25", "boundary": "boundary:lo=4,hi=10",
+           "complement": f"complement:{_LEVEL}", "contrast": "contrast:gamma=@x.csv,a=49"}
 _DAYS = ["--doy", "doy.txt", "--dow", "dow.txt"]
 
 # (name, argv) of commands that must succeed; each writes the file after
@@ -66,8 +70,14 @@ VALID = [
                         "--mc", "200", "--seed", "7"]),
     ("estimate boot --exog", ["estimate", "--model", "model_exog.json", "--x", "x2.csv",
                               "--event", _LEVEL]),
+    *((f"estimate {method} {kind}", ["estimate", *_QUERY, "--event", spec, "--method", method,
+                                     "--mc", "200", "--seed", "7"])
+      for kind, spec in _EVENTS.items() for method in ("boot", "gauss")),
     ("quantile", ["quantile", *_QUERY, "--family", "level-alpha:z=0.5,lo=0,hi=25",
                   "--p", "0.9", "--method", "gauss", "--mc", "200", "--seed", "7"]),
+    ("quantile max-below", ["quantile", *_QUERY, "--family", "max-below:lo=0,hi=25",
+                            "--p", "0.9", "--method", "gauss", "--mc", "200", "--seed", "7"]),
+    ("quantile level-z", ["quantile", *_QUERY, "--family", "level-z:alpha=7", "--p", "0.6"]),
     ("band", ["band", *_QUERY, "--nominal", "0.9", "--method", "gauss", "--mc", "200",
               "--seed", "7", "--out", "band.csv"]),
     ("band --literal-abs", ["band", *_QUERY, "--nominal", "0.9", "--literal-abs",

@@ -12,6 +12,7 @@ one length-p row per query.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -56,8 +57,9 @@ def _distances(row_sq: np.ndarray, col_sq: np.ndarray, twice_products: np.ndarra
 
 def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     """(n, n) Euclidean distances between the rows of a coordinate matrix."""
-    sq = np.sum(coords**2, axis=1)
-    return _distances(sq, sq, 2.0 * coords @ coords.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # _distances rejects overflow
+        sq = np.sum(coords**2, axis=1)
+        return _distances(sq, sq, 2.0 * coords @ coords.T)
 
 
 def _gaussian_kernel(dist: np.ndarray, bandwidth: float, out: np.ndarray) -> np.ndarray:
@@ -130,9 +132,10 @@ def cross_distances(train_coords: np.ndarray, queries) -> np.ndarray:
     the stacked queries rounds differently), so a query's row does not depend
     on the other queries."""
     queries = np.asarray(queries, dtype=float)
-    products = np.stack([train_coords @ x for x in queries])
-    return _distances(np.sum(queries**2, axis=1), np.sum(train_coords**2, axis=1),
-                      2.0 * products)
+    with np.errstate(over="ignore", invalid="ignore"):  # _distances rejects overflow
+        products = np.stack([train_coords @ x for x in queries])
+        return _distances(np.sum(queries**2, axis=1), np.sum(train_coords**2, axis=1),
+                          2.0 * products)
 
 
 def nw_prob(est: NWEstimator, x_coords) -> float:
@@ -182,10 +185,14 @@ class FGLMModel:
 def _link_mean(link: str, eta: np.ndarray) -> np.ndarray:
     if link == "logit":
         return 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
-    if link == "probit":
-        from scipy.stats import norm  # deferred: slow to import, and only probit needs it
-        return norm.cdf(eta)
+    if link == "probit":  # the standard normal cdf
+        return np.array([0.5 * math.erfc(-x / math.sqrt(2)) for x in eta], dtype=float)
     raise UsageError(f"link must be 'logit' or 'probit', got {link!r}")
+
+
+def _normal_density(eta: np.ndarray) -> np.ndarray:
+    """The standard normal density, ``exp(-eta**2 / 2) / sqrt(2 pi)``."""
+    return np.exp(-eta**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 def _log_likelihood(y: np.ndarray, mu: np.ndarray) -> float:
@@ -225,8 +232,7 @@ def fglm_fit(coords, labels, regression: FittedFLM, link: str = "logit") -> FGLM
             weight = mu * (1 - mu)
             working = eta + (y - mu) / weight
         else:
-            from scipy.stats import norm
-            dens = np.maximum(norm.pdf(eta), 1e-10)
+            dens = np.maximum(_normal_density(eta), 1e-10)
             weight = dens**2 / (mu * (1 - mu))
             working = eta + (y - mu) / dens
         wd = design * weight[:, None]

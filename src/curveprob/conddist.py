@@ -268,15 +268,10 @@ def ensemble_quantile(
     ``values`` (rows of curves on ``grid``) inside the event reaches p.
 
     The family range is discretized at resolution ``tol`` (default 1e-4 of
-    the range), and the left-most grid point with estimate >= p is found
-    by index bisection over the one ensemble, so the profile is exactly
-    monotone.
-
-    For a family with critical values (the built-in ones) the estimate
-    reaches p exactly at and above one order statistic of the ensemble's
-    critical values, so each bisection step is a comparison with it and the
-    ensemble is scanned once. Other families test the ensemble against the
-    family's event at every step.
+    the range). A curve is inside the event at xi exactly when its critical
+    value is at most xi, so the fraction reaches p exactly at and above one
+    order statistic of the ensemble's critical values; the left-most grid
+    point at or above it is found by index bisection.
     """
     if not 0.0 < p < 1.0:
         raise UsageError(f"p must lie in (0, 1), got {p}")
@@ -285,42 +280,25 @@ def ensemble_quantile(
     if tol <= 0:
         raise UsageError(f"tolerance must be positive, got {tol}")
 
-    m = values.shape[0]
     n_steps = int(np.ceil((hi - lo) / tol))
 
     def point(i: int) -> float:
         return hi if i == n_steps else lo + i * (hi - lo) / n_steps
 
-    if family.critical is not None:
-        crit = family.critical(values, grid)
-        threshold = order_statistic_quantile(crit, p)
-
-        def estimate(xi: float) -> float:
-            return np.count_nonzero(crit <= xi) / m
-
-        def reaches(xi: float) -> bool:
-            return xi >= threshold
-    else:
-        def estimate(xi: float) -> float:
-            inside = contains_batch(family.at(xi), values, grid)
-            return np.count_nonzero(inside) / m
-
-        def reaches(xi: float) -> bool:
-            return estimate(xi) >= p
-
-    # the upper end must reach p; the search keeps reaches(point(yes)) and
-    # not reaches(point(no))
-    if not reaches(hi):
+    crit = family.critical(values, grid)
+    threshold = order_statistic_quantile(crit, p)
+    if not hi >= threshold:  # a NaN threshold is out of reach too
         raise RangeExhaustedError(
             f"estimate never reaches p={p} on [{lo}, {hi}]",
-            boundary_estimate=estimate(hi),
+            boundary_estimate=np.count_nonzero(crit <= hi) / values.shape[0],
         )
-    if reaches(lo):
+    if lo >= threshold:
         return float(lo)
+    # the search keeps point(yes) >= threshold > point(no)
     yes, no = n_steps, 0
     while yes - no > 1:
         mid = (yes + no) // 2
-        if reaches(point(mid)):
+        if point(mid) >= threshold:
             yes = mid
         else:
             no = mid

@@ -19,7 +19,7 @@ Built-in kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -202,20 +202,18 @@ def contains_batch(event: EventSet, values: np.ndarray, grid) -> np.ndarray:
 class MonotoneFamily:
     """One-parameter family of event sets nested by inclusion.
 
-    ``generator(xi)`` must return events that grow with xi. The built-in
-    factories guarantee this; custom families assert it themselves.
-
-    The built-in families also carry ``critical(values, grid)``: per row of
-    a (m, D+1) sample matrix, the parameter at which that curve enters the
-    event, so that ``contains_batch(at(xi), values, grid)`` equals
-    ``critical(values, grid) <= xi`` for every xi.
+    ``generator(xi)`` must return events that grow with xi, and
+    ``critical(values, grid)`` gives, per row of a (m, D+1) sample matrix,
+    the parameter at which that curve enters the event: for every xi,
+    ``contains_batch(at(xi), values, grid) == (critical(values, grid) <= xi)``.
+    The quantile search reads only the critical values. The built-in
+    factories keep this contract; custom families assert it themselves.
     """
 
     generator: Callable[[float], EventSet] = field(compare=False)
     lo: float
     hi: float
-    critical: Optional[Callable[[np.ndarray, object], np.ndarray]] = field(
-        default=None, compare=False, repr=False)
+    critical: Callable[[np.ndarray, object], np.ndarray] = field(compare=False, repr=False)
 
     def __post_init__(self):
         # finite width, not just finite bounds: the quantile search steps through it

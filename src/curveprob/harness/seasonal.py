@@ -110,7 +110,8 @@ def deseasonalize(
     np.add.at(counts, doy, 1.0)
     have = counts > 0
     means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=have[:, None])
-    yearly = _circular_rolling_mean(_circular_fill(means, have), window)
+    with np.errstate(over="ignore", invalid="ignore"):  # curve_matrix rejects overflow
+        yearly = _circular_rolling_mean(_circular_fill(means, have), window)
 
     residual = values - yearly[doy]
 
@@ -122,7 +123,8 @@ def deseasonalize(
         np.add.at(wcounts, dow, 1.0)
         whave = wcounts > 0
         wmeans = np.divide(wsums, wcounts[:, None], out=np.zeros_like(wsums), where=whave[:, None])
-        wmeans -= wmeans[whave].mean(axis=0)  # identifiability: weekly component sums to zero
+        with np.errstate(over="ignore", invalid="ignore"):  # curve_matrix rejects overflow
+            wmeans -= wmeans[whave].mean(axis=0)  # identifiability: weekly component sums to zero
         weekly_table = wmeans
         residual = residual - weekly_table[dow]
 

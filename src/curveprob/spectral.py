@@ -79,7 +79,9 @@ def empirical_covariance(coords: np.ndarray) -> CovarianceOperator:
     x = np.asarray(coords, dtype=float)
     if len(x) == 0:
         raise UsageError("empirical_covariance needs a nonempty sample")
-    return CovarianceOperator(x.T @ x / len(x))
+    with np.errstate(over="ignore", invalid="ignore"):  # CovarianceOperator rejects overflow
+        second_moment = x.T @ x / len(x)
+    return CovarianceOperator(second_moment)
 
 
 def eigendecompose(op: CovarianceOperator) -> SpectralPair:

@@ -7,6 +7,8 @@ or flattened form of the same quantity.
 
 import numpy as np
 
+from curveprob.events import contains_batch
+
 
 def l2_inner(grid, a, b) -> float:
     """Trapezoid approximation of the L2 inner product of two sampled curves."""
@@ -33,3 +35,18 @@ def in_point_band(center, lower, upper, s, y) -> bool:
     i = min(max(int(round(s * y.grid.resolution)), 0), y.grid.resolution)
     return bool(center.values[i] - lower.values[i] <= y.values[i]
                 <= center.values[i] + upper.values[i])
+
+
+def scan_quantile(values, grid, family, p, tol=None):
+    """The first of the points ``lo + i * (hi - lo) / n_steps``, i = 0 ..
+    n_steps (the last one ``hi``), ``n_steps = ceil((hi - lo) / tol)``, at
+    which the fraction of the rows of ``values`` inside ``family.at`` that
+    point reaches p; ``("exhausted", fraction at hi)`` when none does."""
+    lo, hi = family.lo, family.hi
+    n_steps = int(np.ceil((hi - lo) / (tol if tol is not None else 1e-4 * (hi - lo))))
+    for i in range(n_steps + 1):
+        xi = hi if i == n_steps else lo + i * (hi - lo) / n_steps
+        fraction = np.count_nonzero(contains_batch(family.at(xi), values, grid)) / len(values)
+        if fraction >= p:
+            return float(xi)
+    return ("exhausted", float(fraction))

@@ -428,3 +428,21 @@ class TestFGLMProb:
         model = FGLMModel(link="probit", intercept=0.0, coefficients=np.ones(1),
                           basis=np.ones((1, 1)), x_mean_coords=np.zeros(1))
         assert fglm_prob(model, scalar_cov(1.6449)) == pytest.approx(0.95, abs=1e-3)
+
+
+class TestProbitLink:
+    # scipy is a test-only reference: the package evaluates the standard
+    # normal with math.erfc and numpy alone
+    POINTS = np.linspace(-40.0, 40.0, 800_001)
+
+    def test_cdf_matches_scipy_on_normal_floats(self):
+        got = baselines._link_mean("probit", self.POINTS)
+        want = norm.cdf(self.POINTS)
+        normal = want >= np.finfo(float).tiny
+        assert np.all(np.abs(got[normal] - want[normal]) <= 1e-12 * want[normal])
+        # where scipy's value is subnormal or zero, both are negligible
+        assert np.all(got[~normal] < 1e-300) and np.all(want[~normal] < 1e-300)
+
+    def test_density_equals_scipy_bitwise(self):
+        points = np.concatenate([self.POINTS, np.random.default_rng(0).normal(size=300_000)])
+        assert baselines._normal_density(points).tobytes() == norm.pdf(points).tobytes()

@@ -612,8 +612,7 @@ EXIT_CASES = [
 def test_exit_code_contract(broken_inputs, capsys, case, argv, code, message):
     assert run(*[a.format(**broken_inputs) for a in argv]) == code
     err = capsys.readouterr().err
-    assert message in err
-    assert "Traceback" not in err
+    assert message in err and err.count("\n") == 1, err
 
 
 # Monte-Carlo sizes whose draws cannot be held: malloc refuses 10**15 rows
@@ -662,12 +661,37 @@ def test_a_mistyped_model_header_exits_2(tmp_path, model_json, x_csv, capsys, ke
     assert "malformed model document" in err and "Traceback" not in err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+# every scipy import fails in the probe, as it would where scipy is not installed
+BLOCK_SCIPY = """
+import sys
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def test_cli_runs_with_every_scipy_import_blocked(tmp_path, model_json, x_csv, series_csv):
     src = str(Path(curveprob.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, curveprob.harness.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    query = ["--model", str(model_json), "--x", str(x_csv)]
+    commands = [
+        ["baseline", "glm", "--link", "probit", "--train-series", str(series_csv),
+         "--x", str(x_csv), "--event", "extremal:d=0"],
+        ["estimate", *query, "--event", "level:alpha=0.5,z=0.5", "--method", "gauss"],
+        *(["quantile", *query, "--family", family, "--p", "0.5", "--method", method]
+          for family in ("level-alpha:z=0.5,lo=-50,hi=50", "level-z:alpha=0",
+                         "max-below:lo=-50,hi=50")
+          for method in ("boot", "gauss")),
+    ]
+    probe = (BLOCK_SCIPY + "from curveprob.harness.cli import main\n"
+             f"for argv in {commands!r}:\n"
+             "    assert main(argv) == 0, argv\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_band_leaves_numpy_ma_unloaded(tmp_path, model_json, x_csv):
@@ -695,6 +719,20 @@ def run_fresh(cwd, *argv, **env):
            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, "-m", "curveprob.harness.cli", *map(str, argv)],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+OVERFLOW_CASES = [c for c in EXIT_CASES if {"{huge}", "{overflow}"} & set(c[1])]
+
+
+@pytest.mark.parametrize("case, argv, code, message", OVERFLOW_CASES,
+                         ids=[c[0] for c in OVERFLOW_CASES])
+def test_overflowing_sums_and_products_write_one_stderr_line_in_a_fresh_process(
+        broken_inputs, tmp_path, case, argv, code, message):
+    # pytest captures the warnings of test_exit_code_contract; a fresh
+    # interpreter would print any that reach it
+    done = run_fresh(tmp_path, *[a.format(**broken_inputs) for a in argv])
+    assert done.returncode == code
+    assert message in done.stderr and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_an_unset_blas_thread_count_runs_as_one_thread(tmp_path):

@@ -13,7 +13,11 @@ import argparse
 import ast
 import inspect
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,15 +91,15 @@ def flatten(args) -> list:
 
 
 def outcome(argv, capsys):
-    """The exit code of ``main(argv)``, or the exception that escaped it."""
+    """The exit code of ``main(argv)``, or the exception that escaped it, and
+    what it wrote to stderr."""
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
     except Exception as exc:  # noqa: BLE001  any escape breaks the contract
         code = f"{type(exc).__name__}: {exc}"
-    capsys.readouterr()
-    return code
+    return code, capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +124,7 @@ def contract_files(tmp_path_factory):
 
 def check(cases, capsys):
     broken = [(argv, code) for argv in cases
-              if (code := outcome(argv, capsys)) not in (0, 2, 3)]
+              if (code := outcome(argv, capsys)[0]) not in (0, 2, 3)]
     assert not broken, "\n".join(f"{argv} -> {code}" for argv, code in broken)
 
 
@@ -256,7 +260,40 @@ def test_curve_files_scaled_to_overflow_keep_the_exit_contract(contract_files, t
             cases.append([command, *flatten(dict(args))])
             if command == "baseline":
                 cases.append([command, *flatten({**args, "estimator": "glm"})])
-    check(cases, capsys)
+    broken = []
+    for argv in cases:
+        code, err = outcome(argv, capsys)
+        if code not in (0, 2, 3) or code and err.count("\n") != 1:
+            broken.append(f"{argv} -> {code}: {err!r}")
+    assert not broken, "\n".join(broken)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_curve_files_scaled_to_overflow_write_one_stderr_line_in_a_fresh_process(
+        scale, contract_files, tmp_path):
+    # pytest captures the warnings of the in-process tests; a fresh
+    # interpreter would print any that reach it
+    series = tmp_path / "scaled.csv"
+    save_curves(scale * load_curves(contract_files["series"]), series)
+    query = ["--x", contract_files["x"], "--event", "extremal:d=0"]
+    commands = [
+        ["fit", "--series", series, "--out", tmp_path / "fit.json"],
+        ["baseline", "nw", "--train-series", series, *query],
+        ["baseline", "nw", "--train-series", series, *query, "--bandwidth", "1"],
+        ["baseline", "glm", "--train-series", series, *query],
+        ["baseline", "glm", "--train-series", series, *query, "--link", "probit"],
+        ["entropy-eval", "--response", series, "--doy", contract_files["doy"],
+         "--dow", contract_files["dow"], "--out", tmp_path / "entropy.csv"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "curveprob.harness.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 3, (argv, done.stderr)
+        assert done.stderr.startswith("degenerate input: ") and done.stderr.count("\n") == 1, (
+            argv, done.stderr)
 
 
 @pytest.mark.parametrize("command", [

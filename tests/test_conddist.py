@@ -49,6 +49,8 @@ from curveprob.harness.dgp import (
 from curveprob.rng import substream
 from curveprob.spectral import CovarianceOperator, SpectralPair, eigendecompose
 
+from reference import scan_quantile
+
 GRID = Grid(10)
 FULL_SPACE = complement(extremal_set(np.inf))
 
@@ -607,9 +609,7 @@ class TestQuantileOverFamily:
                                     y_mean=0.7 * np.sin(2 * np.pi * GRID.points))
         x = zero_covariate(GRID)
         peak = float(np.max(predict(model, x).values))
-        families = [self.family, family_level_in_alpha(0.3, -2.0, 2.0),
-                    dataclasses.replace(self.family, critical=None)]
-        for family in families:
+        for family in (self.family, family_level_in_alpha(0.3, -2.0, 2.0)):
             for p in (0.1, 0.5, 0.9):
                 with pytest.warns(UserWarning, match="rank zero"):
                     got = quantile_over_family(model, x, family, p, method="gauss", mc_size=30)
@@ -649,11 +649,19 @@ class TestLinearQuantiles:
 
 
 class TestCriticalValueQuantile:
-    def test_matches_bisection_over_events(self):
-        # the built-in families answer from one order statistic of their
-        # critical values; without them the same search tests the ensemble
-        # against the family's events at every step, and both must give the
-        # same float, or the same boundary estimate when p is out of reach
+    @staticmethod
+    def search(values, grid, family, p, tol):
+        """What ensemble_quantile gives, in scan_quantile's form."""
+        try:
+            return float(ensemble_quantile(values, grid, family, p, tol))
+        except RangeExhaustedError as err:
+            return ("exhausted", float(err.boundary_estimate))
+
+    def test_matches_a_scan_of_the_search_grid(self):
+        # the search reads one order statistic of the critical values; the
+        # reference counts the ensemble in the family's event at each grid
+        # point in turn, and both must give the same float, or the same
+        # boundary estimate when p is out of reach
         rng = np.random.default_rng(17)
         models = [fitted_model(n=30, seed=s) for s in range(4)]
         exhausted = 0
@@ -678,19 +686,17 @@ class TestCriticalValueQuantile:
             tol = float(rng.uniform(1e-3, 0.2)) if case % 5 == 0 else None
             # the ensemble quantile_over_family searches
             values = predict_coords(model, x.coords()) + ensemble_noise(model, *noise)
-            results = []
-            for fam in (family, dataclasses.replace(family, critical=None)):
-                try:
-                    results.append(repr(ensemble_quantile(values, model.grid, fam, p, tol)))
-                except RangeExhaustedError as err:
-                    results.append(("exhausted", repr(err.boundary_estimate)))
-            assert results[0] == results[1], (case, results)
-            exhausted += isinstance(results[0], tuple)
+            got = self.search(values, model.grid, family, p, tol)
+            want = scan_quantile(values, model.grid, family, p, tol)
+            assert repr(got) == repr(want), (case, got, want)
+            exhausted += isinstance(got, tuple)
         assert 20 <= exhausted <= 200
 
-    def test_matches_bisection_when_critical_values_sit_on_the_grid(self):
+    def test_matches_a_scan_when_critical_values_sit_on_the_grid(self):
         # integer-valued ensembles on a grid of step 1/2 or 1/4: the search
-        # meets critical values exactly, where "reaches p" must hold
+        # meets critical values exactly, where "reaches p" must hold, also at
+        # a range end (a lower end of 3 is often the order statistic itself,
+        # and an upper end of 2 is often out of reach but some row's maximum)
         rng = np.random.default_rng(29)
         for case in range(30):
             model = toy_model(GRID, rng.integers(-3, 4, size=(12, GRID.size)))
@@ -698,11 +704,11 @@ class TestCriticalValueQuantile:
             tol = float(rng.choice([0.25, 0.5]))
             p = float(rng.choice([0.25, 0.5, 0.75, 11 / 12]))
             for family in (family_max_below(-4.0, 4.0),
-                           family_level_in_alpha(float(rng.choice([0.0, 0.3, 0.5])), -4.0, 4.0)):
+                           family_level_in_alpha(float(rng.choice([0.0, 0.3, 0.5])), -4.0, 4.0),
+                           family_max_below(3.0, 4.0), family_max_below(-4.0, 2.0)):
                 values = predict_coords(model, x.coords()) + ensemble_noise(model, "boot", 0, 0)
-                results = [ensemble_quantile(values, GRID, fam, p, tol) for fam in
-                           (family, dataclasses.replace(family, critical=None))]
-                assert results[0] == results[1], (case, results)
+                got = self.search(values, GRID, family, p, tol)
+                assert repr(got) == repr(scan_quantile(values, GRID, family, p, tol)), case
 
     def test_order_statistic_is_where_the_fraction_reaches_p(self):
         crit = np.array([3.0, -np.inf, 1.0, 1.0, 2.0, np.inf])

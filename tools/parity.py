@@ -88,6 +88,9 @@ VALID = [
                      "--event", _LEVEL]),
     ("baseline glm", ["baseline", "glm", "--train-series", "synthetic.csv", "--x", "x.csv",
                       "--event", _LEVEL, "--components", "2"]),
+    ("baseline glm --link probit", ["baseline", "glm", "--train-series", "synthetic.csv",
+                                    "--x", "x.csv", "--event", _LEVEL, "--components", "2",
+                                    "--link", "probit"]),
     ("coverage-exp", ["coverage-exp", *_SMALL, "--n", "30", "--reps", "4", "--b", "0.4",
                       "--out", "coverage.csv"]),
     ("rmse-exp", ["rmse-exp", *_ORACLE, "--methods", "boot,gauss,glm,nw", "--out", "rmse.csv"]),

@@ -87,23 +87,19 @@ def noise_sampler(model: FittedFLM, seed: int) -> GaussSampler:
     return GaussSampler(model.grid, model.noise_spectrum, seed)
 
 
-def _memo_slot(memo: dict, slot: str, key, build, on_repeat: bool):
-    """``build()``, kept in ``memo[slot]``, which holds one ``(key, value)``
-    pair, so a new key replaces the last and a slot holds at most one value.
+def _memo_slot(memo: dict, slot: str, key, build):
+    """``build()``, kept in ``memo[slot]`` as one ``(key, value)`` pair.
 
-    Without ``on_repeat`` the first request for a key keeps the value it
-    builds. With it, a new key is recorded with no value, a second request in
-    a row keeps the value it builds, and later requests reuse it; so a key
-    asked for once holds none. The ensemble slots keep their first build,
-    since estimates for one covariate come in bundles; the ``noise`` and
-    ``band`` slots keep on repeat, since an experiment replicate asks each of
-    them once per fit and a kept Gaussian draw would outlive that one use.
+    The memo's one rule: a slot keeps the value built for the first request
+    of its key, and a new key replaces it. The ``ensemble/<method>`` slots
+    serve one covariate's estimates from one build, ``noise`` keeps the
+    Gaussian rows those builds share across covariates, and ``band`` keeps a
+    band's covariate-free part; each value is read-only.
     """
-    held, value = memo.get(slot, (None, None))
-    if held != key or value is None:
-        value = build()
-        memo[slot] = (key, value if held == key or not on_repeat else None)
-    return value
+    held = memo.get(slot)
+    if held is None or held[0] != key:
+        held = memo[slot] = (key, build())
+    return held[1]
 
 
 def _check_noise(model: FittedFLM, method: str, mc_size: int, stacklevel: int = 3) -> bool:
@@ -131,20 +127,18 @@ def _check_noise(model: FittedFLM, method: str, mc_size: int, stacklevel: int = 
 def _noise_rows(model: FittedFLM, method: str, mc_size: int, seed: int) -> np.ndarray:
     if method == "boot":
         return model.residual_matrix
-    return _memo_slot(model.memo, "noise", (mc_size, int(seed)),
-                      lambda: _read_only(noise_sampler(model, seed).draw_matrix(mc_size)),
-                      on_repeat=True)
+    return _read_only(noise_sampler(model, seed).draw_matrix(mc_size))
 
 
 def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> np.ndarray:
-    """The noise rows that a method adds to the fitted mean.
+    """The noise rows that a method adds to the fitted mean, read-only.
 
     'boot' gives the in-sample residual curves (``mc_size`` and ``seed`` are
-    unused); 'gauss' gives ``mc_size`` Karhunen-Loeve draws from ``seed``,
-    read-only and kept in the model's ``noise`` memo slot. A rank-zero noise
-    covariance draws zero rows, and that case warns. The experiment drivers
-    read these rows once per fit and add each covariate's ``predict_coords``
-    themselves, so they keep no ensemble in the memo.
+    unused); 'gauss' gives ``mc_size`` fresh Karhunen-Loeve draws from
+    ``seed``. A rank-zero noise covariance draws zero rows, and that case
+    warns. Nothing is kept in the model's memo: the experiment drivers read
+    these rows once per fit and add each covariate's ``predict_coords``
+    themselves.
     """
     _check_noise(model, method, mc_size)
     return _noise_rows(model, method, mc_size, seed)
@@ -154,10 +148,11 @@ def _ensemble(model: FittedFLM, x: Covariate, method: str, mc_size: int, seed: i
     """(values, degenerate flag) of the estimate that calls this: the
     read-only (rows, D+1) matrix of response curves that every probability
     and quantile estimate counts, ``predict_coords`` at ``x`` plus the rows of
-    :func:`ensemble_noise`. It is kept in the model's ``ensemble/<method>``
-    memo slot from the first request for its key, the covariate's
-    coordinates (and ``mc_size`` and ``seed`` for 'gauss'); a rank-zero
-    warning names the estimate's caller.
+    :func:`ensemble_noise`, kept in the model's ``ensemble/<method>`` memo
+    slot under the covariate's coordinates (and ``mc_size`` and ``seed`` for
+    'gauss'). The Gaussian rows are kept in the ``noise`` slot under
+    ``(mc_size, seed)``, so the ensemble of the next covariate reuses them. A
+    rank-zero warning names the estimate's caller.
     """
     model.check_structure(x)
     coords = x.coords()
@@ -165,13 +160,16 @@ def _ensemble(model: FittedFLM, x: Covariate, method: str, mc_size: int, seed: i
     key = (coords.tobytes(),)
     if method == "gauss":
         key += (mc_size, int(seed))
-    values = _memo_slot(
-        model.memo, f"ensemble/{method}", key,
-        lambda: _read_only(predict_coords(model, coords)
-                           + _noise_rows(model, method, mc_size, seed)),
-        on_repeat=False,
-    )
-    return values, degenerate
+
+    def build():
+        if method == "boot":
+            rows = model.residual_matrix
+        else:
+            rows = _memo_slot(model.memo, "noise", key[1:],
+                              lambda: _noise_rows(model, method, mc_size, seed))
+        return _read_only(predict_coords(model, coords) + rows)
+
+    return _memo_slot(model.memo, f"ensemble/{method}", key, build), degenerate
 
 
 def _prob(model: FittedFLM, event: EventSet, method: str, seed: int,
@@ -340,7 +338,6 @@ def calibrate_uniform_band(
     cal, lower, upper = _memo_slot(
         model.memo, "band", (method, mc_size, int(seed), nominal, literal_abs),
         lambda: _band_scale(model, nominal, method, mc_size, seed, literal_abs),
-        on_repeat=True,
     )
     return cal, uniform_band(predict(model, x), lower, upper)
 

@@ -200,14 +200,8 @@ class FittedFLM:
     eigendecomposition, which no model file stores.
 
     ``memo`` holds what :mod:`curveprob.conddist` derives from the model for
-    one request and may reuse for the next, one ``(key, value)`` pair per
-    slot: ``noise`` (Gaussian rows per ``(mc_size, seed)``), ``ensemble/boot``
-    and ``ensemble/gauss`` (fitted mean plus noise rows per covariate value)
-    and ``band`` (a band's covariate-free calibration). One key replaces the
-    last, so each slot holds at most one read-only value. The ensemble slots
-    keep it from the first request for their key; ``noise`` and ``band`` keep
-    it only when their key is asked for twice in a row, so a model asked
-    once for either holds nothing there. Serialization, comparison, ``repr`` and
+    one request and may reuse for the next; its slots and their rule are
+    conddist's. Serialization, comparison, ``repr`` and
     :func:`dataclasses.replace` ignore the memo. However a model is built,
     every matrix is read-only, so a write raises instead of leaving the memo stale.
     """

@@ -22,9 +22,11 @@ def cross_entropy(labels, probs) -> float:
 
 def rmse(estimates, truth) -> float:
     """Root mean squared error of a vector of estimates against one truth
-    (or a matching vector of truths)."""
+    (or a matching vector of truths). An error whose square passes the double
+    range reads ``inf``."""
     est = np.asarray(estimates, dtype=float)
-    return float(np.sqrt(np.mean((est - truth) ** 2)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean((est - truth) ** 2)))
 
 
 def binomial_se(p_hat: float, n: int) -> float:

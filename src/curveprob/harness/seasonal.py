@@ -39,6 +39,17 @@ class SeasonalDecomposition:
         return out
 
 
+def _label_means(values: np.ndarray, labels: np.ndarray, count: int) -> tuple:
+    """(means, have): the mean row of ``values`` per label in 0..count-1,
+    zero for a label no row carries, and the mask of labels some row carries."""
+    sums = np.zeros((count, values.shape[1]))
+    counts = np.zeros(count)
+    np.add.at(sums, labels, values)
+    np.add.at(counts, labels, 1.0)
+    have = counts > 0
+    return np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=have[:, None]), have
+
+
 def _circular_fill(table: np.ndarray, have: np.ndarray) -> np.ndarray:
     """Fill missing rows by linear interpolation around the circle."""
     period = table.shape[0]
@@ -101,15 +112,10 @@ def deseasonalize(
     else:
         dow = np.zeros(n, dtype=int) if day_of_week is None else np.asarray(day_of_week, dtype=int)
 
-    values, grid = curve_matrix(series)
+    values, _ = curve_matrix(series)
     period = int(doy.max()) + 1
 
-    sums = np.zeros((period, grid.size))
-    counts = np.zeros(period)
-    np.add.at(sums, doy, values)
-    np.add.at(counts, doy, 1.0)
-    have = counts > 0
-    means = np.divide(sums, counts[:, None], out=np.zeros_like(sums), where=have[:, None])
+    means, have = _label_means(values, doy, period)
     with np.errstate(over="ignore", invalid="ignore"):  # curve_matrix rejects overflow
         yearly = _circular_rolling_mean(_circular_fill(means, have), window)
 
@@ -117,12 +123,7 @@ def deseasonalize(
 
     weekly_table = None
     if weekly:
-        wsums = np.zeros((WEEK, grid.size))
-        wcounts = np.zeros(WEEK)
-        np.add.at(wsums, dow, residual)
-        np.add.at(wcounts, dow, 1.0)
-        whave = wcounts > 0
-        wmeans = np.divide(wsums, wcounts[:, None], out=np.zeros_like(wsums), where=whave[:, None])
+        wmeans, whave = _label_means(residual, dow, WEEK)
         with np.errstate(over="ignore", invalid="ignore"):  # curve_matrix rejects overflow
             wmeans -= wmeans[whave].mean(axis=0)  # identifiability: weekly component sums to zero
         weekly_table = wmeans

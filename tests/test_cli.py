@@ -775,6 +775,21 @@ def test_an_overflowing_recursion_prints_only_its_error(tmp_path, argv):
     assert result.stderr == "error: curve values must be finite\n"
 
 
+def test_a_quantile_error_beyond_double_range_reads_inf_with_one_stderr_line(tmp_path):
+    # the search range reaches 1e308, so every estimate's squared error
+    # overflows and the RMSE reads inf without a warning
+    result = run_fresh(tmp_path, "quantile-exp", "--n", 30, "--grid-d", 16, "--mc", 60,
+                       "--predictors", 2, "--reps", 2, "--oracle-size", 100, "--seed", 1,
+                       "--search-hi", 1e308, "--out", "q.csv")
+    assert result.returncode == 0
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("quantile experiment finished in"), lines
+    header, *rows = [ln.split(",") for ln in (tmp_path / "q.csv").read_text().splitlines()
+                     if not ln.startswith("#")]
+    column = header.index("rmse")
+    assert len(rows) == 4 and all(row[column] == "inf" for row in rows)
+
+
 def test_a_model_of_an_older_format_version_exits_2_with_one_line(tmp_path, model_json, x_csv):
     doc = json.loads(model_json.read_text())
     doc["version"] = 4

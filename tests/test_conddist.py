@@ -225,41 +225,44 @@ class TestEnsembleNoise:
 
 
 class TestNoiseMemo:
-    """ensemble_noise keeps a model's Gaussian rows once a key repeats."""
+    """A Gaussian ensemble build keeps its rows in the noise slot for the next
+    covariate; ensemble_noise keeps nothing."""
 
     def test_memo_rows_match_a_fresh_sampler(self):
-        model, _ = fitted_model()
-        ensemble_noise(model, "gauss", 40, 12)
-        kept = ensemble_noise(model, "gauss", 40, 12)
-        reused = ensemble_noise(model, "gauss", 40, 12)
-        assert reused is kept
-        np.testing.assert_array_equal(reused, noise_sampler(model, 12).draw_matrix(40))
+        model, xs = fitted_model()
+        gauss_prob(model, xs[0], FULL_SPACE, mc_size=40, seed=12)
+        key, kept = model.memo["noise"]
+        gauss_prob(model, xs[1], FULL_SPACE, mc_size=40, seed=12)
+        assert key == (40, 12) and model.memo["noise"][1] is kept
+        np.testing.assert_array_equal(kept, noise_sampler(model, 12).draw_matrix(40))
+        np.testing.assert_array_equal(ensemble_noise(model, "gauss", 40, 12), kept)
 
     @pytest.mark.parametrize("other", [(40, 13), (41, 12)])
     def test_another_seed_or_size_gives_other_rows(self, other):
         model, _ = fitted_model()
-        for _ in range(2):
-            kept = ensemble_noise(model, "gauss", 40, 12)
+        kept = ensemble_noise(model, "gauss", 40, 12)
         rows = ensemble_noise(model, "gauss", *other)
         assert rows.shape != kept.shape or not np.array_equal(rows, kept)
         np.testing.assert_array_equal(rows, noise_sampler(model, other[1]).draw_matrix(other[0]))
 
     def test_rows_are_read_only(self):
-        model, _ = fitted_model()
-        for _ in range(3):
-            rows = ensemble_noise(model, "gauss", 30, 4)
+        model, xs = fitted_model()
+        gauss_prob(model, xs[0], FULL_SPACE, mc_size=30, seed=4)
+        for rows in (model.memo["noise"][1], ensemble_noise(model, "gauss", 30, 4)):
             with pytest.raises(ValueError):
                 rows[0, 0] = 1.0
 
     def test_one_request_keeps_no_rows(self):
-        model, _ = fitted_model()
-        ensemble_noise(model, "gauss", 30, 4)
-        assert model.memo == {"noise": ((30, 4), None)}
-        ensemble_noise(model, "gauss", 30, 4)
-        assert list(model.memo) == ["noise"]
-        assert model.memo["noise"][0] == (30, 4) and model.memo["noise"][1] is not None
-        ensemble_noise(model, "gauss", 30, 5)
-        assert model.memo == {"noise": ((30, 5), None)}
+        # ensemble_noise, however often asked, keeps nothing; an ensemble
+        # build keeps its rows under their key, and a new key replaces them
+        model, xs = fitted_model()
+        for _ in range(2):
+            ensemble_noise(model, "gauss", 30, 4)
+        assert model.memo == {}
+        gauss_prob(model, xs[0], FULL_SPACE, mc_size=30, seed=4)
+        assert held(model) == ["ensemble/gauss", "noise"] and model.memo["noise"][0] == (30, 4)
+        gauss_prob(model, xs[0], FULL_SPACE, mc_size=30, seed=5)
+        assert held(model) == ["ensemble/gauss", "noise"] and model.memo["noise"][0] == (30, 5)
 
     def test_boot_leaves_the_memo_empty(self):
         model, _ = fitted_model()
@@ -268,19 +271,30 @@ class TestNoiseMemo:
         assert model.memo == {}
 
     def test_copies_start_empty(self):
-        model, _ = fitted_model()
-        for _ in range(2):
-            ensemble_noise(model, "gauss", 30, 4)
-        assert model.memo
+        model, xs = fitted_model()
+        gauss_prob(model, xs[0], FULL_SPACE, mc_size=30, seed=4)
+        assert "noise" in model.memo
         assert from_json(to_json(model)).memo == {}
         assert dataclasses.replace(model).memo == {}
 
-    def test_draws_leave_equality_and_repr_alone(self):
-        model, _ = fitted_model()
-        before, text = dataclasses.replace(model), repr(model)
-        for _ in range(2):
-            ensemble_noise(model, "gauss", 30, 4)
-        assert model == before and repr(model) == text
+    @pytest.mark.parametrize("n_covariates", [1, 3])
+    def test_query_traffic_draws_once_for_the_ensembles_and_once_for_the_band(
+            self, monkeypatch, n_covariates):
+        model, xs = fitted_model()
+        draws = []
+        draw = GaussSampler.draw_matrix
+        monkeypatch.setattr(GaussSampler, "draw_matrix",
+                            lambda sampler, count: draws.append(count) or draw(sampler, count))
+        for x in xs[:n_covariates]:
+            for event in (extremal_set(0.3), level_set(0.0, 0.5)):
+                gauss_prob(model, x, event, mc_size=40, seed=2)
+            quantile_over_family(model, x, family_max_below(-5.0, 5.0), 0.5,
+                                 method="gauss", mc_size=40, seed=2)
+            calibrate_uniform_band(model, x, 0.9, "gauss", mc_size=40, seed=2)
+        assert draws == [40, 40]
+        fresh = dataclasses.replace(model)
+        ensemble_noise(fresh, "gauss", 40, 2)
+        assert draws == [40, 40, 40] and fresh.memo == {}
 
 
 def copy_of(x):
@@ -290,7 +304,7 @@ def copy_of(x):
 
 def held(model):
     """The memo slots that hold a value."""
-    return sorted(slot for slot, (_, value) in model.memo.items() if value is not None)
+    return sorted(model.memo)
 
 
 def full_space_prob(model, x, method, mc_size, seed):
@@ -303,7 +317,7 @@ def full_space_prob(model, x, method, mc_size, seed):
 class TestEnsembleMemo:
     """The estimates keep the fitted mean plus noise from the first request
     for a covariate value, and calibrate_uniform_band keeps a band's
-    covariate-free part once it repeats."""
+    covariate-free part from the first request for its key."""
 
     @pytest.mark.parametrize("method", ["boot", "gauss"])
     def test_hit_equals_a_fresh_ensemble_and_is_read_only(self, method):
@@ -323,7 +337,7 @@ class TestEnsembleMemo:
         model = fit(build_far_design(series, order=1)[0])
         x, event = Covariate((series[-1],)), level_set(np.sqrt(50.0), 0.5)
         kept = [gauss_prob(model, x, event, seed=3).value for _ in range(2)]
-        assert kept == [0.981, 0.981] and held(model) == ["ensemble/gauss"]
+        assert kept == [0.981, 0.981] and held(model) == ["ensemble/gauss", "noise"]
         with pytest.raises(ValueError, match="read-only"):
             model.y_mean[:] += 100
         model.memo.clear()
@@ -376,7 +390,7 @@ class TestEnsembleMemo:
         ev = extremal_set(0.3)
         boot_prob(model, xs[0], ev)
         gauss_prob(model, xs[0], ev, mc_size=40, seed=2)
-        assert held(model) == ["ensemble/boot", "ensemble/gauss"]
+        assert held(model) == ["ensemble/boot", "ensemble/gauss", "noise"]
         boot_kept, gauss_kept = model.memo["ensemble/boot"][1], model.memo["ensemble/gauss"][1]
         quantile_over_family(model, xs[0], family_max_below(-5.0, 5.0), 0.5)
         quantile_over_family(model, xs[0], family_max_below(-5.0, 5.0), 0.5,
@@ -387,15 +401,15 @@ class TestEnsembleMemo:
     def test_band_slot_separates_nominal_literal_abs_and_method(self):
         model, xs = fitted_model(n=60)
         base = dict(nominal=0.9, method="boot", mc_size=50, seed=3, literal_abs=False)
-        for _ in range(2):
-            cal, _ = calibrate_uniform_band(model, xs[0], **base)
+        cal, _ = calibrate_uniform_band(model, xs[0], **base)
         assert model.memo["band"][1][0] is cal
         assert calibrate_uniform_band(model, xs[1], **base)[0] is cal  # covariate-free
         for change in ({"nominal": 0.8}, {"literal_abs": True}, {"method": "gauss"}):
             args = dict(base, **change)
             got, band = calibrate_uniform_band(model, xs[0], **args)
-            assert got is not cal and model.memo["band"] == (
-                (args["method"], 50, 3, args["nominal"], args["literal_abs"]), None)
+            key, (kept, _, _) = model.memo["band"]
+            assert got is not cal and kept is got
+            assert key == (args["method"], 50, 3, args["nominal"], args["literal_abs"])
             fresh, fresh_band = calibrate_uniform_band(dataclasses.replace(model), xs[0], **args)
             assert repr(got) == repr(fresh)
             assert np.array_equal(band.lower.values, fresh_band.lower.values)
@@ -403,8 +417,7 @@ class TestEnsembleMemo:
 
     def test_band_values_are_read_only(self):
         model, xs = fitted_model()
-        for _ in range(2):
-            cal, band = calibrate_uniform_band(model, xs[0], 0.9, "boot")
+        cal, band = calibrate_uniform_band(model, xs[0], 0.9, "boot")
         for curve in (cal.sigma, band.lower, band.upper):
             with pytest.raises(ValueError):
                 curve.values[0] = 1.0
@@ -412,18 +425,19 @@ class TestEnsembleMemo:
     @pytest.mark.parametrize("query, slots", [
         (lambda m, x: boot_prob(m, x, extremal_set(0.3)), ["ensemble/boot"]),
         (lambda m, x: gauss_prob(m, x, extremal_set(0.3), mc_size=40, seed=2),
-         ["ensemble/gauss"]),
+         ["ensemble/gauss", "noise"]),
         (lambda m, x: quantile_over_family(m, x, family_max_below(-5.0, 5.0), 0.5,
                                            method="gauss", mc_size=40, seed=2),
-         ["ensemble/gauss"]),
-        (lambda m, x: calibrate_uniform_band(m, x, 0.9, "gauss", mc_size=40, seed=2), []),
+         ["ensemble/gauss", "noise"]),
+        (lambda m, x: calibrate_uniform_band(m, x, 0.9, "gauss", mc_size=40, seed=2), ["band"]),
+        (lambda m, x: ensemble_noise(m, "gauss", 40, 2), []),
     ])
-    def test_a_model_queried_once_holds_only_its_ensemble(self, query, slots):
-        # the noise and band slots hold nothing after one request, as in an
-        # experiment replicate
+    def test_a_model_queried_once_holds_only_what_it_built(self, query, slots):
+        # one request keeps what it built and nothing else: the band keeps no
+        # Gaussian rows, and ensemble_noise keeps nothing
         model, xs = fitted_model()
         query(model, xs[0])
-        assert model.memo and held(model) == slots
+        assert held(model) == slots
 
     def test_each_new_covariate_builds_its_ensemble_once(self, monkeypatch):
         model, xs = fitted_model()
@@ -440,10 +454,9 @@ class TestEnsembleMemo:
     def test_copies_start_empty_and_equality_and_repr_are_unchanged(self):
         model, xs = fitted_model()
         before, text = dataclasses.replace(model), repr(model)
-        for _ in range(2):
-            boot_prob(model, xs[0], extremal_set(0.3))
-            gauss_prob(model, xs[0], extremal_set(0.3), mc_size=40, seed=2)
-            calibrate_uniform_band(model, xs[0], 0.9, "gauss", mc_size=40, seed=2)
+        boot_prob(model, xs[0], extremal_set(0.3))
+        gauss_prob(model, xs[0], extremal_set(0.3), mc_size=40, seed=2)
+        calibrate_uniform_band(model, xs[0], 0.9, "gauss", mc_size=40, seed=2)
         assert held(model) == ["band", "ensemble/boot", "ensemble/gauss", "noise"]
         assert from_json(to_json(model)).memo == {}
         assert dataclasses.replace(model).memo == {}

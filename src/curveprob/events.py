@@ -200,17 +200,17 @@ def contains_batch(event: EventSet, values: np.ndarray, grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MonotoneFamily:
-    """One-parameter family of event sets nested by inclusion.
+    """One-parameter family of event sets nested by inclusion, given by its
+    parameter range and its critical values.
 
-    ``generator(xi)`` must return events that grow with xi, and
     ``critical(values, grid)`` gives, per row of a (m, D+1) sample matrix,
-    the parameter at which that curve enters the event: for every xi,
-    ``contains_batch(at(xi), values, grid) == (critical(values, grid) <= xi)``.
-    The quantile search reads only the critical values. The built-in
-    factories keep this contract; custom families assert it themselves.
+    the parameter at which that curve enters the family's event: a curve is
+    in the event at xi exactly when its critical value is <= xi, so the
+    events grow with xi. The quantile search reads only the critical values.
+    The built-in factories keep this contract; custom families assert it
+    themselves.
     """
 
-    generator: Callable[[float], EventSet] = field(compare=False)
     lo: float
     hi: float
     critical: Callable[[np.ndarray, object], np.ndarray] = field(compare=False, repr=False)
@@ -220,9 +220,6 @@ class MonotoneFamily:
         if not (self.lo < self.hi and np.isfinite(self.hi - self.lo)):
             raise UsageError(f"family range must satisfy lo < hi with a finite width, "
                              f"got [{self.lo}, {self.hi}]")
-
-    def at(self, xi: float) -> EventSet:
-        return self.generator(xi)
 
 
 def level_alpha_critical(values: np.ndarray, grid, z: float) -> np.ndarray:
@@ -244,27 +241,18 @@ def level_alpha_critical(values: np.ndarray, grid, z: float) -> np.ndarray:
 def family_level_in_z(alpha: float, lo: float = 0.0, hi: float = 1.0) -> MonotoneFamily:
     """Level sets swept in the time budget z at a fixed threshold; increasing."""
     alpha = float(alpha)
-    return MonotoneFamily(
-        lambda z: level_set(alpha, z), lo, hi,
-        critical=lambda values, grid: _row_counts(values > alpha) / grid.size,
-    )
+    return MonotoneFamily(lo, hi, lambda values, grid: _row_counts(values > alpha) / grid.size)
 
 
 def family_level_in_alpha(z: float, lo: float, hi: float) -> MonotoneFamily:
     """Level sets swept in the threshold alpha at a fixed budget; increasing."""
     z = float(z)
-    return MonotoneFamily(
-        lambda alpha: level_set(alpha, z), lo, hi,
-        critical=lambda values, grid: level_alpha_critical(values, grid, z),
-    )
+    return MonotoneFamily(lo, hi, lambda values, grid: level_alpha_critical(values, grid, z))
 
 
 def family_max_below(lo: float, hi: float) -> MonotoneFamily:
     """{curves whose maximum stays at or below xi}; increasing in xi."""
-    return MonotoneFamily(
-        lambda d: complement(extremal_set(d)), lo, hi,
-        critical=lambda values, grid: np.max(values, axis=1),
-    )
+    return MonotoneFamily(lo, hi, lambda values, grid: np.max(values, axis=1))
 
 
 class _Params(dict):

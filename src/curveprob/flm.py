@@ -127,16 +127,17 @@ class TruncationRule:
         raise UsageError(f"unknown truncation rule {text!r}")
 
 
-def _noise_scale(n: int, k: int, dof_correction: bool) -> float:
-    """Factor on the residuals' sum of squares: 1/(n - k) with the
-    degrees-of-freedom correction for k retained components, else 1/n."""
-    if not dof_correction:
-        return 1.0 / n
-    if n - k <= 0:
+def _centered_noise(residuals: np.ndarray, k: int, dof_correction: bool) -> tuple:
+    """The residuals centered on their mean, and the factor on their sum of
+    squares: 1/(n - k) with the degrees-of-freedom correction for k retained
+    components, else 1/n. The noise spectrum and ``noise_std`` start here."""
+    n = len(residuals)
+    if dof_correction and n - k <= 0:
         raise DegenerateInputError(
             f"degrees-of-freedom correction impossible: n={n}, components={k}"
         )
-    return 1.0 / (n - k)
+    scale = 1.0 / (n - k) if dof_correction else 1.0 / n
+    return residuals - residuals.mean(axis=0), scale
 
 
 def _check_lengths(n_y: int, n_x: int) -> None:
@@ -194,10 +195,11 @@ class FittedFLM:
     retained direction divided by its eigenvalue. ``residual_matrix`` holds the
     raw residual curves row-wise; ``noise_spectrum`` holds the leading
     eigenpairs of their (mean-centered) covariance operator, those the
-    Gaussian sampler draws from. ``fit`` and ``from_json`` compute them from
-    ``residual_matrix`` with one function, so a model file stores only their
-    number. Neither spectrum carries the ``clamped_mass`` of its
-    eigendecomposition, which no model file stores.
+    Gaussian sampler draws from. ``fit`` and ``from_json`` both build the
+    model through :func:`_model`, which derives ``coef_w`` and the noise
+    spectrum from the stored parts, so a model file stores neither (of the
+    noise spectrum only its number of pairs). Neither spectrum carries the
+    ``clamped_mass`` of its eigendecomposition, which no model file stores.
 
     ``memo`` holds what :mod:`curveprob.conddist` derives from the model for
     one request and may reuse for the next; its slots and their rule are
@@ -229,15 +231,11 @@ class FittedFLM:
                        self.noise_spectrum.eigenvectors):
             values.flags.writeable = False
 
-    @property
-    def n_observations(self) -> int:
-        return self.residual_matrix.shape[0]
-
     def noise_std(self) -> np.ndarray:
         """Pointwise standard deviation of the centered residuals, with the
         same 1/n (or 1/(n - k)) scaling as the noise covariance."""
-        centered = self.residual_matrix - self.residual_matrix.mean(axis=0)
-        scale = _noise_scale(self.n_observations, self.n_components, self.dof_correction)
+        centered, scale = _centered_noise(self.residual_matrix, self.n_components,
+                                          self.dof_correction)
         return np.sqrt(np.sum(centered**2, axis=0) * scale)
 
     def check_structure(self, x: Covariate) -> None:
@@ -252,9 +250,10 @@ class FittedFLM:
 def _rank_k_operator(factor: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """``coef_w`` from its factor and the retained covariate eigenvectors.
 
-    ``fit`` and ``from_json`` both build it here, with the basis in the
-    Fortran order that ``eigendecompose`` returns, so a model read from its
-    file holds the fit's ``coef_w`` bit for bit at one BLAS thread count."""
+    The basis is taken in the Fortran order that ``eigendecompose`` returns,
+    whatever order it comes in, so the product that ``fit`` computes its
+    residuals with and the one :func:`_model` stores for every model, fitted
+    or read from a file, are the same bits at one BLAS thread count."""
     return factor @ np.asfortranarray(basis).T
 
 
@@ -264,14 +263,13 @@ def _noise_pairs(residuals: np.ndarray, grid: Grid, k: int, dof_correction: bool
     covariance operator; by default the sampler's rank, the pairs the
     Gaussian sampler reads.
 
-    ``fit`` computes them here and ``from_json`` rebuilds them here at the
-    rank the file stores, so a model read from its file holds the fit's
+    Only :func:`_model` calls it, with the rank a model file stores when
+    ``from_json`` reads one, so a model read from its file holds the fit's
     pairs bit for bit at the fit's BLAS build and thread count. A ``rank``
     above the sampler's rank of this spectrum raises ``StructureError``:
     the sampler would not draw from all of those pairs."""
     sw = grid.quad_weights_sqrt()
-    scale = _noise_scale(len(residuals), k, dof_correction)
-    centered = residuals - residuals.mean(axis=0)
+    centered, scale = _centered_noise(residuals, k, dof_correction)
     noise = eigendecompose(CovarianceOperator((centered * sw).T @ (centered * sw) * scale))
     available = noise.sampler_rank()
     if rank is None:
@@ -284,6 +282,24 @@ def _noise_pairs(residuals: np.ndarray, grid: Grid, k: int, dof_correction: bool
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _model(grid: Grid, n_parts: int, n_scalars: int, factor: np.ndarray,
+           covariate: SpectralPair, residuals: np.ndarray, x_mean: np.ndarray,
+           y_mean: np.ndarray, centered: bool, dof_correction: bool,
+           truncation: TruncationRule, noise_rank: int | None = None) -> FittedFLM:
+    """The one place a :class:`FittedFLM` is built from its stored parts, for
+    ``fit`` and ``from_json`` alike: ``coef_w`` is the product of ``factor``
+    and the covariate eigenvectors, and the noise spectrum the leading
+    ``noise_rank`` pairs of the residuals (by default the sampler's rank)."""
+    k = len(covariate.eigenvalues)
+    return FittedFLM(
+        grid=grid, n_curve_parts=n_parts, n_scalars=n_scalars,
+        coef_w=_rank_k_operator(factor, covariate.eigenvectors), factor=factor,
+        n_components=k, covariate_spectrum=covariate, residual_matrix=residuals,
+        noise_spectrum=_noise_pairs(residuals, grid, k, dof_correction, noise_rank),
+        x_mean_coords=x_mean, y_mean=y_mean, centered=centered,
+        dof_correction=dof_correction, truncation=truncation)
 
 
 def fit(
@@ -299,7 +315,8 @@ def fit(
     computed with the operations of ``predict``, one matrix-vector product
     per row, and therefore satisfy residual_k = y_k - predict(x_k) bit for
     bit. Only the leading ``n_components`` covariate eigenpairs are kept, and
-    only the noise eigenpairs the Gaussian sampler reads.
+    the model is built from them, the factor and the residuals by
+    :func:`_model`, as ``from_json`` builds it from a file.
     """
     truncation = truncation or TruncationRule.threshold()
     n = len(sample)
@@ -332,34 +349,15 @@ def fit(
     for i in range(n):
         products[i] = coef_w @ xc[i]
     residuals = y - (y_mean + products / sw)
-
-    return FittedFLM(
-        grid=grid,
-        n_curve_parts=n_parts,
-        n_scalars=n_scalars,
-        coef_w=coef_w,
-        factor=factor,
-        n_components=k,
-        covariate_spectrum=SpectralPair(lam.copy(), vecs.copy()),
-        residual_matrix=residuals,
-        noise_spectrum=_noise_pairs(residuals, grid, k, dof_correction),
-        x_mean_coords=x_mean,
-        y_mean=y_mean,
-        centered=center,
-        dof_correction=dof_correction,
-        truncation=truncation,
-    )
-
-
-def _apply(coef_w, x_mean, y_mean, sw, x_coords) -> np.ndarray:
-    return y_mean + (coef_w @ (x_coords - x_mean)) / sw
+    return _model(grid, n_parts, n_scalars, factor, SpectralPair(lam.copy(), vecs.copy()),
+                  residuals, x_mean, y_mean, center, dof_correction, truncation)
 
 
 def predict_coords(model: FittedFLM, x_coords: np.ndarray) -> np.ndarray:
     """Conditional-mean values for one row of weighted covariate coordinates,
     through the kernel ``fit`` computes its residuals with."""
-    return _apply(model.coef_w, model.x_mean_coords, model.y_mean,
-                  model.grid.quad_weights_sqrt(), x_coords)
+    return model.y_mean + (model.coef_w @ (x_coords - model.x_mean_coords)) \
+        / model.grid.quad_weights_sqrt()
 
 
 def predict(model: FittedFLM, x: Covariate) -> Curve:
@@ -436,27 +434,11 @@ def to_json(model: FittedFLM) -> str:
     """Serialize a fitted model to a versioned JSON document.
 
     ``coef_w`` is stored as its factor, and the noise spectrum as its
-    number of eigenpairs only: ``from_json`` rebuilds both as ``fit`` builds
-    them. A model whose ``coef_w`` is not the product of its factor, or whose
-    noise spectrum is not the leading pairs its residuals give (one built by
-    hand or edited through :func:`dataclasses.replace`), is refused: its file
-    would not read it back."""
-    rebuilt = _rank_k_operator(model.factor, model.covariate_spectrum.eigenvectors)
-    if not _same_bits(rebuilt, model.coef_w):
-        raise UsageError("coef_w is not the product of the model's factor and covariate "
-                         "eigenvectors, so its file would not read it back")
-    noise_rank = len(model.noise_spectrum.eigenvalues)
-    try:
-        noise = _noise_pairs(model.residual_matrix, model.grid, model.n_components,
-                             model.dof_correction, noise_rank)
-        same = (_same_bits(noise.eigenvalues, model.noise_spectrum.eigenvalues)
-                and _same_bits(noise.eigenvectors, model.noise_spectrum.eigenvectors))
-    except (DegenerateInputError, StructureError):
-        same = False
-    if not same:
-        raise UsageError(f"model format {MODEL_VERSION} rebuilds the noise spectrum from the "
-                         "residuals, and this model's noise spectrum is not theirs, so its "
-                         "file would not read it back")
+    number of eigenpairs only. The document is read back with
+    :func:`from_json`, and a model that does not read back bit for bit (one
+    built by hand or edited through :func:`dataclasses.replace`) is refused
+    with ``UsageError``, whether the reader rejects it or rebuilds another
+    ``coef_w`` or noise spectrum."""
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -467,7 +449,7 @@ def to_json(model: FittedFLM) -> str:
         "centered": model.centered,
         "dof_correction": model.dof_correction,
         "truncation": model.truncation.to_dict(),
-        "noise_rank": noise_rank,
+        "noise_rank": len(model.noise_spectrum.eigenvalues),
         "factor": _encode_matrix(model.factor),
         "x_mean_coords": _encode_matrix(model.x_mean_coords),
         "y_mean": _encode_matrix(model.y_mean),
@@ -475,7 +457,21 @@ def to_json(model: FittedFLM) -> str:
         "covariate_eigenvalues": _encode_matrix(model.covariate_spectrum.eigenvalues),
         "covariate_eigenvectors": _encode_matrix(model.covariate_spectrum.eigenvectors),
     }
-    return json.dumps(doc)
+    text = json.dumps(doc)
+    try:
+        clone = from_json(text)
+    except StructureError as exc:
+        raise UsageError(f"the model's file would not read it back: {exc}") from None
+    if not _same_bits(clone.coef_w, model.coef_w):
+        raise UsageError("coef_w is not the product of the model's factor and covariate "
+                         "eigenvectors, so its file would not read it back")
+    if not (_same_bits(clone.noise_spectrum.eigenvalues, model.noise_spectrum.eigenvalues)
+            and _same_bits(clone.noise_spectrum.eigenvectors,
+                           model.noise_spectrum.eigenvectors)):
+        raise UsageError(f"model format {MODEL_VERSION} rebuilds the noise spectrum from the "
+                         "residuals, and this model's noise spectrum is not theirs, so its "
+                         "file would not read it back")
+    return text
 
 
 def _header(doc: dict, key: str, kind: type):
@@ -493,12 +489,17 @@ def from_json(text: str) -> FittedFLM:
     finiteness and every covariate eigenvalue for sign.
 
     The document stores ``coef_w`` as its factor and of the noise spectrum
-    only its number of eigenpairs, ``noise_rank``; both are rebuilt here as
-    ``fit`` builds them, the noise eigenpairs from the residuals, and a file
-    whose residuals give fewer than ``noise_rank`` pairs above the sampler's
-    floor is refused. Only format version 5 is read: a model saved in an
-    earlier version is refitted from its series with ``curveprob fit``."""
-    doc = json.loads(text)
+    only its number of eigenpairs, ``noise_rank``; :func:`_model` rebuilds
+    both from the checked parts, as it does for ``fit``. Text that is not
+    JSON, a ``coef_w`` that overflows and residuals that give fewer than
+    ``noise_rank`` pairs above the sampler's floor raise ``StructureError``.
+    Only format version 5 is read: a model saved in an earlier version is
+    refitted from its series with ``curveprob fit``."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and an integer past Python's digit limit
+        raise StructureError(f"malformed model document: not JSON ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise UsageError(f"not a {MODEL_FORMAT} document")
     version = doc.get("version")
@@ -530,8 +531,6 @@ def from_json(text: str) -> FittedFLM:
         raise StructureError(f"model fields {bad} do not match grid_d={grid.resolution}, "
                              f"p={p}, n_components={k}, residual rows={n}, "
                              f"noise pairs={noise_rank}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        m["coef_w"] = _rank_k_operator(m["factor"], m["covariate_eigenvectors"])
     bad = [key for key, values in m.items() if not np.all(np.isfinite(values))]
     if bad:
         raise StructureError(f"model fields {bad} hold non-finite cells")
@@ -539,25 +538,13 @@ def from_json(text: str) -> FittedFLM:
         raise StructureError("model field covariate_eigenvalues holds negative eigenvalues")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            noise = _noise_pairs(m["residual_matrix"], grid, k, dof_correction, noise_rank)
+            model = _model(grid, n_parts, n_scalars, m["factor"],
+                           SpectralPair(m["covariate_eigenvalues"], m["covariate_eigenvectors"]),
+                           m["residual_matrix"], m["x_mean_coords"], m["y_mean"], centered,
+                           dof_correction, truncation, noise_rank)
     except (DegenerateInputError, StructureError) as exc:
         raise StructureError(f"malformed model document: its residuals give no noise "
                              f"spectrum of rank {noise_rank} ({exc})") from None
-
-    return FittedFLM(
-        grid=grid,
-        n_curve_parts=n_parts,
-        n_scalars=n_scalars,
-        coef_w=m["coef_w"],
-        factor=m["factor"],
-        n_components=k,
-        covariate_spectrum=SpectralPair(m["covariate_eigenvalues"],
-                                        m["covariate_eigenvectors"]),
-        residual_matrix=m["residual_matrix"],
-        noise_spectrum=noise,
-        x_mean_coords=m["x_mean_coords"],
-        y_mean=m["y_mean"],
-        centered=centered,
-        dof_correction=dof_correction,
-        truncation=truncation,
-    )
+    if not np.all(np.isfinite(model.coef_w)):
+        raise StructureError("model fields ['coef_w'] hold non-finite cells")
+    return model

@@ -62,7 +62,7 @@ def _load_covariate(args) -> Covariate:
 
 def _load_query(args):
     """The model and covariate that estimate, quantile and band query."""
-    model = from_json(Path(args.model).read_text(encoding="utf-8"))
+    model = from_json(io.read_text(args.model))
     return model, _load_covariate(args)
 
 
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
-    except (UsageError, StructureError, json.JSONDecodeError, OSError, MemoryError) as exc:
+    except (UsageError, StructureError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except RangeExhaustedError as exc:

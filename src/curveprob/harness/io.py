@@ -23,6 +23,15 @@ def _format_row(values: np.ndarray) -> str:
     return ",".join(map(repr, values.tolist()))
 
 
+def read_text(path) -> str:
+    """The text of the UTF-8 file at ``path``; bytes that do not decode
+    raise ``ParseError`` naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def save_curves(series, path) -> None:
     """Write a curve series, as :func:`~curveprob.curves.curve_matrix`
     accepts it; an empty series gives an empty file."""
@@ -41,7 +50,7 @@ def load_curves(path) -> np.ndarray:
 
     The header must list the uniform grid points i/D, each within
     HEADER_ATOL."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         return np.empty((0, 0))
@@ -92,7 +101,7 @@ def load_single_curve(path) -> Curve:
 
 def load_index(path) -> np.ndarray:
     """One 64-bit integer per line (day-of-year or day-of-week labels)."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     out = []
     for r, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -7,7 +7,15 @@ or flattened form of the same quantity.
 
 import numpy as np
 
-from curveprob.events import contains_batch
+from curveprob.events import complement, contains_batch, extremal_set, level_set
+
+# the events of each built-in family, by its parse_family kind: given the
+# parameter the family holds fixed, the event at each swept parameter xi
+FAMILY_EVENTS = {
+    "level-alpha": lambda z: lambda alpha: level_set(alpha, z),
+    "level-z": lambda alpha: lambda z: level_set(alpha, z),
+    "max-below": lambda: lambda d: complement(extremal_set(d)),
+}
 
 
 def l2_inner(grid, a, b) -> float:
@@ -37,16 +45,17 @@ def in_point_band(center, lower, upper, s, y) -> bool:
                 <= center.values[i] + upper.values[i])
 
 
-def scan_quantile(values, grid, family, p, tol=None):
+def scan_quantile(values, grid, family, event, p, tol=None):
     """The first of the points ``lo + i * (hi - lo) / n_steps``, i = 0 ..
-    n_steps (the last one ``hi``), ``n_steps = ceil((hi - lo) / tol)``, at
-    which the fraction of the rows of ``values`` inside ``family.at`` that
-    point reaches p; ``("exhausted", fraction at hi)`` when none does."""
+    n_steps (the last one ``hi``) of the family's range, ``n_steps = ceil((hi
+    - lo) / tol)``, at which the fraction of the rows of ``values`` inside
+    ``event`` of that point reaches p; ``("exhausted", fraction at hi)``
+    when none does."""
     lo, hi = family.lo, family.hi
     n_steps = int(np.ceil((hi - lo) / (tol if tol is not None else 1e-4 * (hi - lo))))
     for i in range(n_steps + 1):
         xi = hi if i == n_steps else lo + i * (hi - lo) / n_steps
-        fraction = np.count_nonzero(contains_batch(family.at(xi), values, grid)) / len(values)
+        fraction = np.count_nonzero(contains_batch(event(xi), values, grid)) / len(values)
         if fraction >= p:
             return float(xi)
     return ("exhausted", float(fraction))

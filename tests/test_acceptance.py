@@ -23,7 +23,7 @@ from curveprob.harness.experiments import (
 from curveprob.rng import substream
 from curveprob.spectral import empirical_covariance
 
-from reference import reconstruct
+from reference import FAMILY_EVENTS, reconstruct
 
 MASTER_SEED = 7
 
@@ -148,13 +148,13 @@ def test_criterion_5_estimator_axioms(report):
             x = Covariate((Curve(grid, qrng.normal() * source),))
             seed = int(qrng.integers(2**31))
             thresholds = np.sort(qrng.uniform(-2.0, 2.0, size=3))
-            family = family_max_below(-50.0, 50.0)
+            family, event = family_max_below(-50.0, 50.0), FAMILY_EVENTS["max-below"]()
             for method in ("boot", "gauss"):
                 kwargs = {} if method == "boot" else {"mc_size": 120, "seed": seed}
                 prob = boot_prob if method == "boot" else gauss_prob
                 values = []
                 for d in thresholds:
-                    ev = family.at(d)
+                    ev = event(d)
                     est = prob(model, x, ev, **kwargs)
                     est_c = prob(model, x, complement(ev), **kwargs)
                     checked += 1

@@ -342,7 +342,19 @@ def broken_inputs(tmp_path, model_json, x_csv):
     for name, label in (("late_doy", "1000"), ("long_doy", "9" * 20)):
         labels[name] = tmp_path / f"{name}.csv"
         labels[name].write_text("\n".join([label] + [str(k) for k in range(1, n_days)]))
+    # a file whose first byte is not UTF-8, and model files that are not JSON
+    # Python can parse: a version past its integer digit limit, and arrays
+    # nested deeper than its recursion limit
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"\xff" + series.read_bytes())
+    long_version = tmp_path / "long_version.json"
+    doc = json.loads(model_json.read_text())
+    doc["version"] = "LONG"
+    long_version.write_text(json.dumps(doc).replace('"LONG"', "9" * 5000))
+    deep_model = tmp_path / "deep_model.json"
+    deep_model.write_text("[" * 200_000 + "]" * 200_000)
     return {"model": model_json, "x": x_csv, "wrong_grid": wrong_grid,
+            "latin1": latin1, "long_version": long_version, "deep_model": deep_model,
             "nan_cell": nan_cell, "truncated": truncated, "series": series,
             "letters": letters, "squared": squared, "doy": doy, "dow": dow,
             "nan_model": nan_model, "negative_model": negative_model,
@@ -517,7 +529,7 @@ EXIT_CASES = [
     ("model with a NaN factor cell",
      ["estimate", "--model", "{nan_model}", "--x", "{x}", "--event", "extremal:d=0",
       "--method", "gauss"],
-     2, "['factor', 'coef_w'] hold non-finite cells"),
+     2, "['factor'] hold non-finite cells"),
     ("model with a negative covariate eigenvalue, estimate",
      ["estimate", "--model", "{negative_model}", "--x", "{x}", "--event", "extremal:d=0"],
      2, "covariate_eigenvalues holds negative eigenvalues"),
@@ -788,6 +800,45 @@ def test_a_quantile_error_beyond_double_range_reads_inf_with_one_stderr_line(tmp
                      if not ln.startswith("#")]
     column = header.index("rmse")
     assert len(rows) == 4 and all(row[column] == "inf" for row in rows)
+
+
+_NOT_UTF8 = "latin1.csv: not UTF-8 text"
+_NOT_JSON = "malformed model document: not JSON"
+# (case, argv, text the one stderr line must hold) for files Python cannot decode
+UNDECODABLE_CASES = [
+    ("fit --series", ["fit", "--series", "{latin1}", "--out", "{missing}"], _NOT_UTF8),
+    ("fit --exog", ["fit", "--series", "{series}", "--exog", "{latin1}", "--out", "{missing}"],
+     _NOT_UTF8),
+    ("estimate --model", ["estimate", "--model", "{latin1}", "--x", "{x}",
+                          "--event", "extremal:d=0"], _NOT_UTF8),
+    ("estimate --x", ["estimate", "--model", "{model}", "--x", "{latin1}",
+                      "--event", "extremal:d=0"], _NOT_UTF8),
+    ("estimate gamma=@file", ["estimate", "--model", "{model}", "--x", "{x}",
+                              "--event", "contrast:gamma=@{latin1},a=0"], _NOT_UTF8),
+    ("entropy-eval --response", ["entropy-eval", "--response", "{latin1}", "--doy", "{doy}",
+                                 "--dow", "{dow}", "--out", "{missing}"], _NOT_UTF8),
+    ("deseasonalize --doy", ["deseasonalize", "--series", "{series}", "--doy", "{latin1}",
+                             "--dow", "{dow}", "--out", "{missing}"], _NOT_UTF8),
+    ("deseasonalize --dow", ["deseasonalize", "--series", "{series}", "--doy", "{doy}",
+                             "--dow", "{latin1}", "--out", "{missing}"], _NOT_UTF8),
+    ("baseline --train-series", ["baseline", "nw", "--train-series", "{latin1}", "--x", "{x}",
+                                 "--event", "extremal:d=0"], _NOT_UTF8),
+    ("model version past the integer digit limit", ["estimate", "--model", "{long_version}",
+                                                    "--x", "{x}", "--event", "extremal:d=0"],
+     _NOT_JSON),
+    ("model nested past the recursion limit", ["estimate", "--model", "{deep_model}",
+                                               "--x", "{x}", "--event", "extremal:d=0"],
+     _NOT_JSON),
+]
+
+
+@pytest.mark.parametrize("case, argv, message", UNDECODABLE_CASES,
+                         ids=[c[0] for c in UNDECODABLE_CASES])
+def test_an_undecodable_file_exits_2_with_one_line(broken_inputs, tmp_path, case, argv, message):
+    done = run_fresh(tmp_path, *[a.format(**broken_inputs) for a in argv])
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
 
 
 def test_a_model_of_an_older_format_version_exits_2_with_one_line(tmp_path, model_json, x_csv):

@@ -49,7 +49,7 @@ from curveprob.harness.dgp import (
 from curveprob.rng import substream
 from curveprob.spectral import CovarianceOperator, SpectralPair, eigendecompose
 
-from reference import scan_quantile
+from reference import FAMILY_EVENTS, scan_quantile
 
 GRID = Grid(10)
 FULL_SPACE = complement(extremal_set(np.inf))
@@ -684,15 +684,18 @@ class TestCriticalValueQuantile:
             kind = case % 3
             if kind == 0:
                 lo = float(rng.uniform(-3.0, 1.0))
-                family = family_level_in_alpha(float(rng.choice([0.0, 0.25, 0.5, 0.57, 0.9])),
-                                               lo, lo + float(rng.uniform(0.2, 4.0)))
+                z = float(rng.choice([0.0, 0.25, 0.5, 0.57, 0.9]))
+                family = family_level_in_alpha(z, lo, lo + float(rng.uniform(0.2, 4.0)))
+                event = FAMILY_EVENTS["level-alpha"](z)
             elif kind == 1:
                 lo = float(rng.uniform(0.0, 0.6))
-                family = family_level_in_z(float(rng.uniform(-1.0, 1.0)),
-                                           lo, lo + float(rng.uniform(0.1, 0.4)))
+                alpha = float(rng.uniform(-1.0, 1.0))
+                family = family_level_in_z(alpha, lo, lo + float(rng.uniform(0.1, 0.4)))
+                event = FAMILY_EVENTS["level-z"](alpha)
             else:
                 lo = float(rng.uniform(-2.0, 2.0))
                 family = family_max_below(lo, lo + float(rng.uniform(0.2, 4.0)))
+                event = FAMILY_EVENTS["max-below"]()
             p = float(rng.choice([0.05, 0.5, 0.9, 0.975, 1 - 1 / 41]))
             noise = ("boot", 0, 0) if case % 2 else (
                 "gauss", int(rng.integers(50, 400)), int(rng.integers(1000)))
@@ -700,7 +703,7 @@ class TestCriticalValueQuantile:
             # the ensemble quantile_over_family searches
             values = predict_coords(model, x.coords()) + ensemble_noise(model, *noise)
             got = self.search(values, model.grid, family, p, tol)
-            want = scan_quantile(values, model.grid, family, p, tol)
+            want = scan_quantile(values, model.grid, family, event, p, tol)
             assert repr(got) == repr(want), (case, got, want)
             exhausted += isinstance(got, tuple)
         assert 20 <= exhausted <= 200
@@ -716,12 +719,17 @@ class TestCriticalValueQuantile:
             x = zero_covariate(GRID)
             tol = float(rng.choice([0.25, 0.5]))
             p = float(rng.choice([0.25, 0.5, 0.75, 11 / 12]))
-            for family in (family_max_below(-4.0, 4.0),
-                           family_level_in_alpha(float(rng.choice([0.0, 0.3, 0.5])), -4.0, 4.0),
-                           family_max_below(3.0, 4.0), family_max_below(-4.0, 2.0)):
+            z = float(rng.choice([0.0, 0.3, 0.5]))
+            below = FAMILY_EVENTS["max-below"]()
+            for family, event in ((family_max_below(-4.0, 4.0), below),
+                                  (family_level_in_alpha(z, -4.0, 4.0),
+                                   FAMILY_EVENTS["level-alpha"](z)),
+                                  (family_max_below(3.0, 4.0), below),
+                                  (family_max_below(-4.0, 2.0), below)):
                 values = predict_coords(model, x.coords()) + ensemble_noise(model, "boot", 0, 0)
                 got = self.search(values, GRID, family, p, tol)
-                assert repr(got) == repr(scan_quantile(values, GRID, family, p, tol)), case
+                want = scan_quantile(values, GRID, family, event, p, tol)
+                assert repr(got) == repr(want), case
 
     def test_order_statistic_is_where_the_fraction_reaches_p(self):
         crit = np.array([3.0, -np.inf, 1.0, 1.0, 2.0, np.inf])
@@ -741,12 +749,12 @@ class TestEstimatorAxioms:
     def test_bounds_complement_monotonicity(self):
         model, xs = fitted_model(n=25, seed=7)
         x = xs[2]
-        fam = family_level_in_alpha(z=0.4, lo=-3.0, hi=3.0)
+        event = FAMILY_EVENTS["level-alpha"](0.4)
         thresholds = np.linspace(-3, 3, 9)
         for method, kwargs in (("boot", {}), ("gauss", {"mc_size": 256, "seed": 17})):
             previous = -1.0
             for a in thresholds:
-                ev = fam.at(a)
+                ev = event(a)
                 if method == "boot":
                     est = boot_prob(model, x, ev)
                     est_c = boot_prob(model, x, complement(ev))

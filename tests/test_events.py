@@ -23,7 +23,7 @@ from curveprob.events import (
     uniform_band,
 )
 
-from reference import in_point_band
+from reference import FAMILY_EVENTS, in_point_band
 
 GRID = Grid(100)
 LINE = Curve(GRID, GRID.points.copy())
@@ -270,19 +270,17 @@ class TestLevelShares:
 
 
 class TestMonotoneFamilies:
-    @pytest.mark.parametrize("family,param_grid", [
-        (family_level_in_z(alpha=0.0), np.linspace(0.0, 1.0, 21)),
-        (family_level_in_alpha(z=0.3, lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
-        (family_max_below(lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
-        (family_level_in_alpha(z=0.57, lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
-        (family_level_in_alpha(z=0.0, lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
-        (family_level_in_alpha(z=1.0, lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
-        (family_level_in_alpha(z=-0.1, lo=-2.0, hi=2.0), np.linspace(-2.0, 2.0, 21)),
+    @pytest.mark.parametrize("family,event,param_grid", [
+        (family_level_in_z(alpha=0.0), FAMILY_EVENTS["level-z"](0.0), np.linspace(0.0, 1.0, 21)),
+        *((family_level_in_alpha(z=z, lo=-2.0, hi=2.0), FAMILY_EVENTS["level-alpha"](z),
+           np.linspace(-2.0, 2.0, 21)) for z in (0.3, 0.57, 0.0, 1.0, -0.1)),
+        (family_max_below(lo=-2.0, hi=2.0), FAMILY_EVENTS["max-below"](),
+         np.linspace(-2.0, 2.0, 21)),
     ])
-    def test_membership_nested_in_parameter(self, family, param_grid):
+    def test_membership_nested_in_parameter(self, family, event, param_grid):
         curves = random_curves(GRID, 25, seed=3)
         for y in curves:
-            flags = [contains(family.at(x), y) for x in param_grid]
+            flags = [contains(event(x), y) for x in param_grid]
             # once a curve enters the family it stays in (increasing sets)
             assert all(a <= b for a, b in zip(flags, flags[1:]))
         # the critical value is where a curve enters: at every parameter,
@@ -294,7 +292,7 @@ class TestMonotoneFamilies:
         params = np.concatenate([param_grid, finite, np.nextafter(finite, -np.inf)])
         for xi in params:
             np.testing.assert_array_equal(
-                crit <= xi, contains_batch(family.at(xi), values, GRID))
+                crit <= xi, contains_batch(event(xi), values, GRID))
 
     def test_z_sweep_inclusion_example(self):
         small = level_set(50.0, 0.2)
@@ -391,12 +389,16 @@ class TestParsing:
             parse_event(text)
 
     def test_family_kinds(self):
-        fam = parse_family("level-alpha:z=0.5,lo=0,hi=25")
-        assert (fam.lo, fam.hi) == (0.0, 25.0) and fam.at(3.0) == level_set(3.0, 0.5)
-        fam = parse_family(" Level-Z : alpha=50 ")
-        assert (fam.lo, fam.hi) == (0.0, 1.0) and fam.at(0.25) == level_set(50.0, 0.25)
-        fam = parse_family("max-below:lo=-5,hi=5")
-        assert fam.at(1.0) == complement(extremal_set(1.0))
+        # each spec gives its factory's range and critical values, bit for bit
+        values = np.array([y.values for y in random_curves(GRID, 25, seed=3, scale=30.0)])
+        for text, want in (
+                ("level-alpha:z=0.5,lo=0,hi=25", family_level_in_alpha(0.5, 0.0, 25.0)),
+                (" Level-Z : alpha=50 ", family_level_in_z(50.0, 0.0, 1.0)),
+                ("max-below:lo=-5,hi=5", family_max_below(-5.0, 5.0))):
+            fam = parse_family(text)
+            assert (fam.lo, fam.hi) == (want.lo, want.hi), text
+            got, expected = fam.critical(values, GRID), want.critical(values, GRID)
+            assert got.tobytes() == expected.tobytes(), text
 
     @pytest.mark.parametrize("text, message", [
         ("max-below:lo=0,hi=25,typo=1", r"unused family parameters: \['typo'\]"),

@@ -523,6 +523,25 @@ class TestSerialization:
             with pytest.raises(UsageError, match="noise spectrum"):
                 to_json(other)
 
+    @pytest.mark.parametrize("edit, reason", [
+        ("covariate_eigenvalues", "negative eigenvalues"),
+        ("y_mean", r"\['y_mean'\] hold non-finite cells"),
+    ], ids=["negative covariate eigenvalue", "NaN y_mean"])
+    def test_refuses_to_save_a_model_its_reader_rejects(self, edit, reason):
+        # coef_w and the noise spectrum are the model's own, but the file
+        # would hold a negative covariate eigenvalue or a NaN mean
+        model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
+        cov = model.covariate_spectrum
+        if edit == "y_mean":
+            y_mean = model.y_mean.copy()
+            y_mean[3] = np.nan
+            other = dataclasses.replace(model, y_mean=y_mean)
+        else:
+            other = dataclasses.replace(model, covariate_spectrum=SpectralPair(
+                np.append(cov.eigenvalues[:-1], -1.0), cov.eigenvectors))
+        with pytest.raises(UsageError, match=f"would not read it back: .*{reason}"):
+            to_json(other)
+
     def test_stores_the_noise_rank_and_reads_back_that_many_pairs(self):
         # the file fixes the rank, so the reader does not recount the
         # sampler's floor; a leading part of the pairs round-trips too

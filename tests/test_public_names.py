@@ -5,7 +5,8 @@ method of such a class, must be referenced in the package itself, in
 ``bench/`` or in ``tools/``: as a name, an attribute or a string (the bench
 tracer wraps functions by name). A reference inside the definition itself
 (recursion), a name that the enclosing function binds (a parameter or a
-local of the same name) and an import alone do not count. Likewise every
+local of the same name), an attribute read off numpy (``np.add.at``) and an
+import alone do not count. Likewise every
 defaulted parameter of a public function must be passed, by keyword or by
 position, by some call there. Code that only tests reach belongs in the
 tests, as a reference implementation next to them.
@@ -78,7 +79,13 @@ class References(ast.NodeVisitor):
             self.add(node.id)
 
     def visit_Attribute(self, node):
-        self.add(node.attr)
+        # numpy's attributes are not the package's: np.add.at is no use of a
+        # method named at
+        root = node.value
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if getattr(root, "id", None) not in ("np", "numpy"):
+            self.add(node.attr)
         self.generic_visit(node)
 
     def visit_Constant(self, node):

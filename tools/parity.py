@@ -12,12 +12,12 @@ own, so each tree chains its own ``simulate`` -> ``fit`` -> query outputs.
 
 It compares CSV outputs byte for byte; JSON outputs and JSON on stdout with
 ``runtime_seconds`` left out; model files by what each tree's own
-``from_json`` reads from its file, in a fresh one-thread interpreter (so
-whatever the format version): ``coef_w``, the means, the residuals, the
-covariate eigenpairs, the noise eigenpairs up to the Gaussian sampler's rank
-and the header scalars; and, for a few single bad inputs, the exit code and
-the last line of stderr, the message. It prints one line per output and
-exits 1 on any difference or on a valid command that fails.
+``from_json`` reads from its file, in a fresh one-thread interpreter:
+``coef_w``, the means, the residuals, the covariate eigenpairs, the noise
+eigenpairs up to the Gaussian sampler's rank and the header scalars; and,
+for a few single bad inputs, the exit code and the last line of stderr, the
+message. It prints one line per output and exits 1 on any difference or on
+a valid command that fails.
 
 With ``--acceptance`` it runs ``pytest -m acceptance`` instead, in each tree
 in turn (a few minutes each), at one BLAS thread, and compares the
@@ -108,8 +108,7 @@ VALID = [
                               "--grid-d", "20", "--seed", "13", "--out", "sim8.csv"]),
 ]
 
-# prints, as JSON, what a tree's from_json reads from the model file argv[1];
-# it uses only names that every format version's reader has
+# prints, as JSON, what a tree's from_json reads from the model file argv[1]
 _READ_MODEL = """
 import base64, json, sys
 from curveprob.flm import from_json
@@ -125,7 +124,7 @@ doc = {key: {"shape": list(a.shape), "f8le": base64.b64encode(a.astype("<f8").to
        for key, a in arrays.items()}
 doc.update(grid_d=m.grid.resolution, n_curve_parts=m.n_curve_parts, n_scalars=m.n_scalars,
            n_components=m.n_components, centered=m.centered, dof_correction=m.dof_correction,
-           truncation=m.truncation.to_dict() if m.truncation else None)
+           truncation=m.truncation.to_dict())
 print(json.dumps(doc))
 """
 
@@ -189,16 +188,13 @@ def _run_tree(tree: Path, work: Path) -> dict:
 
 
 def _decode(node):
-    """JSON with each stored matrix as an array: base64 float64 matrices and
-    lists of numbers alike; runtimes are left out."""
+    """JSON with each base64 float64 matrix as an array; runtimes are left out."""
     if isinstance(node, dict):
         if set(node) == {"shape", "f8le"}:
             raw = np.frombuffer(base64.b64decode(node["f8le"]), dtype="<f8")
             return raw.reshape(node["shape"])
         return {k: _decode(v) for k, v in node.items() if k != "runtime_seconds"}
     if isinstance(node, list):
-        if node and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node):
-            return np.asarray(node, dtype=float)
         return [_decode(v) for v in node]
     return node
 

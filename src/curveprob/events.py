@@ -26,8 +26,11 @@ import numpy as np
 from .curves import Curve
 from .errors import StructureError, UsageError
 
-KINDS = ("level", "contrast", "extremal", "excursion", "boundary", "uniform_band",
-         "complement")
+# each kind's parameters, in field order; the constructor, parse_event and
+# format_event all read this table
+PARAMS = {"level": ("alpha", "z"), "contrast": ("gamma", "a"), "extremal": ("d",),
+          "excursion": ("d", "c"), "boundary": ("lo", "hi"),
+          "uniform_band": ("center", "lower", "upper"), "complement": ("inner",)}
 
 
 @dataclass(frozen=True)
@@ -47,8 +50,13 @@ class EventSet:
     inner: "EventSet" = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in PARAMS:
             raise UsageError(f"unknown event kind {self.kind!r}")
+        given = tuple(key for key, value in vars(self).items()
+                      if key != "kind" and value is not None)
+        if given != PARAMS[self.kind]:
+            raise UsageError(f"event kind {self.kind!r} takes exactly the parameters "
+                             f"{PARAMS[self.kind]}, got {given}")
 
 
 def level_set(alpha: float, z: float) -> EventSet:
@@ -193,9 +201,7 @@ def contains_batch(event: EventSet, values: np.ndarray, grid) -> np.ndarray:
         floor = event.center.values - event.lower.values
         ceil = event.center.values + event.upper.values
         return _row_counts((values >= floor) & (values <= ceil)) == width
-    if k == "complement":
-        return ~contains_batch(event.inner, values, grid)
-    raise UsageError(f"unknown event kind {k!r}")
+    return ~contains_batch(event.inner, values, grid)  # complement, the last kind
 
 
 @dataclass(frozen=True)
@@ -312,7 +318,9 @@ def parse_event(text: str, load_curve=None) -> EventSet:
     if kind.strip().lower() == "complement":
         return complement(parse_event(inner, load_curve))
 
-    def curve(params, key):
+    def value(params, key):
+        if key != "gamma":
+            return params.number(key)
         ref = params.take(key)
         if not ref.startswith("@"):
             raise UsageError(f"parameter {key!r} must reference a curve file as @path")
@@ -320,13 +328,10 @@ def parse_event(text: str, load_curve=None) -> EventSet:
             raise UsageError("no curve loader available for @path parameters")
         return load_curve(ref[1:])
 
+    # keys in table order, so the first missing or bad one is reported
     return _parse_spec(text, "event", {
-        "level": lambda p: level_set(p.number("alpha"), p.number("z")),
-        "contrast": lambda p: contrast_set(curve(p, "gamma"), p.number("a")),
-        "extremal": lambda p: extremal_set(p.number("d")),
-        "excursion": lambda p: excursion_set(p.number("d"), p.number("c")),
-        "boundary": lambda p: boundary_set(p.number("lo"), p.number("hi")),
-    })
+        kind: lambda p, kind=kind: EventSet(kind, **{key: value(p, key) for key in PARAMS[kind]})
+        for kind in PARAMS if kind not in ("uniform_band", "complement")})
 
 
 def parse_family(text: str) -> MonotoneFamily:
@@ -345,17 +350,9 @@ def parse_family(text: str) -> MonotoneFamily:
 def format_event(event: EventSet) -> str:
     """Compact one-line description for reports."""
     k = event.kind
-    if k == "level":
-        return f"level:alpha={event.alpha},z={event.z}"
-    if k == "contrast":
-        return f"contrast:gamma=<curve>,a={event.a}"
-    if k == "extremal":
-        return f"extremal:d={event.d}"
-    if k == "excursion":
-        return f"excursion:d={event.d},c={event.c}"
-    if k == "boundary":
-        return f"boundary:lo={event.lo},hi={event.hi}"
     if k == "complement":
         return f"complement:{format_event(event.inner)}"
-    return k
-
+    if k == "uniform_band":
+        return k
+    return f"{k}:" + ",".join(f"{key}=<curve>" if key == "gamma" else f"{key}={getattr(event, key)}"
+                              for key in PARAMS[k])

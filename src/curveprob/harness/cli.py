@@ -74,7 +74,7 @@ def _write_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _save_report(report, out: str, what: str) -> None:
+def _save_report(report, out, what: str) -> None:
     io.save_report(report, out)
     sys.stderr.write(f"{what} finished in {report.runtime_seconds:.1f}s\n")
 
@@ -141,32 +141,36 @@ def _cmd_band(args) -> None:
 
 
 def _cmd_coverage(args) -> None:
+    out = io.report_path(args.out or "coverage.csv")
     report = run_coverage_experiment(
         n=args.n, b=args.b, nominal=args.nominal, method=args.method,
         reps=args.reps, seed=args.seed, grid_d=args.grid_d, pve=args.pve,
         mc_size=args.mc)
-    _save_report(report, args.out or "coverage.csv", "coverage experiment")
+    _save_report(report, out, "coverage experiment")
 
 
 def _cmd_rmse(args) -> None:
+    out = io.report_path(args.out or "rmse.csv")
     report = run_rmse_experiment(
         dgp=args.dgp, n=args.n, n_predictors=args.predictors,
         event=parse_event(args.event, load_curve=io.load_single_curve),
         methods=args.methods, reps=args.reps, seed=args.seed,
         grid_d=args.grid_d, oracle_size=args.oracle_size, mc_size=args.mc)
-    _save_report(report, args.out or "rmse.csv", "rmse experiment")
+    _save_report(report, out, "rmse experiment")
 
 
 def _cmd_quantile_exp(args) -> None:
+    out = io.report_path(args.out or "quantile.csv")
     report = run_var_experiment(
         dgp=args.dgp, n=args.n, n_predictors=args.predictors,
         reps=args.reps, seed=args.seed, z=args.z,
         search_lo=args.search_lo, search_hi=args.search_hi,
         grid_d=args.grid_d, oracle_size=args.oracle_size, mc_size=args.mc)
-    _save_report(report, args.out or "quantile.csv", "quantile experiment")
+    _save_report(report, out, "quantile experiment")
 
 
 def _cmd_entropy(args) -> None:
+    out = io.report_path(args.out or "entropy.csv")
     response = io.load_curves(args.response)
     doy = io.load_index(args.doy)
     dow = io.load_index(args.dow) if args.dow else None
@@ -183,7 +187,7 @@ def _cmd_entropy(args) -> None:
         zs=_parse_floats(args.zs, "--zs"),
         test_fraction=args.test_fraction, methods=args.methods,
         seed=args.seed, mc_size=args.mc)
-    _save_report(report, args.out or "entropy.csv", "entropy evaluation")
+    _save_report(report, out, "entropy evaluation")
 
 
 def _cmd_deseasonalize(args) -> None:

@@ -61,11 +61,8 @@ _SIM, _MC, _PREDICTORS, _ORACLE, _SPLIT = 0, 1, 2, 3, 4
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Tabular experiment output plus its defining parameters.
-
-    The CSV rendering contains the parameters and the table only; runtime
-    is reported in the JSON rendering because it is not reproducible.
-    """
+    """Tabular experiment output plus its defining parameters; ``io.save_report``
+    writes it."""
 
     kind: str
     spec: dict
@@ -74,31 +71,6 @@ class ExperimentReport:
     summary: dict = field(default_factory=dict)
     n_replications: int = 0
     runtime_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "spec": self.spec,
-            "summary": self.summary,
-            "columns": list(self.columns),
-            "rows": [list(r) for r in self.rows],
-            "n_replications": self.n_replications,
-            "runtime_seconds": self.runtime_seconds,
-        }
-
-    def to_csv_rows(self) -> list:
-        out = [[f"# kind={self.kind}"]]
-        for key in sorted(self.spec):
-            out.append([f"# {key}={self.spec[key]}"])
-        for key in sorted(self.summary):
-            out.append([f"# summary.{key}={_fmt(self.summary[key])}"])
-        out.append(list(self.columns))
-        out.extend(list(r) for r in self.rows)
-        return out
-
-
-def _fmt(value):
-    return repr(float(value)) if isinstance(value, (float, np.floating)) else value
 
 
 def _parse_methods(methods, allowed=METHODS) -> tuple:

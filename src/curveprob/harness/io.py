@@ -17,6 +17,8 @@ from ..errors import ParseError, UsageError
 
 
 HEADER_ATOL = 1e-9  # header points may be hand-written decimals such as 0.3
+# the fields of an ExperimentReport, in the order its JSON form lists them
+_REPORT_KEYS = ("kind", "spec", "summary", "columns", "rows", "n_replications", "runtime_seconds")
 
 
 def _format_row(values: np.ndarray) -> str:
@@ -123,18 +125,32 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def save_report(report, path) -> None:
-    """Write a report as CSV or JSON depending on the file extension.
-
-    The CSV form contains only the deterministic cells, so identical seeds
-    give byte-identical files; wall-clock runtime lives in the JSON form.
-    """
+def report_path(path) -> Path:
+    """``path`` as a report file: a .csv or .json file in a directory that exists."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-    elif path.suffix.lower() == ".csv":
-        rows = report.to_csv_rows()
-        lines = [",".join(_format_cell(cell) for cell in row) for row in rows]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    else:
+    if path.suffix.lower() not in (".csv", ".json"):
         raise UsageError(f"report path must end in .csv or .json, got {path.name!r}")
+    if not path.parent.is_dir():
+        raise UsageError(f"report path {str(path)!r}: {str(path.parent)!r} is not a directory")
+    return path
+
+
+def save_report(report, path) -> None:
+    """Write an experiment report as CSV or JSON depending on the file extension.
+
+    The CSV form holds the kind, the parameters, the summary and the table
+    only, so identical seeds give byte-identical files; wall-clock runtime
+    lives in the JSON form because it is not reproducible.
+    """
+    path = report_path(path)
+    if path.suffix.lower() == ".json":
+        text = json.dumps({key: getattr(report, key) for key in _REPORT_KEYS}, indent=2)
+    else:
+        text = "\n".join([
+            f"# kind={report.kind}",
+            *(f"# {key}={report.spec[key]}" for key in sorted(report.spec)),
+            *(f"# summary.{key}={_format_cell(report.summary[key])}"
+              for key in sorted(report.summary)),
+            *(",".join(map(_format_cell, row)) for row in (report.columns, *report.rows)),
+        ])
+    path.write_text(text + "\n", encoding="utf-8")

@@ -17,6 +17,34 @@ FAMILY_EVENTS = {
     "max-below": lambda: lambda d: complement(extremal_set(d)),
 }
 
+# the same events as (rows, points) masks: given the fixed parameter, which
+# rows of a (rows, D+1) sample matrix lie inside the event at each of a block
+# of swept parameters xi, written from the event's own inequality
+FAMILY_MEMBERSHIP = {
+    # level_set(alpha, z): the share of grid points above alpha is at most z
+    "level-alpha": lambda z: lambda values, grid, xis: (
+        np.count_nonzero(values[:, :, np.newaxis] > xis, axis=1) / grid.size <= z),
+    "level-z": lambda alpha: lambda values, grid, xis: (
+        (np.count_nonzero(values > alpha, axis=1) / grid.size)[:, np.newaxis] <= xis),
+    # complement(extremal_set(d)): the maximum does not exceed d
+    "max-below": lambda: lambda values, grid, xis: ~(
+        np.max(values, axis=1)[:, np.newaxis] > xis),
+}
+
+
+def contains(event, y) -> bool:
+    """Whether the one curve ``y`` lies in ``event``."""
+    return bool(contains_batch(event, y.values[np.newaxis, :], y.grid)[0])
+
+
+def longest_run(flags) -> int:
+    """Length of the longest unbroken run of true entries, by a plain loop."""
+    longest = run = 0
+    for flag in flags:
+        run = run + 1 if flag else 0
+        longest = max(longest, run)
+    return longest
+
 
 def l2_inner(grid, a, b) -> float:
     """Trapezoid approximation of the L2 inner product of two sampled curves."""
@@ -45,17 +73,20 @@ def in_point_band(center, lower, upper, s, y) -> bool:
                 <= center.values[i] + upper.values[i])
 
 
-def scan_quantile(values, grid, family, event, p, tol=None):
+def scan_quantile(values, grid, family, membership, p, tol=None, block=256):
     """The first of the points ``lo + i * (hi - lo) / n_steps``, i = 0 ..
     n_steps (the last one ``hi``) of the family's range, ``n_steps = ceil((hi
     - lo) / tol)``, at which the fraction of the rows of ``values`` inside
-    ``event`` of that point reaches p; ``("exhausted", fraction at hi)``
-    when none does."""
+    the event of that point reaches p; ``("exhausted", fraction at hi)``
+    when none does. ``membership(values, grid, xis)`` gives the rows inside
+    at each point, which are scanned ``block`` at a time."""
     lo, hi = family.lo, family.hi
     n_steps = int(np.ceil((hi - lo) / (tol if tol is not None else 1e-4 * (hi - lo))))
-    for i in range(n_steps + 1):
-        xi = hi if i == n_steps else lo + i * (hi - lo) / n_steps
-        fraction = np.count_nonzero(contains_batch(event(xi), values, grid)) / len(values)
-        if fraction >= p:
-            return float(xi)
-    return ("exhausted", float(fraction))
+    for start in range(0, n_steps + 1, block):
+        i = np.arange(start, min(start + block, n_steps + 1))
+        xis = np.where(i == n_steps, hi, lo + i * (hi - lo) / n_steps)
+        fractions = np.count_nonzero(membership(values, grid, xis), axis=0) / len(values)
+        reached = np.flatnonzero(fractions >= p)
+        if reached.size:
+            return float(xis[reached[0]])
+    return ("exhausted", float(fractions[-1]))

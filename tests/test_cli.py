@@ -627,6 +627,34 @@ def test_exit_code_contract(broken_inputs, capsys, case, argv, code, message):
     assert message in err and err.count("\n") == 1, err
 
 
+# each experiment command and the driver it runs; the valid arguments are
+# small, so a check that only came after the run would still be quick
+EXPERIMENT_COMMANDS = [
+    ("coverage-exp", "run_coverage_experiment", ["--n", "20", "--reps", "1", "--grid-d", "16"]),
+    ("rmse-exp", "run_rmse_experiment", RMSE_SMALL[:-2]),  # less its --out
+    ("quantile-exp", "run_var_experiment", RMSE_SMALL[:-2]),
+    ("entropy-eval", "run_entropy_eval", None),
+]
+
+
+@pytest.mark.parametrize("out, message", [
+    ("x.txt", "report path must end in .csv or .json, got 'x.txt'"),
+    ("missing/x.csv", "is not a directory"),
+], ids=["suffix", "directory"])
+@pytest.mark.parametrize("command, driver, argv", EXPERIMENT_COMMANDS,
+                         ids=[c[0] for c in EXPERIMENT_COMMANDS])
+def test_an_experiment_command_checks_its_out_path_before_it_runs(
+        tmp_path, monkeypatch, capsys, entropy_inputs, command, driver, argv, out, message):
+    def not_called(*args, **kwargs):
+        raise AssertionError(f"{driver} ran before --out was checked")
+
+    monkeypatch.setattr(f"curveprob.harness.cli.{driver}", not_called)
+    assert run(command, *(entropy_inputs if argv is None else argv),
+               "--out", tmp_path / out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+
 # Monte-Carlo sizes whose draws cannot be held: malloc refuses 10**15 rows
 # (petabytes) at once, and numpy refuses the shape of 2**62 rows before it
 # allocates, so neither case takes memory

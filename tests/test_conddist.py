@@ -22,7 +22,6 @@ from curveprob.errors import RangeExhaustedError, StructureError, UsageError
 from curveprob.events import (
     boundary_set,
     complement,
-    contains_batch,
     extremal_set,
     family_level_in_alpha,
     family_level_in_z,
@@ -49,14 +48,10 @@ from curveprob.harness.dgp import (
 from curveprob.rng import substream
 from curveprob.spectral import CovarianceOperator, SpectralPair, eigendecompose
 
-from reference import FAMILY_EVENTS, scan_quantile
+from reference import FAMILY_EVENTS, FAMILY_MEMBERSHIP, contains, scan_quantile
 
 GRID = Grid(10)
 FULL_SPACE = complement(extremal_set(np.inf))
-
-
-def contains(event, y):
-    return bool(contains_batch(event, y.values[np.newaxis, :], y.grid)[0])
 
 
 def toy_model(grid, residual_rows):
@@ -686,16 +681,16 @@ class TestCriticalValueQuantile:
                 lo = float(rng.uniform(-3.0, 1.0))
                 z = float(rng.choice([0.0, 0.25, 0.5, 0.57, 0.9]))
                 family = family_level_in_alpha(z, lo, lo + float(rng.uniform(0.2, 4.0)))
-                event = FAMILY_EVENTS["level-alpha"](z)
+                member = FAMILY_MEMBERSHIP["level-alpha"](z)
             elif kind == 1:
                 lo = float(rng.uniform(0.0, 0.6))
                 alpha = float(rng.uniform(-1.0, 1.0))
                 family = family_level_in_z(alpha, lo, lo + float(rng.uniform(0.1, 0.4)))
-                event = FAMILY_EVENTS["level-z"](alpha)
+                member = FAMILY_MEMBERSHIP["level-z"](alpha)
             else:
                 lo = float(rng.uniform(-2.0, 2.0))
                 family = family_max_below(lo, lo + float(rng.uniform(0.2, 4.0)))
-                event = FAMILY_EVENTS["max-below"]()
+                member = FAMILY_MEMBERSHIP["max-below"]()
             p = float(rng.choice([0.05, 0.5, 0.9, 0.975, 1 - 1 / 41]))
             noise = ("boot", 0, 0) if case % 2 else (
                 "gauss", int(rng.integers(50, 400)), int(rng.integers(1000)))
@@ -703,7 +698,7 @@ class TestCriticalValueQuantile:
             # the ensemble quantile_over_family searches
             values = predict_coords(model, x.coords()) + ensemble_noise(model, *noise)
             got = self.search(values, model.grid, family, p, tol)
-            want = scan_quantile(values, model.grid, family, event, p, tol)
+            want = scan_quantile(values, model.grid, family, member, p, tol)
             assert repr(got) == repr(want), (case, got, want)
             exhausted += isinstance(got, tuple)
         assert 20 <= exhausted <= 200
@@ -720,15 +715,15 @@ class TestCriticalValueQuantile:
             tol = float(rng.choice([0.25, 0.5]))
             p = float(rng.choice([0.25, 0.5, 0.75, 11 / 12]))
             z = float(rng.choice([0.0, 0.3, 0.5]))
-            below = FAMILY_EVENTS["max-below"]()
-            for family, event in ((family_max_below(-4.0, 4.0), below),
-                                  (family_level_in_alpha(z, -4.0, 4.0),
-                                   FAMILY_EVENTS["level-alpha"](z)),
-                                  (family_max_below(3.0, 4.0), below),
-                                  (family_max_below(-4.0, 2.0), below)):
+            below = FAMILY_MEMBERSHIP["max-below"]()
+            for family, member in ((family_max_below(-4.0, 4.0), below),
+                                   (family_level_in_alpha(z, -4.0, 4.0),
+                                    FAMILY_MEMBERSHIP["level-alpha"](z)),
+                                   (family_max_below(3.0, 4.0), below),
+                                   (family_max_below(-4.0, 2.0), below)):
                 values = predict_coords(model, x.coords()) + ensemble_noise(model, "boot", 0, 0)
                 got = self.search(values, GRID, family, p, tol)
-                want = scan_quantile(values, GRID, family, event, p, tol)
+                want = scan_quantile(values, GRID, family, member, p, tol)
                 assert repr(got) == repr(want), case
 
     def test_order_statistic_is_where_the_fraction_reaches_p(self):

@@ -11,7 +11,7 @@ from curveprob.events import (
     level_set,
 )
 
-from reference import covariate_inner, l2_inner
+from reference import covariate_inner, l2_inner, longest_run
 
 
 def line(grid):
@@ -227,14 +227,6 @@ class TestExceedance:
         assert not inside(level_set(alpha, below(1.0)), c)[0]
 
 
-def brute_force_longest_run(values, d, resolution):
-    best = run = 0
-    for v in values:
-        run = run + 1 if v > d else 0
-        best = max(best, run)
-    return max(best - 1, 0) / resolution
-
-
 class TestLongestExcursion:
     """The longest span above d is at least c exactly when the excursion
     event (d, c) holds, so the span is the largest c that still holds."""
@@ -248,7 +240,7 @@ class TestLongestExcursion:
     def test_line_above_075(self):
         g = Grid(100)
         # grid points 0.76 .. 1.00 form the run; 24 subintervals
-        span = brute_force_longest_run(g.points, 0.75, 100)
+        span = max(longest_run(g.points > 0.75) - 1, 0) / 100
         assert span == 0.24
         assert inside(excursion_set(0.75, span), line(g))[0]
         assert not inside(excursion_set(0.75, above(span)), line(g))[0]
@@ -259,7 +251,7 @@ class TestLongestExcursion:
         for _ in range(100):
             c = Curve(g, rng.normal(size=g.size))
             d = rng.normal()
-            span = brute_force_longest_run(c.values, d, 37)
+            span = max(longest_run(c.values > d) - 1, 0) / 37
             assert inside(excursion_set(d, span), c)[0]
             assert not inside(excursion_set(d, above(span)), c)[0]
 

@@ -4,6 +4,7 @@ import pytest
 from curveprob.curves import Curve, Grid
 from curveprob.errors import StructureError, UsageError
 from curveprob.events import (
+    EventSet,
     _has_run,
     boundary_set,
     complement,
@@ -23,14 +24,10 @@ from curveprob.events import (
     uniform_band,
 )
 
-from reference import FAMILY_EVENTS, in_point_band
+from reference import FAMILY_EVENTS, contains, in_point_band, longest_run
 
 GRID = Grid(100)
 LINE = Curve(GRID, GRID.points.copy())
-
-
-def contains(event, y):
-    return bool(contains_batch(event, y.values[np.newaxis, :], y.grid)[0])
 
 
 def random_curves(grid, count, seed, scale=1.0, shift=0.0):
@@ -118,14 +115,6 @@ class TestBatchConsistency:
             assert list(batch) == singles
 
 
-def longest_run_reference(row) -> int:
-    longest = run = 0
-    for flag in row:
-        run = run + 1 if flag else 0
-        longest = max(longest, run)
-    return longest
-
-
 class TestLongestRun:
     @pytest.mark.parametrize("shape", [(200, 101), (50, 1), (0, 101), (7, 0), (9, 37)])
     def test_matches_a_plain_loop(self, shape):
@@ -133,7 +122,7 @@ class TestLongestRun:
         mask = rng.uniform(size=shape) < rng.uniform(size=(shape[0], 1))
         if shape[0] >= 2:
             mask[0], mask[1] = True, False
-        longest = [longest_run_reference(row) for row in mask]
+        longest = [longest_run(row) for row in mask]
         for length in range(-1, shape[1] + 2):
             runs = _has_run(mask, length)
             assert runs.shape == (shape[0],) and runs.dtype == bool
@@ -148,7 +137,7 @@ class TestLongestRun:
 
 def excursion_reference(values, grid, d, c) -> list:
     """Excursion membership from the plain-loop longest run of each row."""
-    return [max(longest_run_reference(row > d) - 1, 0) / grid.resolution >= c
+    return [max(longest_run(row > d) - 1, 0) / grid.resolution >= c
             for row in values]
 
 
@@ -417,3 +406,40 @@ class TestParsing:
     def test_format_round_trips_scalars(self):
         ev = level_set(50.0, 0.5)
         assert parse_event(format_event(ev)) == ev
+
+    def test_format_writes_each_kind(self):
+        for event, text in (
+                (level_set(50.0, 0.5), "level:alpha=50.0,z=0.5"),
+                (contrast_set(LINE, 0.5), "contrast:gamma=<curve>,a=0.5"),
+                (extremal_set(1.0), "extremal:d=1.0"),
+                (excursion_set(0.0, 0.25), "excursion:d=0.0,c=0.25"),
+                (boundary_set(-np.inf, 5.0), "boundary:lo=-inf,hi=5.0"),
+                (complement(extremal_set(1.0)), "complement:extremal:d=1.0"),
+                (uniform_band(LINE, LINE, LINE), "uniform_band")):
+            assert format_event(event) == text
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("kind, params", [
+        ("level", {"alpha": 5.0}),
+        ("level", {"alpha": 5.0, "z": 0.5, "d": 1.0}),
+        ("contrast", {"a": 0.5}),
+        ("boundary", {"lo": 0.0, "hi": 1.0, "center": LINE}),
+        ("uniform_band", {"center": LINE, "lower": LINE}),
+        ("complement", {}),
+        ("complement", {"inner": extremal_set(1.0), "d": 1.0}),
+    ], ids=["missing", "foreign", "missing curve", "foreign curve", "band missing",
+            "empty complement", "complement foreign"])
+    def test_a_missing_or_foreign_parameter_is_a_usage_error(self, kind, params):
+        with pytest.raises(UsageError, match=f"event kind '{kind}' takes exactly the parameters"):
+            EventSet(kind, **params)
+
+    def test_the_message_names_the_kind_and_the_parameters(self):
+        with pytest.raises(UsageError) as err:
+            EventSet("level", alpha=5.0)
+        assert str(err.value) == ("event kind 'level' takes exactly the parameters "
+                                  "('alpha', 'z'), got ('alpha',)")
+
+    def test_unknown_kind(self):
+        with pytest.raises(UsageError, match="unknown event kind 'levels'"):
+            EventSet("levels", alpha=5.0, z=0.5)

@@ -142,6 +142,8 @@ BAD = [
                             "--out", "bad.csv"]),
     ("coverage-exp --b 1e308", ["coverage-exp", *_SMALL, "--n", "20", "--reps", "1",
                                 "--b", "1e308", "--out", "bad.csv"]),
+    ("coverage-exp --out bad.txt", ["coverage-exp", *_SMALL, "--n", "20", "--reps", "1",
+                                    "--out", "bad.txt"]),
     ("rmse-exp --n 2", ["rmse-exp", *_ORACLE, "--n", "2", "--out", "bad.csv"]),
     ("rmse-exp --dgp unknown", ["rmse-exp", *_ORACLE, "--dgp", "unknown", "--out", "bad.csv"]),
     ("quantile-exp --n 1", ["quantile-exp", *_ORACLE, "--n", "1", "--out", "bad.csv"]),

@@ -211,9 +211,9 @@ def order_statistic_quantile(critical: np.ndarray, p: float) -> float:
     return float(np.partition(critical, need - 1)[need - 1])
 
 
-def linear_quantiles(values: np.ndarray, levels) -> list:
-    """``np.quantile(values, q)`` for each level q of ``levels``, bit for bit,
-    from one ``np.partition`` of the 1-D sample ``values``.
+def linear_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` of the 1-D sample ``values``, bit for bit,
+    from one ``np.partition``.
 
     numpy's default 'linear' rule reads the order statistics a and b at
     ``floor((m - 1) * q)`` and the next index (both the largest when
@@ -222,21 +222,16 @@ def linear_quantiles(values: np.ndarray, levels) -> list:
     float operations run here.
     """
     m = values.shape[0]
-    picks = []  # (index of a, index of b, t) per level
-    for q in levels:
-        virtual = (m - 1) * q
-        if virtual >= m - 1:  # numpy's index -1, so t = virtual + 1
-            picks.append((m - 1, m - 1, virtual + 1))
-        else:
-            below = math.floor(virtual)
-            picks.append((below, below + 1, virtual - below))
-    ordered = np.partition(values, sorted({i for a, b, _ in picks for i in (a, b)}))
-    out = []
-    for a, b, t in picks:
-        lo, hi = float(ordered[a]), float(ordered[b])
-        d = hi - lo
-        out.append(hi - d * (1 - t) if t >= 0.5 else lo + d * t)
-    return out
+    virtual = (m - 1) * q
+    if virtual >= m - 1:  # numpy's index -1, so t = virtual + 1
+        a, b, t = m - 1, m - 1, virtual + 1
+    else:
+        a = math.floor(virtual)
+        b, t = a + 1, virtual - a
+    ordered = np.partition(values, sorted({a, b}))
+    lo, hi = float(ordered[a]), float(ordered[b])
+    d = hi - lo
+    return hi - d * (1 - t) if t >= 0.5 else lo + d * t
 
 
 def quantile_over_family(
@@ -321,29 +316,28 @@ def calibrate_uniform_band(
     method: str = "boot",
     mc_size: int = DEFAULT_MC_SIZE,
     seed: int = 0,
-    literal_abs: bool = False,
 ) -> tuple[BandCalibration, EventSet]:
     """Calibrate {fitted mean + L*sigma <= y <= fitted mean + U*sigma}.
 
     sigma is the pointwise residual standard deviation. Per noise draw
     (residual for 'boot', simulated for 'gauss') the signed studentized
-    extremes min_t eps/sigma and max_t eps/sigma are collected; L and U are
-    their alpha/2 and 1-alpha/2 quantiles, which brackets the band below
-    and above the mean for symmetric noise. ``literal_abs`` instead takes
-    both quantiles from the one-sided statistic max_t |eps|/sigma.
+    extremes min_t eps/sigma and max_t eps/sigma are collected; L is the
+    alpha/2 quantile of the minima and U the 1-alpha/2 quantile of the
+    maxima, which brackets the band below and above the mean for symmetric
+    noise.
     """
     if not 0.0 < nominal < 1.0:
         raise UsageError(f"nominal coverage must lie in (0, 1), got {nominal}")
     _check_noise(model, method, mc_size)
     cal, lower, upper = _memo_slot(
-        model.memo, "band", (method, mc_size, int(seed), nominal, literal_abs),
-        lambda: _band_scale(model, nominal, method, mc_size, seed, literal_abs),
+        model.memo, "band", (method, mc_size, int(seed), nominal),
+        lambda: _band_scale(model, nominal, method, mc_size, seed),
     )
     return cal, uniform_band(predict(model, x), lower, upper)
 
 
-def _band_scale(model: FittedFLM, nominal: float, method: str, mc_size: int, seed: int,
-                literal_abs: bool) -> tuple:
+def _band_scale(model: FittedFLM, nominal: float, method: str, mc_size: int,
+                seed: int) -> tuple:
     """The covariate-free part of a band: its calibration and the offsets
     ``-L * sigma`` and ``U * sigma`` below and above the center, read-only."""
     alpha = 1.0 - nominal
@@ -362,12 +356,8 @@ def _band_scale(model: FittedFLM, nominal: float, method: str, mc_size: int, see
     sigma = np.maximum(sigma, SIGMA_FLOOR * peak)
 
     ratios = draws / sigma
-    if literal_abs:
-        stat = np.max(np.abs(ratios), axis=1)
-        lo_q, hi_q = linear_quantiles(stat, (alpha / 2, 1 - alpha / 2))
-    else:
-        (lo_q,) = linear_quantiles(np.min(ratios, axis=1), (alpha / 2,))
-        (hi_q,) = linear_quantiles(np.max(ratios, axis=1), (1 - alpha / 2,))
+    lo_q = linear_quantile(np.min(ratios, axis=1), alpha / 2)
+    hi_q = linear_quantile(np.max(ratios, axis=1), 1 - alpha / 2)
 
     cal = BandCalibration(sigma=Curve(model.grid, _read_only(sigma)), lower_quantile=lo_q,
                           upper_quantile=hi_q, nominal=nominal, method=method)

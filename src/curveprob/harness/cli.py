@@ -51,19 +51,20 @@ def _parse_floats(text: str, option: str) -> tuple:
     return values
 
 
-def _load_covariate(args) -> Covariate:
-    values = io.load_curves(args.x)
+def _load_covariate(path: str, scalars_text: str | None = None) -> Covariate:
+    """The curves of the file ``path`` and the scalars of ``--x-scalars``."""
+    values = io.load_curves(path)
     parts = tuple(Curve(Grid(values.shape[1] - 1), row) for row in values)
-    scalars = _parse_floats(args.x_scalars, "--x-scalars") if args.x_scalars else ()
+    scalars = _parse_floats(scalars_text, "--x-scalars") if scalars_text else ()
     if not parts and not scalars:
-        raise UsageError(f"covariate file {args.x} holds no curves and no scalars given")
+        raise UsageError(f"covariate file {path} holds no curves and no scalars given")
     return Covariate(parts, scalars)
 
 
 def _load_query(args):
     """The model and covariate that estimate, quantile and band query."""
     model = from_json(io.read_text(args.model))
-    return model, _load_covariate(args)
+    return model, _load_covariate(args.x, args.x_scalars)
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -128,8 +129,7 @@ def _cmd_quantile(args) -> None:
 def _cmd_band(args) -> None:
     model, x = _load_query(args)
     cal, band = calibrate_uniform_band(model, x, args.nominal, method=args.method,
-                                       mc_size=args.mc, seed=args.seed,
-                                       literal_abs=args.literal_abs)
+                                       mc_size=args.mc, seed=args.seed)
     out = args.out or "band.csv"
     center = band.center.values
     io.save_curves(np.stack([center, center - band.lower.values,
@@ -204,7 +204,7 @@ def _cmd_baseline(args) -> None:
     sample, _ = build_far_design(series, args.ar_order)
     event = parse_event(args.event, load_curve=io.load_single_curve)
     labels = contains_batch(event, sample.y, sample.grid).astype(float)
-    x = _load_covariate(args)
+    x = _load_covariate(args.x)
     if x.structure() != sample.structure:
         raise StructureError(f"covariate structure {x.structure()} does not match "
                              f"the training design {sample.structure}")
@@ -243,11 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     drawn = options(out)  # the commands that draw Monte-Carlo ensembles
     drawn.add_argument("--seed", type=int, default=0)
     drawn.add_argument("--mc", type=int, default=2000)
-    covariate = options()  # what _load_covariate reads
+    covariate = options()  # the covariate curves file
     covariate.add_argument("--x", required=True)
-    covariate.add_argument("--x-scalars", default=None, dest="x_scalars")
     query = options(drawn, covariate)
     query.add_argument("--model", required=True)
+    query.add_argument("--x-scalars", default=None, dest="x_scalars")
     query.add_argument("--method", default="boot", choices=["boot", "gauss"])
     experiment = options(drawn)  # the drivers that simulate their own series
     experiment.add_argument("--n", type=int, required=True)
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("band", _cmd_band, [query], "calibrated uniform prediction band")
     p.add_argument("--nominal", type=float, default=0.95)
-    p.add_argument("--literal-abs", action="store_true", dest="literal_abs")
 
     p = command("coverage-exp", _cmd_coverage, [experiment], "band coverage experiment")
     p.add_argument("--b", type=float, default=0.0)

@@ -73,14 +73,15 @@ class TestWorkflow:
         doc = json.loads(out.read_text())
         assert -5.0 <= doc["quantile"] <= 5.0
 
-    def test_band(self, tmp_path, model_json, x_csv, capsys):
+    @pytest.mark.parametrize("method", ["boot", "gauss"])
+    def test_band(self, tmp_path, model_json, x_csv, capsys, method):
         out = tmp_path / "band.csv"
         assert run("band", "--model", model_json, "--x", x_csv,
-                   "--nominal", 0.9, "--method", "boot", "--out", out) == 0
+                   "--nominal", 0.9, "--method", method, "--out", out) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["lower_quantile"] <= payload["upper_quantile"]
         center, floor, ceil = load_curves(out)
-        assert np.all(floor <= ceil)
+        assert np.all(floor <= center) and np.all(center <= ceil)
 
     def test_baseline_commands(self, tmp_path, series_csv, x_csv):
         out = tmp_path / "b.json"
@@ -741,7 +742,7 @@ def test_band_leaves_numpy_ma_unloaded(tmp_path, model_json, x_csv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = ("import sys; from curveprob.harness.cli import main\n"
-             "for extra in ([], ['--literal-abs'], ['--method', 'gauss', '--mc', '50']):\n"
+             "for extra in ([], ['--nominal', '0.8'], ['--method', 'gauss', '--mc', '50']):\n"
              f"    assert main(['band', '--model', {str(model_json)!r}, '--x', {str(x_csv)!r},\n"
              f"                 '--out', {str(tmp_path / 'band.csv')!r}, *extra]) == 0\n"
              "sys.exit('numpy.ma' in sys.modules)")

@@ -163,6 +163,9 @@ def test_every_subcommand_declares_exactly_the_options_its_handler_reads():
     ["rmse-exp", "--n", "30", "--reps", "0", "--target", "quantile"],
     ["quantile-exp", "--n", "30", "--reps", "0", "--event", "extremal:d=0"],
     ["rmse-exp", "--n", "30", "--reps", "0", "--search-hi", "8"],
+    ["band", "--model", "model.json", "--x", "x.csv", "--literal-abs"],
+    ["baseline", "nw", "--train-series", "s.csv", "--x", "x.csv", "--event", "extremal:d=0",
+     "--x-scalars", "1"],
 ])
 def test_an_option_no_handler_reads_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,7 @@ from curveprob.conddist import (
     ensemble_noise,
     ensemble_quantile,
     gauss_prob,
-    linear_quantiles,
+    linear_quantile,
     noise_sampler,
     order_statistic_quantile,
     quantile_over_family,
@@ -393,18 +393,18 @@ class TestEnsembleMemo:
         assert model.memo["ensemble/boot"][1] is boot_kept
         assert model.memo["ensemble/gauss"][1] is gauss_kept
 
-    def test_band_slot_separates_nominal_literal_abs_and_method(self):
+    def test_band_slot_separates_nominal_seed_and_method(self):
         model, xs = fitted_model(n=60)
-        base = dict(nominal=0.9, method="boot", mc_size=50, seed=3, literal_abs=False)
+        base = dict(nominal=0.9, method="boot", mc_size=50, seed=3)
         cal, _ = calibrate_uniform_band(model, xs[0], **base)
         assert model.memo["band"][1][0] is cal
         assert calibrate_uniform_band(model, xs[1], **base)[0] is cal  # covariate-free
-        for change in ({"nominal": 0.8}, {"literal_abs": True}, {"method": "gauss"}):
+        for change in ({"nominal": 0.8}, {"seed": 4}, {"method": "gauss"}):
             args = dict(base, **change)
             got, band = calibrate_uniform_band(model, xs[0], **args)
             key, (kept, _, _) = model.memo["band"]
             assert got is not cal and kept is got
-            assert key == (args["method"], 50, 3, args["nominal"], args["literal_abs"])
+            assert key == (args["method"], 50, args["seed"], args["nominal"])
             fresh, fresh_band = calibrate_uniform_band(dataclasses.replace(model), xs[0], **args)
             assert repr(got) == repr(fresh)
             assert np.array_equal(band.lower.values, fresh_band.lower.values)
@@ -471,8 +471,8 @@ def _answer(model, request):
                                              mc_size=mc_size, seed=seed))
         except RangeExhaustedError as err:
             return "exhausted " + repr(err.boundary_estimate)
-    cal, band = calibrate_uniform_band(model, x, nominal, method, mc_size=mc_size, seed=seed,
-                                       literal_abs=extra)
+    cal, band = calibrate_uniform_band(model, x, nominal + extra, method, mc_size=mc_size,
+                                       seed=seed)
     return repr(cal) + "".join(c.values.tobytes().hex() for c in
                                (cal.sigma, band.center, band.lower, band.upper))
 
@@ -491,7 +491,8 @@ def test_memo_sweep_is_bit_identical_to_fresh_models():
     for step in range(400):
         if request is None or rng.random() < 0.4:
             kind = ["prob", "quantile", "band"][int(rng.integers(3))]
-            extra = {"prob": events, "quantile": families, "band": [False, True]}[kind]
+            # a band's extra shifts its nominal coverage
+            extra = {"prob": events, "quantile": families, "band": [0.0, 0.04]}[kind]
             request = (kind,
                        covariates[int(rng.integers(len(covariates)))],
                        ["boot", "gauss"][int(rng.integers(2))],
@@ -625,7 +626,7 @@ class TestQuantileOverFamily:
         assert peak <= quantile_over_family(model, x, self.family, 0.5, method="boot") <= peak + self.tol
 
 
-class TestLinearQuantiles:
+class TestLinearQuantile:
     SIZES = [*range(1, 60), 100, 1000, 2000, 2001]
     LEVELS = [0.025, 0.975, 0.005, 0.995]
 
@@ -642,18 +643,24 @@ class TestLinearQuantiles:
                 values = np.full(m, -1.7 * scale)
             levels = [*self.LEVELS, *rng.uniform(size=4), 0.0, 0.5, 1.0]
             before = values.copy()
-            got = linear_quantiles(values, levels)
+            got = [linear_quantile(values, q) for q in levels]
             want = [np.quantile(values, q) for q in levels]
             assert np.array(got).tobytes() == np.array(want).tobytes(), (m, levels)
             assert values.tobytes() == before.tobytes()
 
-    def test_reads_both_band_levels_from_one_partition(self, monkeypatch):
+    def test_reads_each_level_from_one_partition(self, monkeypatch):
         calls = []
         partition = np.partition
         monkeypatch.setattr(np, "partition", lambda *a, **k: calls.append(1) or partition(*a, **k))
         values = np.random.default_rng(3).normal(size=2000)
-        lo, hi = linear_quantiles(values, (0.025, 0.975))
-        assert len(calls) == 1 and lo < hi
+        lo = linear_quantile(values, 0.025)
+        assert len(calls) == 1
+        hi = linear_quantile(values, 0.975)
+        assert len(calls) == 2 and lo < hi
+        model, xs = fitted_model()
+        calls.clear()
+        calibrate_uniform_band(model, xs[0], 0.9, "boot")
+        assert len(calls) == 2  # one per band multiplier
 
 
 class TestCriticalValueQuantile:
@@ -808,11 +815,6 @@ class TestUniformBand:
         est = boot_prob(model, xs[3], band)
         n = model.residual_matrix.shape[0]
         assert est.count >= n - 2
-
-    def test_literal_abs_variant_is_one_sided(self):
-        model, xs = fitted_model(n=50, seed=16)
-        cal, _ = calibrate_uniform_band(model, xs[0], 0.9, "boot", literal_abs=True)
-        assert cal.lower_quantile >= 0.0  # the literal reading keeps both quantiles positive
 
     def test_boot_probability_of_own_band_tracks_nominal(self):
         model, xs = fitted_model(n=200, seed=18)

@@ -80,8 +80,7 @@ VALID = [
     ("quantile level-z", ["quantile", *_QUERY, "--family", "level-z:alpha=7", "--p", "0.6"]),
     ("band", ["band", *_QUERY, "--nominal", "0.9", "--method", "gauss", "--mc", "200",
               "--seed", "7", "--out", "band.csv"]),
-    ("band --literal-abs", ["band", *_QUERY, "--nominal", "0.9", "--literal-abs",
-                            "--out", "band_literal.csv"]),
+    ("band boot", ["band", *_QUERY, "--nominal", "0.9", "--out", "band_boot.csv"]),
     ("deseasonalize", ["deseasonalize", "--series", "synthetic.csv", *_DAYS, "--window", "7",
                        "--out", "adjusted.csv"]),
     ("baseline nw", ["baseline", "nw", "--train-series", "synthetic.csv", "--x", "x.csv",

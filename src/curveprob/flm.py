@@ -11,7 +11,7 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .spectral import (
     SpectralPair,
     eigendecompose,
     empirical_covariance,
-    truncation_pve,
-    truncation_threshold,
 )
 
 MODEL_FORMAT = "curveprob-flm"
@@ -35,13 +33,21 @@ def default_m_n(n: int) -> float:
     return 5.0 * float(n) ** 0.45
 
 
+# the fields each kind of truncation rule sets
+_OWN_FIELDS = {"threshold": ("m_n", "relative"), "pve": ("v",), "fixed": ("k",)}
+
+
 @dataclass(frozen=True)
 class TruncationRule:
     """How many principal directions the fit keeps.
 
     kind 'threshold' keeps eigenvalues above top/m_n (or above 1/m_n when
     relative=False); 'pve' keeps the smallest count reaching variance share
-    v; 'fixed' keeps exactly k.
+    v; 'fixed' keeps exactly k. A rule sets only its own kind's fields,
+    every other field stays None and ``relative`` True; the fields have the
+    types a JSON document gives them. The constructor checks all of it and
+    the ranges (a finite m_n >= 1, 0 < v < 1, k >= 1), so every way of
+    building a rule refuses the same rules with ``UsageError``.
     """
 
     kind: str
@@ -51,8 +57,24 @@ class TruncationRule:
     k: int | None = None
 
     def __post_init__(self):
-        if self.m_n is not None and not np.isfinite(self.m_n):
-            raise UsageError(f"threshold m_n must be finite, got {self.m_n}")
+        if self.kind not in tuple(_OWN_FIELDS):  # compared, so a JSON list is not hashed
+            raise UsageError(f"unknown truncation rule {self.kind!r}")
+        own, m_n, v, k = _OWN_FIELDS[self.kind], self.m_n, self.v, self.k
+        if (type(self.relative) is not bool or not (k is None or type(k) is int)
+                or not all(x is None or isinstance(x, (int, float)) and type(x) is not bool
+                           for x in (m_n, v))):
+            raise UsageError(f"malformed truncation rule {self!r}")
+        if (not self.relative and "relative" not in own) or any(
+                getattr(self, key) is not None for key in ("m_n", "v", "k") if key not in own):
+            raise UsageError(f"a {self.kind} rule sets only {', '.join(own)}, got {self!r}")
+        if m_n is not None and not np.isfinite(m_n):
+            raise UsageError(f"threshold m_n must be finite, got {m_n}")
+        if m_n is not None and m_n < 1:
+            raise UsageError(f"m_n must be >= 1, got {m_n}")
+        if self.kind == "pve" and not (v is not None and 0.0 < v < 1.0):
+            raise UsageError(f"variance fraction must lie in (0, 1), got {v}")
+        if self.kind == "fixed" and (k is None or k < 1):
+            raise UsageError("fixed truncation needs k >= 1")
 
     @staticmethod
     def threshold(m_n: float | None = None, relative: bool = True) -> "TruncationRule":
@@ -67,35 +89,26 @@ class TruncationRule:
         return TruncationRule(kind="fixed", k=k)
 
     def select(self, spectrum: SpectralPair, n: int) -> int:
-        if self.kind == "threshold":
-            m_n = self.m_n if self.m_n is not None else default_m_n(n)
-            return truncation_threshold(spectrum, m_n, relative=self.relative)
-        if self.kind == "pve":
-            return truncation_pve(spectrum, self.v)
+        """The number of leading pairs of a nonincreasing spectrum to keep.
+        The threshold rule keeps the eigenvalues at or above its cutoff (ties
+        kept), at least one and at most the rank; the variance-share rule the
+        smallest count whose cumulative share reaches v."""
+        if spectrum.rank == 0:
+            raise DegenerateInputError("cannot truncate an all-zero spectrum")
+        lam = spectrum.eigenvalues
         if self.kind == "fixed":
-            if self.k is None or self.k < 1:
-                raise UsageError("fixed truncation needs k >= 1")
-            if spectrum.rank == 0:
-                raise DegenerateInputError("cannot truncate an all-zero spectrum")
             return min(self.k, spectrum.rank)
-        raise UsageError(f"unknown truncation rule {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "m_n": self.m_n, "relative": self.relative,
-                "v": self.v, "k": self.k}
+        if self.kind == "pve":
+            passing = np.nonzero(np.cumsum(lam) / float(np.sum(lam)) >= self.v)[0]
+            return int(passing[0]) + 1 if passing.size else int(lam.size)
+        m_n = self.m_n if self.m_n is not None else default_m_n(n)
+        passing = np.nonzero(lam >= (lam[0] / m_n if self.relative else 1.0 / m_n))[0]
+        return min(int(passing[-1]) + 1 if passing.size else 1, spectrum.rank)
 
     @staticmethod
     def from_dict(d: dict) -> "TruncationRule":
-        """The rule :meth:`to_dict` wrote. ``kind`` must name a rule,
-        ``relative`` be a JSON boolean, ``k`` null or a JSON integer, and
-        ``m_n`` and ``v`` null or a JSON number; anything else raises
-        ``TypeError``."""
-        kind, m_n, relative, v, k = (d[key] for key in ("kind", "m_n", "relative", "v", "k"))
-        if (kind not in ("threshold", "pve", "fixed") or type(relative) is not bool
-                or not (k is None or type(k) is int)
-                or not all(x is None or type(x) in (int, float) for x in (m_n, v))):
-            raise TypeError(f"malformed truncation rule {d!r}")
-        return TruncationRule(kind=kind, m_n=m_n, relative=relative, v=v, k=k)
+        """The rule that :func:`dataclasses.asdict` wrote: its five keys."""
+        return TruncationRule(*(d[f.name] for f in fields(TruncationRule)))
 
     @staticmethod
     def parse(text: str) -> "TruncationRule":
@@ -448,7 +461,7 @@ def to_json(model: FittedFLM) -> str:
         "n_components": model.n_components,
         "centered": model.centered,
         "dof_correction": model.dof_correction,
-        "truncation": model.truncation.to_dict(),
+        "truncation": asdict(model.truncation),
         "noise_rank": len(model.noise_spectrum.eigenvalues),
         "factor": _encode_matrix(model.factor),
         "x_mean_coords": _encode_matrix(model.x_mean_coords),

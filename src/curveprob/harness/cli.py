@@ -98,11 +98,12 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_fit(args) -> None:
+    truncation = TruncationRule.parse(args.truncation)
     series = io.load_curves(args.series)
     exog = [io.load_curves(p) for p in args.exog or ()]
     sample, _ = build_far_design(series, args.ar_order, exog)
-    model = fit(sample, TruncationRule.parse(args.truncation),
-                center=not args.no_center, dof_correction=args.dof_correction)
+    model = fit(sample, truncation, center=not args.no_center,
+                dof_correction=args.dof_correction)
     Path(args.out or "model.json").write_text(to_json(model), encoding="utf-8")
 
 
@@ -200,6 +201,7 @@ def _cmd_deseasonalize(args) -> None:
 
 
 def _cmd_baseline(args) -> None:
+    truncation = TruncationRule.fixed(args.components) if args.estimator == "glm" else None
     series = io.load_curves(args.train_series)
     sample, _ = build_far_design(series, args.ar_order)
     event = parse_event(args.event, load_curve=io.load_single_curve)
@@ -213,7 +215,7 @@ def _cmd_baseline(args) -> None:
         value = nw_prob(est, x.coords())
         payload = {"value": value, "estimator": "nw", "bandwidth": est.bandwidth}
     else:
-        regression = fit(sample, TruncationRule.fixed(args.components))
+        regression = fit(sample, truncation)
         model = fglm_fit(sample.x, labels, regression, link=args.link)
         value = fglm_prob(model, x.coords())
         payload = {"value": value, "estimator": "glm", "link": args.link,

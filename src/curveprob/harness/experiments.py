@@ -188,13 +188,16 @@ def run_coverage_experiment(
     """
     methods = _parse_methods("boot,gauss" if method == "both" else method, ENSEMBLE_METHODS)
     _check_counts(n=n, reps=reps, mc_size=mc_size)
+    if not 0.0 < nominal < 1.0:
+        raise UsageError(f"nominal coverage must lie in (0, 1), got {nominal}")
+    truncation = TruncationRule.pve(pve)
     started = time.perf_counter()
     grid = Grid(grid_d)
     spec = DGPSpec("far_paparoditis", grid, b=b)
 
     hits = {m: 0 for m in methods}
-    for _, series, _, model, mc_seed in _replicates(spec, n, TruncationRule.pve(pve), seed,
-                                                    reps, held_out=1):
+    for _, series, _, model, mc_seed in _replicates(spec, n, truncation, seed, reps,
+                                                    held_out=1):
         x_query = Covariate((Curve(grid, series[n - 1]),))
         for m in methods:
             _, band = calibrate_uniform_band(model, x_query, nominal, method=m,
@@ -385,6 +388,7 @@ def run_entropy_eval(
     for z in zs:
         if not 0.0 <= z <= 1.0:
             raise UsageError(f"time budget z must lie in [0, 1], got {z}")
+    truncation = TruncationRule.pve(pve)
     started = time.perf_counter()
     n_days = len(response)
     if n_days == 0:
@@ -406,8 +410,7 @@ def run_entropy_eval(
     test_ids = np.sort(substream(seed, _SPLIT).choice(n_pairs, size=n_test, replace=False))
     train_ids = np.setdiff1d(np.arange(n_pairs), test_ids)
     train_x = sample.x[train_ids]
-    model = fit(replace(sample, y=sample.y[train_ids], x=train_x),
-                TruncationRule.pve(pve), center=True)
+    model = fit(replace(sample, y=sample.y[train_ids], x=train_x), truncation, center=True)
 
     # real-scale curves keyed by pair index
     day_of_pair = np.asarray(day_of_pair)

@@ -1,5 +1,6 @@
-"""Empirical covariance operators, their eigendecomposition, and the two
-rules for choosing how many principal directions to keep.
+"""Empirical covariance operators, their eigendecomposition, and the rank
+of a spectrum that the Gaussian sampler draws from. How many principal
+directions a fit keeps is :class:`curveprob.flm.TruncationRule`'s choice.
 
 Operators are stored as dense symmetric matrices in weighted coordinates
 (see :mod:`curveprob.curves`), so a plain ``eigh`` already returns vectors
@@ -110,32 +111,3 @@ def eigendecompose(op: CovarianceOperator) -> SpectralPair:
         flip = vecs[lead, np.arange(vecs.shape[1])] < 0
         vecs[:, flip] = -vecs[:, flip]
     return SpectralPair(vals, vecs, clamped_mass)
-
-
-def truncation_threshold(
-    spec: SpectralPair, m_n: float, relative: bool = True
-) -> int:
-    """Largest j with eigenvalue_j >= threshold, threshold = top/m_n (scale-free)
-    or 1/m_n (absolute). Ties at the threshold are kept."""
-    lam = spec.eigenvalues
-    if lam.size == 0 or lam[0] <= 0.0:
-        raise DegenerateInputError("cannot truncate an all-zero spectrum")
-    if m_n < 1:
-        raise UsageError(f"m_n must be >= 1, got {m_n}")
-    cutoff = lam[0] / m_n if relative else 1.0 / m_n
-    passing = np.nonzero(lam >= cutoff)[0]
-    count = int(passing[-1]) + 1 if passing.size else 1
-    return max(1, min(count, spec.rank))
-
-
-def truncation_pve(spec: SpectralPair, v: float) -> int:
-    """Smallest number of components whose eigenvalue share reaches v."""
-    if not 0.0 < v < 1.0:
-        raise UsageError(f"variance fraction must lie in (0, 1), got {v}")
-    lam = spec.eigenvalues
-    total = float(np.sum(lam))
-    if total <= 0.0:
-        raise DegenerateInputError("cannot apply the variance-share rule to a zero spectrum")
-    ratios = np.cumsum(lam) / total
-    passing = np.nonzero(ratios >= v)[0]
-    return int(passing[0]) + 1 if passing.size else int(lam.size)

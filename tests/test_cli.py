@@ -323,6 +323,10 @@ def broken_inputs(tmp_path, model_json, x_csv):
     doc = json.loads(model_json.read_text())
     doc["truncation"]["relative"] = "false"
     mistyped_rule.write_text(json.dumps(doc))
+    out_of_range_rule = tmp_path / "out_of_range_rule.json"
+    doc = json.loads(model_json.read_text())
+    doc["truncation"].update(v=7.0, k=3, relative=False)
+    out_of_range_rule.write_text(json.dumps(doc))
     overflowing_model = tmp_path / "overflowing_model.json"
     overflowing_model.write_text(set_cell(model_json.read_text(), "residual_matrix", 0, 1e308))
     huge_models = {}
@@ -359,7 +363,7 @@ def broken_inputs(tmp_path, model_json, x_csv):
             "nan_cell": nan_cell, "truncated": truncated, "series": series,
             "letters": letters, "squared": squared, "doy": doy, "dow": dow,
             "nan_model": nan_model, "negative_model": negative_model,
-            "mistyped_rule": mistyped_rule,
+            "mistyped_rule": mistyped_rule, "out_of_range_rule": out_of_range_rule,
             "overflowing_model": overflowing_model,
             "missing": tmp_path / "missing.csv", "empty": empty, "huge": huge,
             "overflow": overflow, **huge_models, **labels}
@@ -540,6 +544,9 @@ EXIT_CASES = [
     ("model with a truncation flag that is a string",
      ["estimate", "--model", "{mistyped_rule}", "--x", "{x}", "--event", "extremal:d=0"],
      2, "malformed model document"),
+    ("model with a truncation rule out of range and fields of other rules",
+     ["estimate", "--model", "{out_of_range_rule}", "--x", "{x}", "--event", "extremal:d=0"],
+     2, "malformed model document"),
     ("model whose residual covariance overflows",
      ["estimate", "--model", "{overflowing_model}", "--x", "{x}", "--event", "extremal:d=0"],
      2, "its residuals give no noise spectrum"),
@@ -654,6 +661,48 @@ def test_an_experiment_command_checks_its_out_path_before_it_runs(
                "--out", tmp_path / out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1, err
+
+
+# (case, argv, the first function that does work, message): a bad truncation
+# rule or nominal coverage exits 2 before any series is read, simulated or
+# deseasonalized
+EARLY_CHECKS = [
+    ("fit --truncation",
+     ["fit", "--series", "{series}", "--truncation", "pve:1.5", "--out", "{missing}"],
+     "curveprob.harness.io.load_curves", "variance fraction must lie in (0, 1), got 1.5"),
+    ("baseline glm --components",
+     ["baseline", "glm", "--train-series", "{series}", "--x", "{x}", "--event", "extremal:d=0",
+      "--components", "0"],
+     "curveprob.harness.io.load_curves", "fixed truncation needs k >= 1"),
+    ("coverage-exp --pve",
+     ["coverage-exp", "--n", "20", "--reps", "1", "--grid-d", "16", "--pve", "1.5",
+      "--out", "{missing}"],
+     "curveprob.harness.experiments.simulate_far_values",
+     "variance fraction must lie in (0, 1), got 1.5"),
+    ("coverage-exp --nominal",
+     ["coverage-exp", "--n", "20", "--reps", "1", "--grid-d", "16", "--nominal", "1.5",
+      "--out", "{missing}"],
+     "curveprob.harness.experiments.simulate_far_values",
+     "nominal coverage must lie in (0, 1), got 1.5"),
+    ("entropy-eval --pve",
+     ["entropy-eval", "--response", "{series}", "--doy", "{doy}", "--dow", "{dow}",
+      "--pve", "1.5", "--out", "{missing}"],
+     "curveprob.harness.experiments.deseasonalize",
+     "variance fraction must lie in (0, 1), got 1.5"),
+]
+
+
+@pytest.mark.parametrize("case, argv, work, message", EARLY_CHECKS,
+                         ids=[c[0] for c in EARLY_CHECKS])
+def test_a_command_checks_its_rule_before_any_work(broken_inputs, monkeypatch, capsys, case,
+                                                   argv, work, message):
+    def not_called(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the arguments were checked")
+
+    monkeypatch.setattr(work, not_called)
+    assert run(*[a.format(**broken_inputs) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n", err
 
 
 # Monte-Carlo sizes whose draws cannot be held: malloc refuses 10**15 rows

@@ -668,7 +668,7 @@ class TestSerialization:
     def test_rejects_a_non_finite_truncation_parameter(self):
         model = fit(rank_two_dataset(n=15, noise=0.3, seed=8), TruncationRule.fixed(2))
         doc = json.loads(to_json(model))
-        doc["truncation"].update(kind="threshold", m_n=float("nan"))
+        doc["truncation"].update(kind="threshold", m_n=float("nan"), k=None)
         with pytest.raises(StructureError):
             from_json(json.dumps(doc))
 
@@ -676,6 +676,9 @@ class TestSerialization:
         {"k": 2.5}, {"k": True}, {"k": "2"}, {"relative": "false"}, {"relative": 1},
         {"relative": None}, {"v": "0.9"}, {"v": True}, {"m_n": True}, {"m_n": "12"},
         {"kind": "bogus"}, {"kind": None},
+        # out of range, or a field of another kind's rule (the document holds fixed:2)
+        {"kind": "pve", "v": 7.0}, {"kind": "pve", "v": 7.0, "k": None}, {"k": 0},
+        {"kind": "threshold", "m_n": 0.5, "k": None}, {"v": 0.5}, {"relative": False},
     ])
     def test_rejects_a_mistyped_truncation_field(self, change):
         # the rule is metadata after the fit, but to_json writes it back as read
@@ -700,7 +703,7 @@ class TestSerialization:
             text = to_json(dataclasses.replace(model, truncation=rule))
             assert from_json(text).truncation == rule
         doc = json.loads(to_json(model))
-        doc["truncation"].update(kind="threshold", m_n=12)  # a JSON integer is a number
+        doc["truncation"].update(kind="threshold", m_n=12, k=None)  # a JSON integer is a number
         assert from_json(json.dumps(doc)).truncation.m_n == 12
 
     def test_stores_exactly_the_version_5_keys(self):
@@ -730,6 +733,100 @@ class TestTruncationRuleParse:
         with pytest.raises(UsageError):
             TruncationRule.parse("threshold:bogus=1")
         for text in ("pve:abc", "fixed:1.5", "threshold:mn=x", "threshold:mn=nan",
-                     "threshold:mn=inf", "threshold:mn=-inf"):
+                     "threshold:mn=inf", "threshold:mn=-inf", "pve:1.5", "pve:0", "fixed:0",
+                     "threshold:mn=0.5"):
             with pytest.raises(UsageError):
                 TruncationRule.parse(text)
+
+
+class TestTruncationRuleChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: TruncationRule.pve(1.5), r"variance fraction must lie in \(0, 1\), got 1.5"),
+        (lambda: TruncationRule.pve(0.0), r"variance fraction must lie in \(0, 1\), got 0.0"),
+        (lambda: TruncationRule.pve(float("nan")), "variance fraction"),
+        (lambda: TruncationRule(kind="pve"), "got None"),
+        (lambda: TruncationRule.fixed(0), "fixed truncation needs k >= 1"),
+        (lambda: TruncationRule(kind="fixed"), "fixed truncation needs k >= 1"),
+        (lambda: TruncationRule.threshold(0.5), "m_n must be >= 1, got 0.5"),
+        (lambda: TruncationRule.threshold(float("inf")), "m_n must be finite, got inf"),
+        (lambda: TruncationRule(kind="pve", v=0.5, k=3), "a pve rule sets only v"),
+        (lambda: TruncationRule(kind="fixed", k=2, relative=False), "a fixed rule sets only k"),
+        (lambda: TruncationRule(kind="threshold", v=0.5), "a threshold rule sets only m_n"),
+        (lambda: TruncationRule(kind="bogus"), "unknown truncation rule 'bogus'"),
+        (lambda: TruncationRule(kind=["pve"]), "unknown truncation rule"),
+        (lambda: TruncationRule.fixed(2.0), "malformed truncation rule"),
+        (lambda: TruncationRule.threshold(True), "malformed truncation rule"),
+        (lambda: TruncationRule.threshold(relative=0), "malformed truncation rule"),
+        (lambda: TruncationRule.pve("0.5"), "malformed truncation rule"),
+    ])
+    def test_a_rule_is_checked_when_it_is_built(self, build, message):
+        with pytest.raises(UsageError, match=message):
+            build()
+
+    def test_from_dict_refuses_what_the_constructor_refuses(self):
+        for d in ({"kind": "pve", "m_n": None, "relative": True, "v": 7.0, "k": None},
+                  {"kind": "pve", "m_n": None, "relative": True, "v": 0.5, "k": 3}):
+            with pytest.raises(UsageError):
+                TruncationRule.from_dict(d)
+        rule = TruncationRule.threshold(12, relative=False)
+        assert TruncationRule.from_dict(dataclasses.asdict(rule)) == rule
+
+    def test_boundary_values_are_rules(self):
+        assert TruncationRule.threshold(1).m_n == 1
+        assert TruncationRule.pve(np.float64(0.5)).v == 0.5  # a float, if not a JSON one
+        assert TruncationRule.fixed(1).k == 1
+
+
+class TestTruncationThreshold:
+    def test_plain_case(self):
+        pair = SpectralPair(np.array([1.0, 0.1, 0.001]), np.eye(3))
+        assert TruncationRule.threshold(100.0).select(pair, 10) == 2
+
+    def test_mn_one_keeps_top_plateau(self):
+        pair = SpectralPair(np.array([2.0, 2.0, 1.0]), np.eye(3))
+        assert TruncationRule.threshold(1.0).select(pair, 10) == 2
+
+    def test_tie_at_threshold_is_kept(self):
+        pair = SpectralPair(np.array([4.0, 3.0, 2.0, 1.0]), np.eye(4))
+        assert TruncationRule.threshold(2.0).select(pair, 10) == 3
+
+    def test_absolute_variant(self):
+        pair = SpectralPair(np.array([4.0, 3.0, 2.0, 1.0]), np.eye(4))
+        assert TruncationRule.threshold(2.0, relative=False).select(pair, 10) == 4
+        small = SpectralPair(np.array([0.4, 0.3, 0.2, 0.1]), np.eye(4))
+        assert TruncationRule.threshold(4.0, relative=False).select(small, 10) == 2
+
+    def test_zero_spectrum_is_degenerate(self):
+        with pytest.raises(DegenerateInputError):
+            TruncationRule.threshold(10.0).select(SpectralPair(np.zeros(3), np.eye(3)), 10)
+
+    def test_nondecreasing_in_mn(self):
+        rng = np.random.default_rng(4)
+        lam = np.sort(rng.uniform(0, 1, size=12))[::-1]
+        pair = SpectralPair(lam, np.eye(12))
+        counts = [TruncationRule.threshold(m).select(pair, 10)
+                  for m in (1, 2, 5, 10, 100, 1e6)]
+        assert all(a <= b for a, b in zip(counts, counts[1:]))
+
+    def test_capped_at_rank(self):
+        pair = SpectralPair(np.array([1.0, 0.5, 0.0, 0.0]), np.eye(4))
+        assert TruncationRule.threshold(1e12).select(pair, 10) == 2
+
+
+class TestTruncationPve:
+    def test_examples(self):
+        pair = SpectralPair(np.array([4.0, 3.0, 2.0, 1.0]), np.eye(4))
+        assert TruncationRule.pve(0.69).select(pair, 10) == 2
+        assert TruncationRule.pve(0.71).select(pair, 10) == 3
+        assert TruncationRule.pve(1e-9).select(pair, 10) == 1
+
+    def test_zero_mass_is_degenerate(self):
+        with pytest.raises(DegenerateInputError):
+            TruncationRule.pve(0.5).select(SpectralPair(np.zeros(2), np.eye(2)), 10)
+
+    def test_nondecreasing_in_v(self):
+        rng = np.random.default_rng(6)
+        lam = np.sort(rng.uniform(0, 1, size=9))[::-1]
+        pair = SpectralPair(lam, np.eye(9))
+        counts = [TruncationRule.pve(v).select(pair, 10) for v in np.linspace(0.05, 0.999, 30)]
+        assert all(a <= b for a, b in zip(counts, counts[1:]))

@@ -6,11 +6,8 @@ from curveprob.errors import DegenerateInputError, StructureError, UsageError
 from curveprob.flm import RegressionSample, TruncationRule, fit
 from curveprob.spectral import (
     CovarianceOperator,
-    SpectralPair,
     eigendecompose,
     empirical_covariance,
-    truncation_pve,
-    truncation_threshold,
 )
 
 from reference import reconstruct
@@ -185,57 +182,3 @@ class TestEigendecompose:
             pair = eigendecompose(CovarianceOperator(a @ a.T))
             above = np.count_nonzero(pair.eigenvalues > 1e-10 * pair.eigenvalues[0])
             assert above <= r
-
-
-class TestTruncationThreshold:
-    def test_plain_case(self):
-        pair = SpectralPair(np.array([1.0, 0.1, 0.001]), np.eye(3))
-        assert truncation_threshold(pair, 100.0) == 2
-
-    def test_mn_one_keeps_top_plateau(self):
-        pair = SpectralPair(np.array([2.0, 2.0, 1.0]), np.eye(3))
-        assert truncation_threshold(pair, 1.0) == 2
-
-    def test_tie_at_threshold_is_kept(self):
-        pair = SpectralPair(np.array([4.0, 3.0, 2.0, 1.0]), np.eye(4))
-        assert truncation_threshold(pair, 2.0) == 3
-
-    def test_absolute_variant(self):
-        pair = SpectralPair(np.array([4.0, 3.0, 2.0, 1.0]), np.eye(4))
-        assert truncation_threshold(pair, 2.0, relative=False) == 4
-        small = SpectralPair(np.array([0.4, 0.3, 0.2, 0.1]), np.eye(4))
-        assert truncation_threshold(small, 4.0, relative=False) == 2
-
-    def test_zero_spectrum_is_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            truncation_threshold(SpectralPair(np.zeros(3), np.eye(3)), 10.0)
-
-    def test_nondecreasing_in_mn(self):
-        rng = np.random.default_rng(4)
-        lam = np.sort(rng.uniform(0, 1, size=12))[::-1]
-        pair = SpectralPair(lam, np.eye(12))
-        counts = [truncation_threshold(pair, m) for m in (1, 2, 5, 10, 100, 1e6)]
-        assert all(a <= b for a, b in zip(counts, counts[1:]))
-
-    def test_capped_at_rank(self):
-        pair = SpectralPair(np.array([1.0, 0.5, 0.0, 0.0]), np.eye(4))
-        assert truncation_threshold(pair, 1e12) == 2
-
-
-class TestTruncationPve:
-    def test_examples(self):
-        pair = SpectralPair(np.array([4.0, 3.0, 2.0, 1.0]), np.eye(4))
-        assert truncation_pve(pair, 0.69) == 2
-        assert truncation_pve(pair, 0.71) == 3
-        assert truncation_pve(pair, 1e-9) == 1
-
-    def test_zero_mass_is_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            truncation_pve(SpectralPair(np.zeros(2), np.eye(2)), 0.5)
-
-    def test_nondecreasing_in_v(self):
-        rng = np.random.default_rng(6)
-        lam = np.sort(rng.uniform(0, 1, size=9))[::-1]
-        pair = SpectralPair(lam, np.eye(9))
-        counts = [truncation_pve(pair, v) for v in np.linspace(0.05, 0.999, 30)]
-        assert all(a <= b for a, b in zip(counts, counts[1:]))

@@ -109,7 +109,7 @@ VALID = [
 
 # prints, as JSON, what a tree's from_json reads from the model file argv[1]
 _READ_MODEL = """
-import base64, json, sys
+import base64, dataclasses, json, sys
 from curveprob.flm import from_json
 
 m = from_json(open(sys.argv[1], encoding="utf-8").read())
@@ -123,7 +123,7 @@ doc = {key: {"shape": list(a.shape), "f8le": base64.b64encode(a.astype("<f8").to
        for key, a in arrays.items()}
 doc.update(grid_d=m.grid.resolution, n_curve_parts=m.n_curve_parts, n_scalars=m.n_scalars,
            n_components=m.n_components, centered=m.centered, dof_correction=m.dof_correction,
-           truncation=m.truncation.to_dict())
+           truncation=dataclasses.asdict(m.truncation))
 print(json.dumps(doc))
 """
 
@@ -133,8 +133,11 @@ BAD = [
                                                "--n", "5", "--b", "0.4", "--out", "bad.csv"]),
     ("simulate --n 0", ["simulate", "--n", "0", "--out", "bad.csv"]),
     ("simulate --burn-in -1", ["simulate", "--n", "5", "--burn-in", "-1", "--out", "bad.csv"]),
-    ("fit --truncation pve:abc", ["fit", "--series", "synthetic.csv", "--truncation", "pve:abc",
-                                  "--out", "bad.json"]),
+    *((f"fit --truncation {rule}", ["fit", "--series", "synthetic.csv", "--truncation", rule,
+                                    "--out", "bad.json"])
+      for rule in ("pve:abc", "pve:1.5", "fixed:0", "threshold:mn=0.5")),
+    ("baseline glm --components 0", ["baseline", "glm", "--train-series", "synthetic.csv",
+                                     "--x", "x.csv", "--event", _LEVEL, "--components", "0"]),
     ("quantile range never reached", ["quantile", *_QUERY, "--family",
                                       "max-below:lo=-50,hi=-49", "--p", "0.5"]),
     ("coverage-exp --n 2", ["coverage-exp", *_SMALL, "--n", "2", "--reps", "2",

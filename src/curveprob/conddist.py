@@ -91,10 +91,12 @@ def _memo_slot(memo: dict, slot: str, key, build):
     """``build()``, kept in ``memo[slot]`` as one ``(key, value)`` pair.
 
     The memo's one rule: a slot keeps the value built for the first request
-    of its key, and a new key replaces it. The ``ensemble/<method>`` slots
-    serve one covariate's estimates from one build, ``noise`` keeps the
-    Gaussian rows those builds share across covariates, and ``band`` keeps a
-    band's covariate-free part; each value is read-only.
+    of its key, and a new key replaces it. ``noise`` holds the Gaussian rows
+    of ``(mc_size, seed)`` that every reader shares (the ensembles of each
+    covariate, the band and :func:`ensemble_noise`), the
+    ``ensemble/<method>`` slots serve one covariate's estimates from one
+    build, and ``band`` keeps a band's covariate-free part; each value is
+    read-only.
     """
     held = memo.get(slot)
     if held is None or held[0] != key:
@@ -127,18 +129,17 @@ def _check_noise(model: FittedFLM, method: str, mc_size: int, stacklevel: int = 
 def _noise_rows(model: FittedFLM, method: str, mc_size: int, seed: int) -> np.ndarray:
     if method == "boot":
         return model.residual_matrix
-    return _read_only(noise_sampler(model, seed).draw_matrix(mc_size))
+    return _memo_slot(model.memo, "noise", (mc_size, int(seed)),
+                      lambda: _read_only(noise_sampler(model, seed).draw_matrix(mc_size)))
 
 
 def ensemble_noise(model: FittedFLM, method: str, mc_size: int, seed: int) -> np.ndarray:
     """The noise rows that a method adds to the fitted mean, read-only.
 
     'boot' gives the in-sample residual curves (``mc_size`` and ``seed`` are
-    unused); 'gauss' gives ``mc_size`` fresh Karhunen-Loeve draws from
-    ``seed``. A rank-zero noise covariance draws zero rows, and that case
-    warns. Nothing is kept in the model's memo: the experiment drivers read
-    these rows once per fit and add each covariate's ``predict_coords``
-    themselves.
+    unused); 'gauss' gives ``mc_size`` Karhunen-Loeve draws from ``seed``,
+    the model's ``noise`` memo slot (see :func:`_memo_slot`). A rank-zero
+    noise covariance draws zero rows, and that case warns.
     """
     _check_noise(model, method, mc_size)
     return _noise_rows(model, method, mc_size, seed)
@@ -149,10 +150,9 @@ def _ensemble(model: FittedFLM, x: Covariate, method: str, mc_size: int, seed: i
     read-only (rows, D+1) matrix of response curves that every probability
     and quantile estimate counts, ``predict_coords`` at ``x`` plus the rows of
     :func:`ensemble_noise`, kept in the model's ``ensemble/<method>`` memo
-    slot under the covariate's coordinates (and ``mc_size`` and ``seed`` for
-    'gauss'). The Gaussian rows are kept in the ``noise`` slot under
-    ``(mc_size, seed)``, so the ensemble of the next covariate reuses them. A
-    rank-zero warning names the estimate's caller.
+    slot (see :func:`_memo_slot`) under the covariate's coordinates (and
+    ``mc_size`` and ``seed`` for 'gauss'). A rank-zero warning names the
+    estimate's caller.
     """
     model.check_structure(x)
     coords = x.coords()
@@ -160,16 +160,9 @@ def _ensemble(model: FittedFLM, x: Covariate, method: str, mc_size: int, seed: i
     key = (coords.tobytes(),)
     if method == "gauss":
         key += (mc_size, int(seed))
-
-    def build():
-        if method == "boot":
-            rows = model.residual_matrix
-        else:
-            rows = _memo_slot(model.memo, "noise", key[1:],
-                              lambda: _noise_rows(model, method, mc_size, seed))
-        return _read_only(predict_coords(model, coords) + rows)
-
-    return _memo_slot(model.memo, f"ensemble/{method}", key, build), degenerate
+    values = _memo_slot(model.memo, f"ensemble/{method}", key, lambda: _read_only(
+        predict_coords(model, coords) + _noise_rows(model, method, mc_size, seed)))
+    return values, degenerate
 
 
 def _prob(model: FittedFLM, event: EventSet, method: str, seed: int,

@@ -32,6 +32,7 @@ from ..rng import substream
 from . import io
 from .dgp import DGPSpec, brownian_matrix, simulate_far_values
 from .experiments import (
+    check_entropy_options,
     run_coverage_experiment,
     run_entropy_eval,
     run_rmse_experiment,
@@ -108,8 +109,8 @@ def _cmd_fit(args) -> None:
 
 
 def _cmd_estimate(args) -> None:
-    model, x = _load_query(args)
     event = parse_event(args.event, load_curve=io.load_single_curve)
+    model, x = _load_query(args)
     if args.method == "boot":
         est = boot_prob(model, x, event)
     else:
@@ -119,8 +120,8 @@ def _cmd_estimate(args) -> None:
 
 
 def _cmd_quantile(args) -> None:
-    model, x = _load_query(args)
     family = parse_family(args.family)
+    model, x = _load_query(args)
     xi = quantile_over_family(model, x, family, args.p, method=args.method,
                               mc_size=args.mc, seed=args.seed)
     _write_json({"quantile": xi, "p": args.p, "method": args.method,
@@ -172,20 +173,22 @@ def _cmd_quantile_exp(args) -> None:
 
 def _cmd_entropy(args) -> None:
     out = io.report_path(args.out or "entropy.csv")
-    response = io.load_curves(args.response)
-    doy = io.load_index(args.doy)
-    dow = io.load_index(args.dow) if args.dow else None
-    exog = []
+    alphas = _parse_floats(args.alphas, "--alphas")
+    zs = _parse_floats(args.zs, "--zs")
+    check_entropy_options(args.methods, args.mc, args.test_fraction, zs, args.pve)
+    exog_specs = []
     for spec_text in args.exog or []:
         path, _, flag = spec_text.partition(":")
         if flag not in ("", "no-weekly"):
             raise UsageError(f"--exog {spec_text!r}: the only flag is 'no-weekly'")
-        exog.append((io.load_curves(path), flag != "no-weekly"))
+        exog_specs.append((path, flag != "no-weekly"))
+    response = io.load_curves(args.response)
+    doy = io.load_index(args.doy)
+    dow = io.load_index(args.dow) if args.dow else None
+    exog = [(io.load_curves(path), weekly) for path, weekly in exog_specs]
     report = run_entropy_eval(
         response, exog, day_of_year=doy, day_of_week=dow,
-        ar_order=args.ar_order, pve=args.pve,
-        alphas=_parse_floats(args.alphas, "--alphas"),
-        zs=_parse_floats(args.zs, "--zs"),
+        ar_order=args.ar_order, pve=args.pve, alphas=alphas, zs=zs,
         test_fraction=args.test_fraction, methods=args.methods,
         seed=args.seed, mc_size=args.mc)
     _save_report(report, out, "entropy evaluation")
@@ -200,27 +203,31 @@ def _cmd_deseasonalize(args) -> None:
     io.save_curves(result.adjusted, args.out or "adjusted.csv")
 
 
-def _cmd_baseline(args) -> None:
-    truncation = TruncationRule.fixed(args.components) if args.estimator == "glm" else None
-    series = io.load_curves(args.train_series)
-    sample, _ = build_far_design(series, args.ar_order)
+def _baseline_inputs(args) -> tuple:
+    """(training sample, its event labels, covariate coordinates) of a baseline."""
     event = parse_event(args.event, load_curve=io.load_single_curve)
+    sample, _ = build_far_design(io.load_curves(args.train_series), args.ar_order)
     labels = contains_batch(event, sample.y, sample.grid).astype(float)
     x = _load_covariate(args.x)
     if x.structure() != sample.structure:
         raise StructureError(f"covariate structure {x.structure()} does not match "
                              f"the training design {sample.structure}")
-    if args.estimator == "nw":
-        est = nw_fit(sample.x, labels, bandwidth=args.bandwidth)
-        value = nw_prob(est, x.coords())
-        payload = {"value": value, "estimator": "nw", "bandwidth": est.bandwidth}
-    else:
-        regression = fit(sample, truncation)
-        model = fglm_fit(sample.x, labels, regression, link=args.link)
-        value = fglm_prob(model, x.coords())
-        payload = {"value": value, "estimator": "glm", "link": args.link,
-                   "converged": model.converged, "separation": model.separation}
-    _write_json(payload, args.out)
+    return sample, labels, x.coords()
+
+
+def _cmd_baseline_nw(args) -> None:
+    sample, labels, coords = _baseline_inputs(args)
+    est = nw_fit(sample.x, labels, bandwidth=args.bandwidth)
+    _write_json({"value": nw_prob(est, coords), "estimator": "nw",
+                 "bandwidth": est.bandwidth}, args.out)
+
+
+def _cmd_baseline_glm(args) -> None:
+    truncation = TruncationRule.fixed(args.components)
+    sample, labels, coords = _baseline_inputs(args)
+    model = fglm_fit(sample.x, labels, fit(sample, truncation), link=args.link)
+    _write_json({"value": fglm_prob(model, coords), "estimator": "glm", "link": args.link,
+                 "converged": model.converged, "separation": model.separation}, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     def options(*parents):
         return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
-    def command(name, fn, parents, help):
-        p = sub.add_parser(name, parents=parents, help=help)
+    def command(name, fn, parents, help, under=sub):
+        p = under.add_parser(name, parents=parents, help=help)
         p.set_defaults(fn=fn)
         return p
 
@@ -324,13 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=21)
     p.add_argument("--no-weekly", action="store_true", dest="no_weekly")
 
-    p = command("baseline", _cmd_baseline, [out, covariate],
-                "kernel / binomial-regression baselines")
-    p.add_argument("estimator", choices=["nw", "glm"])
-    p.add_argument("--train-series", required=True, dest="train_series")
-    p.add_argument("--ar-order", type=int, default=1, dest="ar_order")
-    p.add_argument("--event", required=True)
+    baseline = options(out, covariate)
+    baseline.add_argument("--train-series", required=True, dest="train_series")
+    baseline.add_argument("--ar-order", type=int, default=1, dest="ar_order")
+    baseline.add_argument("--event", required=True)
+    estimators = sub.add_parser("baseline", help="kernel / binomial-regression baselines"
+                                ).add_subparsers(dest="estimator", required=True)
+    p = command("nw", _cmd_baseline_nw, [baseline], "kernel baseline", estimators)
     p.add_argument("--bandwidth", type=float, default=None)
+    p = command("glm", _cmd_baseline_glm, [baseline], "binomial-regression baseline",
+                estimators)
     p.add_argument("--components", type=int, default=3)
     p.add_argument("--link", default="logit", choices=["logit", "probit"])
 

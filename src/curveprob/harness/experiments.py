@@ -351,6 +351,23 @@ def run_var_experiment(
 # ---------------------------------------------------------------------------
 # cross-entropy pipeline on user-supplied daily series
 
+def check_entropy_options(methods, mc_size: int, test_fraction: float, zs, pve: float) -> tuple:
+    """(methods, sorted time budgets, truncation rule) of the cross-entropy
+    pipeline's options, each checked before any curve is read."""
+    methods = _parse_methods(methods)
+    _check_counts(mc_size=mc_size)
+    if not 0.0 < test_fraction < 1.0:
+        raise UsageError(f"test fraction must lie in (0, 1), got {test_fraction}")
+    # nested events (z grows at fixed alpha) should give nondecreasing
+    # probabilities; refit-per-event baselines may violate this, which is
+    # recorded rather than forbidden
+    zs = sorted(zs)
+    for z in zs:
+        if not 0.0 <= z <= 1.0:
+            raise UsageError(f"time budget z must lie in [0, 1], got {z}")
+    return methods, zs, TruncationRule.pve(pve)
+
+
 def run_entropy_eval(
     response,
     exog: list = (),
@@ -375,20 +392,9 @@ def run_entropy_eval(
     scale: the estimators work on the adjusted series and each day's
     seasonal component is added back to the predictive ensembles.
     """
-    methods = _parse_methods(methods)
-    _check_counts(mc_size=mc_size)
+    methods, zs, truncation = check_entropy_options(methods, mc_size, test_fraction, zs, pve)
     if day_of_year is None:
         raise UsageError("the cross-entropy pipeline needs a day-of-year index")
-    if not 0.0 < test_fraction < 1.0:
-        raise UsageError(f"test fraction must lie in (0, 1), got {test_fraction}")
-    # nested events (z grows at fixed alpha) should give nondecreasing
-    # probabilities; refit-per-event baselines may violate this, which is
-    # recorded rather than forbidden
-    zs = sorted(zs)
-    for z in zs:
-        if not 0.0 <= z <= 1.0:
-            raise UsageError(f"time budget z must lie in [0, 1], got {z}")
-    truncation = TruncationRule.pve(pve)
     started = time.perf_counter()
     n_days = len(response)
     if n_days == 0:

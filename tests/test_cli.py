@@ -705,6 +705,45 @@ def test_a_command_checks_its_rule_before_any_work(broken_inputs, monkeypatch, c
     assert err == f"error: {message}\n", err
 
 
+# (case, argv, message): a bad option spec exits 2 with its own message
+# before any input file is read, so the files need not exist
+QUERY_FILES = ["--model", "nope.json", "--x", "nope.csv"]
+DAILY_FILES = ["entropy-eval", "--response", "nope.csv", "--doy", "nope.txt"]
+EVENT_KINDS = "['boundary', 'contrast', 'excursion', 'extremal', 'level']"
+OPTIONS_BEFORE_INPUT = [
+    ("estimate --event", ["estimate", *QUERY_FILES, "--event", "bogus:d=1"],
+     f"event kind 'bogus' is not one of {EVENT_KINDS}"),
+    ("quantile --family", ["quantile", *QUERY_FILES, "--family", "bogus:lo=0,hi=1",
+                           "--p", "0.5"],
+     "family kind 'bogus' is not one of ['level-alpha', 'level-z', 'max-below']"),
+    ("baseline --event", ["baseline", "nw", "--train-series", "nope.csv", "--x", "nope.csv",
+                          "--event", "bogus:d=1"],
+     f"event kind 'bogus' is not one of {EVENT_KINDS}"),
+    ("entropy-eval --pve", [*DAILY_FILES, "--pve", "1.5"],
+     "variance fraction must lie in (0, 1), got 1.5"),
+    ("entropy-eval --methods", [*DAILY_FILES, "--methods", "boot,bogus"],
+     "unknown method 'bogus'; choose from ('boot', 'gauss', 'glm', 'nw')"),
+    ("entropy-eval --test-fraction", [*DAILY_FILES, "--test-fraction", "2"],
+     "test fraction must lie in (0, 1), got 2.0"),
+    ("entropy-eval --zs", [*DAILY_FILES, "--zs", "3"],
+     "time budget z must lie in [0, 1], got 3.0"),
+]
+
+
+@pytest.mark.parametrize("case, argv, message", OPTIONS_BEFORE_INPUT,
+                         ids=[c[0] for c in OPTIONS_BEFORE_INPUT])
+def test_a_command_checks_its_options_before_it_reads_input(monkeypatch, capsys, case, argv,
+                                                            message):
+    def not_called(*args, **kwargs):
+        raise AssertionError(f"{case}: an input file was read before the option was checked")
+
+    for loader in ("read_text", "load_curves", "load_single_curve", "load_index"):
+        monkeypatch.setattr(f"curveprob.harness.io.{loader}", not_called)
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n", err
+
+
 # Monte-Carlo sizes whose draws cannot be held: malloc refuses 10**15 rows
 # (petabytes) at once, and numpy refuses the shape of 2**62 rows before it
 # allocates, so neither case takes memory

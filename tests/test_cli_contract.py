@@ -60,8 +60,9 @@ def base_args(files, tmp):
                          "--mc": "3", "--out": tmp / "entropy.csv"},
         "deseasonalize": {"--series": files["series"], **daily, "--window": "3",
                           "--out": tmp / "adjusted.csv"},
-        "baseline": {"estimator": "nw", "--train-series": files["series"], "--x": files["x"],
-                     "--event": "extremal:d=0", "--out": tmp / "baseline.json"},
+        **{f"baseline {estimator}": {"--train-series": files["series"], "--x": files["x"],
+                                     "--event": "extremal:d=0", "--out": tmp / "baseline.json"}
+           for estimator in ("nw", "glm")},
     }
 
 
@@ -84,7 +85,7 @@ def candidates(action, files):
 
 
 def flatten(args) -> list:
-    argv = [str(args.pop("estimator"))] if "estimator" in args else []
+    argv = []
     for flag, value in args.items():
         argv += [flag] if value is None else [flag, str(value)]
     return argv
@@ -128,8 +129,18 @@ def check(cases, capsys):
     assert not broken, "\n".join(f"{argv} -> {code}" for argv, code in broken)
 
 
-SUBCOMMANDS = next(a for a in build_parser()._subparsers._group_actions
-                   if isinstance(a, argparse._SubParsersAction)).choices
+def subcommands(parser, prefix="") -> dict:
+    """{command line words: parser} of every command that runs a handler,
+    such as "fit" or "baseline nw"."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                found.update(subcommands(child, f"{prefix}{name} "))
+    return found or {prefix.strip(): parser}
+
+
+SUBCOMMANDS = subcommands(build_parser())
 
 
 def args_read(name, functions) -> set:
@@ -166,6 +177,12 @@ def test_every_subcommand_declares_exactly_the_options_its_handler_reads():
     ["band", "--model", "model.json", "--x", "x.csv", "--literal-abs"],
     ["baseline", "nw", "--train-series", "s.csv", "--x", "x.csv", "--event", "extremal:d=0",
      "--x-scalars", "1"],
+    ["baseline", "nw", "--train-series", "s.csv", "--x", "x.csv", "--event", "extremal:d=0",
+     "--components", "0"],
+    ["baseline", "nw", "--train-series", "s.csv", "--x", "x.csv", "--event", "extremal:d=0",
+     "--link", "probit"],
+    ["baseline", "glm", "--train-series", "s.csv", "--x", "x.csv", "--event", "extremal:d=0",
+     "--bandwidth", "0.3"],
 ])
 def test_an_option_no_handler_reads_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -180,14 +197,14 @@ def test_every_option_keeps_the_exit_contract(command, contract_files, tmp_path,
     monkeypatch.chdir(tmp_path)  # default output names land here
     rng = random.Random(f"options {command}")
     base = base_args(contract_files, tmp_path)[command]
-    cases = [[command, *flatten(dict(base))]]
+    cases = [[*command.split(), *flatten(dict(base))]]
     for action in SUBCOMMANDS[command]._actions:
         if action.dest == "help":
             continue
         key = action.option_strings[0] if action.option_strings else action.dest
         values = candidates(action, contract_files)
         for value in rng.sample(values, min(VALUES_PER_OPTION, len(values))):
-            cases.append([command, *flatten({**base, key: value})])
+            cases.append([*command.split(), *flatten({**base, key: value})])
     check(cases, capsys)
 
 
@@ -260,9 +277,7 @@ def test_curve_files_scaled_to_overflow_keep_the_exit_contract(contract_files, t
         for command, args in base_args(files, tmp_path).items():
             if not {str(path) for path in scaled.values()} & {str(v) for v in args.values()}:
                 continue
-            cases.append([command, *flatten(dict(args))])
-            if command == "baseline":
-                cases.append([command, *flatten({**args, "estimator": "glm"})])
+            cases.append([*command.split(), *flatten(dict(args))])
     broken = []
     for argv in cases:
         code, err = outcome(argv, capsys)

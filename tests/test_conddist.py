@@ -219,9 +219,18 @@ class TestEnsembleNoise:
             ensemble_noise(model, method, mc_size, 0)
 
 
+def count_draws(monkeypatch):
+    """The list that each later ``GaussSampler.draw_matrix`` call appends its count to."""
+    draws = []
+    draw = GaussSampler.draw_matrix
+    monkeypatch.setattr(GaussSampler, "draw_matrix",
+                        lambda sampler, count: draws.append(count) or draw(sampler, count))
+    return draws
+
+
 class TestNoiseMemo:
-    """A Gaussian ensemble build keeps its rows in the noise slot for the next
-    covariate; ensemble_noise keeps nothing."""
+    """The noise slot holds the Gaussian rows of one (mc_size, seed) for every
+    reader: the ensemble of each covariate, the band and ensemble_noise."""
 
     def test_memo_rows_match_a_fresh_sampler(self):
         model, xs = fitted_model()
@@ -247,15 +256,18 @@ class TestNoiseMemo:
             with pytest.raises(ValueError):
                 rows[0, 0] = 1.0
 
-    def test_one_request_keeps_no_rows(self):
-        # ensemble_noise, however often asked, keeps nothing; an ensemble
-        # build keeps its rows under their key, and a new key replaces them
+    def test_one_request_keeps_its_rows_under_their_key(self, monkeypatch):
+        # ensemble_noise keeps its rows under (mc_size, seed) and a second
+        # call reads them; an ensemble build reads the same slot, and a new
+        # key replaces the rows
         model, xs = fitted_model()
-        for _ in range(2):
-            ensemble_noise(model, "gauss", 30, 4)
-        assert model.memo == {}
+        draws = count_draws(monkeypatch)
+        first = ensemble_noise(model, "gauss", 30, 4)
+        assert held(model) == ["noise"] and model.memo["noise"][0] == (30, 4)
+        assert ensemble_noise(model, "gauss", 30, 4) is first and draws == [30]
         gauss_prob(model, xs[0], FULL_SPACE, mc_size=30, seed=4)
-        assert held(model) == ["ensemble/gauss", "noise"] and model.memo["noise"][0] == (30, 4)
+        assert held(model) == ["ensemble/gauss", "noise"] and draws == [30]
+        assert model.memo["noise"][1] is first
         gauss_prob(model, xs[0], FULL_SPACE, mc_size=30, seed=5)
         assert held(model) == ["ensemble/gauss", "noise"] and model.memo["noise"][0] == (30, 5)
 
@@ -273,23 +285,28 @@ class TestNoiseMemo:
         assert dataclasses.replace(model).memo == {}
 
     @pytest.mark.parametrize("n_covariates", [1, 3])
-    def test_query_traffic_draws_once_for_the_ensembles_and_once_for_the_band(
-            self, monkeypatch, n_covariates):
+    def test_query_traffic_draws_once_per_model(self, monkeypatch, n_covariates):
         model, xs = fitted_model()
-        draws = []
-        draw = GaussSampler.draw_matrix
-        monkeypatch.setattr(GaussSampler, "draw_matrix",
-                            lambda sampler, count: draws.append(count) or draw(sampler, count))
+        draws = count_draws(monkeypatch)
         for x in xs[:n_covariates]:
             for event in (extremal_set(0.3), level_set(0.0, 0.5)):
                 gauss_prob(model, x, event, mc_size=40, seed=2)
             quantile_over_family(model, x, family_max_below(-5.0, 5.0), 0.5,
                                  method="gauss", mc_size=40, seed=2)
             calibrate_uniform_band(model, x, 0.9, "gauss", mc_size=40, seed=2)
-        assert draws == [40, 40]
+        assert draws == [40]
         fresh = dataclasses.replace(model)
         ensemble_noise(fresh, "gauss", 40, 2)
-        assert draws == [40, 40, 40] and fresh.memo == {}
+        assert draws == [40, 40] and held(fresh) == ["noise"]
+
+    def test_a_band_then_estimates_at_its_key_draw_once(self, monkeypatch):
+        model, xs = fitted_model()
+        draws = count_draws(monkeypatch)
+        calibrate_uniform_band(model, xs[0], 0.9, "gauss", mc_size=40, seed=2)
+        gauss_prob(model, xs[0], extremal_set(0.3), mc_size=40, seed=2)
+        quantile_over_family(model, xs[1], family_max_below(-5.0, 5.0), 0.5,
+                             method="gauss", mc_size=40, seed=2)
+        assert draws == [40]
 
 
 def copy_of(x):
@@ -424,12 +441,13 @@ class TestEnsembleMemo:
         (lambda m, x: quantile_over_family(m, x, family_max_below(-5.0, 5.0), 0.5,
                                            method="gauss", mc_size=40, seed=2),
          ["ensemble/gauss", "noise"]),
-        (lambda m, x: calibrate_uniform_band(m, x, 0.9, "gauss", mc_size=40, seed=2), ["band"]),
-        (lambda m, x: ensemble_noise(m, "gauss", 40, 2), []),
+        (lambda m, x: calibrate_uniform_band(m, x, 0.9, "gauss", mc_size=40, seed=2),
+         ["band", "noise"]),
+        (lambda m, x: ensemble_noise(m, "gauss", 40, 2), ["noise"]),
     ])
     def test_a_model_queried_once_holds_only_what_it_built(self, query, slots):
-        # one request keeps what it built and nothing else: the band keeps no
-        # Gaussian rows, and ensemble_noise keeps nothing
+        # one request keeps what it built and nothing else; every Gaussian
+        # reader keeps its rows in the noise slot
         model, xs = fitted_model()
         query(model, xs[0])
         assert held(model) == slots

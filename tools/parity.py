@@ -138,6 +138,14 @@ BAD = [
       for rule in ("pve:abc", "pve:1.5", "fixed:0", "threshold:mn=0.5")),
     ("baseline glm --components 0", ["baseline", "glm", "--train-series", "synthetic.csv",
                                      "--x", "x.csv", "--event", _LEVEL, "--components", "0"]),
+    ("entropy-eval --pve 1.5", ["entropy-eval", "--response", "synthetic.csv", *_DAYS,
+                                "--pve", "1.5", "--out", "bad.csv"]),
+    ("entropy-eval --methods boot,bogus", ["entropy-eval", "--response", "synthetic.csv",
+                                           *_DAYS, "--methods", "boot,bogus",
+                                           "--out", "bad.csv"]),
+    ("estimate --event bogus", ["estimate", *_QUERY, "--event", "bogus:d=1"]),
+    ("quantile --family bogus", ["quantile", *_QUERY, "--family", "bogus:lo=0,hi=1",
+                                 "--p", "0.5"]),
     ("quantile range never reached", ["quantile", *_QUERY, "--family",
                                       "max-below:lo=-50,hi=-49", "--p", "0.5"]),
     ("coverage-exp --n 2", ["coverage-exp", *_SMALL, "--n", "2", "--reps", "2",
